@@ -3,8 +3,10 @@
 Every run writes its outputs plus exactly one ``manifest.json`` under
 ``--out``.  Outputs are byte-reproducible for a given seed and flag set
 (the manifest's wall_time_s field is the one intentionally varying
-value).  Exit codes: 0 success, 2 usage or parse errors, 1 internal
-errors.  ``GEOWEAVE_SEED`` provides the seed when ``--seed`` is absent.
+value).  Exit codes: 0 success; 2 for errors in what the user gave (flags,
+game name, ``GEOWEAVE_SEED``, feature files, generator bounds); 1 for
+every other error.  ``GEOWEAVE_SEED`` provides the seed when ``--seed``
+is absent.
 """
 
 from __future__ import annotations
@@ -49,6 +51,27 @@ def _seed_from(args) -> int:
         except ValueError:
             raise UsageError(f"GEOWEAVE_SEED must be an integer, got {env!r}")
     return 0
+
+
+def _rules_from(args):
+    try:
+        return game_from_name(args.game)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_search_flags(args) -> None:
+    if args.games < 2 or args.games % 2:
+        raise UsageError("--games must be even (sides are swapped each game)")
+    if args.playouts < 0:
+        raise UsageError("--playouts must be >= 0")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+    if args.engine == "numba":
+        from . import fastpath
+
+        if not fastpath.NUMBA_AVAILABLE:
+            raise UsageError("--engine numba needs numba, which is not installed")
 
 
 def _sha256(path: Path) -> str:
@@ -103,7 +126,7 @@ def _load_features(path: str) -> FeatureSet:
 
 def cmd_render(args) -> int:
     seed = _seed_from(args)
-    rules = game_from_name(args.game)
+    rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("render", args, args.out)
     for i, feature in enumerate(fs.features):
@@ -116,9 +139,8 @@ def cmd_render(args) -> int:
 
 def cmd_match(args) -> int:
     seed = _seed_from(args)
-    if args.games < 2 or args.games % 2:
-        raise UsageError("--games must be even (sides are swapped each game)")
-    rules = game_from_name(args.game)
+    _check_search_flags(args)
+    rules = _rules_from(args)
     fs_a = _load_features(args.a) if args.a else None
     fs_b = _load_features(args.b) if args.b else None
     agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
@@ -143,7 +165,7 @@ def cmd_match(args) -> int:
 
 def cmd_generate(args) -> int:
     seed = _seed_from(args)
-    rules = game_from_name(args.game)
+    rules = _rules_from(args)
     cfg = GenConfig(
         max_elements=args.max_elements,
         max_walk_length=args.max_walk_length,
@@ -160,9 +182,8 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     seed = _seed_from(args)
-    if args.games < 2 or args.games % 2:
-        raise UsageError("--games must be even (sides are swapped each game)")
-    rules = game_from_name(args.game)
+    _check_search_flags(args)
+    rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("evaluate", args, args.out)
     record = evaluate_feature_set(
@@ -180,9 +201,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tune(args) -> int:
     seed = _seed_from(args)
-    if args.games < 2 or args.games % 2:
-        raise UsageError("--games must be even (sides are swapped each game)")
-    rules = game_from_name(args.game)
+    _check_search_flags(args)
+    rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("tune", args, args.out)
     result = hill_climb_weights(
@@ -265,10 +285,7 @@ def main(argv=None) -> int:
     except (UsageError, DslError, GenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -4,8 +4,12 @@ Both are placement games for two players; every feature mechanism the
 engine supports (reactive/proactive, rotations, off-board elements, the
 move-from action channel) is exercised against these rules in the tests.
 
-``status`` returns None while the game is ongoing, 0 for a draw and the
-winning player id otherwise.
+``apply`` decides the result once, from the stone it places (its Hex
+group or its Line4 runs): it refuses every move after the game ends, so
+a new win must pass through that stone.  ``status`` reads the recorded
+result back: None while the game is ongoing, 0 for a draw and the
+winning player id otherwise.  A ``GameState`` built by hand is taken to
+be in play unless its ``result`` is given.
 """
 
 from __future__ import annotations
@@ -28,10 +32,13 @@ class Move:
 
 @dataclass(frozen=True)
 class GameState:
+    """A position; ``result`` is what ``apply`` decided on reaching it."""
+
     board: ChunkSet
     mover: int
     last_move: Move | None
     move_number: int
+    result: int | None = None
 
 
 class GameRules:
@@ -71,31 +78,22 @@ class GameRules:
             raise IllegalMove("game is over")
         board = state.board.copy()
         board.set(move.to, state.mover)
+        move_number = state.move_number + 1
         return GameState(
             board=board,
             mover=3 - state.mover,
             last_move=move,
-            move_number=state.move_number + 1,
+            move_number=move_number,
+            result=self._result_after(board, move.to, state.mover, move_number),
         )
 
     def status(self, state: GameState) -> int | None:
+        return state.result
+
+    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
+        """The result once ``player`` has placed on ``cell``, leaving ``board``
+        after ``move_number`` moves, given that the game was on before."""
         raise NotImplementedError
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
 
 
 class HexRules(GameRules):
@@ -110,33 +108,26 @@ class HexRules(GameRules):
         self.name = f"hex{size}"
         n = size
         self._edges = {
-            1: ([hex_cell(self.graph, q, 0) for q in range(n)],
-                [hex_cell(self.graph, q, n - 1) for q in range(n)]),
-            2: ([hex_cell(self.graph, 0, r) for r in range(n)],
-                [hex_cell(self.graph, n - 1, r) for r in range(n)]),
+            1: ({hex_cell(self.graph, q, 0) for q in range(n)},
+                {hex_cell(self.graph, q, n - 1) for q in range(n)}),
+            2: ({hex_cell(self.graph, 0, r) for r in range(n)},
+                {hex_cell(self.graph, n - 1, r) for r in range(n)}),
         }
 
-    def status(self, state: GameState) -> int | None:
-        board = state.board
-        for player in (1, 2):
-            uf = _UnionFind(self.graph.cell_count + 2)
-            side_a, side_b = self.graph.cell_count, self.graph.cell_count + 1
-            first, second = self._edges[player]
-            for c in range(self.graph.cell_count):
-                if board.get(c) != player:
-                    continue
-                for n in self.graph.neighbors[c]:
-                    if n >= 0 and n > c and board.get(n) == player:
-                        uf.union(c, n)
-            for c in first:
-                if board.get(c) == player:
-                    uf.union(c, side_a)
-            for c in second:
-                if board.get(c) == player:
-                    uf.union(c, side_b)
-            if uf.find(side_a) == uf.find(side_b):
-                return player
-        return None
+    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
+        # Flood-fill the placed stone's group; it wins if it spans both edges.
+        neighbors = self.graph.neighbors
+        group = {cell}
+        stack = [cell]
+        while stack:
+            for n in neighbors[stack.pop()]:
+                if n >= 0 and n not in group and board.get(n) == player:
+                    group.add(n)
+                    stack.append(n)
+        first, second = self._edges[player]
+        if group.isdisjoint(first) or group.isdisjoint(second):
+            return None
+        return player
 
 
 # Line directions: E, N, NE, NW as (dx, dy) on the square grid.  Wins may
@@ -160,19 +151,19 @@ class Line4Rules(GameRules):
             return 0
         return board.get(y * self.width + x)
 
-    def status(self, state: GameState) -> int | None:
-        board = state.board
-        for y in range(self.height):
-            for x in range(self.width):
-                v = board.get(y * self.width + x)
-                if v == 0:
-                    continue
-                for dx, dy in _LINE4_DIRS:
-                    if all(self._value(board, x + k * dx, y + k * dy) == v for k in range(1, 4)):
-                        return v
-        if state.move_number >= self.graph.cell_count:
-            return 0
-        return None
+    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
+        # A new line of four must run through the placed cell.
+        x, y = cell % self.width, cell // self.width
+        for dx, dy in _LINE4_DIRS:
+            run = 1
+            for sx, sy in ((dx, dy), (-dx, -dy)):
+                k = 1
+                while self._value(board, x + k * sx, y + k * sy) == player:
+                    run += 1
+                    k += 1
+            if run >= 4:
+                return player
+        return 0 if move_number >= self.graph.cell_count else None
 
 
 def hex_rules(size: int) -> HexRules:

@@ -2,8 +2,9 @@
 
 Each oracle deliberately uses a different mechanism from the code under
 test: coordinate arithmetic instead of graph walking, per-cell decoded
-values instead of packed words, breadth-first search instead of
-union-find, exhaustive minimax instead of sampling.
+values instead of packed words, whole-board searches and scans instead
+of checks around the placed stone, exhaustive minimax instead of
+sampling.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from geoweave.board import OFF_BOARD
 from geoweave.features import Constraint, ElementKind
+from geoweave.games import HexRules
 
 # --- closed-form walk oracle on the square grid -----------------------------
 
@@ -136,6 +138,37 @@ def hex_win_bfs(rules, values, player: int) -> bool:
                 seen.add(nb)
                 queue.append(nb)
     return False
+
+
+def line4_winner_scan(rules, values, move_number: int) -> int | None:
+    """Full-board Line4 result: the first stone, in cell order, that starts
+    a line of four in one of the four directions; else a draw once the
+    board is full, else None."""
+    width, height = rules.width, rules.height
+
+    def at(x, y):
+        return values[y * width + x] if 0 <= x < width and 0 <= y < height else 0
+
+    for y in range(height):
+        for x in range(width):
+            v = at(x, y)
+            if v == 0:
+                continue
+            for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
+                if all(at(x + k * dx, y + k * dy) == v for k in range(1, 4)):
+                    return v
+    return 0 if move_number >= width * height else None
+
+
+def status_oracle(rules, state) -> int | None:
+    """The game result recomputed from the whole board, as ``status`` should
+    report it."""
+    values = state.board.values()
+    if isinstance(rules, HexRules):
+        winners = [p for p in (1, 2) if hex_win_bfs(rules, values, p)]
+        assert len(winners) <= 1, "both hex players connected"
+        return winners[0] if winners else None
+    return line4_winner_scan(rules, values, state.move_number)
 
 
 def minimax_winner(rules, state) -> int:

@@ -1,8 +1,11 @@
 import json
 from pathlib import Path
 
-from geoweave import fastpath
+import pytest
+
+from geoweave import cli, fastpath
 from geoweave.cli import main
+from geoweave.games import IllegalMove
 from geoweave.dsl import load_feature_set
 from conftest import FIXTURES
 
@@ -46,6 +49,28 @@ def test_match_odd_games_is_usage_error(tmp_path):
 def test_match_unknown_game_is_usage_error(tmp_path):
     rc = main(["match", "--game", "checkers", "--games", "2", "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--playouts", "-1"],
+    ["--workers", "0"],
+    *([] if fastpath.NUMBA_AVAILABLE else [["--engine", "numba"]]),
+])
+def test_match_bad_search_flag_is_usage_error(tmp_path, flags, capsys):
+    rc = main(["match", "--game", "line4-4x4", "--games", "2", "--out", str(tmp_path / "o"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_error_exits_1_not_usage(tmp_path, monkeypatch, capsys):
+    def broken_match(*args, **kwargs):
+        raise IllegalMove("cell 3 is occupied")
+
+    monkeypatch.setattr(cli, "play_match", broken_match)
+    rc = main(["match", "--game", "line4-4x4", "--games", "2", "--playouts", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("internal error: IllegalMove")
 
 
 def test_match_reproducible_byte_for_byte(tmp_path):

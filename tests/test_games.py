@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoweave as gw
 from geoweave.games import IllegalMove, Move
 from geoweave.rng import SplitMix64
-from oracles import hex_win_bfs, minimax_winner
+from oracles import hex_win_bfs, minimax_winner, status_oracle
 
 
 def play(rules, state, *cells):
@@ -102,28 +104,48 @@ def test_hex_occupied_cell_not_legal():
 
 
 def test_hex_win_matches_bfs_oracle():
+    """After every ply of seeded random hex7 games, ``status`` names the
+    player that breadth-first search finds connected, and only then."""
     rules = gw.hex_rules(7)
     rng = SplitMix64(123)
-    cells = rules.graph.cell_count
-    for trial in range(10_000):
-        # Mix of random fills and fully packed boards.
-        if trial % 2:
-            values = [1 + int(rng.next_u64() % 2) for _ in range(cells)]
-        else:
-            values = [int(rng.next_u64() % 3) for _ in range(cells)]
-        board = gw.ChunkSet.from_values(values, rules.chunk_bits)
-        state = gw.GameState(board=board, mover=1, last_move=None, move_number=cells)
-        status = rules.status(state)
-        p1 = hex_win_bfs(rules, values, 1)
-        p2 = hex_win_bfs(rules, values, 2)
-        if trial % 2:
-            assert status is not None  # a packed hex board always has a winner
-        if status is None:
-            assert not p1 and not p2
-        elif status == 1:
-            assert p1
-        else:
-            assert p2 and not p1
+    for _ in range(300):
+        state = rules.initial_state()
+        while True:
+            values = state.board.values()
+            status = rules.status(state)
+            assert (status == 1, status == 2) == (
+                hex_win_bfs(rules, values, 1),
+                hex_win_bfs(rules, values, 2),
+            )
+            if status is not None:
+                break
+            legal = rules.legal_moves(state)
+            state = rules.apply(state, legal[rng.next_u64() % len(legal)])
+
+
+PROPERTY_GAMES = [f"hex{n}" for n in range(2, 10)] + [
+    "line4-4x4", "line4-5x4", "line4-7x7", "line4-8x5",
+]
+MOST_CELLS = 81  # hex9: enough picks to fill any of the boards above
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    name=st.sampled_from(PROPERTY_GAMES),
+    picks=st.lists(st.integers(0, MOST_CELLS - 1), min_size=MOST_CELLS, max_size=MOST_CELLS),
+)
+def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
+    """Random games (the i-th move is legal move ``picks[i] mod count``):
+    after every ``apply``, ``status`` equals the whole-board oracle."""
+    rules = gw.game_from_name(name)
+    state = rules.initial_state()
+    for pick in picks:
+        if rules.status(state) is not None:
+            break
+        legal = rules.legal_moves(state)
+        state = rules.apply(state, legal[pick % len(legal)])
+        assert rules.status(state) == status_oracle(rules, state)
+    assert rules.status(state) is not None
 
 
 def test_registry_names():
