@@ -58,20 +58,23 @@ class ChunkSet:
     def word_count(self) -> int:
         return len(self.words)
 
-    def _locate(self, cell: int) -> tuple[int, int]:
+    def locate(self, cell: int) -> tuple[int, int]:
+        """Word index and bit shift of the cell's chunk."""
         if not 0 <= cell < self.cell_count:
             raise ChunkSetError(f"cell {cell} out of range")
         bit = cell * self.chunk_bits
         return bit // WORD_BITS, bit % WORD_BITS
 
     def get(self, cell: int) -> int:
-        w, shift = self._locate(cell)
-        return (self.words[w] >> shift) & ((1 << self.chunk_bits) - 1)
+        if not 0 <= cell < self.cell_count:
+            raise ChunkSetError(f"cell {cell} out of range")
+        bit = cell * self.chunk_bits
+        return (self.words[bit // WORD_BITS] >> bit % WORD_BITS) & ((1 << self.chunk_bits) - 1)
 
     def set(self, cell: int, value: int) -> "ChunkSet":
         if not 0 <= value < (1 << self.chunk_bits):
             raise ChunkSetError(f"value {value} does not fit in {self.chunk_bits} bits")
-        w, shift = self._locate(cell)
+        w, shift = self.locate(cell)
         chunk_mask = ((1 << self.chunk_bits) - 1) << shift
         self.words[w] = (self.words[w] & ~chunk_mask & _WORD_MASK) | (value << shift)
         return self
@@ -80,7 +83,12 @@ class ChunkSet:
         return [self.get(c) for c in range(self.cell_count)]
 
     def copy(self) -> "ChunkSet":
-        return ChunkSet(self.chunk_bits, self.cell_count, self.words)
+        # The source is valid already, so skip the checks in __init__.
+        out = ChunkSet.__new__(ChunkSet)
+        out.chunk_bits = self.chunk_bits
+        out.cell_count = self.cell_count
+        out.words = self.words.copy()
+        return out
 
     def key(self) -> tuple:
         return (self.chunk_bits, self.cell_count, tuple(self.words))

@@ -3,10 +3,11 @@
 Every run writes its outputs plus exactly one ``manifest.json`` under
 ``--out``.  Outputs are byte-reproducible for a given seed and flag set
 (the manifest's wall_time_s field is the one intentionally varying
-value).  Exit codes: 0 success; 2 for errors in what the user gave (flags,
-game name, ``GEOWEAVE_SEED``, feature files, generator bounds); 1 for
-every other error.  ``GEOWEAVE_SEED`` provides the seed when ``--seed``
-is absent.
+value).  The manifests of match, evaluate and tune also record the
+engine requested, the engine that ran and why.  Exit codes: 0 success; 2
+for errors in what the user gave (flags, game name, ``GEOWEAVE_SEED``,
+feature files, generator bounds); 1 for every other error.
+``GEOWEAVE_SEED`` provides the seed when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .featuregen import (
     GenConfig,
     GenError,
     evaluate_feature_set,
+    evaluation_agents,
     generate_candidates,
     hill_climb_weights,
     write_eval_log,
@@ -74,6 +76,21 @@ def _check_search_flags(args) -> None:
             raise UsageError("--engine numba needs numba, which is not installed")
 
 
+def _engine_record(requested: str, rules, agent_a: AgentSpec, agent_b: AgentSpec) -> dict:
+    """The engine ``play_match`` runs for these arguments, and why."""
+    if requested == "python":
+        return {"requested": requested, "ran": "python", "reason": "requested"}
+    try:
+        from . import fastpath
+    except ImportError as exc:
+        compiled, why = False, f"compiled engine unavailable: {exc}"
+    else:
+        compiled, why = fastpath.supports(rules, agent_a, agent_b)
+    if compiled:
+        why = "compiled kernels support this run"
+    return {"requested": requested, "ran": "numba" if compiled else "python", "reason": why}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -104,7 +121,8 @@ class Run:
         self.outputs.append(path)
         return path
 
-    def finish(self, seed: int) -> Path:
+    def finish(self, seed: int, engine: dict | None = None) -> Path:
+        """Write the manifest; ``engine`` is the record of a command that plays matches."""
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -115,6 +133,8 @@ class Run:
                 {"path": p.name, "sha256": _sha256(p)} for p in self.outputs
             ],
         }
+        if engine is not None:
+            manifest["engine"] = engine
         path = self.out / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path
@@ -146,6 +166,7 @@ def cmd_match(args) -> int:
     agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
     agent_b = AgentSpec(feature_set=fs_b, playouts=args.playouts)
     run = Run("match", args, args.out)
+    engine = _engine_record(args.engine, rules, agent_a, agent_b)
     result = play_match(
         rules, agent_a, agent_b, args.games, seed, workers=args.workers, engine=args.engine
     )
@@ -158,7 +179,7 @@ def cmd_match(args) -> int:
         **result.to_dict(),
     }
     run.write_json("match.json", payload)
-    run.finish(seed)
+    run.finish(seed, engine)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -186,6 +207,7 @@ def cmd_evaluate(args) -> int:
     rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("evaluate", args, args.out)
+    engine = _engine_record(args.engine, rules, *evaluation_agents(fs, args.playouts))
     record = evaluate_feature_set(
         fs, rules, args.games, seed, playouts=args.playouts,
         workers=args.workers, engine=args.engine,
@@ -194,7 +216,7 @@ def cmd_evaluate(args) -> int:
     log_path = run.out / "eval.jsonl"
     write_eval_log([record], log_path)
     run.add(log_path)
-    run.finish(seed)
+    run.finish(seed, engine)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
 
@@ -205,6 +227,7 @@ def cmd_tune(args) -> int:
     rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("tune", args, args.out)
+    engine = _engine_record(args.engine, rules, *evaluation_agents(fs, args.playouts))
     result = hill_climb_weights(
         fs, rules, budget=args.budget, step=args.step, seed=seed,
         games=args.games, playouts=args.playouts,
@@ -216,7 +239,7 @@ def cmd_tune(args) -> int:
     log_path = run.out / "tune_log.jsonl"
     write_eval_log(result.history, log_path)
     run.add(log_path)
-    run.finish(seed)
+    run.finish(seed, engine)
     print(
         f"tuned set {feature_set_hash(result.best)} win rate "
         f"{result.best_record.win_rate:.3f} after {len(result.history)} evaluation(s)"

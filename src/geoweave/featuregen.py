@@ -135,6 +135,14 @@ class EvalRecord:
         }
 
 
+def evaluation_agents(
+    fs: FeatureSet, playouts: int, bias: BiasConfig | None = None
+) -> tuple[AgentSpec, AgentSpec]:
+    """Feature-biased MCTS and uniform-playout MCTS at equal playouts."""
+    biased = AgentSpec(feature_set=fs, playouts=playouts, bias=bias or BiasConfig())
+    return biased, AgentSpec(playouts=playouts)
+
+
 def evaluate_feature_set(
     fs: FeatureSet,
     rules: GameRules,
@@ -146,8 +154,7 @@ def evaluate_feature_set(
     bias: BiasConfig | None = None,
 ) -> EvalRecord:
     """Feature-biased MCTS against uniform-playout MCTS at equal playouts."""
-    biased = AgentSpec(feature_set=fs, playouts=playouts, bias=bias or BiasConfig())
-    vanilla = AgentSpec(playouts=playouts)
+    biased, vanilla = evaluation_agents(fs, playouts, bias)
     result = play_match(rules, biased, vanilla, games, seed, workers=workers, engine=engine)
     return EvalRecord(
         feature_set=fs,

@@ -51,6 +51,10 @@ class GameRules:
         self.graph = graph
         self.state_count = self.player_count + 1
         self.chunk_bits = required_bits(self.state_count)
+        self._chunk_mask = (1 << self.chunk_bits) - 1
+        # Per cell: its one shared Move and where its chunk sits in the words.
+        layout = ChunkSet(self.chunk_bits, graph.cell_count)
+        self._cells = [(Move(c), *layout.locate(c)) for c in range(graph.cell_count)]
 
     def initial_state(self) -> GameState:
         return GameState(
@@ -63,16 +67,16 @@ class GameRules:
     def legal_moves(self, state: GameState) -> list[Move]:
         if self.status(state) is not None:
             return []
-        return [
-            Move(c) for c in range(self.graph.cell_count) if state.board.get(c) == 0
-        ]
+        words, mask = state.board.words, self._chunk_mask
+        return [m for m, w, s in self._cells if not (words[w] >> s) & mask]
 
     def apply(self, state: GameState, move: Move) -> GameState:
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
         if not 0 <= move.to < self.graph.cell_count:
             raise IllegalMove(f"cell {move.to} outside board")
-        if state.board.get(move.to) != 0:
+        _, w, s = self._cells[move.to]
+        if (state.board.words[w] >> s) & self._chunk_mask:
             raise IllegalMove(f"cell {move.to} is occupied")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
@@ -116,14 +120,17 @@ class HexRules(GameRules):
 
     def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
         # Flood-fill the placed stone's group; it wins if it spans both edges.
-        neighbors = self.graph.neighbors
+        neighbors, cells = self.graph.neighbors, self._cells
+        words, mask = board.words, self._chunk_mask
         group = {cell}
         stack = [cell]
         while stack:
             for n in neighbors[stack.pop()]:
-                if n >= 0 and n not in group and board.get(n) == player:
-                    group.add(n)
-                    stack.append(n)
+                if n >= 0 and n not in group:
+                    _, w, s = cells[n]
+                    if (words[w] >> s) & mask == player:
+                        group.add(n)
+                        stack.append(n)
         first, second = self._edges[player]
         if group.isdisjoint(first) or group.isdisjoint(second):
             return None
@@ -149,7 +156,8 @@ class Line4Rules(GameRules):
     def _value(self, board: ChunkSet, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             return 0
-        return board.get(y * self.width + x)
+        _, w, s = self._cells[y * self.width + x]
+        return (board.words[w] >> s) & self._chunk_mask
 
     def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
         # A new line of four must run through the placed cell.

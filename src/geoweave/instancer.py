@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .board import OFF_BOARD, BoardGraph
-from .chunkset import ChunkSet, matches, required_bits
+from .chunkset import ChunkSet, ChunkSetError, required_bits
 from .features import Constraint, ElementKind, Feature, FeatureSet
 from .walks import mirror_walk, resolve_walk_branches, round_turn
 
@@ -35,6 +35,9 @@ class FeatureInstance:
     mask: ChunkSet
     target: ChunkSet
     negative_tests: tuple[tuple[int, int], ...]  # (cell, forbidden chunk value)
+    # The same tests located in the board words, as match_instance runs them:
+    word_tests: tuple[tuple[int, int, int], ...]  # (word, mask, target) where mask != 0
+    negative_probes: tuple[tuple[int, int, int], ...]  # (word, chunk mask, forbidden chunk)
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
     action_from: int | None
@@ -60,14 +63,38 @@ class InstanceIndex:
         return self.reactive_by_last_move.get(cell, [])
 
 
-def match_instance(inst: FeatureInstance, state: ChunkSet, counter: list[int] | None = None) -> bool:
-    """Compiled instance test: word mask/target plus negated-value probes."""
-    if not matches(state, inst.mask, inst.target, counter):
-        return False
-    for cell, forbidden in inst.negative_tests:
-        if state.get(cell) == forbidden:
+def match_instance(inst: FeatureInstance, state: ChunkSet) -> bool:
+    """Compiled instance test: word mask/target plus negated-value probes.
+
+    Equal to ``matches(state, inst.mask, inst.target)`` followed by the
+    ``negative_tests``, but only the words the instance touches are read.
+    """
+    shape = inst.mask
+    if state.chunk_bits != shape.chunk_bits or state.cell_count != shape.cell_count:
+        raise ChunkSetError("chunk sets differ in shape")
+    words = state.words
+    for w, mask, target in inst.word_tests:
+        if words[w] & mask != target:
+            return False
+    for w, mask, forbidden in inst.negative_probes:
+        if words[w] & mask == forbidden:
             return False
     return True
+
+
+def _locate_tests(
+    mask: ChunkSet, target: ChunkSet, negative_tests: tuple[tuple[int, int], ...]
+) -> tuple[tuple, tuple]:
+    """``word_tests`` and ``negative_probes`` for one compiled instance."""
+    word_tests = tuple(
+        (w, m, t) for w, (m, t) in enumerate(zip(mask.words, target.words)) if m
+    )
+    full = (1 << mask.chunk_bits) - 1
+    probes = []
+    for cell, forbidden in negative_tests:
+        w, shift = mask.locate(cell)
+        probes.append((w, full << shift, forbidden << shift))
+    return word_tests, tuple(probes)
 
 
 def _orientations(feature: Feature, graph: BoardGraph, anchor: int) -> list[tuple[int, bool]]:
@@ -267,6 +294,7 @@ def instantiate(
                 if existing is not None:
                     existing.weight += feature.weight
                     continue
+                word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
                 inst = FeatureInstance(
                     feature=feature,
                     anchor=anchor,
@@ -275,6 +303,8 @@ def instantiate(
                     mask=mask,
                     target=target,
                     negative_tests=neg_sorted,
+                    word_tests=word_tests,
+                    negative_probes=negative_probes,
                     element_sites=tuple(
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
                     ),

@@ -83,23 +83,24 @@ def biased_scores(
     scores = [bias.base_score] * len(legal)
     if idx is None:
         return scores
-    slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
     if counters is not None:
         counters.calls += 1
 
+    board = state.board
+    hits = []
     if state.last_move is not None:
         bucket = idx.reactive_for(state.last_move.to)
         if counters is not None:
             counters.reactive_tests += len(bucket)
-        for inst in bucket:
-            if match_instance(inst, state.board):
-                i = slot.get((inst.action_to, inst.action_from))
-                if i is not None:
-                    scores[i] += inst.weight
+        hits = [inst for inst in bucket if match_instance(inst, board)]
     if counters is not None:
         counters.proactive_tests += len(idx.proactive)
-    for inst in idx.proactive:
-        if match_instance(inst, state.board):
+    hits += [inst for inst in idx.proactive if match_instance(inst, board)]
+    # Few instances match, so the move slots are looked up only on a hit;
+    # weights are added in test order, reactive first.
+    if hits:
+        slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
+        for inst in hits:
             i = slot.get((inst.action_to, inst.action_from))
             if i is not None:
                 scores[i] += inst.weight

@@ -15,6 +15,7 @@ no floating point is involved in resolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +38,11 @@ def normalize_turn(turn: Fraction) -> Fraction:
     return turn - whole
 
 
+@functools.lru_cache(maxsize=None)
 def round_turn(turn: Fraction, sides: int) -> int:
     """Whole number of clockwise slots for ``turn`` in a cell with ``sides``
     edges, rounding half away from zero.  Callers interpret the result mod
-    ``sides``.
+    ``sides``.  Cached: features use few distinct turns and side counts.
     """
     if sides < 3:
         raise WalkError(f"cell must have at least 3 sides, got {sides}")

@@ -157,6 +157,32 @@ def test_tune_log_respects_budget(tmp_path):
     assert {o["path"] for o in manifest["outputs"]} == {"tuned.fs", "tune_log.jsonl"}
 
 
+@pytest.mark.parametrize("requested", ["auto", "python"])
+def test_manifest_names_the_engine_that_ran(tmp_path, requested):
+    common = ["--game", "line4-4x4", "--games", "2", "--playouts", "2", "--seed", "4",
+              "--engine", requested]
+    features = ["--features", str(FIXTURES / "line4.fs")]
+    commands = {
+        "match": ["match", *common],
+        "evaluate": ["evaluate", *features, *common],
+        "tune": ["tune", *features, "--budget", "2", *common],
+    }
+    if requested == "python":
+        expected = {"requested": "python", "ran": "python", "reason": "requested"}
+    elif fastpath.NUMBA_AVAILABLE:
+        expected = {"requested": "auto", "ran": "numba",
+                    "reason": "compiled kernels support this run"}
+    else:  # auto falls back, and the manifest says why
+        expected = {"requested": "auto", "ran": "python", "reason": "numba is not installed"}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert manifest_of(out)["engine"] == expected, name
+    out = tmp_path / "generate"
+    assert main(["generate", "--game", "hex4", "--max-elements", "1", "--out", str(out)]) == 0
+    assert "engine" not in manifest_of(out)
+
+
 def test_every_command_writes_exactly_one_manifest(tmp_path):
     out = tmp_path / "m"
     main(["generate", "--game", "hex4", "--max-elements", "1", "--out", str(out)])

@@ -136,15 +136,22 @@ MOST_CELLS = 81  # hex9: enough picks to fill any of the boards above
 )
 def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     """Random games (the i-th move is legal move ``picks[i] mod count``):
-    after every ``apply``, ``status`` equals the whole-board oracle."""
+    after every ``apply``, ``status`` equals the whole-board oracle, the
+    legal moves are the empty cells, and the parent position is intact."""
     rules = gw.game_from_name(name)
     state = rules.initial_state()
     for pick in picks:
         if rules.status(state) is not None:
             break
         legal = rules.legal_moves(state)
+        parent, parent_words = state, list(state.board.words)
         state = rules.apply(state, legal[pick % len(legal)])
         assert rules.status(state) == status_oracle(rules, state)
+        assert parent.board.words == parent_words
+        scan = [c for c in range(rules.graph.cell_count) if state.board.get(c) == 0]
+        if rules.status(state) is not None:
+            scan = []
+        assert [m.to for m in rules.legal_moves(state)] == scan
     assert rules.status(state) is not None
 
 

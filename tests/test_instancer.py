@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import geoweave as gw
-from geoweave.chunkset import ChunkSet
+from geoweave.chunkset import ChunkSet, ChunkSetError
 from geoweave.features import (
     EMPTY,
     ENEMY,
@@ -285,18 +285,48 @@ def random_board(rng, chunk_bits, cells, values_range):
     return board
 
 
+# Boards of 1, 2 and 3 words (hex7: 98 bits, hex9: 162, line4-8x8: 128).
+BOARDS = {"hex": ("hex5", "hex7", "hex9"), "line4": ("line4-5x5", "line4-8x8")}
+
+
 @pytest.mark.parametrize("fixture_name,game", [
     ("bridge_fs", "hex"), ("group3_fs", "hex"), ("thin_group_fs", "hex"), ("line4_fs", "line4"),
 ])
 def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
     fs = request.getfixturevalue(fixture_name)
-    rules = gw.hex_rules(5) if game == "hex" else gw.line4_rules(5, 5)
     rng = SplitMix64(7)
-    for mover in (1, 2):
-        idx = instantiate(fs, rules.graph, 2, mover)
-        assert idx.instances
-        for _ in range(60):
-            board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
-            values = board.values()
+    for name in BOARDS[game]:
+        rules = gw.game_from_name(name)
+        n_words = rules.initial_state().board.word_count
+        outcomes = set()
+        for mover in (1, 2):
+            idx = instantiate(fs, rules.graph, 2, mover)
+            assert idx.instances
+            # Only the words a mask touches are tested ...
             for inst in idx.instances:
-                assert match_instance(inst, board) == interpret_instance(inst, values, mover, 2)
+                assert [w for w, _, _ in inst.word_tests] == [
+                    w for w, m in enumerate(inst.mask.words) if m
+                ]
+            # ... and on boards of several words some instance spans two.
+            if n_words > 1:
+                assert any(
+                    len({w for w, _, _ in i.word_tests + i.negative_probes}) > 1
+                    for i in idx.instances
+                )
+            for _ in range(60):
+                board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
+                values = board.values()
+                for inst in idx.instances:
+                    got = match_instance(inst, board)
+                    assert got == interpret_instance(inst, values, mover, 2), name
+                    outcomes.add(got)
+        assert outcomes == {True, False}, name
+
+
+def test_match_instance_rejects_board_of_another_shape(hex7_rules, bridge_fs):
+    idx = instantiate(bridge_fs, hex7_rules.graph, 2, 1)
+    inst = idx.instances[0]
+    match_instance(inst, ChunkSet(2, 49))  # the board's own shape passes
+    for other in (ChunkSet(2, 50), ChunkSet(2, 48), ChunkSet(4, 49), ChunkSet(1, 49)):
+        with pytest.raises(ChunkSetError, match="shape"):
+            match_instance(inst, other)
