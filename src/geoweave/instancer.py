@@ -7,6 +7,21 @@ mask/target pair for the positive constraints plus a short list of
 per-cell forbidden-value tests for the negated ones, so the playout inner
 loop does no walk resolution at all.
 
+One ``instantiate`` call does each distinct piece of compile work once
+and shares it across its placements and features:
+
+- each feature's walks are mirrored once per feature, not once per
+  placement, and equal walks share one object across the call;
+- each distinct ``(walk, anchor, start direction)`` is resolved once; a
+  repeat is a lookup in the call's walk memo;
+- each distinct constraint tuple (by value) is compiled once per site;
+- each distinct instance builds its full-board mask/target once: a
+  duplicate is found from its required and forbidden cell values, its
+  action cells and its last-move cell, and only adds its weight.
+
+The memos live for the one call, so compiling a feature set again does
+all of this work again.
+
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.
 """
@@ -19,7 +34,7 @@ from dataclasses import dataclass, field
 from .board import OFF_BOARD, BoardGraph
 from .chunkset import ChunkSet, ChunkSetError, required_bits
 from .features import Constraint, ElementKind, Feature, FeatureSet
-from .walks import mirror_walk, resolve_walk_branches, round_turn
+from .walks import Walk, mirror_walk, resolve_walk_branches, round_turn
 
 
 class InstancerError(ValueError):
@@ -197,6 +212,29 @@ def _compile_constraints(
     return positives, negatives
 
 
+def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool) -> tuple:
+    """The feature's element, to, from and last-move walks (from/last None
+    when absent), mirrored on request, each replaced by the call's one
+    object of equal value so that the walk memo shares its entries."""
+
+    def one(walk: Walk | None) -> Walk | None:
+        if walk is None:
+            return None
+        if mirrored:
+            walk = mirror_walk(walk)
+        return interned.setdefault(walk, walk)
+
+    return (
+        [one(el.walk) for el in feature.elements],
+        one(feature.action.to),
+        one(feature.action.from_),
+        one(feature.last_move),
+    )
+
+
+_MISSING = object()
+
+
 def instantiate(
     fs: FeatureSet,
     graph: BoardGraph,
@@ -212,8 +250,14 @@ def instantiate(
     if not 1 <= mover <= player_count:
         raise InstancerError(f"mover {mover} out of range 1..{player_count}")
     chunk_bits = required_bits(player_count + 1)
+    full = (1 << chunk_bits) - 1
     index = InstanceIndex(graph, mover, player_count, chunk_bits)
     dedup: dict[tuple, FeatureInstance] = {}
+    # Memos of this call only: a feature set compiled again pays in full.
+    interned_walks: dict[Walk, Walk] = {}
+    walk_memo: dict = {}
+    # Compiled element tests by constraint tuple (by value), then by site.
+    compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
 
     for feature in fs:
         if feature.relative:
@@ -224,36 +268,47 @@ def instantiate(
             ]
         else:
             placements = _absolute_placements(feature, graph)
+        plain = _feature_walks(feature, interned_walks, mirrored=False)
+        # Only features with reflections have reflected placements.
+        mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
+        elements = [
+            (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
+            for el in feature.elements
+        ]
+        n_elements = len(elements)
 
         for anchor, start_dir, reflected in placements:
-            walk_of = (lambda w: mirror_walk(w)) if reflected else (lambda w: w)
+            element_walks, to_walk, from_walk, last_walk = mirrored if reflected else plain
             element_branches = [
-                resolve_walk_branches(graph, anchor, start_dir, walk_of(el.walk))
-                for el in feature.elements
+                resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+                for walk in element_walks
             ]
-            to_branches = resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.to))
+            to_branches = resolve_walk_branches(graph, anchor, start_dir, to_walk, walk_memo)
             from_branches = (
-                resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.from_))
-                if feature.action.from_ is not None
+                resolve_walk_branches(graph, anchor, start_dir, from_walk, walk_memo)
+                if from_walk is not None
                 else [None]
             )
             last_branches = (
-                resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.last_move))
-                if feature.last_move is not None
+                resolve_walk_branches(graph, anchor, start_dir, last_walk, walk_memo)
+                if last_walk is not None
                 else [None]
             )
 
             for combo in itertools.product(*element_branches, to_branches, from_branches, last_branches):
-                sites = combo[: len(feature.elements)]
-                action_to, action_from, last_cell = combo[-3], combo[-2], combo[-1]
+                action_to, action_from, last_cell = combo[n_elements:]
                 if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
                     continue
 
                 positives: dict[int, int] = {}
                 negatives: set[tuple[int, int]] = set()
                 ok = True
-                for el, site in zip(feature.elements, sites):
-                    compiled = _compile_constraints(el.constraints, site, mover, player_count)
+                for (constraints, by_site), site in zip(elements, combo):
+                    compiled = by_site.get(site, _MISSING)
+                    if compiled is _MISSING:
+                        compiled = by_site[site] = _compile_constraints(
+                            constraints, site, mover, player_count
+                        )
                     if compiled is None:
                         ok = False
                         break
@@ -272,19 +327,12 @@ def instantiate(
                 if any(positives.get(cell) == v for cell, v in negatives):
                     continue
                 # Required values subsume negative tests on the same cell.
-                negatives = {(cell, v) for cell, v in negatives if cell not in positives}
+                neg_sorted = tuple(sorted((cell, v) for cell, v in negatives if cell not in positives))
 
-                mask = ChunkSet(chunk_bits, graph.cell_count)
-                target = ChunkSet(chunk_bits, graph.cell_count)
-                full = (1 << chunk_bits) - 1
-                for cell, value in positives.items():
-                    mask.set(cell, full)
-                    target.set(cell, value)
-
-                neg_sorted = tuple(sorted(negatives))
+                # One-to-one with the compiled mask/target words, which are
+                # only built for an instance not seen before.
                 key = (
-                    tuple(mask.words),
-                    tuple(target.words),
+                    tuple(sorted(positives.items())),
                     neg_sorted,
                     action_to,
                     action_from,
@@ -294,6 +342,11 @@ def instantiate(
                 if existing is not None:
                     existing.weight += feature.weight
                     continue
+                mask = ChunkSet(chunk_bits, graph.cell_count)
+                target = ChunkSet(chunk_bits, graph.cell_count)
+                for cell, value in positives.items():
+                    mask.set(cell, full)
+                    target.set(cell, value)
                 word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
                 inst = FeatureInstance(
                     feature=feature,
@@ -306,7 +359,7 @@ def instantiate(
                     word_tests=word_tests,
                     negative_probes=negative_probes,
                     element_sites=tuple(
-                        (site, el.constraints) for el, site in zip(feature.elements, sites)
+                        (site, el.constraints) for el, site in zip(feature.elements, combo)
                     ),
                     action_to=action_to,
                     action_from=action_from,

@@ -4,19 +4,32 @@ Each oracle deliberately uses a different mechanism from the code under
 test: coordinate arithmetic instead of graph walking, per-cell decoded
 values instead of packed words, whole-board searches and scans instead
 of checks around the placed stone, exhaustive minimax instead of
-sampling.
+sampling, and an instance compiler that repeats every walk resolution and
+constraint compilation instead of sharing them within a call.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from geoweave.board import OFF_BOARD
-from geoweave.features import Constraint, ElementKind
+from geoweave.board import OFF_BOARD, BoardGraph
+from geoweave.chunkset import ChunkSet, required_bits
+from geoweave.features import Constraint, ElementKind, FeatureSet
 from geoweave.games import HexRules
+from geoweave.instancer import (
+    FeatureInstance,
+    InstanceIndex,
+    InstancerError,
+    _absolute_placements,
+    _compile_constraints,
+    _locate_tests,
+    _orientations,
+)
+from geoweave.walks import mirror_walk, resolve_walk_branches
 
 # --- closed-form walk oracle on the square grid -----------------------------
 
@@ -194,3 +207,136 @@ def one_ply_winning_moves(rules, state) -> list:
         if rules.status(rules.apply(state, move)) == state.mover:
             wins.append(move)
     return wins
+
+
+# --- instance compiler oracle ----------------------------------------------
+
+
+def instantiate_oracle(
+    fs: FeatureSet,
+    graph: BoardGraph,
+    player_count: int,
+    mover: int,
+) -> InstanceIndex:
+    """The instance compiler as it was before its per-call memos: every
+    placement resolves its walks and compiles its constraints afresh, and
+    every combination builds its full-board mask/target before deduplication.
+
+    Expand a feature set into its full per-board instance index.
+
+    Duplicate instances (identical compiled tests and action) are merged
+    with their weights summed, which preserves the additive application
+    semantics when symmetry expansion or ambiguity branches overlap.
+    """
+    if not 1 <= mover <= player_count:
+        raise InstancerError(f"mover {mover} out of range 1..{player_count}")
+    chunk_bits = required_bits(player_count + 1)
+    index = InstanceIndex(graph, mover, player_count, chunk_bits)
+    dedup: dict[tuple, FeatureInstance] = {}
+
+    for feature in fs:
+        if feature.relative:
+            placements = [
+                (anchor, d, refl)
+                for anchor in range(graph.cell_count)
+                for d, refl in _orientations(feature, graph, anchor)
+            ]
+        else:
+            placements = _absolute_placements(feature, graph)
+
+        for anchor, start_dir, reflected in placements:
+            walk_of = (lambda w: mirror_walk(w)) if reflected else (lambda w: w)
+            element_branches = [
+                resolve_walk_branches(graph, anchor, start_dir, walk_of(el.walk))
+                for el in feature.elements
+            ]
+            to_branches = resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.to))
+            from_branches = (
+                resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.from_))
+                if feature.action.from_ is not None
+                else [None]
+            )
+            last_branches = (
+                resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.last_move))
+                if feature.last_move is not None
+                else [None]
+            )
+
+            for combo in itertools.product(*element_branches, to_branches, from_branches, last_branches):
+                sites = combo[: len(feature.elements)]
+                action_to, action_from, last_cell = combo[-3], combo[-2], combo[-1]
+                if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
+                    continue
+
+                positives: dict[int, int] = {}
+                negatives: set[tuple[int, int]] = set()
+                ok = True
+                for el, site in zip(feature.elements, sites):
+                    compiled = _compile_constraints(el.constraints, site, mover, player_count)
+                    if compiled is None:
+                        ok = False
+                        break
+                    pos, neg = compiled
+                    for cell, value in pos.items():
+                        if positives.get(cell, value) != value:
+                            ok = False
+                            break
+                        positives[cell] = value
+                    if not ok:
+                        break
+                    negatives |= neg
+                if not ok:
+                    continue
+                # A forbidden value equal to a required one can never match.
+                if any(positives.get(cell) == v for cell, v in negatives):
+                    continue
+                # Required values subsume negative tests on the same cell.
+                negatives = {(cell, v) for cell, v in negatives if cell not in positives}
+
+                mask = ChunkSet(chunk_bits, graph.cell_count)
+                target = ChunkSet(chunk_bits, graph.cell_count)
+                full = (1 << chunk_bits) - 1
+                for cell, value in positives.items():
+                    mask.set(cell, full)
+                    target.set(cell, value)
+
+                neg_sorted = tuple(sorted(negatives))
+                key = (
+                    tuple(mask.words),
+                    tuple(target.words),
+                    neg_sorted,
+                    action_to,
+                    action_from,
+                    last_cell,
+                )
+                existing = dedup.get(key)
+                if existing is not None:
+                    existing.weight += feature.weight
+                    continue
+                word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
+                inst = FeatureInstance(
+                    feature=feature,
+                    anchor=anchor,
+                    start_dir=start_dir,
+                    reflected=reflected,
+                    mask=mask,
+                    target=target,
+                    negative_tests=neg_sorted,
+                    word_tests=word_tests,
+                    negative_probes=negative_probes,
+                    element_sites=tuple(
+                        (site, el.constraints) for el, site in zip(feature.elements, sites)
+                    ),
+                    action_to=action_to,
+                    action_from=action_from,
+                    last_move_cell=last_cell,
+                    weight=feature.weight,
+                )
+                dedup[key] = inst
+                index.instances.append(inst)
+                if last_cell is None:
+                    index.proactive.append(inst)
+                else:
+                    index.reactive_by_last_move.setdefault(last_cell, []).append(inst)
+
+    return index

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -18,10 +20,11 @@ from geoweave.features import (
     item,
     negate,
 )
-from geoweave.instancer import InstancerError, instantiate, match_instance
+from geoweave.featuregen import GenConfig, generate_candidates
+from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
-from geoweave.walks import make_walk
-from oracles import interpret_instance
+from geoweave.walks import make_walk, resolve_walk_branches
+from oracles import instantiate_oracle, interpret_instance
 
 KNIGHT = make_walk([0, 0, F(1, 4)])
 
@@ -330,3 +333,128 @@ def test_match_instance_rejects_board_of_another_shape(hex7_rules, bridge_fs):
     for other in (ChunkSet(2, 50), ChunkSet(2, 48), ChunkSet(4, 49), ChunkSet(1, 49)):
         with pytest.raises(ChunkSetError, match="shape"):
             match_instance(inst, other)
+
+
+# --- the compiler against its memo-free oracle ------------------------------
+
+
+def assert_same_index(got, want):
+    """Same instances in the same order, field by field (the feature by
+    identity, the weight with ==), and the same proactive/reactive split."""
+    assert (got.graph, got.mover, got.player_count, got.chunk_bits) == (
+        want.graph, want.mover, want.player_count, want.chunk_bits
+    )
+    assert len(got.instances) == len(want.instances)
+    for a, b in zip(got.instances, want.instances):
+        assert a.feature is b.feature
+        for f in dataclasses.fields(FeatureInstance):
+            if f.name != "feature":
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    def positions(index):
+        at = {id(inst): i for i, inst in enumerate(index.instances)}
+        return (
+            [at[id(inst)] for inst in index.proactive],
+            [(cell, [at[id(inst)] for inst in bucket])
+             for cell, bucket in index.reactive_by_last_move.items()],
+        )
+
+    assert positions(got) == positions(want)
+
+
+def assert_compiles_like_oracle(fs, graph, player_count=2, movers=(1, 2)):
+    for mover in movers:
+        try:
+            want = instantiate_oracle(fs, graph, player_count, mover)
+        except InstancerError as exc:
+            with pytest.raises(InstancerError, match=re.escape(str(exc))):
+                instantiate(fs, graph, player_count, mover)
+            continue
+        assert_same_index(instantiate(fs, graph, player_count, mover), want)
+
+
+@pytest.mark.parametrize("board", ["hex5", "hex7", "hex9", "line4-5x5", "line4-7x7"])
+def test_fixtures_compile_like_oracle(board, bridge_fs, group3_fs, thin_group_fs, line4_fs):
+    graph = gw.game_from_name(board).graph
+    for fs in (bridge_fs, group3_fs, thin_group_fs, line4_fs):
+        assert_compiles_like_oracle(fs, graph)
+
+
+# One mover each keeps this under a few seconds; the fixtures cover both.
+@pytest.mark.parametrize("game,mover", [("hex7", 1), ("line4-7x7", 2)])
+def test_generated_candidates_compile_like_oracle(game, mover):
+    rules = gw.game_from_name(game)
+    cfg = GenConfig(max_elements=3, max_walk_length=1, include_reactive=True)
+    fs = FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
+    assert any(f.reactive for f in fs)
+    assert_compiles_like_oracle(fs, rules.graph, movers=(mover,))
+
+
+def placement_kinds(graph):
+    """A reflected, a symmetry-expanded absolute, an explicitly rotated
+    absolute and a move-from feature, with quarter turns that branch in
+    odd-sided cells, negative tests, a reactive walk and weights whose
+    sums depend on their order."""
+    q = F(1, 4)
+    anchor = graph.cell_count // 3
+    return (
+        Feature(
+            elements=(
+                PatternElement((), (EMPTY,)),
+                PatternElement(make_walk([0]), (FRIEND,)),
+                PatternElement(make_walk([0, q]), (negate(FRIEND),)),
+            ),
+            action=FeatureAction(()),
+            weight=0.1,
+            reflections=True,
+        ),
+        Feature(
+            elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0, 0]), (ENEMY,)),
+                      PatternElement(make_walk([q]), (negate(OFF),))),
+            action=FeatureAction(()),
+            weight=0.2,
+            anchor=anchor,
+            reflections=True,
+        ),
+        Feature(
+            elements=(PatternElement(make_walk([0]), (FRIEND,)),
+                      PatternElement(make_walk([0, -q]), (EMPTY,))),
+            action=FeatureAction(make_walk([q])),
+            weight=0.3,
+            anchor=anchor,
+            rotations=make_walk([0, q, F(1, 2)]),
+        ),
+        Feature(
+            elements=(PatternElement((), (FRIEND,)), PatternElement(make_walk([0, q]), (EMPTY,)),
+                      PatternElement(make_walk([q, q]), (OFF,))),
+            action=FeatureAction(to=make_walk([0, q]), from_=()),
+            weight=0.7,
+        ),
+        Feature(
+            elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([q, 0]), (ENEMY,))),
+            action=FeatureAction(()),
+            weight=0.1,
+            reflections=True,
+            reactive=True,
+            last_move=make_walk([q, 0]),
+        ),
+    )
+
+
+@pytest.mark.parametrize("board", ["semi3", "square9", "hex5"])
+def test_placement_kinds_compile_like_oracle(board, request):
+    graph = gw.game_from_name(board).graph if board == "hex5" else request.getfixturevalue(board)
+    features = placement_kinds(graph)
+    if board == "semi3":
+        assert not graph.symmetries  # the symmetry-expanded feature is rejected by both
+        assert any(len(resolve_walk_branches(graph, a, 0, make_walk([0, F(1, 4)]))) == 2
+                   for a in range(graph.cell_count))
+    for feature in features:
+        assert_compiles_like_oracle(FeatureSet((feature,)), graph)
+    if not graph.symmetries:
+        features = tuple(f for f in features if f.relative or f.rotations is not None)
+    assert_compiles_like_oracle(FeatureSet(features), graph)
+    # Walks and constraints shared by value between features, the mirror of
+    # one feature's walk being another's plain walk.
+    twins = tuple(dataclasses.replace(f, weight=f.weight + 0.2) for f in features)
+    assert_compiles_like_oracle(FeatureSet(features + twins), graph)
