@@ -574,6 +574,11 @@ def supports(rules: GameRules, agent_a: AgentSpec, agent_b: AgentSpec) -> tuple[
     for spec in (agent_a, agent_b):
         if spec.bias.use_in_selection:
             return False, "selection-phase biasing runs on the reference engine only"
+        # lower_indexes would refuse their instances after the engine is chosen.
+        if spec.feature_set is not None and any(
+            f.action.from_ is not None for f in spec.feature_set.features
+        ):
+            return False, "move-from actions run on the reference engine only"
     return True, ""
 
 

@@ -8,13 +8,23 @@ move-from action channel) is exercised against these rules in the tests.
 group or its Line4 runs): it refuses every move after the game ends, so
 a new win must pass through that stone.  ``status`` reads the recorded
 result back: None while the game is ongoing, 0 for a draw and the
-winning player id otherwise.  A ``GameState`` built by hand is taken to
-be in play unless its ``result`` is given.
+winning player id otherwise.
+
+The position also carries its empty cells: ``initial_state`` lists every
+cell's shared ``Move`` in cell order, and ``apply`` hands the child that
+tuple minus the placed cell, so ``legal_moves`` copies it instead of
+scanning the board.  A ``GameState`` built by hand is taken to be in play
+unless its ``result`` is given, and its empty cells are scanned from its
+board unless ``empty`` is given; change a board by hand only before the
+state that holds it is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
 from .chunkset import ChunkSet, required_bits
@@ -30,15 +40,20 @@ class Move:
     from_: int | None = None
 
 
-@dataclass(frozen=True)
-class GameState:
-    """A position; ``result`` is what ``apply`` decided on reaching it."""
+_TO = attrgetter("to")
+
+
+class GameState(NamedTuple):
+    """A position; ``result`` is what ``apply`` decided on reaching it and
+    ``empty`` the ``Move``s of its empty cells in cell order (None: scan
+    the board)."""
 
     board: ChunkSet
     mover: int
     last_move: Move | None
     move_number: int
     result: int | None = None
+    empty: tuple[Move, ...] | None = None
 
 
 class GameRules:
@@ -57,39 +72,41 @@ class GameRules:
         self._cells = [(Move(c), *layout.locate(c)) for c in range(graph.cell_count)]
 
     def initial_state(self) -> GameState:
-        return GameState(
-            board=ChunkSet(self.chunk_bits, self.graph.cell_count),
-            mover=1,
-            last_move=None,
-            move_number=0,
-        )
+        board = ChunkSet(self.chunk_bits, self.graph.cell_count)
+        return GameState(board, 1, None, 0, None, self._empty_moves(board))
+
+    def _empty_moves(self, board: ChunkSet) -> tuple[Move, ...]:
+        words, mask = board.words, self._chunk_mask
+        return tuple(m for m, w, s in self._cells if not (words[w] >> s) & mask)
 
     def legal_moves(self, state: GameState) -> list[Move]:
         if self.status(state) is not None:
             return []
-        words, mask = state.board.words, self._chunk_mask
-        return [m for m, w, s in self._cells if not (words[w] >> s) & mask]
+        empty = state.empty
+        return list(empty if empty is not None else self._empty_moves(state.board))
 
     def apply(self, state: GameState, move: Move) -> GameState:
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
-        if not 0 <= move.to < self.graph.cell_count:
-            raise IllegalMove(f"cell {move.to} outside board")
-        _, w, s = self._cells[move.to]
+        cell = move.to
+        if not 0 <= cell < self.graph.cell_count:
+            raise IllegalMove(f"cell {cell} outside board")
+        _, w, s = self._cells[cell]
         if (state.board.words[w] >> s) & self._chunk_mask:
-            raise IllegalMove(f"cell {move.to} is occupied")
+            raise IllegalMove(f"cell {cell} is occupied")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
         board = state.board.copy()
-        board.set(move.to, state.mover)
+        board.words[w] |= state.mover << s  # the chunk was checked to be zero
+        empty = state.empty
+        if empty is None:
+            empty = self._empty_moves(board)
+        else:
+            i = bisect_left(empty, cell, key=_TO)
+            empty = empty[:i] + empty[i + 1:]
         move_number = state.move_number + 1
-        return GameState(
-            board=board,
-            mover=3 - state.mover,
-            last_move=move,
-            move_number=move_number,
-            result=self._result_after(board, move.to, state.mover, move_number),
-        )
+        result = self._result_after(board, cell, state.mover, move_number)
+        return GameState(board, 3 - state.mover, move, move_number, result, empty)
 
     def status(self, state: GameState) -> int | None:
         return state.result
@@ -117,20 +134,22 @@ class HexRules(GameRules):
             2: ({hex_cell(self.graph, 0, r) for r in range(n)},
                 {hex_cell(self.graph, n - 1, r) for r in range(n)}),
         }
+        # Per cell: (neighbour, word, shift) for each on-board neighbour.
+        self._near = [
+            tuple((n, *self._cells[n][1:]) for n in self.graph.neighbors[c] if n >= 0)
+            for c in range(self.graph.cell_count)
+        ]
 
     def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
         # Flood-fill the placed stone's group; it wins if it spans both edges.
-        neighbors, cells = self.graph.neighbors, self._cells
-        words, mask = board.words, self._chunk_mask
+        near, words, mask = self._near, board.words, self._chunk_mask
         group = {cell}
         stack = [cell]
         while stack:
-            for n in neighbors[stack.pop()]:
-                if n >= 0 and n not in group:
-                    _, w, s = cells[n]
-                    if (words[w] >> s) & mask == player:
-                        group.add(n)
-                        stack.append(n)
+            for n, w, s in near[stack.pop()]:
+                if n not in group and (words[w] >> s) & mask == player:
+                    group.add(n)
+                    stack.append(n)
         first, second = self._edges[player]
         if group.isdisjoint(first) or group.isdisjoint(second):
             return None

@@ -40,8 +40,12 @@ class SplitMix64:
         return z
 
     def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV53
+        """Uniform float in [0, 1) with 53 random bits: the top bits of
+        ``next_u64``, with its mix step written out inline."""
+        state = self.state = (self.state + _GAMMA) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return ((z ^ (z >> 31)) >> 11) * _INV53
 
     def spawn(self, index: int) -> "SplitMix64":
         return SplitMix64(derive_seed(self.state, index))

@@ -10,12 +10,17 @@ the move is sampled from the resulting distribution.
 This module is written to be mirrored operation-for-operation by the
 compiled kernels in :mod:`geoweave.fastpath`; keep accumulation order,
 tie-breaking and RNG usage in sync or the cross-engine parity tests fail.
+Sampling bisects the running sums of the scores; the kernels' linear scan
+adds the same floats in the same order and stops at the first sum above
+the draw, so both pick the same index.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .features import FeatureSet
 from .games import GameRules, GameState, Move
@@ -80,9 +85,8 @@ def biased_scores(
     counters: MatchCounters | None = None,
 ) -> list[float]:
     """Per-move selection scores after weight accumulation and flooring."""
-    scores = [bias.base_score] * len(legal)
     if idx is None:
-        return scores
+        return [bias.base_score] * len(legal)
     if counters is not None:
         counters.calls += 1
 
@@ -96,15 +100,19 @@ def biased_scores(
     if counters is not None:
         counters.proactive_tests += len(idx.proactive)
     hits += [inst for inst in idx.proactive if match_instance(inst, board)]
+    floor = bias.floor
+    if not hits:
+        base = bias.base_score
+        return [base if base > floor else floor] * len(legal)
     # Few instances match, so the move slots are looked up only on a hit;
     # weights are added in test order, reactive first.
-    if hits:
-        slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
-        for inst in hits:
-            i = slot.get((inst.action_to, inst.action_from))
-            if i is not None:
-                scores[i] += inst.weight
-    return [s if s > bias.floor else bias.floor for s in scores]
+    scores = [bias.base_score] * len(legal)
+    slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
+    for inst in hits:
+        i = slot.get((inst.action_to, inst.action_from))
+        if i is not None:
+            scores[i] += inst.weight
+    return [s if s > floor else floor for s in scores]
 
 
 def biased_move_distribution(
@@ -126,16 +134,11 @@ def biased_move_distribution(
 
 
 def _sample(scores: list[float], rng: SplitMix64) -> int:
-    total = 0.0
-    for s in scores:
-        total += s
-    r = rng.random() * total
-    acc = 0.0
-    for i, s in enumerate(scores):
-        acc += s
-        if r < acc:
-            return i
-    return len(scores) - 1
+    # The first index whose prefix sum exceeds the draw; a draw at the total
+    # takes the last move, as the linear scan does.
+    cum = list(accumulate(scores))
+    i = bisect_right(cum, rng.random() * cum[-1])
+    return i if i < len(cum) else len(cum) - 1
 
 
 def run_playout(

@@ -4,8 +4,10 @@ Each oracle deliberately uses a different mechanism from the code under
 test: coordinate arithmetic instead of graph walking, per-cell decoded
 values instead of packed words, whole-board searches and scans instead
 of checks around the placed stone, exhaustive minimax instead of
-sampling, and an instance compiler that repeats every walk resolution and
-constraint compilation instead of sharing them within a call.
+sampling, an instance compiler that repeats every walk resolution and
+constraint compilation instead of sharing them within a call, full-board
+pattern tests instead of the located word tests, and a linear scan over
+the scores instead of a bisection of their running sums.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from geoweave.board import OFF_BOARD, BoardGraph
-from geoweave.chunkset import ChunkSet, required_bits
+from geoweave.chunkset import ChunkSet, matches, required_bits, violates
 from geoweave.features import Constraint, ElementKind, FeatureSet
 from geoweave.games import HexRules
 from geoweave.instancer import (
@@ -30,6 +32,8 @@ from geoweave.instancer import (
     _orientations,
 )
 from geoweave.walks import mirror_walk, resolve_walk_branches
+
+_INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 # --- closed-form walk oracle on the square grid -----------------------------
 
@@ -340,3 +344,44 @@ def instantiate_oracle(
                     index.reactive_by_last_move.setdefault(last_cell, []).append(inst)
 
     return index
+
+
+# --- scoring and sampling oracles -------------------------------------------
+
+
+def biased_scores_oracle(state, legal, idx, bias) -> list[float]:
+    """Per-move scores from full-board tests: ``matches`` on every word of
+    each instance's mask/target, then ``violates`` for each negative test.
+    Matching weights are added to their move's base score, reactive
+    instances first, each group in index order, and the sums are floored."""
+    bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
+    scores = [bias.base_score] * len(legal)
+    for inst in [*bucket, *idx.proactive]:
+        if not matches(state.board, inst.mask, inst.target):
+            continue
+        if any(violates(state.board, cell, v) for cell, v in inst.negative_tests):
+            continue
+        for i, move in enumerate(legal):
+            if (move.to, move.from_) == (inst.action_to, inst.action_from):
+                scores[i] += inst.weight
+    return [max(s, bias.floor) for s in scores]
+
+
+def random_oracle(rng) -> float:
+    """``SplitMix64.random`` as the top 53 bits of ``next_u64``."""
+    return (rng.next_u64() >> 11) * _INV53
+
+
+def sample_oracle(scores, rng) -> int:
+    """Linear-scan sampling: sum the scores, draw, and return the first
+    index whose running sum exceeds the draw (the last index otherwise)."""
+    total = 0.0
+    for s in scores:
+        total += s
+    r = random_oracle(rng) * total
+    acc = 0.0
+    for i, s in enumerate(scores):
+        acc += s
+        if r < acc:
+            return i
+    return len(scores) - 1

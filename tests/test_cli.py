@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import geoweave as gw
 from geoweave import cli, fastpath
 from geoweave.cli import main
+from geoweave.features import EMPTY, Feature, FeatureAction, FeatureSet, PatternElement
+from geoweave.search import AgentSpec, compile_feature_set
+from geoweave.walks import make_walk
 from geoweave.games import IllegalMove
 from geoweave.dsl import load_feature_set
 from conftest import FIXTURES
@@ -181,6 +185,30 @@ def test_manifest_names_the_engine_that_ran(tmp_path, requested):
     out = tmp_path / "generate"
     assert main(["generate", "--game", "hex4", "--max-elements", "1", "--out", str(out)]) == 0
     assert "engine" not in manifest_of(out)
+
+
+def test_move_from_features_are_refused_before_the_engine_is_chosen(monkeypatch, line4_fs):
+    """With numba present, ``supports`` refuses a move-from feature set
+    (whose instances ``lower_indexes`` cannot lower) on either side, and
+    the manifest's engine record says so."""
+    monkeypatch.setattr(fastpath, "NUMBA_AVAILABLE", True)
+    rules = gw.line4_rules(4, 4)
+    ncells = rules.graph.cell_count
+    nwords = -(-ncells * rules.chunk_bits // 64)
+    move_from = FeatureSet((Feature(
+        elements=(PatternElement((), (EMPTY,)),),
+        action=FeatureAction(to=(), from_=make_walk([0])),
+        rotations=(0,),
+    ),))
+    plain, lines, moving = AgentSpec(playouts=4), AgentSpec(feature_set=line4_fs), AgentSpec(feature_set=move_from)
+    assert fastpath.supports(rules, lines, plain) == (True, "")
+    fastpath.lower_indexes(compile_feature_set(line4_fs, rules), ncells, nwords, rules.chunk_bits)
+    with pytest.raises(fastpath.FastpathUnsupported):
+        fastpath.lower_indexes(compile_feature_set(move_from, rules), ncells, nwords, rules.chunk_bits)
+    why = "move-from actions run on the reference engine only"
+    for a, b in ((moving, plain), (lines, moving)):
+        assert fastpath.supports(rules, a, b) == (False, why)
+        assert cli._engine_record("auto", rules, a, b) == {"requested": "auto", "ran": "python", "reason": why}
 
 
 def test_every_command_writes_exactly_one_manifest(tmp_path):

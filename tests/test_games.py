@@ -8,6 +8,10 @@ from geoweave.rng import SplitMix64
 from oracles import hex_win_bfs, minimax_winner, status_oracle
 
 
+def empty_cells(rules, state):
+    return [c for c in range(rules.graph.cell_count) if state.board.get(c) == 0]
+
+
 def play(rules, state, *cells):
     for c in cells:
         state = rules.apply(state, Move(c))
@@ -137,22 +141,64 @@ MOST_CELLS = 81  # hex9: enough picks to fill any of the boards above
 def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     """Random games (the i-th move is legal move ``picks[i] mod count``):
     after every ``apply``, ``status`` equals the whole-board oracle, the
-    legal moves are the empty cells, and the parent position is intact."""
+    carried empty cells and the legal moves are the board's empty cells,
+    and the parent position is intact."""
     rules = gw.game_from_name(name)
     state = rules.initial_state()
     for pick in picks:
         if rules.status(state) is not None:
             break
         legal = rules.legal_moves(state)
-        parent, parent_words = state, list(state.board.words)
+        parent, parent_words, parent_empty = state, list(state.board.words), list(state.empty)
         state = rules.apply(state, legal[pick % len(legal)])
         assert rules.status(state) == status_oracle(rules, state)
         assert parent.board.words == parent_words
-        scan = [c for c in range(rules.graph.cell_count) if state.board.get(c) == 0]
+        assert list(parent.empty) == parent_empty
+        scan = empty_cells(rules, state)
+        assert [m.to for m in state.empty] == scan
         if rules.status(state) is not None:
             scan = []
         assert [m.to for m in rules.legal_moves(state)] == scan
     assert rules.status(state) is not None
+
+
+def test_hand_built_state_gives_the_scanned_legal_moves():
+    """A position built by hand, as demo 03 builds one, carries no empty
+    cells: ``legal_moves`` scans its board, and ``apply`` hands each child
+    a carried tuple that equals the scan."""
+    rules = gw.hex_rules(7)
+    board = rules.initial_state().board
+    stones = {gw.hex_cell(rules.graph, 1, 1): 2, gw.hex_cell(rules.graph, 2, 2): 2}
+    intrusion = gw.hex_cell(rules.graph, 1, 2)
+    stones[intrusion] = 1
+    for cell, player in stones.items():
+        board.set(cell, player)
+    state = gw.GameState(board=board, mover=2, last_move=Move(intrusion), move_number=3)
+    assert state.result is None and state.empty is None
+    assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
+    rng = SplitMix64(31)
+    for _ in range(8):
+        legal = rules.legal_moves(state)
+        state = rules.apply(state, legal[rng.next_u64() % len(legal)])
+        assert state.empty is not None
+        assert [m.to for m in state.empty] == empty_cells(rules, state)
+        assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
+
+
+def test_game_state_is_immutable_and_apply_keeps_the_parent():
+    rules = gw.hex_rules(4)
+    state = rules.initial_state()
+    for name, value in (("board", None), ("mover", 2), ("result", 1), ("empty", ())):
+        with pytest.raises(AttributeError):
+            setattr(state, name, value)
+    empty, words = state.empty, list(state.board.words)
+    legal = rules.legal_moves(state)
+    legal.clear()  # a fresh list: the position's tuple is untouched
+    child = rules.apply(state, Move(5))
+    assert state.empty is empty and [m.to for m in empty] == list(range(16))
+    assert state.board.words == words
+    assert [m.to for m in child.empty] == [c for c in range(16) if c != 5]
+    assert len(rules.legal_moves(state)) == 16
 
 
 def test_registry_names():

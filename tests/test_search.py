@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoweave as gw
 from geoweave.features import EMPTY, FRIEND, Feature, FeatureAction, FeatureSet, PatternElement
@@ -12,6 +15,7 @@ from geoweave.search import (
     BiasConfig,
     MatchCounters,
     SearchConfig,
+    _sample,
     biased_move_distribution,
     biased_scores,
     compile_feature_set,
@@ -20,7 +24,8 @@ from geoweave.search import (
     run_playout,
 )
 from geoweave.walks import make_walk
-from oracles import one_ply_winning_moves
+from conftest import FIXTURES
+from oracles import biased_scores_oracle, one_ply_winning_moves, random_oracle, sample_oracle
 from test_instancer import hex_bridge_position
 
 
@@ -282,3 +287,88 @@ def test_root_parallel_workers_deterministic(bridge_fs):
 def test_derive_seed_streams_differ():
     seeds = {derive_seed(9, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+# --- sampling, the RNG and scoring against their oracles --------------------
+
+FLOOR = BiasConfig().floor
+# Floor-clamped scores, tied scores and arbitrary positive ones.
+score_values = st.one_of(
+    st.just(FLOOR),
+    st.sampled_from([0.5, 1.0, 1.0 + FLOOR, 2.0]),
+    st.floats(min_value=FLOOR, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    scores=st.lists(score_values, min_size=1, max_size=121),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_sample_picks_the_linear_scan_index(scores, seed):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(8):
+        assert _sample(scores, fast) == sample_oracle(scores, slow)
+    assert fast.state == slow.state
+
+
+class _FixedDraw:
+    """An RNG whose every draw is ``k`` * 2**-53, through either method."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def random(self) -> float:
+        return self.k / 9007199254740992.0
+
+    def next_u64(self) -> int:
+        return self.k << 11
+
+
+@pytest.mark.parametrize("k", [0, 1, 1 << 52, (1 << 53) - 1, 1 << 53])
+def test_sample_matches_the_linear_scan_at_the_extreme_draws(k):
+    # 1 << 53 draws exactly the total, which the linear scan maps to the
+    # last move; a true draw stays below 1.
+    for scores in ([1.0], [FLOOR, FLOOR, FLOOR], [0.1, 0.2, 0.3], [3.0, FLOOR, 1.0, FLOOR]):
+        assert _sample(scores, _FixedDraw(k)) == sample_oracle(scores, _FixedDraw(k))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2025, (1 << 64) - 1])
+def test_random_draws_are_bit_identical_to_next_u64(seed):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    assert [fast.random() for _ in range(100_000)] == [random_oracle(slow) for _ in range(100_000)]
+    assert fast.state == slow.state
+    assert fast.next_u64() == slow.next_u64()
+
+
+SCORING_FIXTURES = ("bridge", "group3", "line4", "thin_group")
+SCORING_GAMES = ("hex5", "hex7", "line4-7x7")
+# The default, and a base score below the floor: a position no instance
+# matches then scores every move at the floor.
+SCORING_BIASES = (BiasConfig(), BiasConfig(base_score=0.005, floor=0.01))
+
+
+@lru_cache(maxsize=None)
+def compiled_fixture(fixture: str, game: str):
+    rules = gw.game_from_name(game)
+    return rules, compile_feature_set(gw.load_feature_set(FIXTURES / f"{fixture}.fs"), rules)
+
+
+@pytest.mark.parametrize("game", SCORING_GAMES)
+@pytest.mark.parametrize("fixture", SCORING_FIXTURES)
+@settings(max_examples=20, deadline=None)
+@given(picks=st.lists(st.integers(0, 120), min_size=1, max_size=40))
+def test_biased_scores_equal_the_full_board_oracle(fixture, game, picks):
+    """At every position of a random game (the i-th move is legal move
+    ``picks[i] mod count``), the mover's scores under each bias equal
+    the oracle's."""
+    rules, indexes = compiled_fixture(fixture, game)
+    state = rules.initial_state()
+    for pick in picks:
+        if rules.status(state) is not None:
+            break
+        legal = rules.legal_moves(state)
+        idx = indexes[state.mover]
+        for bias in SCORING_BIASES:
+            assert biased_scores(state, legal, idx, bias) == biased_scores_oracle(state, legal, idx, bias)
+        state = rules.apply(state, legal[pick % len(legal)])
