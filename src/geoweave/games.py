@@ -13,10 +13,19 @@ winning player id otherwise.
 The position also carries its empty cells: ``initial_state`` lists every
 cell's shared ``Move`` in cell order, and ``apply`` hands the child that
 tuple minus the placed cell, so ``legal_moves`` copies it instead of
-scanning the board.  A ``GameState`` built by hand is taken to be in play
-unless its ``result`` is given, and its empty cells are scanned from its
-board unless ``empty`` is given; change a board by hand only before the
-state that holds it is built.
+scanning the board.
+
+A Hex position carries each player's groups as well: ``groups[p - 1]`` is
+a tuple of bitmasks, one per connected group of player ``p``, with bit c
+set for each cell c of the group.  ``apply`` ORs the placed cell into the
+mover's groups that touch the cell's neighbour mask, keeps the others,
+and wins iff the merged group meets both of the mover's edge masks; the
+other player's tuple is handed on as it is.  Line4 carries no groups.
+
+A ``GameState`` built by hand is taken to be in play unless its
+``result`` is given, and its empty cells and groups are scanned from its
+board unless ``empty`` and ``groups`` are given; change a board by hand
+only before the state that holds it is built.
 """
 
 from __future__ import annotations
@@ -43,10 +52,14 @@ class Move:
 _TO = attrgetter("to")
 
 
+# Per player, the bitmask of each of its connected groups (Hex only).
+Groups = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class GameState(NamedTuple):
-    """A position; ``result`` is what ``apply`` decided on reaching it and
-    ``empty`` the ``Move``s of its empty cells in cell order (None: scan
-    the board)."""
+    """A position; ``result`` is what ``apply`` decided on reaching it,
+    ``empty`` the ``Move``s of its empty cells in cell order and ``groups``
+    each player's groups (None: scan the board)."""
 
     board: ChunkSet
     mover: int
@@ -54,6 +67,7 @@ class GameState(NamedTuple):
     move_number: int
     result: int | None = None
     empty: tuple[Move, ...] | None = None
+    groups: Groups | None = None
 
 
 class GameRules:
@@ -61,6 +75,7 @@ class GameRules:
 
     name: str
     player_count = 2
+    _initial_groups: Groups | None = None
 
     def __init__(self, graph: BoardGraph):
         self.graph = graph
@@ -73,7 +88,7 @@ class GameRules:
 
     def initial_state(self) -> GameState:
         board = ChunkSet(self.chunk_bits, self.graph.cell_count)
-        return GameState(board, 1, None, 0, None, self._empty_moves(board))
+        return GameState(board, 1, None, 0, None, self._empty_moves(board), self._initial_groups)
 
     def _empty_moves(self, board: ChunkSet) -> tuple[Move, ...]:
         words, mask = board.words, self._chunk_mask
@@ -105,15 +120,17 @@ class GameRules:
             i = bisect_left(empty, cell, key=_TO)
             empty = empty[:i] + empty[i + 1:]
         move_number = state.move_number + 1
-        result = self._result_after(board, cell, state.mover, move_number)
-        return GameState(board, 3 - state.mover, move, move_number, result, empty)
+        result, groups = self._placed(state, board, cell, move_number)
+        return GameState(board, 3 - state.mover, move, move_number, result, empty, groups)
 
     def status(self, state: GameState) -> int | None:
         return state.result
 
-    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
-        """The result once ``player`` has placed on ``cell``, leaving ``board``
-        after ``move_number`` moves, given that the game was on before."""
+    def _placed(self, state: GameState, board: ChunkSet, cell: int,
+                move_number: int) -> tuple[int | None, Groups | None]:
+        """The result and the child's groups once ``state.mover`` has placed
+        on ``cell``, leaving ``board`` after ``move_number`` moves, given
+        that the game was on before."""
         raise NotImplementedError
 
 
@@ -128,32 +145,55 @@ class HexRules(GameRules):
         self.size = size
         self.name = f"hex{size}"
         n = size
-        self._edges = {
-            1: ({hex_cell(self.graph, q, 0) for q in range(n)},
-                {hex_cell(self.graph, q, n - 1) for q in range(n)}),
-            2: ({hex_cell(self.graph, 0, r) for r in range(n)},
-                {hex_cell(self.graph, n - 1, r) for r in range(n)}),
-        }
-        # Per cell: (neighbour, word, shift) for each on-board neighbour.
-        self._near = [
-            tuple((n, *self._cells[n][1:]) for n in self.graph.neighbors[c] if n >= 0)
-            for c in range(self.graph.cell_count)
+        cells = self.graph.cell_count
+
+        def mask(qr_pairs) -> int:
+            return sum(1 << hex_cell(self.graph, q, r) for q, r in qr_pairs)
+
+        # Per player (index p - 1): the bitmasks of its two edges.
+        self._edges = (
+            (mask((q, 0) for q in range(n)), mask((q, n - 1) for q in range(n))),
+            (mask((0, r) for r in range(n)), mask((n - 1, r) for r in range(n))),
+        )
+        # Per cell: the bitmask of its on-board neighbours.
+        self._adjacent = [
+            sum(1 << c2 for c2 in self.graph.neighbors[c] if c2 >= 0) for c in range(cells)
         ]
 
-    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
-        # Flood-fill the placed stone's group; it wins if it spans both edges.
-        near, words, mask = self._near, board.words, self._chunk_mask
-        group = {cell}
-        stack = [cell]
-        while stack:
-            for n, w, s in near[stack.pop()]:
-                if n not in group and (words[w] >> s) & mask == player:
-                    group.add(n)
-                    stack.append(n)
-        first, second = self._edges[player]
-        if group.isdisjoint(first) or group.isdisjoint(second):
-            return None
-        return player
+    _initial_groups = ((), ())
+
+    def _join(self, groups: tuple[int, ...], cell: int) -> tuple[int, tuple[int, ...]]:
+        """``cell`` added to one player's ``groups``: the merged group and
+        the new tuple (the untouched groups, then the merged one)."""
+        adjacent = self._adjacent[cell]
+        merged = 1 << cell
+        kept = []
+        for g in groups:
+            if g & adjacent:
+                merged |= g
+            else:
+                kept.append(g)
+        kept.append(merged)
+        return merged, tuple(kept)
+
+    def _scan_groups(self, board: ChunkSet) -> Groups:
+        groups = [(), ()]
+        words, mask = board.words, self._chunk_mask
+        for c, (_, w, s) in enumerate(self._cells):
+            player = (words[w] >> s) & mask
+            if player:
+                groups[player - 1] = self._join(groups[player - 1], c)[1]
+        return tuple(groups)
+
+    def _placed(self, state, board, cell, move_number):
+        groups = state.groups
+        if groups is None:
+            groups = self._scan_groups(state.board)
+        p = state.mover - 1
+        merged, mine = self._join(groups[p], cell)
+        first, second = self._edges[p]
+        result = state.mover if merged & first and merged & second else None
+        return result, ((mine, groups[1]) if p == 0 else (groups[0], mine))
 
 
 # Line directions: E, N, NE, NW as (dx, dy) on the square grid.  Wins may
@@ -178,8 +218,9 @@ class Line4Rules(GameRules):
         _, w, s = self._cells[y * self.width + x]
         return (board.words[w] >> s) & self._chunk_mask
 
-    def _result_after(self, board: ChunkSet, cell: int, player: int, move_number: int) -> int | None:
+    def _placed(self, state, board, cell, move_number):
         # A new line of four must run through the placed cell.
+        player = state.mover
         x, y = cell % self.width, cell // self.width
         for dx, dy in _LINE4_DIRS:
             run = 1
@@ -189,8 +230,8 @@ class Line4Rules(GameRules):
                     run += 1
                     k += 1
             if run >= 4:
-                return player
-        return 0 if move_number >= self.graph.cell_count else None
+                return player, None
+        return (0 if move_number >= self.graph.cell_count else None), None
 
 
 def hex_rules(size: int) -> HexRules:

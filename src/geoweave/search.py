@@ -12,7 +12,11 @@ compiled kernels in :mod:`geoweave.fastpath`; keep accumulation order,
 tie-breaking and RNG usage in sync or the cross-engine parity tests fail.
 Sampling bisects the running sums of the scores; the kernels' linear scan
 adds the same floats in the same order and stops at the first sum above
-the draw, so both pick the same index.
+the draw, so both pick the same index.  When every score is exactly 1.0
+the running sums are the exact integers 1..n (no rounding below 2**53)
+and the total is n, so the scan stops at index floor(draw * n), which
+``_sample`` computes directly from the same single draw; a product that
+reaches n takes the last index in both.
 """
 
 from __future__ import annotations
@@ -135,10 +139,15 @@ def biased_move_distribution(
 
 def _sample(scores: list[float], rng: SplitMix64) -> int:
     # The first index whose prefix sum exceeds the draw; a draw at the total
-    # takes the last move, as the linear scan does.
-    cum = list(accumulate(scores))
-    i = bisect_right(cum, rng.random() * cum[-1])
-    return i if i < len(cum) else len(cum) - 1
+    # takes the last move, as the linear scan does.  Unit scores sum to the
+    # exact integers 1..n, so that index is the scaled draw rounded down.
+    n = len(scores)
+    if scores.count(1.0) == n:
+        i = int(rng.random() * n)
+    else:
+        cum = list(accumulate(scores))
+        i = bisect_right(cum, rng.random() * cum[-1])
+    return i if i < n else n - 1
 
 
 def run_playout(

@@ -157,6 +157,27 @@ def hex_win_bfs(rules, values, player: int) -> bool:
     return False
 
 
+def hex_groups_oracle(rules, values) -> tuple[list[int], list[int]]:
+    """Each player's connected groups, found by a flood fill from every
+    stone not yet grouped, as sorted bitmasks with bit c set for cell c."""
+    groups = ([], [])
+    seen = set()
+    for start, player in enumerate(values):
+        if player == 0 or start in seen:
+            continue
+        seen.add(start)
+        stack, group = [start], 0
+        while stack:
+            c = stack.pop()
+            group |= 1 << c
+            for nb in rules.graph.neighbors[c]:
+                if nb >= 0 and nb not in seen and values[nb] == player:
+                    seen.add(nb)
+                    stack.append(nb)
+        groups[player - 1].append(group)
+    return sorted(groups[0]), sorted(groups[1])
+
+
 def line4_winner_scan(rules, values, move_number: int) -> int | None:
     """Full-board Line4 result: the first stone, in cell order, that starts
     a line of four in one of the four directions; else a draw once the

@@ -5,11 +5,16 @@ from hypothesis import strategies as st
 import geoweave as gw
 from geoweave.games import IllegalMove, Move
 from geoweave.rng import SplitMix64
-from oracles import hex_win_bfs, minimax_winner, status_oracle
+from oracles import hex_groups_oracle, hex_win_bfs, minimax_winner, status_oracle
 
 
 def empty_cells(rules, state):
     return [c for c in range(rules.graph.cell_count) if state.board.get(c) == 0]
+
+
+def carried_groups(state):
+    """The position's carried groups in the oracle's form (sorted lists)."""
+    return tuple(sorted(g) for g in state.groups)
 
 
 def play(rules, state, *cells):
@@ -142,18 +147,26 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     """Random games (the i-th move is legal move ``picks[i] mod count``):
     after every ``apply``, ``status`` equals the whole-board oracle, the
     carried empty cells and the legal moves are the board's empty cells,
-    and the parent position is intact."""
+    the carried Hex groups are the board's connected components, and the
+    parent position is intact."""
     rules = gw.game_from_name(name)
+    hex_game = isinstance(rules, gw.HexRules)
     state = rules.initial_state()
     for pick in picks:
         if rules.status(state) is not None:
             break
         legal = rules.legal_moves(state)
         parent, parent_words, parent_empty = state, list(state.board.words), list(state.empty)
+        parent_groups = carried_groups(state) if hex_game else None
         state = rules.apply(state, legal[pick % len(legal)])
         assert rules.status(state) == status_oracle(rules, state)
         assert parent.board.words == parent_words
         assert list(parent.empty) == parent_empty
+        if hex_game:
+            assert carried_groups(state) == hex_groups_oracle(rules, state.board.values())
+            assert carried_groups(parent) == parent_groups
+        else:
+            assert state.groups is None
         scan = empty_cells(rules, state)
         assert [m.to for m in state.empty] == scan
         if rules.status(state) is not None:
@@ -164,8 +177,8 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
 
 def test_hand_built_state_gives_the_scanned_legal_moves():
     """A position built by hand, as demo 03 builds one, carries no empty
-    cells: ``legal_moves`` scans its board, and ``apply`` hands each child
-    a carried tuple that equals the scan."""
+    cells and no groups: ``legal_moves`` scans its board, and ``apply``
+    hands each child carried empty cells and groups that equal the scans."""
     rules = gw.hex_rules(7)
     board = rules.initial_state().board
     stones = {gw.hex_cell(rules.graph, 1, 1): 2, gw.hex_cell(rules.graph, 2, 2): 2}
@@ -174,7 +187,7 @@ def test_hand_built_state_gives_the_scanned_legal_moves():
     for cell, player in stones.items():
         board.set(cell, player)
     state = gw.GameState(board=board, mover=2, last_move=Move(intrusion), move_number=3)
-    assert state.result is None and state.empty is None
+    assert state.result is None and state.empty is None and state.groups is None
     assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
     rng = SplitMix64(31)
     for _ in range(8):
@@ -183,12 +196,29 @@ def test_hand_built_state_gives_the_scanned_legal_moves():
         assert state.empty is not None
         assert [m.to for m in state.empty] == empty_cells(rules, state)
         assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
+        assert carried_groups(state) == hex_groups_oracle(rules, state.board.values())
+        assert rules.status(state) == status_oracle(rules, state)
+
+
+def test_hand_built_state_wins_through_its_scanned_groups():
+    """A hand-built hex3 position one stone short of player 1's connection:
+    the scanned groups merge with the placed stone into a winning group."""
+    rules = gw.hex_rules(3)
+    board = rules.initial_state().board
+    for q, r, player in ((1, 0, 1), (1, 2, 1), (0, 0, 2), (2, 1, 2)):
+        board.set(gw.hex_cell(rules.graph, q, r), player)
+    state = gw.GameState(board=board, mover=1, last_move=None, move_number=4)
+    won = rules.apply(state, Move(gw.hex_cell(rules.graph, 1, 1)))
+    assert won.result == 1 == status_oracle(rules, won)
+    assert carried_groups(won) == hex_groups_oracle(rules, won.board.values())
+    assert len(won.groups[0]) == 1
 
 
 def test_game_state_is_immutable_and_apply_keeps_the_parent():
     rules = gw.hex_rules(4)
     state = rules.initial_state()
-    for name, value in (("board", None), ("mover", 2), ("result", 1), ("empty", ())):
+    for name, value in (("board", None), ("mover", 2), ("result", 1), ("empty", ()),
+                        ("groups", ((), ()))):
         with pytest.raises(AttributeError):
             setattr(state, name, value)
     empty, words = state.empty, list(state.board.words)
@@ -197,7 +227,12 @@ def test_game_state_is_immutable_and_apply_keeps_the_parent():
     child = rules.apply(state, Move(5))
     assert state.empty is empty and [m.to for m in empty] == list(range(16))
     assert state.board.words == words
+    assert state.groups == ((), ())
     assert [m.to for m in child.empty] == [c for c in range(16) if c != 5]
+    assert child.groups == ((1 << 5,), ())
+    grandchild = rules.apply(child, Move(6))
+    assert child.groups == ((1 << 5,), ()) and grandchild.groups[0] is child.groups[0]
+    assert grandchild.groups == ((1 << 5,), (1 << 6,))
     assert len(rules.legal_moves(state)) == 16
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -302,7 +303,10 @@ score_values = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(
-    scores=st.lists(score_values, min_size=1, max_size=121),
+    scores=st.one_of(
+        st.lists(score_values, min_size=1, max_size=121),
+        st.integers(1, 121).map(lambda n: [1.0] * n),  # the unit-score shortcut
+    ),
     seed=st.integers(0, (1 << 64) - 1),
 )
 def test_sample_picks_the_linear_scan_index(scores, seed):
@@ -328,8 +332,10 @@ class _FixedDraw:
 @pytest.mark.parametrize("k", [0, 1, 1 << 52, (1 << 53) - 1, 1 << 53])
 def test_sample_matches_the_linear_scan_at_the_extreme_draws(k):
     # 1 << 53 draws exactly the total, which the linear scan maps to the
-    # last move; a true draw stays below 1.
-    for scores in ([1.0], [FLOOR, FLOOR, FLOOR], [0.1, 0.2, 0.3], [3.0, FLOOR, 1.0, FLOOR]):
+    # last move; a true draw stays below 1, and its product with a total
+    # rounds to below that total, so only this draw reaches the clamp.
+    unit = [[1.0] * n for n in (1, 2, 7, 49, 121)]
+    for scores in ([FLOOR, FLOOR, FLOOR], [0.1, 0.2, 0.3], [3.0, FLOOR, 1.0, FLOOR], *unit):
         assert _sample(scores, _FixedDraw(k)) == sample_oracle(scores, _FixedDraw(k))
 
 
@@ -341,17 +347,32 @@ def test_random_draws_are_bit_identical_to_next_u64(seed):
     assert fast.next_u64() == slow.next_u64()
 
 
-SCORING_FIXTURES = ("bridge", "group3", "line4", "thin_group")
+# "bridge+group3" is a test-only set: bridge's reactive feature and
+# group3's proactive ones together, reweighted so that the order in which
+# a move's weights are added changes its float sum, as (1.0 + 0.1) + 0.2
+# differs from (1.0 + 0.2) + 0.1.
+SCORING_FIXTURES = ("bridge", "group3", "line4", "thin_group", "bridge+group3")
+MIXED_WEIGHTS = (0.1, 0.2, 0.7, -0.3, 0.6)
 SCORING_GAMES = ("hex5", "hex7", "line4-7x7")
 # The default, and a base score below the floor: a position no instance
 # matches then scores every move at the floor.
 SCORING_BIASES = (BiasConfig(), BiasConfig(base_score=0.005, floor=0.01))
 
 
+def scoring_feature_set(fixture: str) -> FeatureSet:
+    if fixture == "bridge+group3":
+        features = [f for name in ("bridge", "group3")
+                    for f in gw.load_feature_set(FIXTURES / f"{name}.fs").features]
+        assert [f.reactive for f in features] == [True, False, False, False, False]
+        return FeatureSet(tuple(dataclasses.replace(f, weight=w)
+                                for f, w in zip(features, MIXED_WEIGHTS)), fixture)
+    return gw.load_feature_set(FIXTURES / f"{fixture}.fs")
+
+
 @lru_cache(maxsize=None)
 def compiled_fixture(fixture: str, game: str):
     rules = gw.game_from_name(game)
-    return rules, compile_feature_set(gw.load_feature_set(FIXTURES / f"{fixture}.fs"), rules)
+    return rules, compile_feature_set(scoring_feature_set(fixture), rules)
 
 
 @pytest.mark.parametrize("game", SCORING_GAMES)
