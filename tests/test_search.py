@@ -303,13 +303,20 @@ score_values = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(
-    scores=st.one_of(
-        st.lists(score_values, min_size=1, max_size=121),
-        st.integers(1, 121).map(lambda n: [1.0] * n),  # the unit-score shortcut
-    ),
+    scores=st.lists(score_values, min_size=1, max_size=121),
     seed=st.integers(0, (1 << 64) - 1),
 )
 def test_sample_picks_the_linear_scan_index(scores, seed):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(8):
+        assert _sample(scores, fast) == sample_oracle(scores, slow)
+    assert fast.state == slow.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 121), seed=st.integers(0, (1 << 64) - 1))
+def test_sample_picks_the_linear_scan_index_on_unit_scores(n, seed):
+    scores = [1.0] * n
     fast, slow = SplitMix64(seed), SplitMix64(seed)
     for _ in range(8):
         assert _sample(scores, fast) == sample_oracle(scores, slow)

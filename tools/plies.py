@@ -1,7 +1,8 @@
 """Per-ply cost of the playout layers, untraced, on recorded plies.
 
-Plays one seeded hex7-mcts-bridge match (bridge MCTS against vanilla MCTS,
-as the benchmark's workload of that name does) and records every playout
+Plays case ``--case`` of the benchmark's hex7-mcts-bridge workload (its
+rules, feature set, match size and seed, taken from
+``perfbench/workloads.py``) on the Python engine and records every playout
 ply of the bridge agent: the position, its legal moves, the scores and
 the move that was sampled.  Then it times each layer on exactly those
 plies, with the garbage collector off, and prints the best of ``--repeat``
@@ -13,7 +14,7 @@ passes in microseconds per call:
     apply           GameRules.apply(state, move)
     win_check       the per-game placement hook that ``apply`` calls
 
-Usage: python3 tools/plies.py [--seed 20250815] [--repeat 5] [--json]
+Usage: python3 tools/plies.py [--case 5] [--repeat 5] [--json]
 """
 
 from __future__ import annotations
@@ -27,16 +28,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 import geoweave as gw  # noqa: E402
 from geoweave import search  # noqa: E402
 from geoweave.rng import SplitMix64  # noqa: E402
+from perfbench.workloads import REGRESSION_SEED, WORKLOADS  # noqa: E402
+
+BRIDGE = WORKLOADS["hex7-mcts-bridge"]
 
 
-def record_plies(seed: int, games: int, playouts: int):
-    """Every bridge-agent playout ply of one match, in play order."""
-    rules = gw.hex_rules(7)
-    fs = gw.load_feature_set(ROOT / "fixtures" / "bridge.fs")
+def record_plies(seed: int):
+    """Every bridge-agent playout ply of one full-size match, in play order."""
+    size = BRIDGE.sizes["full"]
+    rules, fs = BRIDGE.setup(size)
     plies = []
     last = None
     biased_scores, sample = search.biased_scores, search._sample
@@ -55,8 +60,9 @@ def record_plies(seed: int, games: int, playouts: int):
 
     search.biased_scores, search._sample = recording_scores, recording_sample
     try:
-        gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=playouts),
-                      gw.AgentSpec(playouts=playouts), games, seed, engine="python")
+        gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=size.playouts),
+                      gw.AgentSpec(playouts=size.playouts), size.games, seed,
+                      engine="python")
     finally:
         search.biased_scores, search._sample = biased_scores, sample
     return rules, plies
@@ -79,18 +85,17 @@ def best_us(fn, args: list, repeat: int) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=20250815,
-                    help="match seed (the benchmark's case k plays 20250810 + k)")
-    ap.add_argument("--games", type=int, default=2)
-    ap.add_argument("--playouts", type=int, default=30)
+    ap.add_argument("--case", type=int, default=5,
+                    help=f"benchmark case k, which plays seed {REGRESSION_SEED} + k")
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
 
-    rules, plies = record_plies(args.seed, args.games, args.playouts)
+    seed = REGRESSION_SEED + args.case
+    rules, plies = record_plies(seed)
     states = [(p[0],) for p in plies]
     children = [rules.apply(p[0], p[5]) for p in plies]
-    rng = SplitMix64(args.seed)
+    rng = SplitMix64(seed)
     timings = {
         "legal_moves": best_us(rules.legal_moves, states, args.repeat),
         "biased_scores": best_us(search.biased_scores, [p[:4] for p in plies], args.repeat),
@@ -103,7 +108,8 @@ def main(argv=None) -> int:
     }
     unit = sum(all(s == 1.0 for s in p[4]) for p in plies)
     report = {
-        "seed": args.seed,
+        "case": args.case,
+        "seed": seed,
         "plies": len(plies),
         "unit_score_share": round(unit / len(plies), 4),
         "repeat": args.repeat,
@@ -112,7 +118,8 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(report))
         return 0
-    print(f"hex7-mcts-bridge seed {args.seed}: {len(plies)} bridge playout plies, "
+    print(f"hex7-mcts-bridge case {args.case} (seed {seed}): "
+          f"{len(plies)} bridge playout plies, "
           f"{report['unit_score_share']:.1%} with every score 1.0; "
           f"best of {args.repeat}, GC off, untraced")
     for name, us in timings.items():
