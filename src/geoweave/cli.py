@@ -3,11 +3,10 @@
 Every run writes its outputs plus exactly one ``manifest.json`` under
 ``--out``.  Outputs are byte-reproducible for a given seed and flag set
 (the manifest's wall_time_s field is the one intentionally varying
-value).  The manifests of match, evaluate and tune also record the
-engine requested, the engine that ran and why.  Exit codes: 0 success; 2
-for errors in what the user gave (flags, game name, ``GEOWEAVE_SEED``,
-feature files, generator bounds); 1 for every other error.
-``GEOWEAVE_SEED`` provides the seed when ``--seed`` is absent.
+value).  Exit codes: 0 success; 2 for errors in what the user gave
+(flags, game name, ``GEOWEAVE_SEED``, feature files, generator bounds);
+1 for every other error.  ``GEOWEAVE_SEED`` provides the seed when
+``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .featuregen import (
     GenConfig,
     GenError,
     evaluate_feature_set,
-    evaluation_agents,
     generate_candidates,
     hill_climb_weights,
     write_eval_log,
@@ -69,26 +67,6 @@ def _check_search_flags(args) -> None:
         raise UsageError("--playouts must be >= 0")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    if args.engine == "numba":
-        from . import fastpath
-
-        if not fastpath.NUMBA_AVAILABLE:
-            raise UsageError("--engine numba needs numba, which is not installed")
-
-
-def _engine_record(requested: str, rules, agent_a: AgentSpec, agent_b: AgentSpec) -> dict:
-    """The engine ``play_match`` runs for these arguments, and why."""
-    if requested == "python":
-        return {"requested": requested, "ran": "python", "reason": "requested"}
-    try:
-        from . import fastpath
-    except ImportError as exc:
-        compiled, why = False, f"compiled engine unavailable: {exc}"
-    else:
-        compiled, why = fastpath.supports(rules, agent_a, agent_b)
-    if compiled:
-        why = "compiled kernels support this run"
-    return {"requested": requested, "ran": "numba" if compiled else "python", "reason": why}
 
 
 def _sha256(path: Path) -> str:
@@ -121,8 +99,8 @@ class Run:
         self.outputs.append(path)
         return path
 
-    def finish(self, seed: int, engine: dict | None = None) -> Path:
-        """Write the manifest; ``engine`` is the record of a command that plays matches."""
+    def finish(self, seed: int) -> Path:
+        """Write the manifest."""
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -133,8 +111,6 @@ class Run:
                 {"path": p.name, "sha256": _sha256(p)} for p in self.outputs
             ],
         }
-        if engine is not None:
-            manifest["engine"] = engine
         path = self.out / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path
@@ -166,10 +142,7 @@ def cmd_match(args) -> int:
     agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
     agent_b = AgentSpec(feature_set=fs_b, playouts=args.playouts)
     run = Run("match", args, args.out)
-    engine = _engine_record(args.engine, rules, agent_a, agent_b)
-    result = play_match(
-        rules, agent_a, agent_b, args.games, seed, workers=args.workers, engine=args.engine
-    )
+    result = play_match(rules, agent_a, agent_b, args.games, seed, workers=args.workers)
     payload = {
         "game": rules.name,
         "agent_a": agent_a.label(),
@@ -179,7 +152,7 @@ def cmd_match(args) -> int:
         **result.to_dict(),
     }
     run.write_json("match.json", payload)
-    run.finish(seed, engine)
+    run.finish(seed)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -207,16 +180,14 @@ def cmd_evaluate(args) -> int:
     rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("evaluate", args, args.out)
-    engine = _engine_record(args.engine, rules, *evaluation_agents(fs, args.playouts))
     record = evaluate_feature_set(
-        fs, rules, args.games, seed, playouts=args.playouts,
-        workers=args.workers, engine=args.engine,
+        fs, rules, args.games, seed, playouts=args.playouts, workers=args.workers
     )
     run.write_json("eval.json", record.to_dict())
     log_path = run.out / "eval.jsonl"
     write_eval_log([record], log_path)
     run.add(log_path)
-    run.finish(seed, engine)
+    run.finish(seed)
     print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
 
@@ -227,11 +198,9 @@ def cmd_tune(args) -> int:
     rules = _rules_from(args)
     fs = _load_features(args.features)
     run = Run("tune", args, args.out)
-    engine = _engine_record(args.engine, rules, *evaluation_agents(fs, args.playouts))
     result = hill_climb_weights(
         fs, rules, budget=args.budget, step=args.step, seed=seed,
-        games=args.games, playouts=args.playouts,
-        workers=args.workers, engine=args.engine,
+        games=args.games, playouts=args.playouts, workers=args.workers,
     )
     tuned_path = run.out / "tuned.fs"
     save_feature_set(result.best, tuned_path)
@@ -239,7 +208,7 @@ def cmd_tune(args) -> int:
     log_path = run.out / "tune_log.jsonl"
     write_eval_log(result.history, log_path)
     run.add(log_path)
-    run.finish(seed, engine)
+    run.finish(seed)
     print(
         f"tuned set {feature_set_hash(result.best)} win rate "
         f"{result.best_record.win_rate:.3f} after {len(result.history)} evaluation(s)"
@@ -266,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--playouts", type=int, default=100,
                        help="MCTS playouts per move; 0 plays the raw policy (default 100)")
         p.add_argument("--workers", type=int, default=1, help="root-parallel search trees (default 1)")
-        p.add_argument("--engine", choices=("auto", "python", "numba"), default="auto")
 
     p = sub.add_parser("render", help="render each feature to an SVG diagram")
     common(p, features_required=True)

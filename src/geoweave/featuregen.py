@@ -135,14 +135,6 @@ class EvalRecord:
         }
 
 
-def evaluation_agents(
-    fs: FeatureSet, playouts: int, bias: BiasConfig | None = None
-) -> tuple[AgentSpec, AgentSpec]:
-    """Feature-biased MCTS and uniform-playout MCTS at equal playouts."""
-    biased = AgentSpec(feature_set=fs, playouts=playouts, bias=bias or BiasConfig())
-    return biased, AgentSpec(playouts=playouts)
-
-
 def evaluate_feature_set(
     fs: FeatureSet,
     rules: GameRules,
@@ -150,12 +142,12 @@ def evaluate_feature_set(
     seed: int,
     playouts: int = 100,
     workers: int = 1,
-    engine: str = "auto",
     bias: BiasConfig | None = None,
 ) -> EvalRecord:
     """Feature-biased MCTS against uniform-playout MCTS at equal playouts."""
-    biased, vanilla = evaluation_agents(fs, playouts, bias)
-    result = play_match(rules, biased, vanilla, games, seed, workers=workers, engine=engine)
+    biased = AgentSpec(feature_set=fs, playouts=playouts, bias=bias or BiasConfig())
+    vanilla = AgentSpec(playouts=playouts)
+    result = play_match(rules, biased, vanilla, games, seed, workers=workers)
     return EvalRecord(
         feature_set=fs,
         games=games,
@@ -183,7 +175,6 @@ def hill_climb_weights(
     games: int = 50,
     playouts: int = 100,
     workers: int = 1,
-    engine: str = "auto",
 ) -> TuneResult:
     """Coordinate-wise +/-step hill climb on feature weights.
 
@@ -199,9 +190,7 @@ def hill_climb_weights(
     match_seed = derive_seed(seed, 0)
 
     def run(candidate: FeatureSet) -> EvalRecord:
-        return evaluate_feature_set(
-            candidate, rules, games, match_seed, playouts, workers, engine
-        )
+        return evaluate_feature_set(candidate, rules, games, match_seed, playouts, workers)
 
     history: list[EvalRecord] = []
     best = fs

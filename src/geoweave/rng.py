@@ -1,9 +1,8 @@
-"""Deterministic 64-bit RNG shared by the reference and compiled engines.
+"""Deterministic 64-bit RNG for every seeded stream in geoweave.
 
-SplitMix64 is used directly as the draw generator.  The compiled kernels
-implement the identical update in uint64 arithmetic, so a seed produces
-bit-identical draw sequences in both engines and the parity tests can
-compare full match trajectories rather than statistics.
+SplitMix64 is used directly as the draw generator, in exact integer
+arithmetic, so a seed fixes the whole draw sequence and the frozen match
+tallies can compare full trajectories rather than statistics.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Feature-biased playouts and UCT search (reference engine).
+"""Feature-biased playouts and UCT search.
 
 Playout biasing follows a four-step scheme per move: every legal move
 starts at a uniform base score; matching reactive instances indexed under
@@ -7,16 +7,12 @@ proactive instances do the same; scores are clamped to a small positive
 floor (weights may be negative but can only discourage, never forbid) and
 the move is sampled from the resulting distribution.
 
-This module is written to be mirrored operation-for-operation by the
-compiled kernels in :mod:`geoweave.fastpath`; keep accumulation order,
-tie-breaking and RNG usage in sync or the cross-engine parity tests fail.
-Sampling bisects the running sums of the scores; the kernels' linear scan
-adds the same floats in the same order and stops at the first sum above
-the draw, so both pick the same index.  When every score is exactly 1.0
-the running sums are the exact integers 1..n (no rounding below 2**53)
-and the total is n, so the scan stops at index floor(draw * n), which
-``_sample`` computes directly from the same single draw; a product that
-reaches n takes the last index in both.
+Sampling bisects the running sums of the scores.  When every score is
+exactly 1.0 the running sums are the exact integers 1..n (no rounding
+below 2**53) and the total is n, so ``bisect_right`` would stop at index
+floor(draw * n), which ``_sample`` computes directly from the same single
+draw; a product that reaches n takes the last index, as the bisection
+does.
 """
 
 from __future__ import annotations
@@ -139,8 +135,8 @@ def biased_move_distribution(
 
 def _sample(scores: list[float], rng: SplitMix64) -> int:
     # The first index whose prefix sum exceeds the draw; a draw at the total
-    # takes the last move, as the linear scan does.  Unit scores sum to the
-    # exact integers 1..n, so that index is the scaled draw rounded down.
+    # takes the last move.  Unit scores sum to the exact integers 1..n, so
+    # that index is the scaled draw rounded down.
     n = len(scores)
     if scores.count(1.0) == n:
         i = int(rng.random() * n)
@@ -412,32 +408,10 @@ def play_match(
     games: int,
     seed: int,
     workers: int = 1,
-    engine: str = "auto",
 ) -> MatchResult:
-    """Seeded match with side swapping each game and paired opening seeds.
-
-    ``engine`` selects the reference implementation ("python"), the
-    compiled kernels ("numba"), or lets the library choose ("auto").
-    Both engines produce identical results for identical arguments.
-    """
+    """Seeded match with side swapping each game and paired opening seeds."""
     if games < 2 or games % 2 != 0:
         raise ValueError("games must be even (sides are swapped each game)")
-    if engine not in ("auto", "python", "numba"):
-        raise ValueError(f"unknown engine {engine!r}")
-
-    if engine != "python":
-        try:
-            from . import fastpath
-        except ImportError as exc:
-            if engine == "numba":
-                raise ValueError(f"numba engine unavailable: {exc}") from exc
-            fastpath = None
-        if fastpath is not None:
-            try:
-                return fastpath.play_match(rules, agent_a, agent_b, games, seed, workers)
-            except fastpath.FastpathUnsupported as exc:
-                if engine == "numba":
-                    raise ValueError(f"numba engine unavailable: {exc}") from exc
 
     compiled_a = compile_feature_set(agent_a.feature_set, rules)
     compiled_b = compile_feature_set(agent_b.feature_set, rules)

@@ -13,10 +13,8 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 import geoweave as gw
-from geoweave import fastpath
 from geoweave.chunkset import ChunkSet
 from geoweave.cli import main as cli_main
 from geoweave.dsl import parse_feature, serialize_feature
@@ -198,7 +196,6 @@ def test_criterion_05_bias_correctness(line4_fs):
               "single-feature 3-move case is exactly 0.5")
 
 
-@pytest.mark.skipif(not fastpath.NUMBA_AVAILABLE, reason="compiled engine required for the 200-game run")
 def test_criterion_06_hex_bridge_strength(bridge_fs):
     """Bridge-biased MCTS (w=5, 1000 playouts) beats vanilla MCTS on 7x7 Hex
     over 200 seeded games with the Wilson 95% lower bound above 0.5."""
@@ -206,7 +203,7 @@ def test_criterion_06_hex_bridge_strength(bridge_fs):
     rules = gw.hex_rules(7)
     biased = AgentSpec(feature_set=bridge_fs, playouts=1000)
     vanilla = AgentSpec(playouts=1000)
-    result = play_match(rules, biased, vanilla, games=200, seed=REGRESSION_SEED, engine="numba")
+    result = play_match(rules, biased, vanilla, games=200, seed=REGRESSION_SEED)
     elapsed = time.monotonic() - started
     assert result.win_rate_a > 0.5
     assert result.ci_low > 0.5, f"CI lower bound {result.ci_low:.3f} not above 0.5"
@@ -230,7 +227,6 @@ def test_criterion_07_line4_strategy_fixture(line4_fs):
         AgentSpec(playouts=0),
         games=1000,
         seed=REGRESSION_SEED,
-        engine="auto",
     )
     elapsed = time.monotonic() - started
     assert result.win_rate_a > 0.55
@@ -300,11 +296,9 @@ def test_criterion_09_dsl_round_trip_fuzz():
 def test_criterion_10_reproducibility(tmp_path, bridge_fs, hex7_rules, line4_fs, line4_7_rules):
     """cmd_match with a fixed seed and workers=1 is byte-identical across
     runs; SVG output matches the checked-in goldens byte for byte."""
-    engine = "numba" if fastpath.NUMBA_AVAILABLE else "python"
     args = [
         "match", "--game", "hex5", "--a", str(FIXTURES / "bridge.fs"),
         "--games", "4", "--playouts", "50", "--seed", "9", "--workers", "1",
-        "--engine", engine,
     ]
     assert cli_main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "r2")]) == 0

@@ -3,17 +3,11 @@ from pathlib import Path
 
 import pytest
 
-import geoweave as gw
-from geoweave import cli, fastpath
+from geoweave import cli
 from geoweave.cli import main
-from geoweave.features import EMPTY, Feature, FeatureAction, FeatureSet, PatternElement
-from geoweave.search import AgentSpec, compile_feature_set
-from geoweave.walks import make_walk
 from geoweave.games import IllegalMove
 from geoweave.dsl import load_feature_set
 from conftest import FIXTURES
-
-ENGINE = "numba" if fastpath.NUMBA_AVAILABLE else "python"
 
 
 def manifest_of(out_dir) -> dict:
@@ -58,7 +52,6 @@ def test_match_unknown_game_is_usage_error(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--playouts", "-1"],
     ["--workers", "0"],
-    *([] if fastpath.NUMBA_AVAILABLE else [["--engine", "numba"]]),
 ])
 def test_match_bad_search_flag_is_usage_error(tmp_path, flags, capsys):
     rc = main(["match", "--game", "line4-4x4", "--games", "2", "--out", str(tmp_path / "o"), *flags])
@@ -80,7 +73,7 @@ def test_internal_error_exits_1_not_usage(tmp_path, monkeypatch, capsys):
 def test_match_reproducible_byte_for_byte(tmp_path):
     args = [
         "match", "--game", "line4-4x4", "--games", "4", "--playouts", "6",
-        "--seed", "21", "--engine", ENGINE,
+        "--seed", "21",
     ]
     rc1 = main(args + ["--out", str(tmp_path / "one")])
     rc2 = main(args + ["--out", str(tmp_path / "two")])
@@ -98,7 +91,7 @@ def test_match_uniform_baseline_runs_without_feature_files(tmp_path):
     out = tmp_path / "o"
     rc = main([
         "match", "--game", "line4-4x4", "--games", "2", "--playouts", "4",
-        "--seed", "2", "--engine", ENGINE, "--out", str(out),
+        "--seed", "2", "--out", str(out),
     ])
     assert rc == 0
     payload = json.loads((out / "match.json").read_text())
@@ -110,12 +103,12 @@ def test_seed_falls_back_to_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOWEAVE_SEED", "777")
     out = tmp_path / "env"
     rc = main(["match", "--game", "line4-4x4", "--games", "2", "--playouts", "2",
-               "--engine", ENGINE, "--out", str(out)])
+               "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "match.json").read_text())["seed"] == 777
     monkeypatch.setenv("GEOWEAVE_SEED", "not-a-number")
     rc = main(["match", "--game", "line4-4x4", "--games", "2", "--playouts", "2",
-               "--engine", ENGINE, "--out", str(out)])
+               "--out", str(out)])
     assert rc == 2
 
 
@@ -133,8 +126,7 @@ def test_evaluate_writes_record_and_log(tmp_path):
     out = tmp_path / "eval"
     rc = main([
         "evaluate", "--game", "line4-4x4", "--features", str(FIXTURES / "line4.fs"),
-        "--games", "4", "--playouts", "4", "--seed", "3", "--engine", ENGINE,
-        "--out", str(out),
+        "--games", "4", "--playouts", "4", "--seed", "3", "--out", str(out),
     ])
     assert rc == 0
     record = json.loads((out / "eval.json").read_text())
@@ -150,7 +142,7 @@ def test_tune_log_respects_budget(tmp_path):
     rc = main([
         "tune", "--game", "line4-4x4", "--features", str(FIXTURES / "line4.fs"),
         "--budget", "3", "--games", "4", "--playouts", "4", "--seed", "5",
-        "--engine", ENGINE, "--out", str(out),
+        "--out", str(out),
     ])
     assert rc == 0
     lines = (out / "tune_log.jsonl").read_text().strip().split("\n")
@@ -159,56 +151,6 @@ def test_tune_log_respects_budget(tmp_path):
     assert len(tuned) == 4
     manifest = manifest_of(out)
     assert {o["path"] for o in manifest["outputs"]} == {"tuned.fs", "tune_log.jsonl"}
-
-
-@pytest.mark.parametrize("requested", ["auto", "python"])
-def test_manifest_names_the_engine_that_ran(tmp_path, requested):
-    common = ["--game", "line4-4x4", "--games", "2", "--playouts", "2", "--seed", "4",
-              "--engine", requested]
-    features = ["--features", str(FIXTURES / "line4.fs")]
-    commands = {
-        "match": ["match", *common],
-        "evaluate": ["evaluate", *features, *common],
-        "tune": ["tune", *features, "--budget", "2", *common],
-    }
-    if requested == "python":
-        expected = {"requested": "python", "ran": "python", "reason": "requested"}
-    elif fastpath.NUMBA_AVAILABLE:
-        expected = {"requested": "auto", "ran": "numba",
-                    "reason": "compiled kernels support this run"}
-    else:  # auto falls back, and the manifest says why
-        expected = {"requested": "auto", "ran": "python", "reason": "numba is not installed"}
-    for name, argv in commands.items():
-        out = tmp_path / name
-        assert main(argv + ["--out", str(out)]) == 0
-        assert manifest_of(out)["engine"] == expected, name
-    out = tmp_path / "generate"
-    assert main(["generate", "--game", "hex4", "--max-elements", "1", "--out", str(out)]) == 0
-    assert "engine" not in manifest_of(out)
-
-
-def test_move_from_features_are_refused_before_the_engine_is_chosen(monkeypatch, line4_fs):
-    """With numba present, ``supports`` refuses a move-from feature set
-    (whose instances ``lower_indexes`` cannot lower) on either side, and
-    the manifest's engine record says so."""
-    monkeypatch.setattr(fastpath, "NUMBA_AVAILABLE", True)
-    rules = gw.line4_rules(4, 4)
-    ncells = rules.graph.cell_count
-    nwords = -(-ncells * rules.chunk_bits // 64)
-    move_from = FeatureSet((Feature(
-        elements=(PatternElement((), (EMPTY,)),),
-        action=FeatureAction(to=(), from_=make_walk([0])),
-        rotations=(0,),
-    ),))
-    plain, lines, moving = AgentSpec(playouts=4), AgentSpec(feature_set=line4_fs), AgentSpec(feature_set=move_from)
-    assert fastpath.supports(rules, lines, plain) == (True, "")
-    fastpath.lower_indexes(compile_feature_set(line4_fs, rules), ncells, nwords, rules.chunk_bits)
-    with pytest.raises(fastpath.FastpathUnsupported):
-        fastpath.lower_indexes(compile_feature_set(move_from, rules), ncells, nwords, rules.chunk_bits)
-    why = "move-from actions run on the reference engine only"
-    for a, b in ((moving, plain), (lines, moving)):
-        assert fastpath.supports(rules, a, b) == (False, why)
-        assert cli._engine_record("auto", rules, a, b) == {"requested": "auto", "ran": "python", "reason": why}
 
 
 def test_every_command_writes_exactly_one_manifest(tmp_path):

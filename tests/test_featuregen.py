@@ -3,7 +3,6 @@ import json
 import pytest
 
 import geoweave as gw
-from geoweave import fastpath
 from geoweave.dsl import parse_feature, parse_feature_set, serialize_feature
 from geoweave.featuregen import (
     EvalRecord,
@@ -15,8 +14,6 @@ from geoweave.featuregen import (
     write_eval_log,
 )
 from geoweave.features import ElementKind
-
-ENGINE = "numba" if fastpath.NUMBA_AVAILABLE else "python"
 
 
 def test_minimum_pattern_alone_for_single_element():
@@ -80,15 +77,15 @@ def test_no_op_feature_set_evaluates_to_exactly_half():
     # side swapping then mirror every game pair into one win each.
     rules = gw.line4_rules(4, 4)
     fs = parse_feature_set("rel proactive w=0.0 el={}:. act_to={}")
-    rec = evaluate_feature_set(fs, rules, games=10, seed=5, playouts=8, engine=ENGINE)
+    rec = evaluate_feature_set(fs, rules, games=10, seed=5, playouts=8)
     assert rec.win_rate == 0.5
     assert rec.ci_low < 0.5 < rec.ci_high
 
 
 def test_evaluate_is_reproducible(bridge_fs):
     rules = gw.hex_rules(4)
-    a = evaluate_feature_set(bridge_fs, rules, games=6, seed=3, playouts=12, engine=ENGINE)
-    b = evaluate_feature_set(bridge_fs, rules, games=6, seed=3, playouts=12, engine=ENGINE)
+    a = evaluate_feature_set(bridge_fs, rules, games=6, seed=3, playouts=12)
+    b = evaluate_feature_set(bridge_fs, rules, games=6, seed=3, playouts=12)
     assert (a.win_rate, a.ci_low, a.ci_high) == (b.win_rate, b.ci_low, b.ci_high)
 
 
@@ -107,13 +104,12 @@ def test_eval_record_log_format(tmp_path, bridge_fs):
 
 
 def test_hill_climb_budget_and_monotonicity():
-    pytest.importorskip("numba")
     rules = gw.line4_rules(5, 5)
     fs = parse_feature_set(
         "rel proactive w=-1.5 rot=all refl=no el={}:. el={0}:o el={0,0}:o act_to={}", "make3"
     )
     result = hill_climb_weights(
-        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16, engine="numba"
+        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16
     )
     assert len(result.history) <= 6
     assert result.best_record.win_rate >= result.history[0].win_rate
@@ -121,7 +117,7 @@ def test_hill_climb_budget_and_monotonicity():
     # this game: the climb flips the weight positive within the budget.
     assert result.best.features[0].weight > 0
     again = hill_climb_weights(
-        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16, engine="numba"
+        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16
     )
     assert [r.win_rate for r in again.history] == [r.win_rate for r in result.history]
 

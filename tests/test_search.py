@@ -256,33 +256,45 @@ def test_play_match_validation(hex7_rules):
         play_match(hex7_rules, AgentSpec(), AgentSpec(), games=0, seed=1)
     with pytest.raises(ValueError):
         play_match(hex7_rules, AgentSpec(), AgentSpec(), games=3, seed=1)
-    with pytest.raises(ValueError):
-        play_match(hex7_rules, AgentSpec(), AgentSpec(), games=2, seed=1, engine="turbo")
 
 
 def test_uniform_self_play_is_balanced():
     rules = gw.hex_rules(5)
-    result = play_match(rules, AgentSpec(), AgentSpec(), games=200, seed=6, engine="python")
+    result = play_match(rules, AgentSpec(), AgentSpec(), games=200, seed=6)
     assert result.games == 200
     assert result.wins_a + result.wins_b + result.draws == 200
     assert 0.4 <= result.win_rate_a <= 0.6
-    again = play_match(rules, AgentSpec(), AgentSpec(), games=200, seed=6, engine="python")
+    again = play_match(rules, AgentSpec(), AgentSpec(), games=200, seed=6)
     assert again.to_dict() == result.to_dict()
 
 
 def test_identical_policy_agents_mirror_to_exactly_half():
     """Paired seeds + side swap: two identical agents split every pair."""
     rules = gw.line4_rules(5, 5)
-    result = play_match(rules, AgentSpec(), AgentSpec(), games=30, seed=11, engine="python")
+    result = play_match(rules, AgentSpec(), AgentSpec(), games=30, seed=11)
     assert result.win_rate_a == 0.5
 
 
 def test_root_parallel_workers_deterministic(bridge_fs):
     rules = gw.hex_rules(3)
     agent = AgentSpec(feature_set=bridge_fs, playouts=40)
-    r1 = play_match(rules, agent, AgentSpec(playouts=40), games=2, seed=5, workers=3, engine="python")
-    r2 = play_match(rules, agent, AgentSpec(playouts=40), games=2, seed=5, workers=3, engine="python")
+    r1 = play_match(rules, agent, AgentSpec(playouts=40), games=2, seed=5, workers=3)
+    r2 = play_match(rules, agent, AgentSpec(playouts=40), games=2, seed=5, workers=3)
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_match_with_move_from_feature_is_deterministic():
+    """A match whose agent scores move-from actions replays exactly."""
+    rules = gw.line4_rules(4, 4)
+    feature = Feature(
+        elements=(PatternElement((), (EMPTY,)),),
+        action=FeatureAction(to=(), from_=make_walk([0])),
+        rotations=(0,),
+    )
+    agent = AgentSpec(feature_set=FeatureSet((feature,)), playouts=4)
+    first = play_match(rules, agent, AgentSpec(playouts=4), 2, 5)
+    again = play_match(rules, agent, AgentSpec(playouts=4), 2, 5)
+    assert first.to_dict() == again.to_dict()
 
 
 def test_derive_seed_streams_differ():

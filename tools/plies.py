@@ -2,9 +2,9 @@
 
 Plays case ``--case`` of the benchmark's hex7-mcts-bridge workload (its
 rules, feature set, match size and seed, taken from
-``perfbench/workloads.py``) on the Python engine and records every playout
-ply of the bridge agent: the position, its legal moves, the scores and
-the move that was sampled.  Then it times each layer on exactly those
+``perfbench/workloads.py``) and records every playout ply of the bridge
+agent: the position, its legal moves, the scores and the move that was
+sampled.  Then it times each layer on exactly those
 plies, with the garbage collector off, and prints the best of ``--repeat``
 passes in microseconds per call:
 
@@ -61,8 +61,7 @@ def record_plies(seed: int):
     search.biased_scores, search._sample = recording_scores, recording_sample
     try:
         gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=size.playouts),
-                      gw.AgentSpec(playouts=size.playouts), size.games, seed,
-                      engine="python")
+                      gw.AgentSpec(playouts=size.playouts), size.games, seed)
     finally:
         search.biased_scores, search._sample = biased_scores, sample
     return rules, plies
