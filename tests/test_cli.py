@@ -52,6 +52,7 @@ def test_match_unknown_game_is_usage_error(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--playouts", "-1"],
     ["--workers", "0"],
+    ["--games", "0"],
 ])
 def test_match_bad_search_flag_is_usage_error(tmp_path, flags, capsys):
     rc = main(["match", "--game", "line4-4x4", "--games", "2", "--out", str(tmp_path / "o"), *flags])

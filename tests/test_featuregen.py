@@ -103,23 +103,21 @@ def test_eval_record_log_format(tmp_path, bridge_fs):
     assert len(payload["featureSetHash"]) == 16
 
 
-def test_hill_climb_budget_and_monotonicity():
+def test_hill_climb_keeps_only_improving_steps():
+    """At policy strength (playouts=0) the climb on "discourage lines of 3"
+    keeps both +2 steps, each a strict gain, and replays exactly."""
     rules = gw.line4_rules(5, 5)
     fs = parse_feature_set(
         "rel proactive w=-1.5 rot=all refl=no el={}:. el={0}:o el={0,0}:o act_to={}", "make3"
     )
-    result = hill_climb_weights(
-        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16
-    )
-    assert len(result.history) <= 6
-    assert result.best_record.win_rate >= result.history[0].win_rate
-    # The "discourage lines of 3" direction measures as the harmful one in
-    # this game: the climb flips the weight positive within the budget.
-    assert result.best.features[0].weight > 0
-    again = hill_climb_weights(
-        fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16
-    )
-    assert [r.win_rate for r in again.history] == [r.win_rate for r in result.history]
+    result = hill_climb_weights(fs, rules, budget=3, step=2.0, seed=1234, games=200, playouts=0)
+    rates = [r.win_rate for r in result.history]
+    assert rates == [0.34, 0.545, 0.6]
+    assert [r.feature_set.features[0].weight for r in result.history] == [-1.5, 0.5, 2.5]
+    assert result.best_record is result.history[-1]
+    assert result.best.features[0].weight == 2.5
+    again = hill_climb_weights(fs, rules, budget=3, step=2.0, seed=1234, games=200, playouts=0)
+    assert [r.win_rate for r in again.history] == rates
 
 
 def test_hill_climb_budget_validation(bridge_fs):

@@ -283,6 +283,17 @@ def test_root_parallel_workers_deterministic(bridge_fs):
     assert r1.to_dict() == r2.to_dict()
 
 
+def test_bridge_mcts_match_tally_is_frozen(bridge_fs, hex7_rules):
+    """Criterion 06's pairing (bridge-biased MCTS against vanilla MCTS on 7x7
+    Hex) at a tier-1 size, frozen as a seeded regression."""
+    result = play_match(
+        hex7_rules, AgentSpec(feature_set=bridge_fs, playouts=200), AgentSpec(playouts=200),
+        games=4, seed=20250810,
+    )
+    assert (result.wins_a, result.wins_b, result.draws) == (3, 1, 0)
+    assert (result.wins_a_as_first, result.wins_a_as_second) == (1, 2)
+
+
 def test_match_with_move_from_feature_is_deterministic():
     """A match whose agent scores move-from actions replays exactly."""
     rules = gw.line4_rules(4, 4)
