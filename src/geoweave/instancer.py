@@ -13,11 +13,23 @@ and shares it across its placements and features:
 - each feature's walks are mirrored once per feature, not once per
   placement, and equal walks share one object across the call;
 - each distinct ``(walk, anchor, start direction)`` is resolved once; a
-  repeat is a lookup in the call's walk memo;
+  repeat is a lookup in the call's walk memo, but still one call of
+  ``resolve_walk_branches`` per walk of each placement;
+- each distinct pair of element constraint signature (every element's
+  constraint tuple, by value) and combo (the element sites and the to,
+  from and last-move cells) is compiled once: the mover and player count
+  are fixed within a call, so the pair decides the instance, and a repeat
+  is one lookup that adds the feature's weight to the instance the pair
+  gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site;
 - each distinct instance builds its full-board mask/target once: a
   duplicate is found from its required and forbidden cell values, its
   action cells and its last-move cell, and only adds its weight.
+
+Weights are added in placement order whether a pair is new or repeated,
+so every merged weight is the same float sum as compiling without memos;
+an instance's feature, anchor, direction and element sites come from the
+placement that first produced it.
 
 The memos live for the one call, so compiling a feature set again does
 all of this work again.
@@ -41,7 +53,7 @@ class InstancerError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureInstance:
     feature: Feature
     anchor: int
@@ -112,8 +124,9 @@ def _locate_tests(
     return word_tests, tuple(probes)
 
 
-def _orientations(feature: Feature, graph: BoardGraph, anchor: int) -> list[tuple[int, bool]]:
-    sides = graph.sides[anchor]
+def _orientations(feature: Feature, sides: int) -> list[tuple[int, bool]]:
+    """(start direction, reflected) of each placement at an anchor with
+    ``sides`` edges."""
     if feature.rotations is None:
         dirs = list(range(sides))
     else:
@@ -134,7 +147,7 @@ def _absolute_placements(feature: Feature, graph: BoardGraph) -> list[tuple[int,
         raise InstancerError(f"absolute anchor {anchor} outside board")
     if feature.rotations is not None:
         # Explicit rotation lists turn the pattern in place at its anchor.
-        placements = [(anchor, d, refl) for d, refl in _orientations(feature, graph, anchor)]
+        placements = [(anchor, d, refl) for d, refl in _orientations(feature, graph.sides[anchor])]
         return placements
     if not graph.symmetries:
         raise InstancerError(
@@ -213,9 +226,10 @@ def _compile_constraints(
 
 
 def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool) -> tuple:
-    """The feature's element, to, from and last-move walks (from/last None
-    when absent), mirrored on request, each replaced by the call's one
-    object of equal value so that the walk memo shares its entries."""
+    """The feature's element, to, from and last-move walks in one flat
+    tuple (from/last None when absent), mirrored on request, each replaced
+    by the call's one object of equal value so that the walk memo shares
+    its entries."""
 
     def one(walk: Walk | None) -> Walk | None:
         if walk is None:
@@ -225,7 +239,7 @@ def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool)
         return interned.setdefault(walk, walk)
 
     return (
-        [one(el.walk) for el in feature.elements],
+        *(one(el.walk) for el in feature.elements),
         one(feature.action.to),
         one(feature.action.from_),
         one(feature.last_move),
@@ -233,6 +247,7 @@ def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool)
 
 
 _MISSING = object()
+_ABSENT = [None]  # the one "branch" of an absent from or last-move walk
 
 
 def instantiate(
@@ -258,13 +273,79 @@ def instantiate(
     walk_memo: dict = {}
     # Compiled element tests by constraint tuple (by value), then by site.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
+    # The instance each (element constraint signature, combo) pair gave, or
+    # None for a rejected pair: by signature (by value), then by combo.
+    instance_by_signature: dict[tuple, dict] = {}
+
+    def compile_pair(feature, elements, combo, anchor, start_dir, reflected):
+        """The instance of one pair not seen before in this call, its weight
+        added, or None when the pair can never match."""
+        action_to, action_from, last_cell = combo[-3:]
+        if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
+            return None
+        positives: dict[int, int] = {}
+        negatives: set[tuple[int, int]] = set()
+        for (constraints, by_site), site in zip(elements, combo):
+            compiled = by_site.get(site, _MISSING)
+            if compiled is _MISSING:
+                compiled = by_site[site] = _compile_constraints(constraints, site, mover, player_count)
+            if compiled is None:
+                return None
+            pos, neg = compiled
+            for cell, value in pos.items():
+                if positives.get(cell, value) != value:
+                    return None
+                positives[cell] = value
+            negatives |= neg
+        # A forbidden value equal to a required one can never match.
+        if any(positives.get(cell) == v for cell, v in negatives):
+            return None
+        # Required values subsume negative tests on the same cell.
+        neg_sorted = tuple(sorted((cell, v) for cell, v in negatives if cell not in positives))
+
+        # One-to-one with the compiled mask/target words, which are only
+        # built for an instance not seen before.
+        key = (tuple(sorted(positives.items())), neg_sorted, action_to, action_from, last_cell)
+        existing = dedup.get(key)
+        if existing is not None:
+            existing.weight += feature.weight
+            return existing
+        mask = ChunkSet(chunk_bits, graph.cell_count)
+        target = ChunkSet(chunk_bits, graph.cell_count)
+        for cell, value in positives.items():
+            mask.set(cell, full)
+            target.set(cell, value)
+        word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
+        inst = dedup[key] = FeatureInstance(
+            feature=feature,
+            anchor=anchor,
+            start_dir=start_dir,
+            reflected=reflected,
+            mask=mask,
+            target=target,
+            negative_tests=neg_sorted,
+            word_tests=word_tests,
+            negative_probes=negative_probes,
+            element_sites=tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
+            action_to=action_to,
+            action_from=action_from,
+            last_move_cell=last_cell,
+            weight=feature.weight,
+        )
+        index.instances.append(inst)
+        if last_cell is None:
+            index.proactive.append(inst)
+        else:
+            index.reactive_by_last_move.setdefault(last_cell, []).append(inst)
+        return inst
 
     for feature in fs:
         if feature.relative:
+            by_sides = {sides: _orientations(feature, sides) for sides in set(graph.sides)}
             placements = [
                 (anchor, d, refl)
-                for anchor in range(graph.cell_count)
-                for d, refl in _orientations(feature, graph, anchor)
+                for anchor, sides in enumerate(graph.sides)
+                for d, refl in by_sides[sides]
             ]
         else:
             placements = _absolute_placements(feature, graph)
@@ -275,102 +356,22 @@ def instantiate(
             (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
             for el in feature.elements
         ]
-        n_elements = len(elements)
+        by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
+        weight = feature.weight
 
         for anchor, start_dir, reflected in placements:
-            element_walks, to_walk, from_walk, last_walk = mirrored if reflected else plain
-            element_branches = [
-                resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
-                for walk in element_walks
+            # One call per walk of each placement, even where the pair memo
+            # makes the result unneeded: perfbench/expected.json freezes the
+            # number of walk calls.
+            branches = [
+                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+                for walk in (mirrored if reflected else plain)
             ]
-            to_branches = resolve_walk_branches(graph, anchor, start_dir, to_walk, walk_memo)
-            from_branches = (
-                resolve_walk_branches(graph, anchor, start_dir, from_walk, walk_memo)
-                if from_walk is not None
-                else [None]
-            )
-            last_branches = (
-                resolve_walk_branches(graph, anchor, start_dir, last_walk, walk_memo)
-                if last_walk is not None
-                else [None]
-            )
-
-            for combo in itertools.product(*element_branches, to_branches, from_branches, last_branches):
-                action_to, action_from, last_cell = combo[n_elements:]
-                if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
-                    continue
-
-                positives: dict[int, int] = {}
-                negatives: set[tuple[int, int]] = set()
-                ok = True
-                for (constraints, by_site), site in zip(elements, combo):
-                    compiled = by_site.get(site, _MISSING)
-                    if compiled is _MISSING:
-                        compiled = by_site[site] = _compile_constraints(
-                            constraints, site, mover, player_count
-                        )
-                    if compiled is None:
-                        ok = False
-                        break
-                    pos, neg = compiled
-                    for cell, value in pos.items():
-                        if positives.get(cell, value) != value:
-                            ok = False
-                            break
-                        positives[cell] = value
-                    if not ok:
-                        break
-                    negatives |= neg
-                if not ok:
-                    continue
-                # A forbidden value equal to a required one can never match.
-                if any(positives.get(cell) == v for cell, v in negatives):
-                    continue
-                # Required values subsume negative tests on the same cell.
-                neg_sorted = tuple(sorted((cell, v) for cell, v in negatives if cell not in positives))
-
-                # One-to-one with the compiled mask/target words, which are
-                # only built for an instance not seen before.
-                key = (
-                    tuple(sorted(positives.items())),
-                    neg_sorted,
-                    action_to,
-                    action_from,
-                    last_cell,
-                )
-                existing = dedup.get(key)
-                if existing is not None:
-                    existing.weight += feature.weight
-                    continue
-                mask = ChunkSet(chunk_bits, graph.cell_count)
-                target = ChunkSet(chunk_bits, graph.cell_count)
-                for cell, value in positives.items():
-                    mask.set(cell, full)
-                    target.set(cell, value)
-                word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
-                inst = FeatureInstance(
-                    feature=feature,
-                    anchor=anchor,
-                    start_dir=start_dir,
-                    reflected=reflected,
-                    mask=mask,
-                    target=target,
-                    negative_tests=neg_sorted,
-                    word_tests=word_tests,
-                    negative_probes=negative_probes,
-                    element_sites=tuple(
-                        (site, el.constraints) for el, site in zip(feature.elements, combo)
-                    ),
-                    action_to=action_to,
-                    action_from=action_from,
-                    last_move_cell=last_cell,
-                    weight=feature.weight,
-                )
-                dedup[key] = inst
-                index.instances.append(inst)
-                if last_cell is None:
-                    index.proactive.append(inst)
-                else:
-                    index.reactive_by_last_move.setdefault(last_cell, []).append(inst)
+            for combo in itertools.product(*branches):
+                inst = by_combo.get(combo, _MISSING)
+                if inst is _MISSING:
+                    by_combo[combo] = compile_pair(feature, elements, combo, anchor, start_dir, reflected)
+                elif inst is not None:
+                    inst.weight += weight
 
     return index

@@ -216,6 +216,13 @@ def mcts_best_move(
     Runs ``cfg.workers`` independent trees (root parallel contract) and
     returns the move with the highest aggregated root visit count; with a
     single worker this is plain UCT.  Deterministic for a given seed.
+
+    With ``playouts_per_move`` at most the number of legal moves the move
+    is fixed: expansion tries untried moves in legal order, so each root
+    child gets at most one visit, and the first-index tie-break returns
+    the first legal move whatever the seed, bias or feature set.  On hex7
+    at 30 playouts per move the first 20 plies of a game from the empty
+    board are therefore cells 0, 1, ..., 19.
     """
     if rules.status(state) is not None:
         raise ValueError("search requires a non-terminal state")

@@ -264,7 +264,7 @@ def instantiate_oracle(
             placements = [
                 (anchor, d, refl)
                 for anchor in range(graph.cell_count)
-                for d, refl in _orientations(feature, graph, anchor)
+                for d, refl in _orientations(feature, graph.sides[anchor])
             ]
         else:
             placements = _absolute_placements(feature, graph)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import geoweave as gw
+from geoweave import instancer
 from geoweave.chunkset import ChunkSet, ChunkSetError
 from geoweave.features import (
     EMPTY,
@@ -24,6 +25,7 @@ from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.walks import make_walk, resolve_walk_branches
+import oracles
 from oracles import instantiate_oracle, interpret_instance
 
 KNIGHT = make_walk([0, 0, F(1, 4)])
@@ -458,3 +460,71 @@ def test_placement_kinds_compile_like_oracle(board, request):
     # one feature's walk being another's plain walk.
     twins = tuple(dataclasses.replace(f, weight=f.weight + 0.2) for f in features)
     assert_compiles_like_oracle(FeatureSet(features + twins), graph)
+
+
+# One mover each, the other one than above, so both movers are covered.
+@pytest.mark.parametrize("game,mover", [("hex7", 2), ("line4-7x7", 1)])
+def test_weighted_candidates_compile_like_oracle(game, mover):
+    # Distinct non-dyadic weights: merged sums equal the oracle's only when
+    # they are added in the same order.
+    rules = gw.game_from_name(game)
+    cfg = GenConfig(max_elements=3, max_walk_length=1, include_reactive=True)
+    fs = FeatureSet(tuple(dataclasses.replace(f, weight=0.1 * (i % 7 + 1))
+                          for i, f in enumerate(generate_candidates(rules, cfg))), "weighted")
+    assert_compiles_like_oracle(fs, rules.graph, movers=(mover,))
+
+
+@pytest.mark.parametrize("board", ["hex5", "square9"])
+def test_swapped_element_order_merges_into_one_instance(board, request):
+    graph = gw.game_from_name(board).graph if board == "hex5" else request.getfixturevalue(board)
+    here, ahead = PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (FRIEND,))
+    pattern = Feature(elements=(here, ahead), action=FeatureAction(()), weight=0.1)
+    # The same pattern with its elements swapped: another constraint
+    # signature, and every placement compiles to the same instance ...
+    swapped = Feature(elements=(ahead, here), action=FeatureAction(()), weight=0.2)
+    # ... and one with the same walks, so the same placements and sites,
+    # but another constraint: never the same instance.
+    enemy = Feature(elements=(here, PatternElement(make_walk([0]), (ENEMY,))),
+                    action=FeatureAction(()), weight=0.4)
+    fs = FeatureSet((pattern, swapped, enemy, pattern))
+    assert_compiles_like_oracle(fs, graph)
+    alone = instantiate(FeatureSet((pattern,)), graph, 2, 1).instances
+    idx = instantiate(fs, graph, 2, 1)
+    assert len(idx.instances) == 2 * len(alone)
+    assert [i.feature for i in idx.instances] == [pattern] * len(alone) + [enemy] * len(alone)
+    assert {i.weight for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
+
+
+@pytest.mark.parametrize("name", ["bridge_fs", "group3_fs", "thin_group_fs", "line4_fs", "candidates"])
+def test_walk_calls_match_oracle(name, request, monkeypatch):
+    """The benchmark freezes the number of walk resolutions: ``instantiate``
+    makes exactly the oracle's calls, one per walk of each placement, in the
+    oracle's order, memo hits included."""
+    if name == "candidates":
+        rules = gw.hex_rules(7)
+        cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
+        sets = [(FeatureSet(tuple(generate_candidates(rules, cfg))), rules.graph)]
+    else:
+        fs = request.getfixturevalue(name)
+        sets = [(fs, gw.game_from_name(board).graph) for board in ("hex7", "line4-7x7")]
+
+    def recorder(module, calls):
+        resolve = module.resolve_walk_branches
+
+        def recording(graph, anchor, start_dir, walk, memo=None):
+            calls.append((anchor, start_dir, tuple(walk)))
+            return resolve(graph, anchor, start_dir, walk, memo)
+
+        monkeypatch.setattr(module, "resolve_walk_branches", recording)
+
+    for fs, graph in sets:
+        for mover in (1, 2):
+            got, want = [], []
+            recorder(instancer, got)
+            recorder(oracles, want)
+            instantiate(fs, graph, 2, mover)
+            instantiate_oracle(fs, graph, 2, mover)
+            monkeypatch.undo()
+            assert got == want
+            if name == "candidates":
+                assert len(got) == 303_996
