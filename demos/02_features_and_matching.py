@@ -29,7 +29,7 @@ print("\none compiled instance:")
 print(f"  anchor {inst.anchor}, action -> {inst.action_to}, last move key {inst.last_move_cell}")
 print(f"  mask words:   {[hex(w) for w in inst.mask.words]}")
 print(f"  target words: {[hex(w) for w in inst.target.words]}")
-print("  matching is one AND+compare per word the pattern touches, whatever its size")
+print("  matching is one AND+compare on the whole board, whatever the pattern's size")
 
 # White stones at (1,1) and (2,2) form a bridge; Black just played the
 # intrusion at (1,2).  The empty carrier cell (2,1) completes it.

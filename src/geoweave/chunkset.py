@@ -1,9 +1,14 @@
 """Bit-packed per-cell state with power-of-2 chunk widths.
 
 Every cell's state value occupies one B-bit chunk, B being the lowest power
-of 2 wide enough for the game's per-cell state count.  Because both B and
-the word width are powers of 2, chunks never straddle word boundaries and a
-whole position can be pattern-tested with one AND + compare per word.
+of 2 wide enough for the game's per-cell state count.  A position is one
+Python int, ``bits``: the chunk of cell c sits at bits ``[c*B, (c+1)*B)``,
+so a whole-board pattern test is one AND + compare whatever the board size.
+
+The 64-bit ``words`` view is for display and for the word-level oracle
+(``matches``).  Chunk widths stay powers of 2 so that no chunk straddles a
+word of that view, as no chunk would straddle a machine word in an engine
+that stores the words.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ def required_bits(state_count: int) -> int:
 
 
 class ChunkSet:
-    __slots__ = ("chunk_bits", "cell_count", "words")
+    __slots__ = ("chunk_bits", "cell_count", "bits")
 
     def __init__(self, chunk_bits: int, cell_count: int, words: list[int] | None = None):
         if chunk_bits < 1 or chunk_bits & (chunk_bits - 1):
@@ -39,13 +44,18 @@ class ChunkSet:
             raise ChunkSetError("cell_count must be >= 1")
         self.chunk_bits = chunk_bits
         self.cell_count = cell_count
-        n_words = -(-cell_count * chunk_bits // WORD_BITS)
-        if words is None:
-            self.words = [0] * n_words
-        else:
-            if len(words) != n_words:
-                raise ChunkSetError(f"expected {n_words} words, got {len(words)}")
-            self.words = list(words)
+        self.bits = 0
+        if words is not None:
+            if len(words) != self.word_count:
+                raise ChunkSetError(f"expected {self.word_count} words, got {len(words)}")
+            bits = 0
+            for i, word in enumerate(words):
+                if not 0 <= word <= _WORD_MASK:
+                    raise ChunkSetError(f"word {i} is {word}, outside [0, 2**{WORD_BITS})")
+                bits |= word << i * WORD_BITS
+            if bits >> cell_count * chunk_bits:
+                raise ChunkSetError(f"words set bits beyond the {cell_count} cells")
+            self.bits = bits
 
     @classmethod
     def from_values(cls, values, chunk_bits: int) -> "ChunkSet":
@@ -56,49 +66,51 @@ class ChunkSet:
 
     @property
     def word_count(self) -> int:
-        return len(self.words)
+        return -(-self.cell_count * self.chunk_bits // WORD_BITS)
 
-    def locate(self, cell: int) -> tuple[int, int]:
-        """Word index and bit shift of the cell's chunk."""
-        if not 0 <= cell < self.cell_count:
-            raise ChunkSetError(f"cell {cell} out of range")
-        bit = cell * self.chunk_bits
-        return bit // WORD_BITS, bit % WORD_BITS
+    @property
+    def words(self) -> list[int]:
+        """The position as 64-bit words, lowest first: a new list on each
+        read, so writing to it leaves the position unchanged."""
+        bits = self.bits
+        return [(bits >> i * WORD_BITS) & _WORD_MASK for i in range(self.word_count)]
 
     def get(self, cell: int) -> int:
         if not 0 <= cell < self.cell_count:
             raise ChunkSetError(f"cell {cell} out of range")
-        bit = cell * self.chunk_bits
-        return (self.words[bit // WORD_BITS] >> bit % WORD_BITS) & ((1 << self.chunk_bits) - 1)
+        return (self.bits >> cell * self.chunk_bits) & ((1 << self.chunk_bits) - 1)
 
     def set(self, cell: int, value: int) -> "ChunkSet":
         if not 0 <= value < (1 << self.chunk_bits):
             raise ChunkSetError(f"value {value} does not fit in {self.chunk_bits} bits")
-        w, shift = self.locate(cell)
+        if not 0 <= cell < self.cell_count:
+            raise ChunkSetError(f"cell {cell} out of range")
+        shift = cell * self.chunk_bits
         chunk_mask = ((1 << self.chunk_bits) - 1) << shift
-        self.words[w] = (self.words[w] & ~chunk_mask & _WORD_MASK) | (value << shift)
+        self.bits = (self.bits & ~chunk_mask) | (value << shift)
         return self
 
     def values(self) -> list[int]:
         return [self.get(c) for c in range(self.cell_count)]
 
-    def copy(self) -> "ChunkSet":
-        # The source is valid already, so skip the checks in __init__.
+    def with_bits(self, bits: int) -> "ChunkSet":
+        """A chunk set of this shape holding ``bits``, which the caller
+        keeps within the cells: the checks in __init__ are skipped."""
         out = ChunkSet.__new__(ChunkSet)
         out.chunk_bits = self.chunk_bits
         out.cell_count = self.cell_count
-        out.words = self.words.copy()
+        out.bits = bits
         return out
 
-    def key(self) -> tuple:
-        return (self.chunk_bits, self.cell_count, tuple(self.words))
+    def copy(self) -> "ChunkSet":
+        return self.with_bits(self.bits)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChunkSet)
             and self.chunk_bits == other.chunk_bits
             and self.cell_count == other.cell_count
-            and self.words == other.words
+            and self.bits == other.bits
         )
 
     def __repr__(self) -> str:
@@ -112,11 +124,13 @@ def _check_shapes(a: ChunkSet, b: ChunkSet, c: ChunkSet | None = None) -> None:
 
 
 def matches(state: ChunkSet, mask: ChunkSet, target: ChunkSet, counter: list[int] | None = None) -> bool:
-    """Word-parallel pattern test: (state & mask) == target on every word.
+    """Word-level pattern test: (state & mask) == target on every 64-bit
+    word of the ``words`` view.
 
-    Cost is one AND + compare per word regardless of how many cells the
-    mask covers.  ``counter``, when given, accumulates the number of
-    AND+compare pairs executed (instrumentation for the fast-path tests).
+    The engine tests the whole-board int at once (``match_instance``); this
+    word loop is the slow reference the tests check it against.
+    ``counter``, when given, accumulates the number of AND+compare pairs
+    executed: one per word regardless of how many cells the mask covers.
     """
     _check_shapes(state, mask, target)
     sw, mw, tw = state.words, mask.words, target.words

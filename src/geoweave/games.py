@@ -82,17 +82,16 @@ class GameRules:
         self.state_count = self.player_count + 1
         self.chunk_bits = required_bits(self.state_count)
         self._chunk_mask = (1 << self.chunk_bits) - 1
-        # Per cell: its one shared Move and where its chunk sits in the words.
-        layout = ChunkSet(self.chunk_bits, graph.cell_count)
-        self._cells = [(Move(c), *layout.locate(c)) for c in range(graph.cell_count)]
+        # Per cell: its one shared Move and the shift of its chunk in the board.
+        self._cells = [(Move(c), c * self.chunk_bits) for c in range(graph.cell_count)]
 
     def initial_state(self) -> GameState:
         board = ChunkSet(self.chunk_bits, self.graph.cell_count)
         return GameState(board, 1, None, 0, None, self._empty_moves(board), self._initial_groups)
 
     def _empty_moves(self, board: ChunkSet) -> tuple[Move, ...]:
-        words, mask = board.words, self._chunk_mask
-        return tuple(m for m, w, s in self._cells if not (words[w] >> s) & mask)
+        bits, mask = board.bits, self._chunk_mask
+        return tuple(m for m, s in self._cells if not (bits >> s) & mask)
 
     def legal_moves(self, state: GameState) -> list[Move]:
         if self.status(state) is not None:
@@ -106,13 +105,13 @@ class GameRules:
         cell = move.to
         if not 0 <= cell < self.graph.cell_count:
             raise IllegalMove(f"cell {cell} outside board")
-        _, w, s = self._cells[cell]
-        if (state.board.words[w] >> s) & self._chunk_mask:
+        parent = state.board
+        s = self._cells[cell][1]
+        if (parent.bits >> s) & self._chunk_mask:
             raise IllegalMove(f"cell {cell} is occupied")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
-        board = state.board.copy()
-        board.words[w] |= state.mover << s  # the chunk was checked to be zero
+        board = parent.with_bits(parent.bits | state.mover << s)  # the chunk was checked to be zero
         empty = state.empty
         if empty is None:
             empty = self._empty_moves(board)
@@ -178,9 +177,9 @@ class HexRules(GameRules):
 
     def _scan_groups(self, board: ChunkSet) -> Groups:
         groups = [(), ()]
-        words, mask = board.words, self._chunk_mask
-        for c, (_, w, s) in enumerate(self._cells):
-            player = (words[w] >> s) & mask
+        bits, mask = board.bits, self._chunk_mask
+        for c, (_, s) in enumerate(self._cells):
+            player = (bits >> s) & mask
             if player:
                 groups[player - 1] = self._join(groups[player - 1], c)[1]
         return tuple(groups)
@@ -215,8 +214,7 @@ class Line4Rules(GameRules):
     def _value(self, board: ChunkSet, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             return 0
-        _, w, s = self._cells[y * self.width + x]
-        return (board.words[w] >> s) & self._chunk_mask
+        return (board.bits >> self._cells[y * self.width + x][1]) & self._chunk_mask
 
     def _placed(self, state, board, cell, move_number):
         # A new line of four must run through the placed cell.

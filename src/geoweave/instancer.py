@@ -2,7 +2,7 @@
 
 Every feature is expanded once at load time into all of its concrete
 placements: one candidate per anchor cell, rotation, reflection and
-ambiguity branch.  Each surviving candidate is compiled into a word-level
+ambiguity branch.  Each surviving candidate is compiled into a whole-board
 mask/target pair for the positive constraints plus a short list of
 per-cell forbidden-value tests for the negated ones, so the playout inner
 loop does no walk resolution at all.
@@ -62,9 +62,10 @@ class FeatureInstance:
     mask: ChunkSet
     target: ChunkSet
     negative_tests: tuple[tuple[int, int], ...]  # (cell, forbidden chunk value)
-    # The same tests located in the board words, as match_instance runs them:
-    word_tests: tuple[tuple[int, int, int], ...]  # (word, mask, target) where mask != 0
-    negative_probes: tuple[tuple[int, int, int], ...]  # (word, chunk mask, forbidden chunk)
+    # The same tests over the board's int, as match_instance runs them:
+    test_mask: int  # mask.bits
+    test_target: int  # target.bits
+    negative_probes: tuple[tuple[int, int], ...]  # (chunk mask, forbidden chunk)
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
     action_from: int | None
@@ -91,37 +92,32 @@ class InstanceIndex:
 
 
 def match_instance(inst: FeatureInstance, state: ChunkSet) -> bool:
-    """Compiled instance test: word mask/target plus negated-value probes.
+    """Compiled instance test: one AND + compare of the board's int against
+    the instance's mask and target, then one per negated-value probe.
 
-    Equal to ``matches(state, inst.mask, inst.target)`` followed by the
-    ``negative_tests``, but only the words the instance touches are read.
+    Equal to ``matches(state, inst.mask, inst.target)`` followed by a
+    ``violates`` test for each of the ``negative_tests``, whatever the
+    board size.
     """
     shape = inst.mask
     if state.chunk_bits != shape.chunk_bits or state.cell_count != shape.cell_count:
         raise ChunkSetError("chunk sets differ in shape")
-    words = state.words
-    for w, mask, target in inst.word_tests:
-        if words[w] & mask != target:
-            return False
-    for w, mask, forbidden in inst.negative_probes:
-        if words[w] & mask == forbidden:
+    bits = state.bits
+    if bits & inst.test_mask != inst.test_target:
+        return False
+    for mask, forbidden in inst.negative_probes:
+        if bits & mask == forbidden:
             return False
     return True
 
 
-def _locate_tests(
-    mask: ChunkSet, target: ChunkSet, negative_tests: tuple[tuple[int, int], ...]
-) -> tuple[tuple, tuple]:
-    """``word_tests`` and ``negative_probes`` for one compiled instance."""
-    word_tests = tuple(
-        (w, m, t) for w, (m, t) in enumerate(zip(mask.words, target.words)) if m
+def _negative_probes(chunk_bits: int, negative_tests: tuple[tuple[int, int], ...]) -> tuple:
+    """``negative_probes`` for one compiled instance."""
+    full = (1 << chunk_bits) - 1
+    return tuple(
+        (full << cell * chunk_bits, forbidden << cell * chunk_bits)
+        for cell, forbidden in negative_tests
     )
-    full = (1 << mask.chunk_bits) - 1
-    probes = []
-    for cell, forbidden in negative_tests:
-        w, shift = mask.locate(cell)
-        probes.append((w, full << shift, forbidden << shift))
-    return word_tests, tuple(probes)
 
 
 def _orientations(feature: Feature, sides: int) -> list[tuple[int, bool]]:
@@ -303,7 +299,7 @@ def instantiate(
         # Required values subsume negative tests on the same cell.
         neg_sorted = tuple(sorted((cell, v) for cell, v in negatives if cell not in positives))
 
-        # One-to-one with the compiled mask/target words, which are only
+        # One-to-one with the compiled mask/target, which are only
         # built for an instance not seen before.
         key = (tuple(sorted(positives.items())), neg_sorted, action_to, action_from, last_cell)
         existing = dedup.get(key)
@@ -315,7 +311,6 @@ def instantiate(
         for cell, value in positives.items():
             mask.set(cell, full)
             target.set(cell, value)
-        word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
         inst = dedup[key] = FeatureInstance(
             feature=feature,
             anchor=anchor,
@@ -324,8 +319,9 @@ def instantiate(
             mask=mask,
             target=target,
             negative_tests=neg_sorted,
-            word_tests=word_tests,
-            negative_probes=negative_probes,
+            test_mask=mask.bits,
+            test_target=target.bits,
+            negative_probes=_negative_probes(chunk_bits, neg_sorted),
             element_sites=tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
             action_to=action_to,
             action_from=action_from,

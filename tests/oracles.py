@@ -5,9 +5,10 @@ test: coordinate arithmetic instead of graph walking, per-cell decoded
 values instead of packed words, whole-board searches and scans instead
 of checks around the placed stone, exhaustive minimax instead of
 sampling, an instance compiler that repeats every walk resolution and
-constraint compilation instead of sharing them within a call, full-board
-pattern tests instead of the located word tests, and a linear scan over
-the scores instead of a bisection of their running sums.
+constraint compilation instead of sharing them within a call, pattern
+tests word by word over the 64-bit ``words`` view and cell by cell
+instead of the one AND + compare on the board's int, and a linear scan
+over the scores instead of a bisection of their running sums.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from geoweave.instancer import (
     InstancerError,
     _absolute_placements,
     _compile_constraints,
-    _locate_tests,
+    _negative_probes,
     _orientations,
 )
 from geoweave.walks import mirror_walk, resolve_walk_branches
@@ -338,7 +339,6 @@ def instantiate_oracle(
                 if existing is not None:
                     existing.weight += feature.weight
                     continue
-                word_tests, negative_probes = _locate_tests(mask, target, neg_sorted)
                 inst = FeatureInstance(
                     feature=feature,
                     anchor=anchor,
@@ -347,8 +347,9 @@ def instantiate_oracle(
                     mask=mask,
                     target=target,
                     negative_tests=neg_sorted,
-                    word_tests=word_tests,
-                    negative_probes=negative_probes,
+                    test_mask=mask.bits,
+                    test_target=target.bits,
+                    negative_probes=_negative_probes(chunk_bits, neg_sorted),
                     element_sites=tuple(
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
                     ),

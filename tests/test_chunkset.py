@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoweave.chunkset import ChunkSet, ChunkSetError, matches, required_bits, violates
+from geoweave.instancer import FeatureInstance, _negative_probes, match_instance
 
 
 def test_required_bits():
@@ -150,3 +153,112 @@ def test_copy_is_independent():
     assert a.get(0) == 0
     assert a != b
     assert a == a.copy()
+
+
+def test_words_outside_a_64_bit_word_are_rejected():
+    # Packed, bit 64 of word 0 would become cell 32.
+    with pytest.raises(ChunkSetError, match="outside"):
+        ChunkSet(2, 40, [1 << 64 | 3, 0])
+    with pytest.raises(ChunkSetError, match="outside"):
+        ChunkSet(2, 40, [-1, 0])
+    assert ChunkSet(2, 40, [(1 << 64) - 1, 0]).get(31) == 3
+
+
+def test_words_setting_bits_beyond_the_cells_are_rejected():
+    # 40 cells of 2 bits: word 1 holds bits 64..79 only.
+    with pytest.raises(ChunkSetError, match="beyond"):
+        ChunkSet(2, 40, [0, 1 << 16])
+    with pytest.raises(ChunkSetError, match="beyond"):
+        ChunkSet(1, 3, [1 << 3])
+    assert ChunkSet(2, 40, [0, (1 << 16) - 1]).get(39) == 3
+
+
+# (chunk bits, cells) of boards of 1, 2, 3 and 7 words.
+SHAPES = ((2, 20), (1, 64), (2, 49), (4, 20), (2, 81), (1, 130), (2, 200), (8, 50))
+
+
+@st.composite
+def packed_words(draw):
+    """A board shape and words for it, the bits past the last cell clear."""
+    chunk_bits, cells = draw(st.sampled_from(SHAPES))
+    used = cells * chunk_bits
+    words = [draw(st.integers(0, (1 << 64) - 1)) for _ in range(-(-used // 64))]
+    words[-1] &= (1 << (used - 64 * (len(words) - 1))) - 1
+    return chunk_bits, cells, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_words())
+def test_words_and_values_round_trip(case):
+    chunk_bits, cells, words = case
+    board = ChunkSet(chunk_bits, cells, words)
+    assert board.words == words and board.word_count == len(words)
+    # Each cell decoded from its own word: no chunk straddles two.
+    full = (1 << chunk_bits) - 1
+    decoded = [(words[c * chunk_bits // 64] >> c * chunk_bits % 64) & full for c in range(cells)]
+    assert board.values() == decoded
+    assert ChunkSet.from_values(decoded, chunk_bits) == board
+
+
+def packed_instance(mask, target, negative_tests):
+    """An instance holding only the tests ``match_instance`` reads, packed
+    as ``instantiate`` packs them."""
+    return FeatureInstance(
+        feature=None, anchor=0, start_dir=0, reflected=False,
+        mask=mask, target=target, negative_tests=negative_tests,
+        test_mask=mask.bits, test_target=target.bits,
+        negative_probes=_negative_probes(mask.chunk_bits, negative_tests),
+        element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
+    )
+
+
+@st.composite
+def packed_case(draw):
+    """A random board, and positive and negated chunk tests on it that
+    agree with the board about half the time."""
+    chunk_bits, cells = draw(st.sampled_from(SHAPES))
+    top = (1 << chunk_bits) - 1
+    values = draw(st.lists(st.integers(0, top), min_size=cells, max_size=cells))
+    # The cells on both sides of each word boundary (31 and 32 at B=2) are
+    # drawn more often than the others.
+    per_word = 64 // chunk_bits
+    edges = [c for k in range(per_word, cells, per_word) for c in (k - 1, k)]
+    cell = st.integers(0, cells - 1)
+    if edges:
+        cell = st.one_of(cell, st.sampled_from(edges))
+
+    def test_value(c):
+        return st.one_of(st.just(values[c]), st.integers(0, top))
+
+    positives = {}
+    for c in draw(st.lists(cell, max_size=6)):
+        positives[c] = draw(test_value(c))
+    negatives = set()
+    for c in draw(st.lists(cell, max_size=4)):
+        negatives.add((c, draw(test_value(c))))
+    return ChunkSet.from_values(values, chunk_bits), positives, tuple(sorted(negatives))
+
+
+# Cells 31 and 32 hold 1 and 2, on both sides of the first word boundary.
+_EDGE = ChunkSet(2, 40).set(31, 1).set(32, 2)
+
+
+@settings(max_examples=600, deadline=None)
+@given(packed_case())
+@example((_EDGE, {31: 1, 32: 2}, ()))
+@example((_EDGE, {31: 1, 32: 3}, ()))
+@example((_EDGE, {31: 2, 32: 2}, ()))
+@example((_EDGE, {}, ((31, 0), (32, 0))))
+@example((_EDGE, {}, ((31, 1),)))
+@example((_EDGE, {31: 1}, ((32, 2),)))
+def test_packed_test_agrees_with_the_word_oracle(case):
+    """``match_instance`` equals ``matches`` word by word plus ``violates``
+    cell by cell."""
+    board, positives, negatives = case
+    mask = ChunkSet(board.chunk_bits, board.cell_count)
+    target = ChunkSet(board.chunk_bits, board.cell_count)
+    for cell, value in positives.items():
+        mask.set(cell, (1 << board.chunk_bits) - 1)
+        target.set(cell, value)
+    want = matches(board, mask, target) and not any(violates(board, c, v) for c, v in negatives)
+    assert match_instance(packed_instance(mask, target, negatives), board) == want

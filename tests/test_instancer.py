@@ -307,17 +307,20 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
         for mover in (1, 2):
             idx = instantiate(fs, rules.graph, 2, mover)
             assert idx.instances
-            # Only the words a mask touches are tested ...
+            # The packed test is the whole-board mask/target, and each
+            # negative probe sits at its cell's chunk ...
+            full = (1 << rules.chunk_bits) - 1
             for inst in idx.instances:
-                assert [w for w, _, _ in inst.word_tests] == [
-                    w for w, m in enumerate(inst.mask.words) if m
-                ]
-            # ... and on boards of several words some instance spans two.
-            if n_words > 1:
-                assert any(
-                    len({w for w, _, _ in i.word_tests + i.negative_probes}) > 1
-                    for i in idx.instances
+                assert inst.test_mask == inst.mask.bits
+                assert inst.test_target == inst.target.bits
+                assert inst.negative_probes == tuple(
+                    (full << cell * rules.chunk_bits, v << cell * rules.chunk_bits)
+                    for cell, v in inst.negative_tests
                 )
+            # ... and on boards of several words some instance's mask spans
+            # two words of the 64-bit view.
+            if n_words > 1:
+                assert any(sum(1 for m in i.mask.words if m) > 1 for i in idx.instances)
             for _ in range(60):
                 board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
                 values = board.values()
