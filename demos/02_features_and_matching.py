@@ -27,8 +27,8 @@ print(f"reactive buckets (indexed by the opponent's last move): {len(white.react
 inst = white.instances[0]
 print("\none compiled instance:")
 print(f"  anchor {inst.anchor}, action -> {inst.action_to}, last move key {inst.last_move_cell}")
-print(f"  mask words:   {[hex(w) for w in inst.mask.words]}")
-print(f"  target words: {[hex(w) for w in inst.target.words]}")
+print(f"  mask:   {inst.mask:#x}")
+print(f"  target: {inst.target:#x}")
 print("  matching is one AND+compare on the whole board, whatever the pattern's size")
 
 # White stones at (1,1) and (2,2) form a bridge; Black just played the

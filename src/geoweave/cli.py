@@ -4,8 +4,9 @@ Every run writes its outputs plus exactly one ``manifest.json`` under
 ``--out``.  Outputs are byte-reproducible for a given seed and flag set
 (the manifest's wall_time_s field is the one intentionally varying
 value).  Exit codes: 0 success; 2 for errors in what the user gave
-(flags, game name, ``GEOWEAVE_SEED``, feature files, generator bounds);
-1 for every other error.  ``GEOWEAVE_SEED`` provides the seed when
+(flags, game name, ``GEOWEAVE_SEED``, feature files, features that
+cannot compile on the game's board, generator bounds); 1 for every
+other error.  ``GEOWEAVE_SEED`` provides the seed when
 ``--seed`` is absent.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +33,7 @@ from .featuregen import (
 )
 from .features import FeatureSet
 from .games import game_from_name
+from .instancer import InstancerError
 from .search import AgentSpec, play_match
 from .svg import render_feature
 
@@ -116,14 +119,10 @@ class Run:
         return path
 
 
-def _load_features(path: str) -> FeatureSet:
-    return load_feature_set(path)
-
-
 def cmd_render(args) -> int:
     seed = _seed_from(args)
     rules = _rules_from(args)
-    fs = _load_features(args.features)
+    fs = load_feature_set(args.features)
     run = Run("render", args, args.out)
     for i, feature in enumerate(fs.features):
         svg = render_feature(feature, rules.graph, rules.player_count)
@@ -137,8 +136,8 @@ def cmd_match(args) -> int:
     seed = _seed_from(args)
     _check_search_flags(args)
     rules = _rules_from(args)
-    fs_a = _load_features(args.a) if args.a else None
-    fs_b = _load_features(args.b) if args.b else None
+    fs_a = load_feature_set(args.a) if args.a else None
+    fs_b = load_feature_set(args.b) if args.b else None
     agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
     agent_b = AgentSpec(feature_set=fs_b, playouts=args.playouts)
     run = Run("match", args, args.out)
@@ -178,7 +177,7 @@ def cmd_evaluate(args) -> int:
     seed = _seed_from(args)
     _check_search_flags(args)
     rules = _rules_from(args)
-    fs = _load_features(args.features)
+    fs = load_feature_set(args.features)
     run = Run("evaluate", args, args.out)
     record = evaluate_feature_set(
         fs, rules, args.games, seed, playouts=args.playouts, workers=args.workers
@@ -195,8 +194,10 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     seed = _seed_from(args)
     _check_search_flags(args)
+    if not math.isfinite(args.step):
+        raise UsageError("--step must be finite")
     rules = _rules_from(args)
-    fs = _load_features(args.features)
+    fs = load_feature_set(args.features)
     run = Run("tune", args, args.out)
     result = hill_climb_weights(
         fs, rules, budget=args.budget, step=args.step, seed=seed,
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DslError, GenError) as exc:
+    except (UsageError, DslError, GenError, InstancerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -40,7 +40,6 @@ class GenError(ValueError):
 class GenConfig:
     max_elements: int = 3
     max_walk_length: int = 2
-    turn_vocabulary: tuple[Fraction, ...] | None = None  # None: per-board default
     include_reactive: bool = False
 
     def __post_init__(self):
@@ -83,10 +82,8 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
     removed.
     """
     cfg = cfg or GenConfig()
-    if not isinstance(rules, (HexRules, Line4Rules)):
-        raise GenError(f"no candidate generator for game {type(rules).__name__}")
-    vocab = cfg.turn_vocabulary or default_vocabulary(rules)
-    walks = _walks_up_to(vocab, cfg.max_walk_length)
+    # default_vocabulary raises GenError for a game with no generator.
+    walks = _walks_up_to(default_vocabulary(rules), cfg.max_walk_length)
     minimum = PatternElement((), (EMPTY,))
     action = FeatureAction(to=())
 

@@ -59,12 +59,12 @@ class FeatureInstance:
     anchor: int
     start_dir: int
     reflected: bool
-    mask: ChunkSet
-    target: ChunkSet
+    chunk_bits: int  # the board shape the tests are compiled for
+    cell_count: int
+    # The tests over the board's int, as match_instance runs them:
+    mask: int  # every required cell's chunk
+    target: int  # every required cell's value
     negative_tests: tuple[tuple[int, int], ...]  # (cell, forbidden chunk value)
-    # The same tests over the board's int, as match_instance runs them:
-    test_mask: int  # mask.bits
-    test_target: int  # target.bits
     negative_probes: tuple[tuple[int, int], ...]  # (chunk mask, forbidden chunk)
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
@@ -95,15 +95,14 @@ def match_instance(inst: FeatureInstance, state: ChunkSet) -> bool:
     """Compiled instance test: one AND + compare of the board's int against
     the instance's mask and target, then one per negated-value probe.
 
-    Equal to ``matches(state, inst.mask, inst.target)`` followed by a
-    ``violates`` test for each of the ``negative_tests``, whatever the
-    board size.
+    Equal to ``matches`` on the mask and target as chunk sets of the
+    board's shape, followed by a ``violates`` test for each of the
+    ``negative_tests``, whatever the board size.
     """
-    shape = inst.mask
-    if state.chunk_bits != shape.chunk_bits or state.cell_count != shape.cell_count:
+    if state.chunk_bits != inst.chunk_bits or state.cell_count != inst.cell_count:
         raise ChunkSetError("chunk sets differ in shape")
     bits = state.bits
-    if bits & inst.test_mask != inst.test_target:
+    if bits & inst.mask != inst.target:
         return False
     for mask, forbidden in inst.negative_probes:
         if bits & mask == forbidden:
@@ -306,21 +305,20 @@ def instantiate(
         if existing is not None:
             existing.weight += feature.weight
             return existing
-        mask = ChunkSet(chunk_bits, graph.cell_count)
-        target = ChunkSet(chunk_bits, graph.cell_count)
+        mask = target = 0
         for cell, value in positives.items():
-            mask.set(cell, full)
-            target.set(cell, value)
+            mask |= full << cell * chunk_bits
+            target |= value << cell * chunk_bits
         inst = dedup[key] = FeatureInstance(
             feature=feature,
             anchor=anchor,
             start_dir=start_dir,
             reflected=reflected,
+            chunk_bits=chunk_bits,
+            cell_count=graph.cell_count,
             mask=mask,
             target=target,
             negative_tests=neg_sorted,
-            test_mask=mask.bits,
-            test_target=target.bits,
             negative_probes=_negative_probes(chunk_bits, neg_sorted),
             element_sites=tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
             action_to=action_to,

@@ -33,19 +33,20 @@ from .stats import wilson_interval
 class BiasConfig:
     floor: float = 0.01
     base_score: float = 1.0
-    use_in_selection: bool = False
 
     def __post_init__(self):
         if self.floor <= 0 or self.base_score <= 0:
             raise ValueError("floor and base_score must be positive")
 
 
+# UCB1's exploration constant for rewards in [0, 1].
+UCT_EXPLORATION = math.sqrt(2.0)
+
+
 @dataclass
 class SearchConfig:
     playouts_per_move: int = 100
-    uct_exploration: float = math.sqrt(2.0)
     seed: int = 0
-    max_playout_length: int | None = None  # None: 4 x cell count
     workers: int = 1
 
     def __post_init__(self):
@@ -65,6 +66,12 @@ class MatchCounters:
 
 
 PlayerIndexes = dict[int, InstanceIndex]
+
+
+def _move_cap(rules: GameRules) -> int:
+    """Plies after which a playout or a match game ends as a draw: a guard
+    for custom rules, which no built-in game reaches."""
+    return 4 * rules.graph.cell_count
 
 
 def compile_feature_set(fs: FeatureSet | None, rules: GameRules) -> PlayerIndexes | None:
@@ -151,7 +158,6 @@ def run_playout(
     rules: GameRules,
     indexes: PlayerIndexes | None,
     rng: SplitMix64,
-    cfg: SearchConfig,
     bias: BiasConfig | None = None,
     counters: MatchCounters | None = None,
 ) -> int:
@@ -163,7 +169,7 @@ def run_playout(
     result = rules.status(state)
     if result is not None:
         raise ValueError("playout requires a non-terminal state")
-    max_len = cfg.max_playout_length or 4 * rules.graph.cell_count
+    max_len = _move_cap(rules)
     plies = 0
     while result is None:
         if plies >= max_len:
@@ -179,7 +185,7 @@ def run_playout(
 
 class _Node:
     __slots__ = ("move", "parent", "children", "legal", "visits", "value",
-                 "mover_who_moved", "terminal_result", "priors")
+                 "mover_who_moved", "terminal_result")
 
     def __init__(self, move: Move | None, parent: "_Node | None", mover_who_moved: int):
         self.move = move
@@ -190,7 +196,6 @@ class _Node:
         self.value = 0.0
         self.mover_who_moved = mover_who_moved
         self.terminal_result: int | None = None
-        self.priors: list[float] | None = None
 
 
 def _backup(node: _Node, winner: int) -> None:
@@ -251,12 +256,9 @@ def _search_tree(
     counters: MatchCounters | None,
 ) -> list[int]:
     """One UCT tree; returns per-root-move visit counts in legal order."""
-    c = cfg.uct_exploration
+    c = UCT_EXPLORATION
     root = _Node(None, None, 3 - state.mover)
     root.legal = rules.legal_moves(state)
-    if bias.use_in_selection:
-        idx = indexes[state.mover] if indexes is not None else None
-        root.priors = biased_move_distribution(state, root.legal, idx, bias)
 
     for _ in range(cfg.playouts_per_move):
         node = root
@@ -268,13 +270,11 @@ def _search_tree(
             log_n = math.log(node.visits)
             best_child = None
             best_score = -math.inf
-            for k, child in enumerate(node.children):
+            for child in node.children:
                 score = (
                     child.value / child.visits
                     + c * math.sqrt(log_n / child.visits)
                 )
-                if node.priors is not None:
-                    score += node.priors[k] / (child.visits + 1.0)
                 if score > best_score:
                     best_score = score
                     best_child = child
@@ -287,9 +287,6 @@ def _search_tree(
                     node.legal = []
                 else:
                     node.legal = rules.legal_moves(cur)
-                    if bias.use_in_selection:
-                        idx = indexes[cur.mover] if indexes is not None else None
-                        node.priors = biased_move_distribution(cur, node.legal, idx, bias)
 
         if node.terminal_result is not None:
             _backup(node, node.terminal_result)
@@ -309,7 +306,7 @@ def _search_tree(
             child.legal = []
             winner = result
         else:
-            winner = run_playout(cur, rules, indexes, rng, cfg, bias, counters)
+            winner = run_playout(cur, rules, indexes, rng, bias, counters)
         _backup(child, winner)
 
     visits = [0] * len(root.legal)
@@ -334,7 +331,6 @@ class AgentSpec:
     feature_set: FeatureSet | None = None
     playouts: int = 0
     bias: BiasConfig = field(default_factory=BiasConfig)
-    uct_exploration: float = math.sqrt(2.0)
 
     def label(self) -> str:
         kind = f"mcts{self.playouts}" if self.playouts else "policy"
@@ -381,9 +377,9 @@ def _play_one_game(
     agents: dict[int, tuple[AgentSpec, PlayerIndexes | None]],
     game_seed: int,
     workers: int,
-    max_moves: int,
 ) -> int:
     state = rules.initial_state()
+    max_moves = _move_cap(rules)
     ply = 0
     result = rules.status(state)
     while result is None and ply < max_moves:
@@ -397,7 +393,6 @@ def _play_one_game(
         else:
             cfg = SearchConfig(
                 playouts_per_move=spec.playouts,
-                uct_exploration=spec.uct_exploration,
                 seed=ply_seed,
                 workers=workers,
             )
@@ -422,7 +417,6 @@ def play_match(
 
     compiled_a = compile_feature_set(agent_a.feature_set, rules)
     compiled_b = compile_feature_set(agent_b.feature_set, rules)
-    max_moves = 4 * rules.graph.cell_count
     result = MatchResult(games, 0, 0, 0, 0, 0, seed)
     for g in range(games):
         game_seed = derive_seed(seed, g // 2)
@@ -431,7 +425,7 @@ def play_match(
             agents = {1: (agent_a, compiled_a), 2: (agent_b, compiled_b)}
         else:
             agents = {1: (agent_b, compiled_b), 2: (agent_a, compiled_a)}
-        winner = _play_one_game(rules, agents, game_seed, workers, max_moves)
+        winner = _play_one_game(rules, agents, game_seed, workers)
         if winner == 0:
             result.draws += 1
         elif (winner == 1) == a_first:

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 from .board import OFF_BOARD, BoardGraph
 from .features import Constraint, ElementKind, Feature, FeatureSet
-from .instancer import FeatureInstance, instantiate
+from .instancer import FeatureInstance, InstancerError, instantiate
 from .walks import mirror_walk, resolve_walk_exits
 
 GREEN = "#1a9641"
@@ -32,7 +32,7 @@ def _fmt(v: float) -> str:
 def _central_instance(feature: Feature, graph: BoardGraph, player_count: int) -> FeatureInstance:
     index = instantiate(FeatureSet((feature,), "render"), graph, player_count, mover=1)
     if not index.instances:
-        raise ValueError("feature has no valid instance on this board")
+        raise InstancerError("feature has no valid instance on this board")
     cx = sum(x for x, _ in graph.centers) / graph.cell_count
     cy = sum(y for _, y in graph.centers) / graph.cell_count
 

@@ -344,11 +344,11 @@ def instantiate_oracle(
                     anchor=anchor,
                     start_dir=start_dir,
                     reflected=reflected,
-                    mask=mask,
-                    target=target,
+                    chunk_bits=chunk_bits,
+                    cell_count=graph.cell_count,
+                    mask=mask.bits,
+                    target=target.bits,
                     negative_tests=neg_sorted,
-                    test_mask=mask.bits,
-                    test_target=target.bits,
                     negative_probes=_negative_probes(chunk_bits, neg_sorted),
                     element_sites=tuple(
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
@@ -378,10 +378,11 @@ def biased_scores_oracle(state, legal, idx, bias) -> list[float]:
     instances first, each group in index order, and the sums are floored."""
     bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
     scores = [bias.base_score] * len(legal)
+    board = state.board
     for inst in [*bucket, *idx.proactive]:
-        if not matches(state.board, inst.mask, inst.target):
+        if not matches(board, board.with_bits(inst.mask), board.with_bits(inst.target)):
             continue
-        if any(violates(state.board, cell, v) for cell, v in inst.negative_tests):
+        if any(violates(board, cell, v) for cell, v in inst.negative_tests):
             continue
         for i, move in enumerate(legal):
             if (move.to, move.from_) == (inst.action_to, inst.action_from):

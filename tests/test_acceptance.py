@@ -71,6 +71,7 @@ def test_criterion_01_matcher_oracle_equivalence(
     for fs, rules in setups:
         cells = rules.graph.cell_count
         n_words = (cells * rules.chunk_bits + 63) // 64
+        shape = ChunkSet(rules.chunk_bits, cells)
         values = rng.integers(0, 3, size=(n_states, cells), dtype=np.int64)
         state_words = pack_state_words(values, rules.chunk_bits, n_words)
         for mover in (1, 2):
@@ -80,8 +81,8 @@ def test_criterion_01_matcher_oracle_equivalence(
             want = interpret_instances_batch(idx.instances, values, mover, 2)
             got = np.empty_like(want)
             for j, inst in enumerate(idx.instances):
-                mask = np.array(inst.mask.words, dtype=np.uint64)
-                target = np.array(inst.target.words, dtype=np.uint64)
+                mask = np.array(shape.with_bits(inst.mask).words, dtype=np.uint64)
+                target = np.array(shape.with_bits(inst.target).words, dtype=np.uint64)
                 ok = np.all((state_words & mask) == target, axis=1)
                 for cell, forbidden in inst.negative_tests:
                     ok &= values[:, cell] != forbidden

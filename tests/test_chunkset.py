@@ -205,8 +205,8 @@ def packed_instance(mask, target, negative_tests):
     as ``instantiate`` packs them."""
     return FeatureInstance(
         feature=None, anchor=0, start_dir=0, reflected=False,
-        mask=mask, target=target, negative_tests=negative_tests,
-        test_mask=mask.bits, test_target=target.bits,
+        chunk_bits=mask.chunk_bits, cell_count=mask.cell_count,
+        mask=mask.bits, target=target.bits, negative_tests=negative_tests,
         negative_probes=_negative_probes(mask.chunk_bits, negative_tests),
         element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
     )

@@ -60,6 +60,21 @@ def test_match_bad_search_flag_is_usage_error(tmp_path, flags, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command,line", [
+    (["render"], "abs@100 proactive el={}:. act_to={}"),  # anchor off the board
+    (["evaluate", "--games", "2", "--playouts", "1"], "rel proactive el={}:P3 act_to={}"),
+    (["render"], "rel proactive el={0,0,0,0,0,0,0,0}:o act_to={}"),  # no instance on hex5
+    (["tune", "--step", "inf"], "rel proactive el={}:. act_to={}"),
+    (["tune", "--step", "nan"], "rel proactive el={}:. act_to={}"),
+])
+def test_features_or_step_the_game_cannot_use_are_usage_errors(tmp_path, command, line, capsys):
+    features = tmp_path / "f.fs"
+    features.write_text(line + "\n")
+    rc = main([*command, "--game", "hex5", "--features", str(features), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_internal_error_exits_1_not_usage(tmp_path, monkeypatch, capsys):
     def broken_match(*args, **kwargs):
         raise IllegalMove("cell 3 is occupied")

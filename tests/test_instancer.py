@@ -278,8 +278,8 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
         assert x.anchor == y.anchor
         assert x.action_to == y.action_to
         assert x.weight == y.weight
-        assert x.mask.words == y.mask.words
-        assert x.target.words == y.target.words
+        assert x.mask == y.mask
+        assert x.target == y.target
         assert x.negative_tests == y.negative_tests
 
 
@@ -302,25 +302,22 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
     rng = SplitMix64(7)
     for name in BOARDS[game]:
         rules = gw.game_from_name(name)
-        n_words = rules.initial_state().board.word_count
+        empty = rules.initial_state().board
         outcomes = set()
         for mover in (1, 2):
             idx = instantiate(fs, rules.graph, 2, mover)
             assert idx.instances
-            # The packed test is the whole-board mask/target, and each
-            # negative probe sits at its cell's chunk ...
+            # Each negative probe sits at its cell's chunk ...
             full = (1 << rules.chunk_bits) - 1
             for inst in idx.instances:
-                assert inst.test_mask == inst.mask.bits
-                assert inst.test_target == inst.target.bits
                 assert inst.negative_probes == tuple(
                     (full << cell * rules.chunk_bits, v << cell * rules.chunk_bits)
                     for cell, v in inst.negative_tests
                 )
             # ... and on boards of several words some instance's mask spans
             # two words of the 64-bit view.
-            if n_words > 1:
-                assert any(sum(1 for m in i.mask.words if m) > 1 for i in idx.instances)
+            if empty.word_count > 1:
+                assert any(sum(1 for m in empty.with_bits(i.mask).words if m) > 1 for i in idx.instances)
             for _ in range(60):
                 board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
                 values = board.values()

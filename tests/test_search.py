@@ -143,14 +143,13 @@ def test_playout_rejects_terminal_state():
         state = rules.apply(state, Move(move))
     assert rules.status(state) == 1
     with pytest.raises(ValueError):
-        run_playout(state, rules, None, SplitMix64(1), SearchConfig(playouts_per_move=1))
+        run_playout(state, rules, None, SplitMix64(1))
 
 
 def test_playout_reproducible_and_uniform_equivalence():
     rules = gw.line4_rules(4, 4)
-    cfg = SearchConfig(playouts_per_move=1)
-    first = run_playout(rules.initial_state(), rules, None, SplitMix64(42), cfg)
-    second = run_playout(rules.initial_state(), rules, None, SplitMix64(42), cfg)
+    first = run_playout(rules.initial_state(), rules, None, SplitMix64(42))
+    second = run_playout(rules.initial_state(), rules, None, SplitMix64(42))
     assert first == second
     # An index with no instances biases nothing: same trajectory as None.
     empty_idx = compile_feature_set(None, rules)
@@ -161,7 +160,7 @@ def test_playout_reproducible_and_uniform_equivalence():
         weight=0.0,
     ),))
     zero_idx = compile_feature_set(fs, rules)
-    third = run_playout(rules.initial_state(), rules, zero_idx, SplitMix64(42), cfg)
+    third = run_playout(rules.initial_state(), rules, zero_idx, SplitMix64(42))
     assert third == first
 
 
@@ -233,22 +232,6 @@ def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
     for reactive_done, proactive_done, bucket in tested:
         assert reactive_done == bucket  # only the last-move bucket is tested
         assert proactive_done == 0  # the bridge set has no proactive instances
-
-
-def test_selection_phase_bias_flag():
-    # Behind a flag, excluded from acceptance: priors simply reshape UCB.
-    rules = gw.line4_rules(4, 4)
-    fs = FeatureSet((Feature(
-        elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (FRIEND,))),
-        action=FeatureAction(()),
-    ),))
-    indexes = compile_feature_set(fs, rules)
-    cfg = SearchConfig(playouts_per_move=100, seed=8)
-    bias = BiasConfig(use_in_selection=True)
-    state = rules.apply(rules.initial_state(), Move(5))
-    move = mcts_best_move(state, rules, indexes, cfg, bias)
-    assert move in rules.legal_moves(state)
-    assert mcts_best_move(state, rules, indexes, cfg, bias) == move
 
 
 def test_play_match_validation(hex7_rules):
