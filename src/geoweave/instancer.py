@@ -7,32 +7,40 @@ mask/target pair for the positive constraints plus a short list of
 per-cell forbidden-value tests for the negated ones, so the playout inner
 loop does no walk resolution at all.
 
-One ``instantiate`` call does each distinct piece of compile work once
-and shares it across its placements and features:
+A compile does each distinct piece of its work once and shares it across
+its placements and features:
 
 - each feature's walks are mirrored once per feature, not once per
-  placement, and equal walks share one object across the call;
+  placement, and equal walks share one object across the compile;
 - each distinct ``(walk, anchor, start direction)`` is resolved once; a
-  repeat is a lookup in the call's walk memo, but still one call of
+  repeat is a lookup in the compile's walk memo, but still one call of
   ``resolve_walk_branches`` per walk of each placement;
 - each distinct pair of element constraint signature (every element's
   constraint tuple, by value) and combo (the element sites and the to,
   from and last-move cells) is compiled once: the mover and player count
-  are fixed within a call, so the pair decides the instance, and a repeat
-  is one lookup that adds the feature's weight to the instance the pair
-  gave, or finds that the pair was rejected;
+  are fixed within a compile, so the pair decides the instance, and a
+  repeat is one lookup that adds the feature to the recipe of the
+  instance the pair gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site;
 - each distinct instance builds its full-board mask/target once: a
   duplicate is found from its required and forbidden cell values, its
-  action cells and its last-move cell, and only adds its weight.
+  action cells and its last-move cell, and only adds to its recipe.
 
-Weights are added in placement order whether a pair is new or repeated,
-so every merged weight is the same float sum as compiling without memos;
-an instance's feature, anchor, direction and element sites come from the
-placement that first produced it.
+A compile yields one template per instance (every field but the feature
+and the weight) and one recipe: the positions of the features whose
+weights the instance sums, in placement order.  Weights are added from
+the recipe in that order, so every merged weight is the same float sum as
+compiling without memos; an instance's feature, anchor, direction and
+element sites come from the placement that first produced it.
 
-The memos live for the one call, so compiling a feature set again does
-all of this work again.
+The memos above live for one compile.  Its templates and recipes are kept
+by the process, keyed by the feature set's structure (every field of each
+feature but its weight, by value), the graph (by value), the player count
+and the mover; the last ``MEMO_ENTRIES`` structures are kept.  Calling
+``instantiate`` again on a set of that structure, such as a hill climb's
+reweighted set or the second agent of a self-play match, only builds
+fresh instances and sums the new weights, plus the walk calls that the
+benchmark counts (see ``_replay_walk_calls``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.
@@ -41,7 +49,8 @@ instantiating, so an engine holds one instance index per player.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .board import OFF_BOARD, BoardGraph
 from .chunkset import ChunkSet, ChunkSetError, required_bits
@@ -244,37 +253,67 @@ def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool)
 _MISSING = object()
 _ABSENT = [None]  # the one "branch" of an absent from or last-move walk
 
+# Compiled structures kept by the process, oldest first; the oldest is
+# dropped when a new one would make more than this many.
+MEMO_ENTRIES = 4
+# Every Feature field but the weight: the structure that decides the
+# compiled tests, and with them the memo key.
+_structure = attrgetter(*(f.name for f in fields(Feature) if f.name != "weight"))
+# (feature structures, graph, player count, mover) -> (templates, recipes);
+# see ``_compile``.
+_memo: dict[tuple, tuple] = {}
 
-def instantiate(
+
+def clear_memo() -> None:
+    """Forget every compiled structure, so the next ``instantiate`` of any
+    feature set compiles in full."""
+    _memo.clear()
+
+
+def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, bool]]:
+    """(anchor, start direction, reflected) of every placement, in compile order."""
+    if not feature.relative:
+        return _absolute_placements(feature, graph)
+    by_sides = {sides: _orientations(feature, sides) for sides in set(graph.sides)}
+    return [
+        (anchor, d, refl)
+        for anchor, sides in enumerate(graph.sides)
+        for d, refl in by_sides[sides]
+    ]
+
+
+def _compile(
     fs: FeatureSet,
     graph: BoardGraph,
     player_count: int,
     mover: int,
-) -> InstanceIndex:
-    """Expand a feature set into its full per-board instance index.
+    chunk_bits: int,
+) -> tuple[tuple, tuple]:
+    """The templates and recipes of a feature set's instances, in order.
 
-    Duplicate instances (identical compiled tests and action) are merged
-    with their weights summed, which preserves the additive application
-    semantics when symmetry expansion or ambiguity branches overlap.
+    A template holds every ``FeatureInstance`` field between ``feature``
+    and ``weight``, in field order.  A recipe holds the positions in
+    ``fs.features`` whose weights the instance sums, duplicates kept, in
+    the order the placements produced them; its first position names the
+    instance's feature.
     """
-    if not 1 <= mover <= player_count:
-        raise InstancerError(f"mover {mover} out of range 1..{player_count}")
-    chunk_bits = required_bits(player_count + 1)
     full = (1 << chunk_bits) - 1
-    index = InstanceIndex(graph, mover, player_count, chunk_bits)
-    dedup: dict[tuple, FeatureInstance] = {}
-    # Memos of this call only: a feature set compiled again pays in full.
+    templates: list[tuple] = []
+    recipes: list[list[int]] = []
+    # Instance number by its compiled tests and action cells.
+    dedup: dict[tuple, int] = {}
+    # Memos of this compile; only its result is kept (see ``instantiate``).
     interned_walks: dict[Walk, Walk] = {}
     walk_memo: dict = {}
     # Compiled element tests by constraint tuple (by value), then by site.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
-    # The instance each (element constraint signature, combo) pair gave, or
-    # None for a rejected pair: by signature (by value), then by combo.
+    # The instance number each (element constraint signature, combo) pair
+    # gave, or None for a rejected pair: by signature (by value), then by combo.
     instance_by_signature: dict[tuple, dict] = {}
 
     def compile_pair(feature, elements, combo, anchor, start_dir, reflected):
-        """The instance of one pair not seen before in this call, its weight
-        added, or None when the pair can never match."""
+        """The instance number of one pair not seen before in this compile,
+        or None when the pair can never match."""
         action_to, action_from, last_cell = combo[-3:]
         if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
             return None
@@ -301,48 +340,33 @@ def instantiate(
         # One-to-one with the compiled mask/target, which are only
         # built for an instance not seen before.
         key = (tuple(sorted(positives.items())), neg_sorted, action_to, action_from, last_cell)
-        existing = dedup.get(key)
-        if existing is not None:
-            existing.weight += feature.weight
-            return existing
+        number = dedup.get(key)
+        if number is not None:
+            return number
         mask = target = 0
         for cell, value in positives.items():
             mask |= full << cell * chunk_bits
             target |= value << cell * chunk_bits
-        inst = dedup[key] = FeatureInstance(
-            feature=feature,
-            anchor=anchor,
-            start_dir=start_dir,
-            reflected=reflected,
-            chunk_bits=chunk_bits,
-            cell_count=graph.cell_count,
-            mask=mask,
-            target=target,
-            negative_tests=neg_sorted,
-            negative_probes=_negative_probes(chunk_bits, neg_sorted),
-            element_sites=tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
-            action_to=action_to,
-            action_from=action_from,
-            last_move_cell=last_cell,
-            weight=feature.weight,
-        )
-        index.instances.append(inst)
-        if last_cell is None:
-            index.proactive.append(inst)
-        else:
-            index.reactive_by_last_move.setdefault(last_cell, []).append(inst)
-        return inst
+        number = dedup[key] = len(templates)
+        templates.append((
+            anchor,
+            start_dir,
+            reflected,
+            chunk_bits,
+            graph.cell_count,
+            mask,
+            target,
+            neg_sorted,
+            _negative_probes(chunk_bits, neg_sorted),
+            tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
+            action_to,
+            action_from,
+            last_cell,
+        ))
+        recipes.append([])
+        return number
 
-    for feature in fs:
-        if feature.relative:
-            by_sides = {sides: _orientations(feature, sides) for sides in set(graph.sides)}
-            placements = [
-                (anchor, d, refl)
-                for anchor, sides in enumerate(graph.sides)
-                for d, refl in by_sides[sides]
-            ]
-        else:
-            placements = _absolute_placements(feature, graph)
+    for position, feature in enumerate(fs):
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
@@ -351,9 +375,8 @@ def instantiate(
             for el in feature.elements
         ]
         by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
-        weight = feature.weight
 
-        for anchor, start_dir, reflected in placements:
+        for anchor, start_dir, reflected in _placements(feature, graph):
             # One call per walk of each placement, even where the pair memo
             # makes the result unneeded: perfbench/expected.json freezes the
             # number of walk calls.
@@ -362,10 +385,95 @@ def instantiate(
                 for walk in (mirrored if reflected else plain)
             ]
             for combo in itertools.product(*branches):
-                inst = by_combo.get(combo, _MISSING)
-                if inst is _MISSING:
-                    by_combo[combo] = compile_pair(feature, elements, combo, anchor, start_dir, reflected)
-                elif inst is not None:
-                    inst.weight += weight
+                number = by_combo.get(combo, _MISSING)
+                if number is _MISSING:
+                    number = by_combo[combo] = compile_pair(
+                        feature, elements, combo, anchor, start_dir, reflected
+                    )
+                if number is not None:
+                    recipes[number].append(position)
 
+    # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
+    # memo keeps one tuple of each.
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple(templates), tuple(distinct.setdefault(r, r) for r in map(tuple, recipes))
+
+
+def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
+    """Make exactly the ``resolve_walk_branches`` calls of a compile of
+    ``fs``, in its order, and discard their results.
+
+    perfbench/expected.json freezes the number of walk calls, so a memo hit
+    must make them although it needs none of their results; this replay is
+    most of a hit's cost.  Once the benchmark's work counts can be
+    re-recorded on their own (ROADMAP item 1), a hit can skip it.
+    """
+    resolve = resolve_walk_branches  # looked up per call, as a tracer rebinds it
+    interned_walks: dict[Walk, Walk] = {}
+    walk_memo: dict = {}
+    for feature in fs:
+        plain = [w for w in _feature_walks(feature, interned_walks, mirrored=False) if w is not None]
+        mirrored = (
+            [w for w in _feature_walks(feature, interned_walks, mirrored=True) if w is not None]
+            if feature.reflections else None
+        )
+        for anchor, start_dir, reflected in _placements(feature, graph):
+            for walk in mirrored if reflected else plain:
+                resolve(graph, anchor, start_dir, walk, walk_memo)
+
+
+def _weighted_index(
+    fs: FeatureSet,
+    graph: BoardGraph,
+    player_count: int,
+    mover: int,
+    chunk_bits: int,
+    templates: tuple,
+    recipes: tuple,
+) -> InstanceIndex:
+    """Fresh instances from templates and recipes, each weight summed left
+    to right as the placements produced it (not with ``sum``, which
+    compensates float sums from Python 3.12), so that every weight is the
+    float a compile without memos adds up."""
+    features = fs.features
+    weights = [f.weight for f in features]
+    index = InstanceIndex(graph, mover, player_count, chunk_bits)
+    proactive, reactive = index.proactive, index.reactive_by_last_move
+    for template, recipe in zip(templates, recipes):
+        weight = weights[recipe[0]]
+        for position in recipe[1:]:
+            weight += weights[position]
+        inst = FeatureInstance(features[recipe[0]], *template, weight)
+        index.instances.append(inst)
+        if inst.last_move_cell is None:
+            proactive.append(inst)
+        else:
+            reactive.setdefault(inst.last_move_cell, []).append(inst)
     return index
+
+
+def instantiate(
+    fs: FeatureSet,
+    graph: BoardGraph,
+    player_count: int,
+    mover: int,
+) -> InstanceIndex:
+    """Expand a feature set into its full per-board instance index.
+
+    Duplicate instances (identical compiled tests and action) are merged
+    with their weights summed, which preserves the additive application
+    semantics when symmetry expansion or ambiguity branches overlap.
+    """
+    if not 1 <= mover <= player_count:
+        raise InstancerError(f"mover {mover} out of range 1..{player_count}")
+    chunk_bits = required_bits(player_count + 1)
+    key = (tuple(map(_structure, fs.features)), graph, player_count, mover)
+    compiled = _memo.get(key)
+    if compiled is None:
+        compiled = _compile(fs, graph, player_count, mover, chunk_bits)
+        if len(_memo) >= MEMO_ENTRIES:
+            del _memo[next(iter(_memo))]
+        _memo[key] = compiled
+    else:
+        _replay_walk_calls(fs, graph)
+    return _weighted_index(fs, graph, player_count, mover, chunk_bits, *compiled)

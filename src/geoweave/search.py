@@ -334,7 +334,7 @@ class AgentSpec:
 
     def label(self) -> str:
         kind = f"mcts{self.playouts}" if self.playouts else "policy"
-        feats = self.feature_set.name or "features" if self.feature_set else "uniform"
+        feats = self.feature_set.name or "features" if self.feature_set is not None else "uniform"
         return f"{kind}:{feats}"
 
 

@@ -342,7 +342,8 @@ def test_match_instance_rejects_board_of_another_shape(hex7_rules, bridge_fs):
 
 def assert_same_index(got, want):
     """Same instances in the same order, field by field (the feature by
-    identity, the weight with ==), and the same proactive/reactive split."""
+    identity, the weight with == and bit for bit), and the same
+    proactive/reactive split."""
     assert (got.graph, got.mover, got.player_count, got.chunk_bits) == (
         want.graph, want.mover, want.player_count, want.chunk_bits
     )
@@ -352,6 +353,7 @@ def assert_same_index(got, want):
         for f in dataclasses.fields(FeatureInstance):
             if f.name != "feature":
                 assert getattr(a, f.name) == getattr(b, f.name), f.name
+        assert float(a.weight).hex() == float(b.weight).hex()
 
     def positions(index):
         at = {id(inst): i for i, inst in enumerate(index.instances)}
@@ -365,14 +367,19 @@ def assert_same_index(got, want):
 
 
 def assert_compiles_like_oracle(fs, graph, player_count=2, movers=(1, 2)):
+    """A cold compile and then a memo hit each equal the oracle, or raise
+    its error."""
     for mover in movers:
+        instancer.clear_memo()
         try:
             want = instantiate_oracle(fs, graph, player_count, mover)
         except InstancerError as exc:
-            with pytest.raises(InstancerError, match=re.escape(str(exc))):
-                instantiate(fs, graph, player_count, mover)
+            for _ in range(2):
+                with pytest.raises(InstancerError, match=re.escape(str(exc))):
+                    instantiate(fs, graph, player_count, mover)
             continue
-        assert_same_index(instantiate(fs, graph, player_count, mover), want)
+        for _ in range(2):
+            assert_same_index(instantiate(fs, graph, player_count, mover), want)
 
 
 @pytest.mark.parametrize("board", ["hex5", "hex7", "hex9", "line4-5x5", "line4-7x7"])
@@ -499,7 +506,8 @@ def test_swapped_element_order_merges_into_one_instance(board, request):
 def test_walk_calls_match_oracle(name, request, monkeypatch):
     """The benchmark freezes the number of walk resolutions: ``instantiate``
     makes exactly the oracle's calls, one per walk of each placement, in the
-    oracle's order, memo hits included."""
+    oracle's order, memo hits included, on a cold compile and on a hit of
+    the compile memo alike."""
     if name == "candidates":
         rules = gw.hex_rules(7)
         cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
@@ -517,14 +525,158 @@ def test_walk_calls_match_oracle(name, request, monkeypatch):
 
         monkeypatch.setattr(module, "resolve_walk_branches", recording)
 
+    instancer.clear_memo()
     for fs, graph in sets:
         for mover in (1, 2):
-            got, want = [], []
-            recorder(instancer, got)
+            cold, hit, want = [], [], []
             recorder(oracles, want)
-            instantiate(fs, graph, 2, mover)
             instantiate_oracle(fs, graph, 2, mover)
+            recorder(instancer, cold)
+            instantiate(fs, graph, 2, mover)
             monkeypatch.undo()
-            assert got == want
+            recorder(instancer, hit)
+            monkeypatch.setattr(instancer, "_compile", no_compile)
+            instantiate(fs, graph, 2, mover)
+            monkeypatch.undo()
+            assert cold == want
+            assert hit == want
             if name == "candidates":
-                assert len(got) == 303_996
+                assert len(want) == 303_996
+
+
+# --- the compile memo -------------------------------------------------------
+
+
+def no_compile(*args):
+    raise AssertionError("compiled in full where the memo should hit")
+
+
+# Signed zeros, subnormals, the smallest normal and non-dyadic decimals.
+SPECIAL_WEIGHTS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, -0.3)
+
+
+def random_weight(rng):
+    """A finite weight of either sign: now and then a special one, else
+    non-dyadic, half of them near 1 (their sums depend on the order of
+    addition) and half from 1e-300 (tiny) to 1e301 (large)."""
+    if rng.next_u64() % 8 == 0:
+        return SPECIAL_WEIGHTS[rng.next_u64() % len(SPECIAL_WEIGHTS)]
+    weight = (rng.next_u64() % 10_000 + 1) / 997
+    if rng.next_u64() & 1:
+        weight *= 10.0 ** (rng.next_u64() % 601 - 300)
+    return -weight if rng.next_u64() & 1 else weight
+
+
+def reweighted(fs, rng):
+    """``fs`` as new Feature objects of the same structure with random
+    weights."""
+    return FeatureSet(tuple(dataclasses.replace(f, weight=random_weight(rng)) for f in fs), fs.name)
+
+
+def assert_hits_equal_oracle(fs, graph, mover, rng, monkeypatch, sets=2):
+    """After a cold compile, ``sets`` random reweightings of ``fs`` are memo
+    hits that equal the oracle on the reweighted set."""
+    instancer.clear_memo()
+    try:
+        instantiate(fs, graph, 2, mover)
+    except InstancerError:
+        return
+    monkeypatch.setattr(instancer, "_compile", no_compile)
+    for _ in range(sets):
+        new = reweighted(fs, rng)
+        got = instantiate(new, graph, 2, mover)
+        assert_same_index(got, instantiate_oracle(new, graph, 2, mover))
+        assert {id(inst.feature) for inst in got.instances} <= {id(f) for f in new.features}
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("board", ["hex5", "hex7", "line4-7x7"])
+@pytest.mark.parametrize("mover", [1, 2])
+def test_memo_hit_after_reweighting_equals_oracle(board, mover, monkeypatch,
+                                                 bridge_fs, group3_fs, thin_group_fs, line4_fs):
+    graph = gw.game_from_name(board).graph
+    rng = SplitMix64(31 * mover + len(board))
+    for fs in (bridge_fs, group3_fs, thin_group_fs, line4_fs):
+        assert_hits_equal_oracle(fs, graph, mover, rng, monkeypatch)
+
+
+@pytest.mark.parametrize("mover", [1, 2])
+def test_memo_hit_on_reweighted_candidates_equals_oracle(mover, monkeypatch):
+    rules = gw.hex_rules(7)
+    cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
+    fs = FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
+    assert len(fs) == 265
+    assert_hits_equal_oracle(fs, rules.graph, mover, SplitMix64(mover), monkeypatch, sets=1)
+
+
+@pytest.mark.parametrize("fixture_name,board", [("bridge_fs", "hex7"), ("line4_fs", "line4-7x7")])
+def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeypatch):
+    fs = request.getfixturevalue(fixture_name)
+    graph = gw.game_from_name(board).graph
+    want = instantiate_oracle(fs, graph, 2, 1)
+    instancer.clear_memo()
+    indexes = [instantiate(fs, graph, 2, 1)]
+    monkeypatch.setattr(instancer, "_compile", no_compile)
+    for _ in range(2):
+        # Spoil the index before: its instances, lists and buckets.
+        for inst in indexes[-1].instances:
+            inst.weight += 1.0
+            inst.anchor = -1
+        for bucket in indexes[-1].reactive_by_last_move.values():
+            bucket.clear()
+        indexes[-1].proactive.clear()
+        indexes[-1].instances.reverse()
+        indexes.append(instantiate(fs, graph, 2, 1))
+        assert_same_index(indexes[-1], want)
+    assert len({id(inst) for idx in indexes for inst in idx.instances}) == 3 * len(want.instances)
+
+
+def test_a_structure_that_fails_to_compile_fails_every_time(semi3):
+    g = gw.build_board(gw.Square(4, 4))
+    enemy = Feature(elements=(PatternElement((), (negate(ENEMY),)),), action=FeatureAction(()))
+    absolute = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
+    instancer.clear_memo()
+    for feature, graph, players, message in ((enemy, g, 3, "2 players"), (absolute, semi3, 2, "symmetry")):
+        for weight in (1.0, 1.0, -2.0):
+            with pytest.raises(InstancerError, match=message):
+                instantiate(FeatureSet((dataclasses.replace(feature, weight=weight),)), graph, players, 1)
+    assert not instancer._memo
+
+
+def test_memo_keeps_its_bound_and_drops_the_oldest(bridge_fs, line4_fs, monkeypatch):
+    compiles = []
+    compile_ = instancer._compile
+
+    def counting(*args):
+        compiles.append(args[1:4])
+        return compile_(*args)
+
+    monkeypatch.setattr(instancer, "_compile", counting)
+    instancer.clear_memo()
+    keys = [(fs, board, mover)
+            for fs, board in ((bridge_fs, "hex5"), (line4_fs, "line4-5x5"), (bridge_fs, "hex7"))
+            for mover in (1, 2)]
+    assert len(keys) > instancer.MEMO_ENTRIES
+    for fs, board, mover in keys:
+        instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+        assert len(instancer._memo) <= instancer.MEMO_ENTRIES
+    assert len(compiles) == len(keys)
+    # The newest structures hit, each on a graph built anew (the graph
+    # counts by value); the oldest was dropped and compiles again.
+    for fs, board, mover in keys[-instancer.MEMO_ENTRIES:]:
+        instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+    assert len(compiles) == len(keys)
+    fs, board, mover = keys[0]
+    instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+    assert len(compiles) == len(keys) + 1
+    assert len(instancer._memo) == instancer.MEMO_ENTRIES
+
+
+def test_memo_key_holds_every_feature_field_but_the_weight():
+    base = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), weight=0.5)
+    for f in dataclasses.fields(Feature):
+        # A value equal to no other: a field outside the key would let two
+        # different structures share one memo entry.
+        variant = dataclasses.replace(base)
+        object.__setattr__(variant, f.name, object())
+        assert (instancer._structure(variant) == instancer._structure(base)) == (f.name == "weight"), f.name

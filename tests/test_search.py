@@ -234,6 +234,15 @@ def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
         assert proactive_done == 0  # the bridge set has no proactive instances
 
 
+def test_agent_label_names_the_kind_and_the_feature_set():
+    assert AgentSpec().label() == "policy:uniform"
+    assert AgentSpec(playouts=30).label() == "mcts30:uniform"
+    assert AgentSpec(feature_set=FeatureSet((), "bridge")).label() == "policy:bridge"
+    # An empty set is still a feature set: it has no weight to add, but it
+    # is compiled and scored like any other.
+    assert AgentSpec(feature_set=FeatureSet(())).label() == "policy:features"
+
+
 def test_play_match_validation(hex7_rules):
     with pytest.raises(ValueError):
         play_match(hex7_rules, AgentSpec(), AgentSpec(), games=0, seed=1)

@@ -3,12 +3,18 @@
 Builds the candidate feature set of the benchmark's hex7-tune-candidates
 workload (its rules and generation bound at full size, taken from
 ``perfbench/workloads.py``) and, for each mover, times one
-``instancer.instantiate`` call with the garbage collector off.  Next to it,
-it times the same ``resolve_walk_branches`` calls replayed alone, in the
-same order and with a fresh walk memo per pass: the walk work that every
-compile of this set must do, which bounds how fast ``instantiate`` can get
-without resolving fewer walks.  It prints the best of ``--repeat`` passes
-in seconds per call.
+``instancer.instantiate`` call with the garbage collector off, twice:
+
+    cold   the compile memo is cleared before each pass, so the call
+           compiles the set in full
+    hit    the set's structure is in the memo, so the call builds fresh
+           instances from it and sums the weights
+
+Next to the hit it times the walk calls a hit replays alone
+(``instancer._replay_walk_calls``), and gives their share of the hit (the
+median over the passes): the part of a hit that only keeps the
+benchmark's frozen count of walk calls.  It prints the best of
+``--repeat`` passes in seconds per call.
 
 The traced ``instancer.instantiate.self_s`` is no use here: the tracer
 opens a span for each of the ~300,000 walk calls of one compile.
@@ -19,10 +25,9 @@ Usage: python3 tools/compile.py [--repeat 5] [--json]
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,39 +36,25 @@ sys.path.insert(0, str(ROOT))
 
 from geoweave import instancer  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
+from timing import best_s, rebinding  # noqa: E402
 
 TUNE = WORKLOADS["hex7-tune-candidates"]
 
 
-def record_walk_calls(fs, graph, mover: int):
-    """The instance count of one compile, and its walk calls in order."""
+def cold_compile(fs, graph, mover: int):
+    """The instance count and the walk call count of one cold compile."""
     resolve = instancer.resolve_walk_branches
-    calls = []
+    calls = 0
 
-    def recording(graph, anchor, start_dir, walk, memo=None):
-        calls.append((anchor, start_dir, walk))
+    def counting(graph, anchor, start_dir, walk, memo=None):
+        nonlocal calls
+        calls += 1
         return resolve(graph, anchor, start_dir, walk, memo)
 
-    instancer.resolve_walk_branches = recording
-    try:
+    instancer.clear_memo()
+    with rebinding(instancer, resolve_walk_branches=counting):
         index = instancer.instantiate(fs, graph, 2, mover)
-    finally:
-        instancer.resolve_walk_branches = resolve
     return len(index.instances), calls
-
-
-def best_s(fn, repeat: int) -> float:
-    """Best of ``repeat`` timed calls of ``fn()``, in seconds."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    return best
 
 
 def main(argv=None) -> int:
@@ -74,22 +65,26 @@ def main(argv=None) -> int:
 
     rules, fs = TUNE.setup(TUNE.sizes["full"])
     graph = rules.graph
-    resolve = instancer.resolve_walk_branches
     movers = {}
     for mover in (1, 2):
-        instances, calls = record_walk_calls(fs, graph, mover)
+        instances, calls = cold_compile(fs, graph, mover)
 
-        def replay(calls=calls):
-            memo: dict = {}
-            for anchor, start_dir, walk in calls:
-                resolve(graph, anchor, start_dir, walk, memo)
+        def compile_once(mover=mover):
+            instancer.instantiate(fs, graph, 2, mover)
 
+        cold = best_s(compile_once, args.repeat, setup=instancer.clear_memo)
+        compile_once()
+        # A hit and its replay alone, back to back in each pass, so that the
+        # share compares passes made under the same load.
+        passes = [(best_s(compile_once, 1), best_s(lambda: instancer._replay_walk_calls(fs, graph), 1))
+                  for _ in range(args.repeat)]
         movers[mover] = {
             "instances": instances,
-            "walk_calls": len(calls),
-            "instantiate_s": round(best_s(lambda: instancer.instantiate(fs, graph, 2, mover),
-                                          args.repeat), 4),
-            "walks_alone_s": round(best_s(replay, args.repeat), 4),
+            "walk_calls": calls,
+            "cold_s": round(cold, 4),
+            "hit_s": round(min(hit for hit, _ in passes), 4),
+            "hit_walk_replay_s": round(min(replay for _, replay in passes), 4),
+            "hit_walk_replay_share": round(statistics.median(replay / hit for hit, replay in passes), 3),
         }
     report = {"candidates": len(fs), "repeat": args.repeat, "movers": movers}
     if args.json:
@@ -98,7 +93,8 @@ def main(argv=None) -> int:
     print(f"hex7-tune-candidates: {len(fs)} candidates; best of {args.repeat}, GC off, untraced")
     for mover, m in movers.items():
         print(f"  mover {mover}: {m['instances']} instances, {m['walk_calls']} walk calls; "
-              f"instantiate {m['instantiate_s']:.4f} s, walks alone {m['walks_alone_s']:.4f} s")
+              f"cold {m['cold_s']:.4f} s, hit {m['hit_s']:.4f} s "
+              f"(walk replay {m['hit_walk_replay_s']:.4f} s, {m['hit_walk_replay_share']:.0%})")
     return 0
 
 

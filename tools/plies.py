@@ -20,10 +20,8 @@ Usage: python3 tools/plies.py [--case 5] [--repeat 5] [--json]
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +32,7 @@ import geoweave as gw  # noqa: E402
 from geoweave import search  # noqa: E402
 from geoweave.rng import SplitMix64  # noqa: E402
 from perfbench.workloads import REGRESSION_SEED, WORKLOADS  # noqa: E402
+from timing import per_call_us, rebinding  # noqa: E402
 
 BRIDGE = WORKLOADS["hex7-mcts-bridge"]
 
@@ -58,28 +57,10 @@ def record_plies(seed: int):
             plies.append((*last, last[1][i]))
         return i
 
-    search.biased_scores, search._sample = recording_scores, recording_sample
-    try:
+    with rebinding(search, biased_scores=recording_scores, _sample=recording_sample):
         gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=size.playouts),
                       gw.AgentSpec(playouts=size.playouts), size.games, seed)
-    finally:
-        search.biased_scores, search._sample = biased_scores, sample
     return rules, plies
-
-
-def best_us(fn, args: list, repeat: int) -> float:
-    """Best pass over ``args`` of ``fn(*a)``, in microseconds per call."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            for a in args:
-                fn(*a)
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    return best / len(args) * 1e6
 
 
 def main(argv=None) -> int:
@@ -96,11 +77,11 @@ def main(argv=None) -> int:
     children = [rules.apply(p[0], p[5]) for p in plies]
     rng = SplitMix64(seed)
     timings = {
-        "legal_moves": best_us(rules.legal_moves, states, args.repeat),
-        "biased_scores": best_us(search.biased_scores, [p[:4] for p in plies], args.repeat),
-        "_sample": best_us(search._sample, [(p[4], rng) for p in plies], args.repeat),
-        "apply": best_us(rules.apply, [(p[0], p[5]) for p in plies], args.repeat),
-        "win_check": best_us(
+        "legal_moves": per_call_us(rules.legal_moves, states, args.repeat),
+        "biased_scores": per_call_us(search.biased_scores, [p[:4] for p in plies], args.repeat),
+        "_sample": per_call_us(search._sample, [(p[4], rng) for p in plies], args.repeat),
+        "apply": per_call_us(rules.apply, [(p[0], p[5]) for p in plies], args.repeat),
+        "win_check": per_call_us(
             rules._placed,
             [(p[0], c.board, p[5].to, c.move_number) for p, c in zip(plies, children)],
             args.repeat),

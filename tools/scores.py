@@ -19,10 +19,8 @@ Usage: python3 tools/scores.py [--case 5] [--repeat 5] [--boards 20] [--json]
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +32,7 @@ from geoweave import search  # noqa: E402
 from geoweave.instancer import instantiate, match_instance  # noqa: E402
 from geoweave.rng import SplitMix64  # noqa: E402
 from perfbench.workloads import FIXTURES, REGRESSION_SEED, WORKLOADS  # noqa: E402
+from timing import best_s, per_call_us, rebinding  # noqa: E402
 
 POLICY = WORKLOADS["line4-policy"]
 
@@ -51,11 +50,8 @@ def record_positions(seed: int) -> list:
             calls.append((state, legal, idx, bias))
         return biased_scores(state, legal, idx, bias, counters)
 
-    search.biased_scores = recording
-    try:
+    with rebinding(search, biased_scores=recording):
         gw.play_match(rules, gw.AgentSpec(feature_set=fs), gw.AgentSpec(), size.games, seed)
-    finally:
-        search.biased_scores = biased_scores
     return calls
 
 
@@ -63,20 +59,6 @@ def tested(state, idx) -> list:
     """The instances ``biased_scores`` tests on ``state``, in its order."""
     bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
     return [*bucket, *idx.proactive]
-
-
-def best_s(fn, repeat: int) -> float:
-    """Best of ``repeat`` timed calls of ``fn()``, in seconds."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    return best
 
 
 def per_test_ns(pairs: list, repeat: int) -> float:
@@ -115,7 +97,7 @@ def main(argv=None) -> int:
     calls = record_positions(seed)
     pairs = [(state.board, tested(state, idx)) for state, _, idx, _ in calls]
     tests = sum(len(i) for _, i in pairs)
-    scores_s = best_s(lambda: [search.biased_scores(*c) for c in calls], args.repeat)
+    scores_us = per_call_us(search.biased_scores, calls, args.repeat)
     large = hex19_pairs(args.boards, seed)
     report = {
         "case": args.case,
@@ -123,7 +105,7 @@ def main(argv=None) -> int:
         "positions": len(calls),
         "tests_per_position": round(tests / len(calls), 2),
         "repeat": args.repeat,
-        "biased_scores_us_per_call": round(scores_s / len(calls) * 1e6, 3),
+        "biased_scores_us_per_call": round(scores_us, 3),
         "match_instance_ns_per_test": round(per_test_ns(pairs, args.repeat), 1),
         "hex19_group3": {
             "boards": args.boards,
