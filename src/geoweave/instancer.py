@@ -422,22 +422,13 @@ def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
                 resolve(graph, anchor, start_dir, walk, walk_memo)
 
 
-def _weighted_index(
-    fs: FeatureSet,
-    graph: BoardGraph,
-    player_count: int,
-    mover: int,
-    chunk_bits: int,
-    templates: tuple,
-    recipes: tuple,
-) -> InstanceIndex:
-    """Fresh instances from templates and recipes, each weight summed left
-    to right as the placements produced it (not with ``sum``, which
-    compensates float sums from Python 3.12), so that every weight is the
-    float a compile without memos adds up."""
+def _weighted_index(index: InstanceIndex, fs: FeatureSet, templates: tuple, recipes: tuple) -> InstanceIndex:
+    """``index`` filled with fresh instances from templates and recipes,
+    each weight summed left to right as the placements produced it (not
+    with ``sum``, which compensates float sums from Python 3.12), so that
+    every weight is the float a compile without memos adds up."""
     features = fs.features
     weights = [f.weight for f in features]
-    index = InstanceIndex(graph, mover, player_count, chunk_bits)
     proactive, reactive = index.proactive, index.reactive_by_last_move
     for template, recipe in zip(templates, recipes):
         weight = weights[recipe[0]]
@@ -463,6 +454,8 @@ def instantiate(
     Duplicate instances (identical compiled tests and action) are merged
     with their weights summed, which preserves the additive application
     semantics when symmetry expansion or ambiguity branches overlap.
+    A structure compiled before in this process is not compiled again
+    (see the module docstring); every call returns new instances.
     """
     if not 1 <= mover <= player_count:
         raise InstancerError(f"mover {mover} out of range 1..{player_count}")
@@ -476,4 +469,4 @@ def instantiate(
         _memo[key] = compiled
     else:
         _replay_walk_calls(fs, graph)
-    return _weighted_index(fs, graph, player_count, mover, chunk_bits, *compiled)
+    return _weighted_index(InstanceIndex(graph, mover, player_count, chunk_bits), fs, *compiled)
