@@ -40,7 +40,7 @@ and the mover; the last ``MEMO_ENTRIES`` structures are kept.  Calling
 ``instantiate`` again on a set of that structure, such as a hill climb's
 reweighted set or the second agent of a self-play match, only builds
 fresh instances and sums the new weights, plus the walk calls that the
-benchmark counts (see ``_replay_walk_calls``).
+benchmark counts (see ``_placement_branches``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.
@@ -49,6 +49,7 @@ instantiating, so an engine holds one instance index per player.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -282,6 +283,32 @@ def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, boo
     ]
 
 
+def _placement_branches(fs: FeatureSet, graph: BoardGraph):
+    """Each placement of each feature, in compile order, as (position in
+    ``fs.features``, anchor, start direction, reflected, branches): one
+    list of branches per walk of the feature's element, to, from and
+    last-move walks, from one ``resolve_walk_branches`` call per walk
+    present (``_ABSENT`` for an absent one).
+
+    Every placement makes its walk calls, even where the compile's pair
+    memo leaves their results unused, and a memo hit exhausts this too,
+    although it uses none: perfbench/expected.json freezes the number of
+    walk calls.  On a hit these calls are most of the cost.  Once the benchmark's work counts can be
+    re-recorded on their own (ROADMAP item 1), a hit can skip it.
+    """
+    interned_walks: dict[Walk, Walk] = {}
+    walk_memo: dict = {}
+    for position, feature in enumerate(fs):
+        plain = _feature_walks(feature, interned_walks, mirrored=False)
+        # Only features with reflections have reflected placements.
+        mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
+        for anchor, start_dir, reflected in _placements(feature, graph):
+            yield position, anchor, start_dir, reflected, [
+                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+                for walk in (mirrored if reflected else plain)
+            ]
+
+
 def _compile(
     fs: FeatureSet,
     graph: BoardGraph,
@@ -302,9 +329,8 @@ def _compile(
     recipes: list[list[int]] = []
     # Instance number by its compiled tests and action cells.
     dedup: dict[tuple, int] = {}
-    # Memos of this compile; only its result is kept (see ``instantiate``).
-    interned_walks: dict[Walk, Walk] = {}
-    walk_memo: dict = {}
+    # Memos of this compile (its walk memos are ``_placement_branches``'s);
+    # only its result is kept (see ``instantiate``).
     # Compiled element tests by constraint tuple (by value), then by site.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
@@ -366,60 +392,31 @@ def _compile(
         recipes.append([])
         return number
 
-    for position, feature in enumerate(fs):
-        plain = _feature_walks(feature, interned_walks, mirrored=False)
-        # Only features with reflections have reflected placements.
-        mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
+    features = fs.features
+    prepared = []
+    for feature in features:
         elements = [
             (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
             for el in feature.elements
         ]
-        by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
+        prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
 
-        for anchor, start_dir, reflected in _placements(feature, graph):
-            # One call per walk of each placement, even where the pair memo
-            # makes the result unneeded: perfbench/expected.json freezes the
-            # number of walk calls.
-            branches = [
-                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
-                for walk in (mirrored if reflected else plain)
-            ]
-            for combo in itertools.product(*branches):
-                number = by_combo.get(combo, _MISSING)
-                if number is _MISSING:
-                    number = by_combo[combo] = compile_pair(
-                        feature, elements, combo, anchor, start_dir, reflected
-                    )
-                if number is not None:
-                    recipes[number].append(position)
+    for position, anchor, start_dir, reflected, branches in _placement_branches(fs, graph):
+        feature = features[position]
+        elements, by_combo = prepared[position]
+        for combo in itertools.product(*branches):
+            number = by_combo.get(combo, _MISSING)
+            if number is _MISSING:
+                number = by_combo[combo] = compile_pair(
+                    feature, elements, combo, anchor, start_dir, reflected
+                )
+            if number is not None:
+                recipes[number].append(position)
 
     # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
     # memo keeps one tuple of each.
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
     return tuple(templates), tuple(distinct.setdefault(r, r) for r in map(tuple, recipes))
-
-
-def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
-    """Make exactly the ``resolve_walk_branches`` calls of a compile of
-    ``fs``, in its order, and discard their results.
-
-    perfbench/expected.json freezes the number of walk calls, so a memo hit
-    must make them although it needs none of their results; this replay is
-    most of a hit's cost.  Once the benchmark's work counts can be
-    re-recorded on their own (ROADMAP item 1), a hit can skip it.
-    """
-    resolve = resolve_walk_branches  # looked up per call, as a tracer rebinds it
-    interned_walks: dict[Walk, Walk] = {}
-    walk_memo: dict = {}
-    for feature in fs:
-        plain = [w for w in _feature_walks(feature, interned_walks, mirrored=False) if w is not None]
-        mirrored = (
-            [w for w in _feature_walks(feature, interned_walks, mirrored=True) if w is not None]
-            if feature.reflections else None
-        )
-        for anchor, start_dir, reflected in _placements(feature, graph):
-            for walk in mirrored if reflected else plain:
-                resolve(graph, anchor, start_dir, walk, walk_memo)
 
 
 def _weighted_index(index: InstanceIndex, fs: FeatureSet, templates: tuple, recipes: tuple) -> InstanceIndex:
@@ -468,5 +465,5 @@ def instantiate(
             del _memo[next(iter(_memo))]
         _memo[key] = compiled
     else:
-        _replay_walk_calls(fs, graph)
+        deque(_placement_branches(fs, graph), 0)
     return _weighted_index(InstanceIndex(graph, mover, player_count, chunk_bits), fs, *compiled)
