@@ -284,17 +284,19 @@ def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, boo
 
 
 def _placement_branches(fs: FeatureSet, graph: BoardGraph):
-    """Each placement of each feature, in compile order, as (position in
-    ``fs.features``, anchor, start direction, reflected, branches): one
-    list of branches per walk of the feature's element, to, from and
-    last-move walks, from one ``resolve_walk_branches`` call per walk
-    present (``_ABSENT`` for an absent one).
+    """Each feature of ``fs`` in order, as (position in ``fs.features``,
+    feature, placements), with every placement in compile order as
+    (anchor, start direction, reflected, branches): one list of branches
+    per walk of the feature's element, to, from and last-move walks, from
+    one ``resolve_walk_branches`` call per walk present (``_ABSENT`` for
+    an absent one).
 
     Every placement makes its walk calls, even where the compile's pair
     memo leaves their results unused, and a memo hit exhausts this too,
     although it uses none: perfbench/expected.json freezes the number of
-    walk calls.  On a hit these calls are most of the cost.  Once the benchmark's work counts can be
-    re-recorded on their own (ROADMAP item 1), a hit can skip it.
+    walk calls.  On a hit these calls are most of the cost.  Once the
+    benchmark's work counts can be re-recorded on their own (ROADMAP
+    item 1), a hit can skip them.
     """
     interned_walks: dict[Walk, Walk] = {}
     walk_memo: dict = {}
@@ -302,11 +304,13 @@ def _placement_branches(fs: FeatureSet, graph: BoardGraph):
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
-        for anchor, start_dir, reflected in _placements(feature, graph):
-            yield position, anchor, start_dir, reflected, [
+        yield position, feature, [
+            (anchor, start_dir, reflected, [
                 _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
                 for walk in (mirrored if reflected else plain)
-            ]
+            ])
+            for anchor, start_dir, reflected in _placements(feature, graph)
+        ]
 
 
 def _compile(
@@ -392,26 +396,21 @@ def _compile(
         recipes.append([])
         return number
 
-    features = fs.features
-    prepared = []
-    for feature in features:
+    for position, feature, placements in _placement_branches(fs, graph):
         elements = [
             (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
             for el in feature.elements
         ]
-        prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
-
-    for position, anchor, start_dir, reflected, branches in _placement_branches(fs, graph):
-        feature = features[position]
-        elements, by_combo = prepared[position]
-        for combo in itertools.product(*branches):
-            number = by_combo.get(combo, _MISSING)
-            if number is _MISSING:
-                number = by_combo[combo] = compile_pair(
-                    feature, elements, combo, anchor, start_dir, reflected
-                )
-            if number is not None:
-                recipes[number].append(position)
+        by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
+        for anchor, start_dir, reflected, branches in placements:
+            for combo in itertools.product(*branches):
+                number = by_combo.get(combo, _MISSING)
+                if number is _MISSING:
+                    number = by_combo[combo] = compile_pair(
+                        feature, elements, combo, anchor, start_dir, reflected
+                    )
+                if number is not None:
+                    recipes[number].append(position)
 
     # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
     # memo keeps one tuple of each.
