@@ -40,7 +40,7 @@ and the mover; the last ``MEMO_ENTRIES`` structures are kept.  Calling
 ``instantiate`` again on a set of that structure, such as a hill climb's
 reweighted set or the second agent of a self-play match, only builds
 fresh instances and sums the new weights, plus the walk calls that the
-benchmark counts (see ``_placement_branches``).
+benchmark counts (see ``_placement_walks``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.
@@ -49,7 +49,6 @@ instantiating, so an engine holds one instance index per player.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -283,34 +282,41 @@ def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, boo
     ]
 
 
-def _placement_branches(fs: FeatureSet, graph: BoardGraph):
-    """Each feature of ``fs`` in order, as (position in ``fs.features``,
-    feature, placements), with every placement in compile order as
-    (anchor, start direction, reflected, branches): one list of branches
-    per walk of the feature's element, to, from and last-move walks, from
-    one ``resolve_walk_branches`` call per walk present (``_ABSENT`` for
-    an absent one).
+def _placement_walks(fs: FeatureSet, graph: BoardGraph):
+    """Each placement of each feature, in compile order, as (position in
+    ``fs.features``, anchor, start direction, reflected, walks): the
+    feature's element, to, from and last-move walks in one flat tuple,
+    mirrored for a reflected placement, None where absent.  Equal walks
+    are one object across the call, so that a walk memo shares entries.
 
-    Every placement makes its walk calls, even where the compile's pair
-    memo leaves their results unused, and a memo hit exhausts this too,
-    although it uses none: perfbench/expected.json freezes the number of
-    walk calls.  On a hit these calls are most of the cost.  Once the
-    benchmark's work counts can be re-recorded on their own (ROADMAP
-    item 1), a hit can skip them.
+    The compile makes one ``resolve_walk_branches`` call per walk present
+    of each placement, even where its pair memo leaves the result unused,
+    and a memo hit makes the same calls (``_replay_walk_calls``):
+    perfbench/expected.json freezes the number of walk calls.
     """
     interned_walks: dict[Walk, Walk] = {}
-    walk_memo: dict = {}
     for position, feature in enumerate(fs):
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
-        yield position, feature, [
-            (anchor, start_dir, reflected, [
-                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
-                for walk in (mirrored if reflected else plain)
-            ])
-            for anchor, start_dir, reflected in _placements(feature, graph)
-        ]
+        for anchor, start_dir, reflected in _placements(feature, graph):
+            yield position, anchor, start_dir, reflected, mirrored if reflected else plain
+
+
+def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
+    """The walk calls of a compile of ``fs``, in its order, with their
+    results dropped.
+
+    A memo hit needs none of the results and makes the calls only for the
+    frozen count; they are most of a hit's cost.  Once the benchmark's
+    work counts can be re-recorded on their own (ROADMAP item 1), a hit
+    can skip them.
+    """
+    walk_memo: dict = {}
+    for _, anchor, start_dir, _, walks in _placement_walks(fs, graph):
+        for walk in walks:
+            if walk is not None:
+                resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
 
 
 def _compile(
@@ -333,8 +339,8 @@ def _compile(
     recipes: list[list[int]] = []
     # Instance number by its compiled tests and action cells.
     dedup: dict[tuple, int] = {}
-    # Memos of this compile (its walk memos are ``_placement_branches``'s);
-    # only its result is kept (see ``instantiate``).
+    # Memos of this compile; only its result is kept (see ``instantiate``).
+    walk_memo: dict = {}
     # Compiled element tests by constraint tuple (by value), then by site.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
@@ -396,21 +402,30 @@ def _compile(
         recipes.append([])
         return number
 
-    for position, feature, placements in _placement_branches(fs, graph):
+    features = fs.features
+    prepared = []
+    for feature in features:
         elements = [
             (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
             for el in feature.elements
         ]
-        by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
-        for anchor, start_dir, reflected, branches in placements:
-            for combo in itertools.product(*branches):
-                number = by_combo.get(combo, _MISSING)
-                if number is _MISSING:
-                    number = by_combo[combo] = compile_pair(
-                        feature, elements, combo, anchor, start_dir, reflected
-                    )
-                if number is not None:
-                    recipes[number].append(position)
+        prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
+
+    for position, anchor, start_dir, reflected, walks in _placement_walks(fs, graph):
+        feature = features[position]
+        elements, by_combo = prepared[position]
+        branches = [
+            _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+            for walk in walks
+        ]
+        for combo in itertools.product(*branches):
+            number = by_combo.get(combo, _MISSING)
+            if number is _MISSING:
+                number = by_combo[combo] = compile_pair(
+                    feature, elements, combo, anchor, start_dir, reflected
+                )
+            if number is not None:
+                recipes[number].append(position)
 
     # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
     # memo keeps one tuple of each.
@@ -464,5 +479,5 @@ def instantiate(
             del _memo[next(iter(_memo))]
         _memo[key] = compiled
     else:
-        deque(_placement_branches(fs, graph), 0)
+        _replay_walk_calls(fs, graph)
     return _weighted_index(InstanceIndex(graph, mover, player_count, chunk_bits), fs, *compiled)

@@ -10,8 +10,8 @@ workload (its rules and generation bound at full size, taken from
     hit    the set's structure is in the memo, so the call builds fresh
            instances from it and sums the weights
 
-Next to the hit it times the walk calls a hit replays alone (exhausting
-``instancer._placement_branches``), and gives their share of the hit (the
+Next to the hit it times the walk calls a hit replays alone
+(``instancer._replay_walk_calls``), and gives their share of the hit (the
 median over the passes): the part of a hit that only keeps the
 benchmark's frozen count of walk calls.  It prints the best of
 ``--repeat`` passes in seconds per call.
@@ -28,7 +28,6 @@ import argparse
 import json
 import statistics
 import sys
-from collections import deque
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +76,7 @@ def main(argv=None) -> int:
         compile_once()
         # A hit and its replay alone, back to back in each pass, so that the
         # share compares passes made under the same load.
-        passes = [(best_s(compile_once, 1), best_s(lambda: deque(instancer._placement_branches(fs, graph), 0), 1))
+        passes = [(best_s(compile_once, 1), best_s(lambda: instancer._replay_walk_calls(fs, graph), 1))
                   for _ in range(args.repeat)]
         movers[mover] = {
             "instances": instances,
