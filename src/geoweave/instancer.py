@@ -40,7 +40,7 @@ and the mover; the last ``MEMO_ENTRIES`` structures are kept.  Calling
 ``instantiate`` again on a set of that structure, such as a hill climb's
 reweighted set or the second agent of a self-play match, only builds
 fresh instances and sums the new weights, plus the walk calls that the
-benchmark counts (see ``_placement_walks``).
+benchmark counts (see ``_replay_walk_calls``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.
