@@ -226,14 +226,13 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
             dmap = []
             for theta in graph.edge_angles[c]:
                 theta2 = ang(theta) % 360.0
-                slot = next(
-                    (k for k, t in enumerate(target_angles) if abs((t - theta2 + 180.0) % 360.0 - 180.0) < 1e-6),
-                    None,
-                )
-                if slot is None:
+                for slot, t in enumerate(target_angles):
+                    if abs((t - theta2 + 180.0) % 360.0 - 180.0) < 1e-6:
+                        dmap.append(slot)
+                        break
+                else:
                     ok = False
                     break
-                dmap.append(slot)
             if not ok:
                 break
             dir_maps.append(tuple(dmap))

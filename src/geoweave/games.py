@@ -13,7 +13,11 @@ winning player id otherwise.
 The position also carries its empty cells: ``initial_state`` lists every
 cell's shared ``Move`` in cell order, and ``apply`` hands the child that
 tuple minus the placed cell, so ``legal_moves`` copies it instead of
-scanning the board.
+scanning the board.  Since the tuple holds exactly the empty cells in
+cell order, the placed cell's slot in it is the cell minus the number of
+occupied cells below it: ``apply`` ORs each 2-bit chunk of the parent's
+board onto its low bit, keeps the low bits of the chunks below the cell
+and counts them with ``int.bit_count``.
 
 A Hex position carries each player's groups as well: ``groups[p - 1]`` is
 a tuple of bitmasks, one per connected group of player ``p``, with bit c
@@ -30,9 +34,7 @@ only before the state that holds it is built.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
@@ -47,9 +49,6 @@ class IllegalMove(ValueError):
 class Move:
     to: int
     from_: int | None = None
-
-
-_TO = attrgetter("to")
 
 
 # Per player, the bitmask of each of its connected groups (Hex only).
@@ -81,9 +80,15 @@ class GameRules:
         self.graph = graph
         self.state_count = self.player_count + 1
         self.chunk_bits = required_bits(self.state_count)
+        assert self.chunk_bits == 2, "apply folds each 2-bit chunk onto its low bit"
         self._chunk_mask = (1 << self.chunk_bits) - 1
+        cells = graph.cell_count
+        self._cell_count = cells
         # Per cell: its one shared Move and the shift of its chunk in the board.
-        self._cells = [(Move(c), c * self.chunk_bits) for c in range(graph.cell_count)]
+        self._cells = [(Move(c), c * self.chunk_bits) for c in range(cells)]
+        # Per cell: the low bit of every chunk below its own (0b01 repeated).
+        low = ((1 << 2 * cells) - 1) // 3
+        self._below = [low & ((1 << s) - 1) for _, s in self._cells]
 
     def initial_state(self) -> GameState:
         board = ChunkSet(self.chunk_bits, self.graph.cell_count)
@@ -100,27 +105,28 @@ class GameRules:
         return list(empty if empty is not None else self._empty_moves(state.board))
 
     def apply(self, state: GameState, move: Move) -> GameState:
+        parent, mover, _, move_number, _, empty, _ = state
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
         cell = move.to
-        if not 0 <= cell < self.graph.cell_count:
+        if not 0 <= cell < self._cell_count:
             raise IllegalMove(f"cell {cell} outside board")
-        parent = state.board
+        bits = parent.bits
         s = self._cells[cell][1]
-        if (parent.bits >> s) & self._chunk_mask:
+        if (bits >> s) & self._chunk_mask:
             raise IllegalMove(f"cell {cell} is occupied")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
-        board = parent.with_bits(parent.bits | state.mover << s)  # the chunk was checked to be zero
-        empty = state.empty
+        board = parent.with_bits(bits | mover << s)  # the chunk was checked to be zero
         if empty is None:
             empty = self._empty_moves(board)
         else:
-            i = bisect_left(empty, cell, key=_TO)
+            i = cell - ((bits | bits >> 1) & self._below[cell]).bit_count()
             empty = empty[:i] + empty[i + 1:]
-        move_number = state.move_number + 1
+        move_number += 1
         result, groups = self._placed(state, board, cell, move_number)
-        return GameState(board, 3 - state.mover, move, move_number, result, empty, groups)
+        # Every field is given, so NamedTuple's argument handling is skipped.
+        return tuple.__new__(GameState, (board, 3 - mover, move, move_number, result, empty, groups))
 
     def status(self, state: GameState) -> int | None:
         return state.result
@@ -188,11 +194,21 @@ class HexRules(GameRules):
         groups = state.groups
         if groups is None:
             groups = self._scan_groups(state.board)
-        p = state.mover - 1
-        merged, mine = self._join(groups[p], cell)
-        first, second = self._edges[p]
-        result = state.mover if merged & first and merged & second else None
-        return result, ((mine, groups[1]) if p == 0 else (groups[0], mine))
+        mover = state.mover
+        # ``_join(groups[mover - 1], cell)``, inlined for the playout ply.
+        adjacent = self._adjacent[cell]
+        merged = 1 << cell
+        kept = []
+        for g in groups[mover - 1]:
+            if g & adjacent:
+                merged |= g
+            else:
+                kept.append(g)
+        kept.append(merged)
+        first, second = self._edges[mover - 1]
+        result = mover if merged & first and merged & second else None
+        mine = tuple(kept)
+        return result, ((mine, groups[1]) if mover == 1 else (groups[0], mine))
 
 
 # Line directions: E, N, NE, NW as (dx, dy) on the square grid.  Wins may
@@ -211,25 +227,43 @@ class Line4Rules(GameRules):
         self.height = height
         self.name = f"line4-{width}x{height}"
 
-    def _value(self, board: ChunkSet, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return 0
-        return (board.bits >> self._cells[y * self.width + x][1]) & self._chunk_mask
+        # Per cell, in cell order: for each line direction, the chunk shifts
+        # of the up to three on-board cells forward and backward from it.
+        self._rays = []
+        for y in range(height):
+            for x in range(width):
+                pairs = []
+                for dx, dy in _LINE4_DIRS:
+                    pair = []
+                    for sx, sy in ((dx, dy), (-dx, -dy)):
+                        shifts = []
+                        x2, y2 = x + sx, y + sy
+                        while len(shifts) < 3 and 0 <= x2 < width and 0 <= y2 < height:
+                            shifts.append(self._cells[y2 * width + x2][1])
+                            x2, y2 = x2 + sx, y2 + sy
+                        pair.append(tuple(shifts))
+                    pairs.append(tuple(pair))
+                self._rays.append(tuple(pairs))
 
     def _placed(self, state, board, cell, move_number):
-        # A new line of four must run through the placed cell.
+        # A new line of four must run through the placed cell; three stones
+        # on either side of it are as many as such a line can use.
         player = state.mover
-        x, y = cell % self.width, cell // self.width
-        for dx, dy in _LINE4_DIRS:
+        bits = board.bits
+        mask = self._chunk_mask
+        for forward, backward in self._rays[cell]:
             run = 1
-            for sx, sy in ((dx, dy), (-dx, -dy)):
-                k = 1
-                while self._value(board, x + k * sx, y + k * sy) == player:
-                    run += 1
-                    k += 1
+            for s in forward:
+                if (bits >> s) & mask != player:
+                    break
+                run += 1
+            for s in backward:
+                if (bits >> s) & mask != player:
+                    break
+                run += 1
             if run >= 4:
                 return player, None
-        return (0 if move_number >= self.graph.cell_count else None), None
+        return (0 if move_number >= self._cell_count else None), None
 
 
 def hex_rules(size: int) -> HexRules:

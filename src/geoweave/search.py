@@ -7,6 +7,12 @@ proactive instances do the same; scores are clamped to a small positive
 floor (weights may be negative but can only discourage, never forbid) and
 the move is sampled from the resulting distribution.
 
+The benchmark's tracer (``perfbench/spans.py``) rebinds the module-level
+names of the functions it traces, in this module too, and wraps the
+rules' methods on their classes.  So no traced function is aliased at
+import time here: ``run_playout`` looks ``biased_scores`` and ``_sample``
+up as globals and binds the rules' methods per call.
+
 Sampling bisects the running sums of the scores.  When every score is
 exactly 1.0 the running sums are the exact integers 1..n (no rounding
 below 2**53) and the total is n, so ``bisect_right`` would stop at index
@@ -94,19 +100,17 @@ def biased_scores(
     """Per-move selection scores after weight accumulation and flooring."""
     if idx is None:
         return [bias.base_score] * len(legal)
+    board = state.board
+    last_move = state.last_move
+    bucket = idx.reactive_by_last_move.get(last_move.to, ()) if last_move is not None else ()
+    proactive = idx.proactive
     if counters is not None:
         counters.calls += 1
-
-    board = state.board
-    hits = []
-    if state.last_move is not None:
-        bucket = idx.reactive_for(state.last_move.to)
-        if counters is not None:
-            counters.reactive_tests += len(bucket)
-        hits = [inst for inst in bucket if match_instance(inst, board)]
-    if counters is not None:
-        counters.proactive_tests += len(idx.proactive)
-    hits += [inst for inst in idx.proactive if match_instance(inst, board)]
+        counters.reactive_tests += len(bucket)
+        counters.proactive_tests += len(proactive)
+    hits = [inst for inst in bucket if match_instance(inst, board)] if bucket else []
+    if proactive:
+        hits += [inst for inst in proactive if match_instance(inst, board)]
     floor = bias.floor
     if not hits:
         base = bias.base_score
@@ -166,21 +170,20 @@ def run_playout(
     Exceeding the playout length cap counts as a draw.
     """
     bias = bias or BiasConfig()
-    result = rules.status(state)
-    if result is not None:
+    # Bound here, per call, so that a tracer's wrappers on the rules class
+    # are what runs; biased_scores and _sample stay module lookups.
+    status, legal_moves, apply = rules.status, rules.legal_moves, rules.apply
+    if status(state) is not None:
         raise ValueError("playout requires a non-terminal state")
-    max_len = _move_cap(rules)
-    plies = 0
-    while result is None:
-        if plies >= max_len:
-            return 0
-        legal = rules.legal_moves(state)
+    for _ in range(_move_cap(rules)):
+        legal = legal_moves(state)
         idx = indexes[state.mover] if indexes is not None else None
         scores = biased_scores(state, legal, idx, bias, counters)
-        state = rules.apply(state, legal[_sample(scores, rng)])
-        plies += 1
-        result = rules.status(state)
-    return result
+        state = apply(state, legal[_sample(scores, rng)])
+        result = status(state)
+        if result is not None:
+            return result
+    return 0
 
 
 class _Node:

@@ -7,8 +7,9 @@ of checks around the placed stone, exhaustive minimax instead of
 sampling, an instance compiler that repeats every walk resolution and
 constraint compilation instead of sharing them within a call, pattern
 tests word by word over the 64-bit ``words`` view and cell by cell
-instead of the one AND + compare on the board's int, and a linear scan
-over the scores instead of a bisection of their running sums.
+instead of the one AND + compare on the board's int, a linear scan
+over the scores instead of a bisection of their running sums, and a
+count over the empty cells instead of a popcount of the board.
 """
 
 from __future__ import annotations
@@ -208,6 +209,12 @@ def status_oracle(rules, state) -> int | None:
         assert len(winners) <= 1, "both hex players connected"
         return winners[0] if winners else None
     return line4_winner_scan(rules, values, state.move_number)
+
+
+def empty_slot_oracle(empty, cell: int) -> int:
+    """Where ``cell`` sits in a position's cell-ordered empty ``Move``s: the
+    index ``bisect_left`` by ``to`` finds, as a count of the moves below it."""
+    return sum(1 for m in empty if m.to < cell)
 
 
 def minimax_winner(rules, state) -> int:

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoweave as gw
-from geoweave.games import IllegalMove, Move
+from geoweave.chunkset import ChunkSet
+from geoweave.games import GameState, IllegalMove, Move
 from geoweave.rng import SplitMix64
-from oracles import hex_groups_oracle, hex_win_bfs, minimax_winner, status_oracle
+from oracles import empty_slot_oracle, hex_groups_oracle, hex_win_bfs, minimax_winner, status_oracle
 
 
 def empty_cells(rules, state):
@@ -173,6 +174,100 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
             scan = []
         assert [m.to for m in rules.legal_moves(state)] == scan
     assert rules.status(state) is not None
+
+
+def hand_built(rules, values, mover, carry_empty):
+    """A hand-built position of ``values``, with its empty cells given when
+    ``carry_empty`` (each cell's ``Move`` from the initial state)."""
+    board = ChunkSet.from_values(values, rules.chunk_bits)
+    empty = tuple(m for m in rules.initial_state().empty if values[m.to] == 0)
+    stones = sum(v != 0 for v in values)
+    return GameState(board, mover, None, stones, empty=empty if carry_empty else None), empty
+
+
+def assert_empty_slot_removed(rules, values, cell, mover):
+    """``apply`` on ``cell`` hands the child its parent's empty cells minus
+    the one at the oracle's slot, from a carried or a scanned tuple."""
+    for carry_empty in (True, False):
+        state, empty = hand_built(rules, values, mover, carry_empty)
+        i = empty_slot_oracle(empty, cell)
+        assert empty[i].to == cell
+        assert rules.apply(state, Move(cell)).empty == empty[:i] + empty[i + 1:]
+
+
+SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(SLOT_GAMES), data=st.data())
+def test_apply_removes_the_placed_cell_at_the_bisect_slot(name, data):
+    """Random hand-built boards: the slot ``apply`` counts from the board's
+    occupied chunks is the one a bisection of the empty cells finds,
+    the first and last cells included."""
+    rules = gw.game_from_name(name)
+    n = rules.graph.cell_count
+    values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    cell = data.draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+    values[cell] = 0
+    assert_empty_slot_removed(rules, values, cell, data.draw(st.sampled_from([1, 2])))
+
+
+@pytest.mark.parametrize("name", SLOT_GAMES)
+def test_apply_slot_at_the_first_and_last_cells(name):
+    """Cells 0 and n-1 on the empty board, on a board full but for them and
+    on a board whose only stones are at the other end."""
+    rules = gw.game_from_name(name)
+    n = rules.graph.cell_count
+    for cell in (0, n - 1):
+        other = n - 1 - cell
+        boards = ([0] * n, [1 + c % 2 for c in range(n)], [2 if c == other else 0 for c in range(n)])
+        for values in boards:
+            values = list(values)
+            values[cell] = 0
+            assert_empty_slot_removed(rules, values, cell, 1)
+
+
+def line4_runs(width, height):
+    """Every run of 3-7 cells on the board, along each line direction: the
+    cells in order and the cells just beyond its two ends, when on board."""
+    on = lambda x, y: 0 <= x < width and 0 <= y < height
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
+        for length in range(3, 8):
+            for y in range(height):
+                for x in range(width):
+                    run = [(x + k * dx, y + k * dy) for k in range(length)]
+                    if not all(on(*xy) for xy in run):
+                        continue
+                    beyond = [xy for xy in ((x - dx, y - dy), (x + length * dx, y + length * dy)) if on(*xy)]
+                    yield [yy * width + xx for xx, yy in run], [yy * width + xx for xx, yy in beyond]
+
+
+@pytest.mark.parametrize("size", [(4, 4), (5, 7), (7, 7)])
+def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
+    """Each run of 3-7 stones in every direction and position, edges and
+    corners included, completed by its middle stone or by either end stone,
+    with the cells beyond its ends empty or held by the other player: the
+    result ``apply`` records is the whole-board oracle's."""
+    rules = gw.line4_rules(*size)
+    n = rules.graph.cell_count
+    checked = wins = 0
+    for run, beyond in line4_runs(*size):
+        for player in (1, 2):
+            for blocked in (False, True):
+                for placed in {run[0], run[len(run) // 2], run[-1]}:
+                    values = [0] * n
+                    for c in run:
+                        values[c] = player
+                    for c in beyond if blocked else ():
+                        values[c] = 3 - player
+                    values[placed] = 0
+                    state, _ = hand_built(rules, values, player, carry_empty=True)
+                    child = rules.apply(state, Move(placed))
+                    assert rules.status(child) == status_oracle(rules, child)
+                    assert rules.status(child) == (player if len(run) >= 4 else None)
+                    checked += 1
+                    wins += len(run) >= 4
+    assert wins and checked > wins
 
 
 def test_hand_built_state_gives_the_scanned_legal_moves():

@@ -11,10 +11,13 @@ workload (its rules and generation bound at full size, taken from
            instances from it and sums the weights
 
 Next to the hit it times the walk calls a hit replays alone
-(``instancer._replay_walk_calls``), and gives their share of the hit (the
-median over the passes): the part of a hit that only keeps the
-benchmark's frozen count of walk calls.  It prints the best of
-``--repeat`` passes in seconds per call.
+(``instancer._replay_walk_calls``), and gives their share of the hit: the
+part of a hit that only keeps the benchmark's frozen count of walk calls.
+Each pass times the hit and the replay three times each, alternating, and
+takes the share from the best of each in that pass, so that one slow
+timing under a shared machine's load does not tip it; the share printed
+is the median over the passes.  It prints the best of ``--repeat`` passes
+in seconds per call.
 
 The traced ``instancer.instantiate.self_s`` is no use here: the tracer
 opens a span for each of the ~300,000 walk calls of one compile.
@@ -39,6 +42,8 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from timing import best_s, rebinding  # noqa: E402
 
 TUNE = WORKLOADS["hex7-tune-candidates"]
+# Timings of the hit and of its replay in each pass.
+PASS_TIMINGS = 3
 
 
 def cold_compile(fs, graph, mover: int):
@@ -74,10 +79,16 @@ def main(argv=None) -> int:
 
         cold = best_s(compile_once, args.repeat, setup=instancer.clear_memo)
         compile_once()
-        # A hit and its replay alone, back to back in each pass, so that the
-        # share compares passes made under the same load.
-        passes = [(best_s(compile_once, 1), best_s(lambda: instancer._replay_walk_calls(fs, graph), 1))
-                  for _ in range(args.repeat)]
+
+        def replay_once():
+            instancer._replay_walk_calls(fs, graph)
+
+        # Per pass: the best of three hits and of three replays, timed in
+        # turn, so that the share compares timings made under the same load.
+        passes = []
+        for _ in range(args.repeat):
+            times = [(best_s(compile_once, 1), best_s(replay_once, 1)) for _ in range(PASS_TIMINGS)]
+            passes.append((min(hit for hit, _ in times), min(replay for _, replay in times)))
         movers[mover] = {
             "instances": instances,
             "walk_calls": calls,

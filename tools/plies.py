@@ -4,7 +4,8 @@ Plays case ``--case`` of the benchmark's hex7-mcts-bridge workload (its
 rules, feature set, match size and seed, taken from
 ``perfbench/workloads.py``) and records every playout ply of the bridge
 agent: the position, its legal moves, the scores and the move that was
-sampled.  Then it times each layer on exactly those
+sampled; and every bridge playout: its start position, its RNG state and
+its winner.  Then it times each layer on exactly those
 plies, with the garbage collector off, and prints the best of ``--repeat``
 passes in microseconds per call:
 
@@ -13,6 +14,11 @@ passes in microseconds per call:
     _sample         search._sample(scores, rng)
     apply           GameRules.apply(state, move)
     win_check       the per-game placement hook that ``apply`` calls
+    playout_ply     whole search.run_playout calls replayed from each
+                    recorded start and RNG state: their time over the plies
+
+Every replayed playout must return its recorded winner, or the tool stops
+with an error.
 
 Usage: python3 tools/plies.py [--case 5] [--repeat 5] [--json]
 """
@@ -32,18 +38,28 @@ import geoweave as gw  # noqa: E402
 from geoweave import search  # noqa: E402
 from geoweave.rng import SplitMix64  # noqa: E402
 from perfbench.workloads import REGRESSION_SEED, WORKLOADS  # noqa: E402
-from timing import per_call_us, rebinding  # noqa: E402
+from timing import best_s, per_call_us, rebinding  # noqa: E402
 
 BRIDGE = WORKLOADS["hex7-mcts-bridge"]
 
 
 def record_plies(seed: int):
-    """Every bridge-agent playout ply of one full-size match, in play order."""
+    """Every bridge-agent playout ply of one full-size match, in play order,
+    and every bridge-agent playout as (start, indexes, RNG state, bias,
+    winner)."""
     size = BRIDGE.sizes["full"]
     rules, fs = BRIDGE.setup(size)
     plies = []
+    playouts = []
     last = None
-    biased_scores, sample = search.biased_scores, search._sample
+    biased_scores, sample, run_playout = search.biased_scores, search._sample, search.run_playout
+
+    def recording_playout(state, rules, indexes, rng, bias=None, counters=None):
+        start = rng.state
+        winner = run_playout(state, rules, indexes, rng, bias, counters)
+        if indexes is not None:
+            playouts.append((state, indexes, start, bias, winner))
+        return winner
 
     def recording_scores(state, legal, idx, bias, counters=None):
         nonlocal last
@@ -57,10 +73,19 @@ def record_plies(seed: int):
             plies.append((*last, last[1][i]))
         return i
 
-    with rebinding(search, biased_scores=recording_scores, _sample=recording_sample):
+    with rebinding(search, biased_scores=recording_scores, _sample=recording_sample,
+                   run_playout=recording_playout):
         gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=size.playouts),
                       gw.AgentSpec(playouts=size.playouts), size.games, seed)
-    return rules, plies
+    return rules, plies, playouts
+
+
+def replay_playouts(rules, playouts) -> None:
+    """Play each recorded playout again from its start and RNG state."""
+    run_playout = search.run_playout
+    for state, indexes, start, bias, winner in playouts:
+        if run_playout(state, rules, indexes, SplitMix64(start), bias) != winner:
+            raise SystemExit("plies: a replayed playout did not return its recorded winner")
 
 
 def main(argv=None) -> int:
@@ -72,7 +97,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seed = REGRESSION_SEED + args.case
-    rules, plies = record_plies(seed)
+    rules, plies, playouts = record_plies(seed)
     states = [(p[0],) for p in plies]
     children = [rules.apply(p[0], p[5]) for p in plies]
     rng = SplitMix64(seed)
@@ -85,12 +110,14 @@ def main(argv=None) -> int:
             rules._placed,
             [(p[0], c.board, p[5].to, c.move_number) for p, c in zip(plies, children)],
             args.repeat),
+        "playout_ply": best_s(lambda: replay_playouts(rules, playouts), args.repeat) / len(plies) * 1e6,
     }
     unit = sum(all(s == 1.0 for s in p[4]) for p in plies)
     report = {
         "case": args.case,
         "seed": seed,
         "plies": len(plies),
+        "playouts": len(playouts),
         "unit_score_share": round(unit / len(plies), 4),
         "repeat": args.repeat,
         "us_per_call": {k: round(v, 3) for k, v in timings.items()},
@@ -99,7 +126,7 @@ def main(argv=None) -> int:
         print(json.dumps(report))
         return 0
     print(f"hex7-mcts-bridge case {args.case} (seed {seed}): "
-          f"{len(plies)} bridge playout plies, "
+          f"{len(plies)} plies in {len(playouts)} bridge playouts, "
           f"{report['unit_score_share']:.1%} with every score 1.0; "
           f"best of {args.repeat}, GC off, untraced")
     for name, us in timings.items():
