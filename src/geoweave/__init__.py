@@ -59,10 +59,8 @@ from .instancer import (
 )
 from .search import (
     AgentSpec,
-    BiasConfig,
     MatchCounters,
     MatchResult,
-    SearchConfig,
     biased_move_distribution,
     biased_scores,
     compile_feature_set,

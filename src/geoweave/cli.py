@@ -68,8 +68,6 @@ def _check_search_flags(args) -> None:
         raise UsageError("--games must be even (sides are swapped each game)")
     if args.playouts < 0:
         raise UsageError("--playouts must be >= 0")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
 
 
 def _sha256(path: Path) -> str:
@@ -141,13 +139,12 @@ def cmd_match(args) -> int:
     agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
     agent_b = AgentSpec(feature_set=fs_b, playouts=args.playouts)
     run = Run("match", args, args.out)
-    result = play_match(rules, agent_a, agent_b, args.games, seed, workers=args.workers)
+    result = play_match(rules, agent_a, agent_b, args.games, seed)
     payload = {
         "game": rules.name,
         "agent_a": agent_a.label(),
         "agent_b": agent_b.label(),
         "playouts": args.playouts,
-        "workers": args.workers,
         **result.to_dict(),
     }
     run.write_json("match.json", payload)
@@ -179,9 +176,7 @@ def cmd_evaluate(args) -> int:
     rules = _rules_from(args)
     fs = load_feature_set(args.features)
     run = Run("evaluate", args, args.out)
-    record = evaluate_feature_set(
-        fs, rules, args.games, seed, playouts=args.playouts, workers=args.workers
-    )
+    record = evaluate_feature_set(fs, rules, args.games, seed, playouts=args.playouts)
     run.write_json("eval.json", record.to_dict())
     log_path = run.out / "eval.jsonl"
     write_eval_log([record], log_path)
@@ -201,7 +196,7 @@ def cmd_tune(args) -> int:
     run = Run("tune", args, args.out)
     result = hill_climb_weights(
         fs, rules, budget=args.budget, step=args.step, seed=seed,
-        games=args.games, playouts=args.playouts, workers=args.workers,
+        games=args.games, playouts=args.playouts,
     )
     tuned_path = run.out / "tuned.fs"
     save_feature_set(result.best, tuned_path)
@@ -235,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--games", type=int, default=100, help="match games, even (default 100)")
         p.add_argument("--playouts", type=int, default=100,
                        help="MCTS playouts per move; 0 plays the raw policy (default 100)")
-        p.add_argument("--workers", type=int, default=1, help="root-parallel search trees (default 1)")
 
     p = sub.add_parser("render", help="render each feature to an SVG diagram")
     common(p, features_required=True)

@@ -28,7 +28,7 @@ from .features import (
 )
 from .games import GameRules, HexRules, Line4Rules
 from .rng import derive_seed
-from .search import AgentSpec, BiasConfig, play_match
+from .search import AgentSpec, play_match
 from .walks import Walk, make_walk
 
 
@@ -138,13 +138,11 @@ def evaluate_feature_set(
     games: int,
     seed: int,
     playouts: int = 100,
-    workers: int = 1,
-    bias: BiasConfig | None = None,
 ) -> EvalRecord:
     """Feature-biased MCTS against uniform-playout MCTS at equal playouts."""
-    biased = AgentSpec(feature_set=fs, playouts=playouts, bias=bias or BiasConfig())
+    biased = AgentSpec(feature_set=fs, playouts=playouts)
     vanilla = AgentSpec(playouts=playouts)
-    result = play_match(rules, biased, vanilla, games, seed, workers=workers)
+    result = play_match(rules, biased, vanilla, games, seed)
     return EvalRecord(
         feature_set=fs,
         games=games,
@@ -171,7 +169,6 @@ def hill_climb_weights(
     seed: int = 0,
     games: int = 50,
     playouts: int = 100,
-    workers: int = 1,
 ) -> TuneResult:
     """Coordinate-wise +/-step hill climb on feature weights.
 
@@ -187,7 +184,7 @@ def hill_climb_weights(
     match_seed = derive_seed(seed, 0)
 
     def run(candidate: FeatureSet) -> EvalRecord:
-        return evaluate_feature_set(candidate, rules, games, match_seed, playouts, workers)
+        return evaluate_feature_set(candidate, rules, games, match_seed, playouts)
 
     history: list[EvalRecord] = []
     best = fs

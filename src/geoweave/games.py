@@ -1,8 +1,11 @@
 """Built-in games: Hex on the rhombus board and Line4 on the square board.
 
-Both are placement games for two players; every feature mechanism the
-engine supports (reactive/proactive, rotations, off-board elements, the
-move-from action channel) is exercised against these rules in the tests.
+Both are placement games for two players.  The tests exercise the
+reactive and proactive features, rotations and off-board elements against
+these rules.  Neither game has moves with a from-cell, so a move-from
+feature compiles and is tested but never boosts a move: its instances'
+``(action_to, action_from)`` has a from-cell, and every legal ``Move(c)``
+has ``from_`` None.
 
 ``apply`` decides the result once, from the stone it places (its Hex
 group or its Line4 runs): it refuses every move after the game ends, so

@@ -1,11 +1,11 @@
 """Feature-biased playouts and UCT search.
 
 Playout biasing follows a four-step scheme per move: every legal move
-starts at a uniform base score; matching reactive instances indexed under
-the previous move add their weights to their action's score; matching
-proactive instances do the same; scores are clamped to a small positive
-floor (weights may be negative but can only discourage, never forbid) and
-the move is sampled from the resulting distribution.
+starts at ``BASE_SCORE``; matching reactive instances indexed under the
+previous move add their weights to their action's score; matching
+proactive instances do the same; scores are clamped to the positive
+``FLOOR`` (weights may be negative but can only discourage, never forbid)
+and the move is sampled from the resulting distribution.
 
 The benchmark's tracer (``perfbench/spans.py``) rebinds the module-level
 names of the functions it traces, in this module too, and wraps the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .features import FeatureSet
@@ -35,31 +35,13 @@ from .rng import SplitMix64, derive_seed
 from .stats import wilson_interval
 
 
-@dataclass
-class BiasConfig:
-    floor: float = 0.01
-    base_score: float = 1.0
-
-    def __post_init__(self):
-        if self.floor <= 0 or self.base_score <= 0:
-            raise ValueError("floor and base_score must be positive")
-
+# Every legal move's score before instance weights are added, and the
+# positive score every sum is clamped to.
+BASE_SCORE = 1.0
+FLOOR = 0.01
 
 # UCB1's exploration constant for rewards in [0, 1].
 UCT_EXPLORATION = math.sqrt(2.0)
-
-
-@dataclass
-class SearchConfig:
-    playouts_per_move: int = 100
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.playouts_per_move < 1:
-            raise ValueError("playouts_per_move must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -94,12 +76,11 @@ def biased_scores(
     state: GameState,
     legal: list[Move],
     idx: InstanceIndex | None,
-    bias: BiasConfig,
     counters: MatchCounters | None = None,
 ) -> list[float]:
     """Per-move selection scores after weight accumulation and flooring."""
     if idx is None:
-        return [bias.base_score] * len(legal)
+        return [BASE_SCORE] * len(legal)
     board = state.board
     last_move = state.last_move
     bucket = idx.reactive_by_last_move.get(last_move.to, ()) if last_move is not None else ()
@@ -111,33 +92,29 @@ def biased_scores(
     hits = [inst for inst in bucket if match_instance(inst, board)] if bucket else []
     if proactive:
         hits += [inst for inst in proactive if match_instance(inst, board)]
-    floor = bias.floor
     if not hits:
-        base = bias.base_score
-        return [base if base > floor else floor] * len(legal)
+        return [BASE_SCORE] * len(legal)
     # Few instances match, so the move slots are looked up only on a hit;
     # weights are added in test order, reactive first.
-    scores = [bias.base_score] * len(legal)
+    scores = [BASE_SCORE] * len(legal)
     slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
     for inst in hits:
         i = slot.get((inst.action_to, inst.action_from))
         if i is not None:
             scores[i] += inst.weight
-    return [s if s > floor else floor for s in scores]
+    return [s if s > FLOOR else FLOOR for s in scores]
 
 
 def biased_move_distribution(
     state: GameState,
     legal: list[Move],
     idx: InstanceIndex | None,
-    bias: BiasConfig | None = None,
     counters: MatchCounters | None = None,
 ) -> list[float]:
     """Probability of selecting each legal move, aligned with ``legal``."""
     if not legal:
         raise ValueError("no legal moves")
-    bias = bias or BiasConfig()
-    scores = biased_scores(state, legal, idx, bias, counters)
+    scores = biased_scores(state, legal, idx, counters)
     total = 0.0
     for s in scores:
         total += s
@@ -162,14 +139,12 @@ def run_playout(
     rules: GameRules,
     indexes: PlayerIndexes | None,
     rng: SplitMix64,
-    bias: BiasConfig | None = None,
     counters: MatchCounters | None = None,
 ) -> int:
     """Play to the end with the biased policy; returns winner id or 0 (draw).
 
     Exceeding the playout length cap counts as a draw.
     """
-    bias = bias or BiasConfig()
     # Bound here, per call, so that a tracer's wrappers on the rules class
     # are what runs; biased_scores and _sample stay module lookups.
     status, legal_moves, apply = rules.status, rules.legal_moves, rules.apply
@@ -178,7 +153,7 @@ def run_playout(
     for _ in range(_move_cap(rules)):
         legal = legal_moves(state)
         idx = indexes[state.mover] if indexes is not None else None
-        scores = biased_scores(state, legal, idx, bias, counters)
+        scores = biased_scores(state, legal, idx, counters)
         state = apply(state, legal[_sample(scores, rng)])
         result = status(state)
         if result is not None:
@@ -215,46 +190,37 @@ def mcts_best_move(
     state: GameState,
     rules: GameRules,
     indexes: PlayerIndexes | None,
-    cfg: SearchConfig,
-    bias: BiasConfig | None = None,
+    playouts: int,
+    seed: int,
     counters: MatchCounters | None = None,
 ) -> Move:
     """UCT with mean-value backup; playouts biased when indexes are given.
 
-    Runs ``cfg.workers`` independent trees (root parallel contract) and
-    returns the move with the highest aggregated root visit count; with a
-    single worker this is plain UCT.  Deterministic for a given seed.
+    Runs ``playouts`` playouts in one tree and returns the first root move
+    with the most visits.  Deterministic for a given seed.
 
-    With ``playouts_per_move`` at most the number of legal moves the move
-    is fixed: expansion tries untried moves in legal order, so each root
-    child gets at most one visit, and the first-index tie-break returns
-    the first legal move whatever the seed, bias or feature set.  On hex7
-    at 30 playouts per move the first 20 plies of a game from the empty
-    board are therefore cells 0, 1, ..., 19.
+    With ``playouts`` at most the number of legal moves the move is fixed:
+    expansion tries untried moves in legal order, so each root child gets
+    at most one visit, and the first-index tie-break returns the first
+    legal move whatever the seed or feature set.  On hex7 at 30 playouts
+    per move the first 20 plies of a game from the empty board are
+    therefore cells 0, 1, ..., 19.
     """
+    if playouts < 1:
+        raise ValueError("playouts must be >= 1")
     if rules.status(state) is not None:
         raise ValueError("search requires a non-terminal state")
-    bias = bias or BiasConfig()
     root_legal = rules.legal_moves(state)
-    tallies = [0] * len(root_legal)
-    for worker in range(cfg.workers):
-        rng = SplitMix64(derive_seed(cfg.seed, worker))
-        visits = _search_tree(state, rules, indexes, cfg, bias, rng, counters)
-        for i, v in enumerate(visits):
-            tallies[i] += v
-    best = 0
-    for i in range(1, len(tallies)):
-        if tallies[i] > tallies[best]:
-            best = i
-    return root_legal[best]
+    rng = SplitMix64(derive_seed(seed, 0))
+    visits = _search_tree(state, rules, indexes, playouts, rng, counters)
+    return root_legal[visits.index(max(visits))]
 
 
 def _search_tree(
     state: GameState,
     rules: GameRules,
     indexes: PlayerIndexes | None,
-    cfg: SearchConfig,
-    bias: BiasConfig,
+    playouts: int,
     rng: SplitMix64,
     counters: MatchCounters | None,
 ) -> list[int]:
@@ -263,7 +229,7 @@ def _search_tree(
     root = _Node(None, None, 3 - state.mover)
     root.legal = rules.legal_moves(state)
 
-    for _ in range(cfg.playouts_per_move):
+    for _ in range(playouts):
         node = root
         cur = state
         # Selection: descend while fully expanded.
@@ -309,7 +275,7 @@ def _search_tree(
             child.legal = []
             winner = result
         else:
-            winner = run_playout(cur, rules, indexes, rng, bias, counters)
+            winner = run_playout(cur, rules, indexes, rng, counters)
         _backup(child, winner)
 
     visits = [0] * len(root.legal)
@@ -333,7 +299,6 @@ class AgentSpec:
 
     feature_set: FeatureSet | None = None
     playouts: int = 0
-    bias: BiasConfig = field(default_factory=BiasConfig)
 
     def label(self) -> str:
         kind = f"mcts{self.playouts}" if self.playouts else "policy"
@@ -379,7 +344,6 @@ def _play_one_game(
     rules: GameRules,
     agents: dict[int, tuple[AgentSpec, PlayerIndexes | None]],
     game_seed: int,
-    workers: int,
 ) -> int:
     state = rules.initial_state()
     max_moves = _move_cap(rules)
@@ -391,15 +355,10 @@ def _play_one_game(
         if spec.playouts == 0:
             legal = rules.legal_moves(state)
             idx = indexes[state.mover] if indexes is not None else None
-            scores = biased_scores(state, legal, idx, spec.bias)
+            scores = biased_scores(state, legal, idx)
             move = legal[_sample(scores, SplitMix64(ply_seed))]
         else:
-            cfg = SearchConfig(
-                playouts_per_move=spec.playouts,
-                seed=ply_seed,
-                workers=workers,
-            )
-            move = mcts_best_move(state, rules, indexes, cfg, spec.bias)
+            move = mcts_best_move(state, rules, indexes, spec.playouts, ply_seed)
         state = rules.apply(state, move)
         ply += 1
         result = rules.status(state)
@@ -412,7 +371,6 @@ def play_match(
     agent_b: AgentSpec,
     games: int,
     seed: int,
-    workers: int = 1,
 ) -> MatchResult:
     """Seeded match with side swapping each game and paired opening seeds."""
     if games < 2 or games % 2 != 0:
@@ -428,7 +386,7 @@ def play_match(
             agents = {1: (agent_a, compiled_a), 2: (agent_b, compiled_b)}
         else:
             agents = {1: (agent_b, compiled_b), 2: (agent_a, compiled_a)}
-        winner = _play_one_game(rules, agents, game_seed, workers)
+        winner = _play_one_game(rules, agents, game_seed)
         if winner == 0:
             result.draws += 1
         elif (winner == 1) == a_first:

@@ -378,13 +378,15 @@ def instantiate_oracle(
 # --- scoring and sampling oracles -------------------------------------------
 
 
-def biased_scores_oracle(state, legal, idx, bias) -> list[float]:
+def biased_scores_oracle(state, legal, idx) -> list[float]:
     """Per-move scores from full-board tests: ``matches`` on every word of
     each instance's mask/target, then ``violates`` for each negative test.
     Matching weights are added to their move's base score, reactive
-    instances first, each group in index order, and the sums are floored."""
+    instances first, each group in index order, and the sums are floored
+    at 0.01.  The base score 1.0 and the floor are written out here, not
+    taken from the engine, so that a change to either shows."""
     bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
-    scores = [bias.base_score] * len(legal)
+    scores = [1.0] * len(legal)
     board = state.board
     for inst in [*bucket, *idx.proactive]:
         if not matches(board, board.with_bits(inst.mask), board.with_bits(inst.target)):
@@ -394,7 +396,7 @@ def biased_scores_oracle(state, legal, idx, bias) -> list[float]:
         for i, move in enumerate(legal):
             if (move.to, move.from_) == (inst.action_to, inst.action_from):
                 scores[i] += inst.weight
-    return [max(s, bias.floor) for s in scores]
+    return [max(s, 0.01) for s in scores]
 
 
 def random_oracle(rng) -> float:

@@ -22,7 +22,6 @@ from geoweave.instancer import instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.search import (
     AgentSpec,
-    BiasConfig,
     MatchCounters,
     biased_move_distribution,
     biased_scores,
@@ -233,7 +232,7 @@ def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules):
             legal = hex7_rules.legal_moves(state)
             idx = indexes[state.mover]
             counters = MatchCounters()
-            scores = biased_scores(state, legal, idx, BiasConfig(), counters)
+            scores = biased_scores(state, legal, idx, counters)
             bucket = len(idx.reactive_for(state.last_move.to)) if state.last_move else 0
             assert counters.reactive_tests == bucket
             assert counters.proactive_tests == len(idx.proactive) == 0
@@ -275,11 +274,11 @@ def test_criterion_09_dsl_round_trip_fuzz():
 
 
 def test_criterion_10_reproducibility(tmp_path, bridge_fs, hex7_rules, line4_fs, line4_7_rules):
-    """cmd_match with a fixed seed and workers=1 is byte-identical across
-    runs; SVG output matches the checked-in goldens byte for byte."""
+    """cmd_match with a fixed seed is byte-identical across runs; SVG
+    output matches the checked-in goldens byte for byte."""
     args = [
         "match", "--game", "hex5", "--a", str(FIXTURES / "bridge.fs"),
-        "--games", "4", "--playouts", "50", "--seed", "9", "--workers", "1",
+        "--games", "4", "--playouts", "50", "--seed", "9",
     ]
     assert cli_main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "r2")]) == 0

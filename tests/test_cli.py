@@ -51,13 +51,24 @@ def test_match_unknown_game_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--playouts", "-1"],
-    ["--workers", "0"],
+    ["--games", "3"],  # odd: sides are swapped each game
     ["--games", "0"],
 ])
 def test_match_bad_search_flag_is_usage_error(tmp_path, flags, capsys):
     rc = main(["match", "--game", "line4-4x4", "--games", "2", "--out", str(tmp_path / "o"), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_match_workers_flag_is_gone(tmp_path, capsys):
+    # Search runs one tree per move; an old script that passes --workers
+    # stops with argparse's usage error instead of running something else.
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--game", "line4-4x4", "--games", "2", "--out", str(tmp_path / "o"),
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command,line", [

@@ -10,7 +10,7 @@ plies, with the garbage collector off, and prints the best of ``--repeat``
 passes in microseconds per call:
 
     legal_moves     GameRules.legal_moves(state)
-    biased_scores   search.biased_scores(state, legal, idx, bias)
+    biased_scores   search.biased_scores(state, legal, idx)
     _sample         search._sample(scores, rng)
     apply           GameRules.apply(state, move)
     win_check       the per-game placement hook that ``apply`` calls
@@ -45,8 +45,7 @@ BRIDGE = WORKLOADS["hex7-mcts-bridge"]
 
 def record_plies(seed: int):
     """Every bridge-agent playout ply of one full-size match, in play order,
-    and every bridge-agent playout as (start, indexes, RNG state, bias,
-    winner)."""
+    and every bridge-agent playout as (start, indexes, RNG state, winner)."""
     size = BRIDGE.sizes["full"]
     rules, fs = BRIDGE.setup(size)
     plies = []
@@ -54,22 +53,22 @@ def record_plies(seed: int):
     last = None
     biased_scores, sample, run_playout = search.biased_scores, search._sample, search.run_playout
 
-    def recording_playout(state, rules, indexes, rng, bias=None, counters=None):
+    def recording_playout(state, rules, indexes, rng, counters=None):
         start = rng.state
-        winner = run_playout(state, rules, indexes, rng, bias, counters)
+        winner = run_playout(state, rules, indexes, rng, counters)
         if indexes is not None:
-            playouts.append((state, indexes, start, bias, winner))
+            playouts.append((state, indexes, start, winner))
         return winner
 
-    def recording_scores(state, legal, idx, bias, counters=None):
+    def recording_scores(state, legal, idx, counters=None):
         nonlocal last
-        scores = biased_scores(state, legal, idx, bias, counters)
-        last = (state, legal, idx, bias, scores) if idx is not None else None
+        scores = biased_scores(state, legal, idx, counters)
+        last = (state, legal, idx, scores) if idx is not None else None
         return scores
 
     def recording_sample(scores, rng):
         i = sample(scores, rng)
-        if last is not None and last[4] is scores:
+        if last is not None and last[3] is scores:
             plies.append((*last, last[1][i]))
         return i
 
@@ -83,8 +82,8 @@ def record_plies(seed: int):
 def replay_playouts(rules, playouts) -> None:
     """Play each recorded playout again from its start and RNG state."""
     run_playout = search.run_playout
-    for state, indexes, start, bias, winner in playouts:
-        if run_playout(state, rules, indexes, SplitMix64(start), bias) != winner:
+    for state, indexes, start, winner in playouts:
+        if run_playout(state, rules, indexes, SplitMix64(start)) != winner:
             raise SystemExit("plies: a replayed playout did not return its recorded winner")
 
 
@@ -99,20 +98,20 @@ def main(argv=None) -> int:
     seed = REGRESSION_SEED + args.case
     rules, plies, playouts = record_plies(seed)
     states = [(p[0],) for p in plies]
-    children = [rules.apply(p[0], p[5]) for p in plies]
+    children = [rules.apply(p[0], p[4]) for p in plies]
     rng = SplitMix64(seed)
     timings = {
         "legal_moves": per_call_us(rules.legal_moves, states, args.repeat),
-        "biased_scores": per_call_us(search.biased_scores, [p[:4] for p in plies], args.repeat),
-        "_sample": per_call_us(search._sample, [(p[4], rng) for p in plies], args.repeat),
-        "apply": per_call_us(rules.apply, [(p[0], p[5]) for p in plies], args.repeat),
+        "biased_scores": per_call_us(search.biased_scores, [p[:3] for p in plies], args.repeat),
+        "_sample": per_call_us(search._sample, [(p[3], rng) for p in plies], args.repeat),
+        "apply": per_call_us(rules.apply, [(p[0], p[4]) for p in plies], args.repeat),
         "win_check": per_call_us(
             rules._placed,
-            [(p[0], c.board, p[5].to, c.move_number) for p, c in zip(plies, children)],
+            [(p[0], c.board, p[4].to, c.move_number) for p, c in zip(plies, children)],
             args.repeat),
         "playout_ply": best_s(lambda: replay_playouts(rules, playouts), args.repeat) / len(plies) * 1e6,
     }
-    unit = sum(all(s == 1.0 for s in p[4]) for p in plies)
+    unit = sum(all(s == 1.0 for s in p[3]) for p in plies)
     report = {
         "case": args.case,
         "seed": seed,

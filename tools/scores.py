@@ -6,7 +6,7 @@ and records every position the biased agent scores.  Then it times, with
 the garbage collector off, the best of ``--repeat`` passes over exactly
 those positions:
 
-    biased_scores   search.biased_scores(state, legal, idx, bias), us/call
+    biased_scores   search.biased_scores(state, legal, idx), us/call
     match_instance  instancer.match_instance(inst, board) for each instance
                     that biased_scores tests there, ns/test
 
@@ -45,10 +45,10 @@ def record_positions(seed: int) -> list:
     calls = []
     biased_scores = search.biased_scores
 
-    def recording(state, legal, idx, bias, counters=None):
+    def recording(state, legal, idx, counters=None):
         if idx is not None:
-            calls.append((state, legal, idx, bias))
-        return biased_scores(state, legal, idx, bias, counters)
+            calls.append((state, legal, idx))
+        return biased_scores(state, legal, idx, counters)
 
     with rebinding(search, biased_scores=recording):
         gw.play_match(rules, gw.AgentSpec(feature_set=fs), gw.AgentSpec(), size.games, seed)
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
 
     seed = REGRESSION_SEED + args.case
     calls = record_positions(seed)
-    pairs = [(state.board, tested(state, idx)) for state, _, idx, _ in calls]
+    pairs = [(state.board, tested(state, idx)) for state, _, idx in calls]
     tests = sum(len(i) for _, i in pairs)
     scores_us = per_call_us(search.biased_scores, calls, args.repeat)
     large = hex19_pairs(args.boards, seed)
