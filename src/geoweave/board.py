@@ -22,7 +22,8 @@ one):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 OFF_BOARD = -1
 
@@ -79,10 +80,13 @@ class BoardGraph:
     centers: tuple[tuple[float, float], ...]
     polygons: tuple[tuple[tuple[float, float], ...], ...]
     edge_angles: tuple[tuple[float, ...], ...]
-    symmetries: tuple[Symmetry, ...] = field(default=(), repr=False)
 
-    def neighbor(self, cell: int, direction: int) -> int:
-        return self.neighbors[cell][direction]
+    @cached_property
+    def symmetries(self) -> tuple[Symmetry, ...]:
+        """The board's automorphisms, found on first use, for the square
+        and hex boards (the only ones absolute patterns are expanded on);
+        ``()`` for the others.  Not a field, so equality and hashing skip it."""
+        return _find_symmetries(self) if isinstance(self.kind, (Square, HexRhombus)) else ()
 
 
 class BoardError(ValueError):
@@ -114,7 +118,7 @@ def _pos_key(x: float, y: float) -> tuple[int, int]:
     return (int(round(x * 1e5)), int(round(y * 1e5)))
 
 
-def _assemble(kind: TilingKind, protos: list[_Proto], symmetric: bool) -> BoardGraph:
+def _assemble(kind: TilingKind, protos: list[_Proto]) -> BoardGraph:
     index_of = {proto[0]: i for i, proto in enumerate(protos)}
     if len(index_of) != len(protos):
         raise BoardError("duplicate cell keys in tiling construction")
@@ -149,7 +153,7 @@ def _assemble(kind: TilingKind, protos: list[_Proto], symmetric: bool) -> BoardG
                     raise BoardError(f"adjacency not symmetric between {c} and {n}")
         back_indexes.append(tuple(back_row))
 
-    graph = BoardGraph(
+    return BoardGraph(
         kind=kind,
         cell_count=len(protos),
         sides=tuple(sides),
@@ -159,9 +163,6 @@ def _assemble(kind: TilingKind, protos: list[_Proto], symmetric: bool) -> BoardG
         polygons=tuple(polygons),
         edge_angles=tuple(edge_angles),
     )
-    if symmetric:
-        object.__setattr__(graph, "symmetries", _find_symmetries(graph))
-    return graph
 
 
 def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
@@ -442,25 +443,23 @@ def _semi3464_protos(radius: int) -> list[_Proto]:
 
 
 def build_board(kind: TilingKind) -> BoardGraph:
-    """Construct the board graph for a tiling, with symmetry maps for the
-    square and hex boards (the only ones absolute patterns are expanded on).
-    """
+    """Construct the board graph for a tiling."""
     if isinstance(kind, Square):
         if kind.width < 1 or kind.height < 1:
             raise BoardError("square board needs positive width and height")
-        return _assemble(kind, _square_protos(kind.width, kind.height), symmetric=True)
+        return _assemble(kind, _square_protos(kind.width, kind.height))
     if isinstance(kind, HexRhombus):
         if kind.size < 1:
             raise BoardError("hex board needs positive size")
-        return _assemble(kind, _hex_protos(kind.size), symmetric=True)
+        return _assemble(kind, _hex_protos(kind.size))
     if isinstance(kind, Triangular):
         if kind.rows < 1:
             raise BoardError("triangular board needs at least one row")
-        return _assemble(kind, _triangular_protos(kind.rows), symmetric=False)
+        return _assemble(kind, _triangular_protos(kind.rows))
     if isinstance(kind, Semi3464):
         if kind.radius < 1:
             raise BoardError("3.4.6.4 board needs radius >= 1")
-        return _assemble(kind, _semi3464_protos(kind.radius), symmetric=False)
+        return _assemble(kind, _semi3464_protos(kind.radius))
     raise BoardError(f"unsupported tiling kind: {kind!r}")
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .board import OFF_BOARD, BoardGraph
-from .chunkset import ChunkSet, ChunkSetError, required_bits
+from .chunkset import required_bits
 from .features import Constraint, ElementKind, Feature, FeatureSet
 from .walks import Walk, mirror_walk, resolve_walk_branches, round_turn
 
@@ -68,8 +68,6 @@ class FeatureInstance:
     anchor: int
     start_dir: int
     reflected: bool
-    chunk_bits: int  # the board shape the tests are compiled for
-    cell_count: int
     # The tests over the board's int, as match_instance runs them:
     mask: int  # every required cell's chunk
     target: int  # every required cell's value
@@ -91,7 +89,7 @@ class InstanceIndex:
     graph: BoardGraph
     mover: int
     player_count: int
-    chunk_bits: int
+    chunk_bits: int  # with graph.cell_count, the shape of the boards it tests
     instances: list[FeatureInstance] = field(default_factory=list)
     proactive: list[FeatureInstance] = field(default_factory=list)
     reactive_by_last_move: dict[int, list[FeatureInstance]] = field(default_factory=dict)
@@ -100,17 +98,17 @@ class InstanceIndex:
         return self.reactive_by_last_move.get(cell, [])
 
 
-def match_instance(inst: FeatureInstance, state: ChunkSet) -> bool:
-    """Compiled instance test: one AND + compare of the board's int against
+def match_instance(inst: FeatureInstance, bits: int) -> bool:
+    """Compiled instance test: one AND + compare of a board's int against
     the instance's mask and target, then one per negated-value probe.
 
-    Equal to ``matches`` on the mask and target as chunk sets of the
-    board's shape, followed by a ``violates`` test for each of the
-    ``negative_tests``, whatever the board size.
+    ``bits`` is a board's ``ChunkSet.bits``, laid out like the boards of
+    the index the instance belongs to (``graph.cell_count`` chunks of
+    ``chunk_bits``); the caller checks that shape.  Equal to ``matches``
+    on the mask and target as chunk sets of the board's shape, followed
+    by a ``violates`` test for each of the ``negative_tests``, whatever
+    the board size.
     """
-    if state.chunk_bits != inst.chunk_bits or state.cell_count != inst.cell_count:
-        raise ChunkSetError("chunk sets differ in shape")
-    bits = state.bits
     if bits & inst.mask != inst.target:
         return False
     for mask, forbidden in inst.negative_probes:
@@ -388,8 +386,6 @@ def _compile(
             anchor,
             start_dir,
             reflected,
-            chunk_bits,
-            graph.cell_count,
             mask,
             target,
             neg_sorted,

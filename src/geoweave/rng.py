@@ -45,6 +45,3 @@ class SplitMix64:
         z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         return ((z ^ (z >> 31)) >> 11) * _INV53
-
-    def spawn(self, index: int) -> "SplitMix64":
-        return SplitMix64(derive_seed(self.state, index))

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .chunkset import ChunkSetError
 from .features import FeatureSet
 from .games import GameRules, GameState, Move
 from .instancer import InstanceIndex, instantiate, match_instance
@@ -78,10 +79,16 @@ def biased_scores(
     idx: InstanceIndex | None,
     counters: MatchCounters | None = None,
 ) -> list[float]:
-    """Per-move selection scores after weight accumulation and flooring."""
+    """Per-move selection scores after weight accumulation and flooring.
+
+    Raises ``ChunkSetError`` when the board is not of the index's shape.
+    """
     if idx is None:
         return [BASE_SCORE] * len(legal)
     board = state.board
+    if board.chunk_bits != idx.chunk_bits or board.cell_count != idx.graph.cell_count:
+        raise ChunkSetError("chunk sets differ in shape")
+    bits = board.bits
     last_move = state.last_move
     bucket = idx.reactive_by_last_move.get(last_move.to, ()) if last_move is not None else ()
     proactive = idx.proactive
@@ -89,9 +96,9 @@ def biased_scores(
         counters.calls += 1
         counters.reactive_tests += len(bucket)
         counters.proactive_tests += len(proactive)
-    hits = [inst for inst in bucket if match_instance(inst, board)] if bucket else []
+    hits = [inst for inst in bucket if match_instance(inst, bits)] if bucket else []
     if proactive:
-        hits += [inst for inst in proactive if match_instance(inst, board)]
+        hits += [inst for inst in proactive if match_instance(inst, bits)]
     if not hits:
         return [BASE_SCORE] * len(legal)
     # Few instances match, so the move slots are looked up only on a hit;

@@ -351,8 +351,6 @@ def instantiate_oracle(
                     anchor=anchor,
                     start_dir=start_dir,
                     reflected=reflected,
-                    chunk_bits=chunk_bits,
-                    cell_count=graph.cell_count,
                     mask=mask.bits,
                     target=target.bits,
                     negative_tests=neg_sorted,

@@ -93,7 +93,7 @@ def test_criterion_01_matcher_oracle_equivalence(
                 s = int(rng.integers(n_states))
                 j = int(rng.integers(len(idx.instances)))
                 board = ChunkSet(rules.chunk_bits, cells, list(map(int, state_words[s])))
-                assert match_instance(idx.instances[j], board) == bool(got[s, j])
+                assert match_instance(idx.instances[j], board.bits) == bool(got[s, j])
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is one minute"
     report(1, f"{total_pairs} state x instance pairs across {total_instances} instances "

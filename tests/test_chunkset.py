@@ -205,7 +205,6 @@ def packed_instance(mask, target, negative_tests):
     as ``instantiate`` packs them."""
     return FeatureInstance(
         feature=None, anchor=0, start_dir=0, reflected=False,
-        chunk_bits=mask.chunk_bits, cell_count=mask.cell_count,
         mask=mask.bits, target=target.bits, negative_tests=negative_tests,
         negative_probes=_negative_probes(mask.chunk_bits, negative_tests),
         element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
@@ -261,4 +260,4 @@ def test_packed_test_agrees_with_the_word_oracle(case):
         mask.set(cell, (1 << board.chunk_bits) - 1)
         target.set(cell, value)
     want = matches(board, mask, target) and not any(violates(board, c, v) for c, v in negatives)
-    assert match_instance(packed_instance(mask, target, negatives), board) == want
+    assert match_instance(packed_instance(mask, target, negatives), board.bits) == want

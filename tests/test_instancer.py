@@ -24,6 +24,7 @@ from geoweave.features import (
 from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
+from geoweave.search import biased_scores, compile_feature_set
 from geoweave.walks import make_walk, resolve_walk_branches
 import oracles
 from oracles import instantiate_oracle, interpret_instance
@@ -140,12 +141,12 @@ def test_bridge_instance_matches_fig1_position(bridge_fs):
     rules = gw.hex_rules(7)
     idx = instantiate(bridge_fs, rules.graph, 2, mover=2)
     state, intrusion, completion = hex_bridge_position(rules)
-    hits = [i for i in idx.reactive_for(intrusion) if match_instance(i, state.board)]
+    hits = [i for i in idx.reactive_for(intrusion) if match_instance(i, state.board.bits)]
     assert len(hits) == 1
     assert hits[0].action_to == completion
     # The same instance fails on an empty board: no enemy stone to react to.
     empty = rules.initial_state()
-    assert not match_instance(hits[0], empty.board)
+    assert not match_instance(hits[0], empty.board.bits)
 
 
 def test_reactive_indexing_partitions_instances(bridge_fs):
@@ -173,11 +174,11 @@ def test_enemy_not_item3_negative_test():
     assert set(inst.negative_tests) == {(north, 0), (north, 1), (north, 3)}
     board = ChunkSet(2, g.cell_count)
     board.set(north, 2)
-    assert match_instance(inst, board)
+    assert match_instance(inst, board.bits)
     board.set(north, 3)  # an enemy piece, but with the excluded index
-    assert not match_instance(inst, board)
+    assert not match_instance(inst, board.bits)
     board.set(north, 1)  # friendly piece is not an enemy
-    assert not match_instance(inst, board)
+    assert not match_instance(inst, board.bits)
 
 
 def test_enemy_two_player_compiles_positively(bridge_fs):
@@ -222,7 +223,7 @@ def test_move_from_actions_resolve_both_cells():
     assert inst.action_to == gw.square_cell(g, 2, 3)
     board = ChunkSet(2, g.cell_count)
     board.set(anchor, 1)
-    assert match_instance(inst, board)
+    assert match_instance(inst, board.bits)
 
 
 def test_absolute_feature_symmetry_expansion():
@@ -257,6 +258,15 @@ def test_absolute_explicit_rotations_stay_at_anchor():
     idx = instantiate(FeatureSet((feature,)), g, 2, 1)
     assert {i.anchor for i in idx.instances} == {centre}
     assert len(idx.instances) == 2
+
+
+def test_symmetry_maps_are_built_on_first_use(line4_fs):
+    rules = gw.game_from_name("line4-5x5")
+    compile_feature_set(line4_fs, rules)  # relative patterns only
+    assert "symmetries" not in rules.graph.__dict__
+    corner = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
+    instantiate(FeatureSet((corner,)), rules.graph, 2, 1)
+    assert "symmetries" in rules.graph.__dict__
 
 
 def test_absolute_symmetry_unsupported_on_semi(semi3):
@@ -322,19 +332,20 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
                 board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
                 values = board.values()
                 for inst in idx.instances:
-                    got = match_instance(inst, board)
+                    got = match_instance(inst, board.bits)
                     assert got == interpret_instance(inst, values, mover, 2), name
                     outcomes.add(got)
         assert outcomes == {True, False}, name
 
 
-def test_match_instance_rejects_board_of_another_shape(hex7_rules, bridge_fs):
+def test_scoring_rejects_board_of_another_shape(hex7_rules, bridge_fs):
     idx = instantiate(bridge_fs, hex7_rules.graph, 2, 1)
-    inst = idx.instances[0]
-    match_instance(inst, ChunkSet(2, 49))  # the board's own shape passes
+    state = hex7_rules.initial_state()
+    legal = hex7_rules.legal_moves(state)
+    biased_scores(state._replace(board=ChunkSet(2, 49)), legal, idx)  # the index's own shape passes
     for other in (ChunkSet(2, 50), ChunkSet(2, 48), ChunkSet(4, 49), ChunkSet(1, 49)):
         with pytest.raises(ChunkSetError, match="shape"):
-            match_instance(inst, other)
+            biased_scores(state._replace(board=other), legal, idx)
 
 
 # --- the compiler against its memo-free oracle ------------------------------

@@ -7,8 +7,9 @@ the garbage collector off, the best of ``--repeat`` passes over exactly
 those positions:
 
     biased_scores   search.biased_scores(state, legal, idx), us/call
-    match_instance  instancer.match_instance(inst, board) for each instance
-                    that biased_scores tests there, ns/test
+    match_instance  instancer.match_instance(inst, board.bits) for each
+                    instance that biased_scores tests there: the bare test
+                    on the board's int, ns/test
 
 and, as a guard for large boards, ``match_instance`` of every group3.fs
 instance on ``--boards`` random hex19 positions (ns/test).
@@ -62,13 +63,13 @@ def tested(state, idx) -> list:
 
 
 def per_test_ns(pairs: list, repeat: int) -> float:
-    """Best pass of ``match_instance`` over ``pairs`` of (board, instances),
-    in nanoseconds per test."""
+    """Best pass of ``match_instance`` over ``pairs`` of (board's int,
+    instances), in nanoseconds per test."""
 
     def run():
-        for board, instances in pairs:
+        for bits, instances in pairs:
             for inst in instances:
-                match_instance(inst, board)
+                match_instance(inst, bits)
 
     return best_s(run, repeat) / sum(len(i) for _, i in pairs) * 1e9
 
@@ -80,8 +81,9 @@ def hex19_pairs(boards: int, seed: int) -> list:
     instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), rules.graph, 2, 1).instances
     rng = SplitMix64(seed)
     cells = rules.graph.cell_count
-    return [(gw.ChunkSet.from_values([rng.next_u64() % 3 for _ in range(cells)], rules.chunk_bits),
-             instances) for _ in range(boards)]
+    return [(gw.ChunkSet.from_values([rng.next_u64() % 3 for _ in range(cells)], rules.chunk_bits).bits,
+             instances)
+            for _ in range(boards)]
 
 
 def main(argv=None) -> int:
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
 
     seed = REGRESSION_SEED + args.case
     calls = record_positions(seed)
-    pairs = [(state.board, tested(state, idx)) for state, _, idx in calls]
+    pairs = [(state.board.bits, tested(state, idx)) for state, _, idx in calls]
     tests = sum(len(i) for _, i in pairs)
     scores_us = per_call_us(search.biased_scores, calls, args.repeat)
     large = hex19_pairs(args.boards, seed)
