@@ -33,11 +33,11 @@ print("  matching is one AND+compare on the whole board, whatever the pattern's 
 
 # White stones at (1,1) and (2,2) form a bridge; Black just played the
 # intrusion at (1,2).  The empty carrier cell (2,1) completes it.
-state = rules.initial_state()
-state.board.set(gw.hex_cell(board, 1, 1), 2)
-state.board.set(gw.hex_cell(board, 2, 2), 2)
 intrusion = gw.hex_cell(board, 1, 2)
-state.board.set(intrusion, 1)
+values = [0] * board.cell_count
+values[gw.hex_cell(board, 1, 1)] = values[gw.hex_cell(board, 2, 2)] = 2
+values[intrusion] = 1
+state = rules.position(values, mover=2, last_move=gw.Move(intrusion))
 
 hits = [i for i in white.reactive_for(intrusion) if gw.match_instance(i, state.board.bits)]
 completion = gw.hex_cell(board, 2, 1)

@@ -18,13 +18,13 @@ rules = gw.hex_rules(7)
 bridge = gw.load_feature_set(FIXTURES / "bridge.fs")
 indexes = compile_feature_set(bridge, rules)
 
+# White bridge at (1,1)-(2,2); Black has just intruded at (1,2).
 board = rules.graph
-state = rules.initial_state()
-state.board.set(gw.hex_cell(board, 1, 1), 2)
-state.board.set(gw.hex_cell(board, 2, 2), 2)
 intrusion = gw.hex_cell(board, 1, 2)
-state.board.set(intrusion, 1)
-state = gw.GameState(board=state.board, mover=2, last_move=Move(intrusion), move_number=3)
+values = [0] * board.cell_count
+values[gw.hex_cell(board, 1, 1)] = values[gw.hex_cell(board, 2, 2)] = 2
+values[intrusion] = 1
+state = rules.position(values, mover=2, last_move=Move(intrusion))
 
 legal = rules.legal_moves(state)
 probs = biased_move_distribution(state, legal, indexes[2])

@@ -1,11 +1,15 @@
 """Long tier: the full-size runs that do not fit the tier-1 suite's time.
 
 Run with ``PYTHONPATH=src python -m pytest longtests -q -s`` (~27 min on a
-2-CPU VM). Criterion 06 takes ~22.5 min of that and the weight hill-climb
-~4.5 min. Both run at their stated sizes with every assert kept; the
-tier-1 suite under ``tests/`` covers the same code paths at small sizes.
+2-CPU VM). Criterion 06 takes ~22.5 min of that, the weight hill-climb
+~4.5 min and demo 03 ~30 s. They run at their stated sizes with every
+assert kept; the tier-1 suite under ``tests/`` covers the same code paths
+at small sizes.
 """
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,7 +18,8 @@ from geoweave.dsl import parse_feature_set
 from geoweave.featuregen import hill_climb_weights
 from geoweave.search import AgentSpec, play_match
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "fixtures"
 # The acceptance suite's seed (tests/test_acceptance.py).
 REGRESSION_SEED = 20250810
 
@@ -61,3 +66,17 @@ def test_hill_climb_budget_and_monotonicity():
         fs, rules, budget=6, step=2.0, seed=1234, games=300, playouts=16
     )
     assert [r.win_rate for r in again.history] == [r.win_rate for r in result.history]
+
+
+def test_demo_03_runs(tmp_path):
+    """Demo 03 builds a position by hand and plays two matches: too long
+    for tier-1, which runs demos 01 and 02."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "03_biased_playouts.py")], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "the completion cell gets six times that" in proc.stdout
+    assert not any(tmp_path.iterdir())  # writes no files

@@ -9,6 +9,10 @@ The 64-bit ``words`` view is for display and for the word-level oracle
 (``matches``).  Chunk widths stay powers of 2 so that no chunk straddles a
 word of that view, as no chunk would straddle a machine word in an engine
 that stores the words.
+
+A board is never changed in place: a new position gets a new ``ChunkSet``
+(``from_values``, ``with_bits``), so a board can be shared by every
+position, game and caller that holds it.
 """
 
 from __future__ import annotations
@@ -60,8 +64,12 @@ class ChunkSet:
     @classmethod
     def from_values(cls, values, chunk_bits: int) -> "ChunkSet":
         out = cls(chunk_bits, len(values))
+        bits = 0
         for cell, v in enumerate(values):
-            out.set(cell, v)
+            if not 0 <= v < (1 << chunk_bits):
+                raise ChunkSetError(f"value {v} does not fit in {chunk_bits} bits")
+            bits |= v << cell * chunk_bits
+        out.bits = bits
         return out
 
     @property
@@ -80,16 +88,6 @@ class ChunkSet:
             raise ChunkSetError(f"cell {cell} out of range")
         return (self.bits >> cell * self.chunk_bits) & ((1 << self.chunk_bits) - 1)
 
-    def set(self, cell: int, value: int) -> "ChunkSet":
-        if not 0 <= value < (1 << self.chunk_bits):
-            raise ChunkSetError(f"value {value} does not fit in {self.chunk_bits} bits")
-        if not 0 <= cell < self.cell_count:
-            raise ChunkSetError(f"cell {cell} out of range")
-        shift = cell * self.chunk_bits
-        chunk_mask = ((1 << self.chunk_bits) - 1) << shift
-        self.bits = (self.bits & ~chunk_mask) | (value << shift)
-        return self
-
     def values(self) -> list[int]:
         return [self.get(c) for c in range(self.cell_count)]
 
@@ -101,9 +99,6 @@ class ChunkSet:
         out.cell_count = self.cell_count
         out.bits = bits
         return out
-
-    def copy(self) -> "ChunkSet":
-        return self.with_bits(self.bits)
 
     def __eq__(self, other) -> bool:
         return (

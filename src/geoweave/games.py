@@ -13,7 +13,7 @@ a new win must pass through that stone.  ``status`` reads the recorded
 result back: None while the game is ongoing, 0 for a draw and the
 winning player id otherwise.
 
-The position also carries its empty cells: ``initial_state`` lists every
+The position also carries its empty cells: ``position`` lists each empty
 cell's shared ``Move`` in cell order, and ``apply`` hands the child that
 tuple minus the placed cell, so ``legal_moves`` copies it instead of
 scanning the board.  Since the tuple holds exactly the empty cells in
@@ -29,10 +29,12 @@ mover's groups that touch the cell's neighbour mask, keeps the others,
 and wins iff the merged group meets both of the mover's edge masks; the
 other player's tuple is handed on as it is.  Line4 carries no groups.
 
-A ``GameState`` built by hand is taken to be in play unless its
-``result`` is given, and its empty cells and groups are scanned from its
-board unless ``empty`` and ``groups`` are given; change a board by hand
-only before the state that holds it is built.
+A position is never changed: ``apply`` returns a new one.  The other way
+to make one is ``GameRules.position``, which derives the move number (the
+stone count), the empty cells and the groups from one value per cell;
+``initial_state`` is the empty position it builds once and shares.  Hex
+finds the groups by replaying ``_placed`` over the stones in cell order,
+so the group join exists once.
 """
 
 from __future__ import annotations
@@ -61,15 +63,16 @@ Groups = tuple[tuple[int, ...], tuple[int, ...]]
 class GameState(NamedTuple):
     """A position; ``result`` is what ``apply`` decided on reaching it,
     ``empty`` the ``Move``s of its empty cells in cell order and ``groups``
-    each player's groups (None: scan the board)."""
+    each player's groups (None for a game that keeps none).  Made by
+    ``GameRules.position`` and ``apply``."""
 
     board: ChunkSet
     mover: int
     last_move: Move | None
     move_number: int
-    result: int | None = None
-    empty: tuple[Move, ...] | None = None
-    groups: Groups | None = None
+    result: int | None
+    empty: tuple[Move, ...]
+    groups: Groups | None
 
 
 class GameRules:
@@ -77,7 +80,6 @@ class GameRules:
 
     name: str
     player_count = 2
-    _initial_groups: Groups | None = None
 
     def __init__(self, graph: BoardGraph):
         self.graph = graph
@@ -92,23 +94,39 @@ class GameRules:
         # Per cell: the low bit of every chunk below its own (0b01 repeated).
         low = ((1 << 2 * cells) - 1) // 3
         self._below = [low & ((1 << s) - 1) for _, s in self._cells]
+        self._initial: GameState | None = None
+
+    def position(self, values, mover: int, last_move: Move | None = None) -> GameState:
+        """The position in play that holds ``values``, one per cell in cell
+        order (0 for empty, p for a stone of player p), with ``mover`` to
+        move.  Raises ``ValueError`` on a wrong count or value."""
+        values = list(values)
+        if len(values) != self._cell_count:
+            raise ValueError(f"{self.name} has {self._cell_count} cells, got {len(values)} values")
+        for cell, v in enumerate(values):
+            if v not in range(self.state_count):
+                raise ValueError(f"cell {cell} holds {v!r}; a cell holds 0..{self.player_count}")
+        if mover not in range(1, self.state_count):
+            raise ValueError(f"mover {mover!r} is not a player 1..{self.player_count}")
+        board = ChunkSet.from_values(values, self.chunk_bits)
+        empty = tuple(m for (m, _), v in zip(self._cells, values) if not v)
+        return GameState(board, mover, last_move, self._cell_count - len(empty), None, empty,
+                         self._scan_groups(board.bits))
 
     def initial_state(self) -> GameState:
-        board = ChunkSet(self.chunk_bits, self.graph.cell_count)
-        return GameState(board, 1, None, 0, None, self._empty_moves(board), self._initial_groups)
-
-    def _empty_moves(self, board: ChunkSet) -> tuple[Move, ...]:
-        bits, mask = board.bits, self._chunk_mask
-        return tuple(m for m, s in self._cells if not (bits >> s) & mask)
+        """The empty board, player 1 to move: one position, built on first
+        use and shared by every game of these rules."""
+        if self._initial is None:
+            self._initial = self.position([0] * self._cell_count, 1)
+        return self._initial
 
     def legal_moves(self, state: GameState) -> list[Move]:
         if self.status(state) is not None:
             return []
-        empty = state.empty
-        return list(empty if empty is not None else self._empty_moves(state.board))
+        return list(state.empty)
 
     def apply(self, state: GameState, move: Move) -> GameState:
-        parent, mover, _, move_number, _, empty, _ = state
+        parent, mover, _, move_number, _, empty, groups = state
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
         cell = move.to
@@ -120,25 +138,27 @@ class GameRules:
             raise IllegalMove(f"cell {cell} is occupied")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
-        board = parent.with_bits(bits | mover << s)  # the chunk was checked to be zero
-        if empty is None:
-            empty = self._empty_moves(board)
-        else:
-            i = cell - ((bits | bits >> 1) & self._below[cell]).bit_count()
-            empty = empty[:i] + empty[i + 1:]
+        child = bits | mover << s  # the chunk was checked to be zero
+        i = cell - ((bits | bits >> 1) & self._below[cell]).bit_count()
         move_number += 1
-        result, groups = self._placed(state, board, cell, move_number)
+        result, groups = self._placed(child, groups, mover, cell, move_number)
         # Every field is given, so NamedTuple's argument handling is skipped.
-        return tuple.__new__(GameState, (board, 3 - mover, move, move_number, result, empty, groups))
+        return tuple.__new__(GameState, (parent.with_bits(child), 3 - mover, move, move_number,
+                                         result, empty[:i] + empty[i + 1:], groups))
 
     def status(self, state: GameState) -> int | None:
         return state.result
 
-    def _placed(self, state: GameState, board: ChunkSet, cell: int,
+    def _scan_groups(self, bits: int) -> Groups | None:
+        """The groups of the stones on the board ``bits``: None for a game
+        that keeps none."""
+        return None
+
+    def _placed(self, bits: int, groups: Groups | None, mover: int, cell: int,
                 move_number: int) -> tuple[int | None, Groups | None]:
-        """The result and the child's groups once ``state.mover`` has placed
-        on ``cell``, leaving ``board`` after ``move_number`` moves, given
-        that the game was on before."""
+        """The result and the groups once ``mover`` has placed on ``cell``,
+        leaving the board ``bits`` after ``move_number`` moves, where
+        ``groups`` were the groups before; the game was on before."""
         raise NotImplementedError
 
 
@@ -168,37 +188,15 @@ class HexRules(GameRules):
             sum(1 << c2 for c2 in self.graph.neighbors[c] if c2 >= 0) for c in range(cells)
         ]
 
-    _initial_groups = ((), ())
-
-    def _join(self, groups: tuple[int, ...], cell: int) -> tuple[int, tuple[int, ...]]:
-        """``cell`` added to one player's ``groups``: the merged group and
-        the new tuple (the untouched groups, then the merged one)."""
-        adjacent = self._adjacent[cell]
-        merged = 1 << cell
-        kept = []
-        for g in groups:
-            if g & adjacent:
-                merged |= g
-            else:
-                kept.append(g)
-        kept.append(merged)
-        return merged, tuple(kept)
-
-    def _scan_groups(self, board: ChunkSet) -> Groups:
-        groups = [(), ()]
-        bits, mask = board.bits, self._chunk_mask
+    def _scan_groups(self, bits):
+        groups = ((), ())
         for c, (_, s) in enumerate(self._cells):
-            player = (bits >> s) & mask
+            player = (bits >> s) & self._chunk_mask
             if player:
-                groups[player - 1] = self._join(groups[player - 1], c)[1]
-        return tuple(groups)
+                groups = self._placed(bits, groups, player, c, 0)[1]
+        return groups
 
-    def _placed(self, state, board, cell, move_number):
-        groups = state.groups
-        if groups is None:
-            groups = self._scan_groups(state.board)
-        mover = state.mover
-        # ``_join(groups[mover - 1], cell)``, inlined for the playout ply.
+    def _placed(self, bits, groups, mover, cell, move_number):
         adjacent = self._adjacent[cell]
         merged = 1 << cell
         kept = []
@@ -248,11 +246,9 @@ class Line4Rules(GameRules):
                     pairs.append(tuple(pair))
                 self._rays.append(tuple(pairs))
 
-    def _placed(self, state, board, cell, move_number):
+    def _placed(self, bits, groups, player, cell, move_number):
         # A new line of four must run through the placed cell; three stones
         # on either side of it are as many as such a line can use.
-        player = state.mover
-        bits = board.bits
         mask = self._chunk_mask
         for forward, backward in self._rays[cell]:
             run = 1

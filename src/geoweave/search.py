@@ -285,11 +285,9 @@ def _search_tree(
             winner = run_playout(cur, rules, indexes, rng, counters)
         _backup(child, winner)
 
-    visits = [0] * len(root.legal)
-    by_move = {child.move: child.visits for child in root.children}
-    for i, m in enumerate(root.legal):
-        visits[i] = by_move.get(m, 0)
-    return visits
+    # Children are expanded in legal order, so the untried moves are the tail.
+    visits = [child.visits for child in root.children]
+    return visits + [0] * (len(root.legal) - len(visits))
 
 
 # --- match play -------------------------------------------------------------

@@ -326,12 +326,13 @@ def instantiate_oracle(
                 # Required values subsume negative tests on the same cell.
                 negatives = {(cell, v) for cell, v in negatives if cell not in positives}
 
-                mask = ChunkSet(chunk_bits, graph.cell_count)
-                target = ChunkSet(chunk_bits, graph.cell_count)
-                full = (1 << chunk_bits) - 1
+                mask_values = [0] * graph.cell_count
+                target_values = [0] * graph.cell_count
                 for cell, value in positives.items():
-                    mask.set(cell, full)
-                    target.set(cell, value)
+                    mask_values[cell] = (1 << chunk_bits) - 1
+                    target_values[cell] = value
+                mask = ChunkSet.from_values(mask_values, chunk_bits)
+                target = ChunkSet.from_values(target_values, chunk_bits)
 
                 neg_sorted = tuple(sorted(negatives))
                 key = (

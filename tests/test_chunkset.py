@@ -27,22 +27,19 @@ def test_chunk_bits_validation():
     ChunkSet(1, 1)
 
 
-def test_set_get_round_trip_all_values():
+def test_from_values_get_round_trip_all_values():
+    """Each value of each chunk width at each cell, the other cells empty:
+    ``get`` reads it back and no other cell changes."""
     for bits in (1, 2, 4, 8):
-        s = ChunkSet(bits, 37)
         for cell in range(37):
             for v in range(1 << bits):
-                s.set(cell, v)
+                values = [0] * 37
+                values[cell] = v
+                s = ChunkSet.from_values(values, bits)
                 assert s.get(cell) == v
-
-
-def test_set_leaves_other_cells_alone():
-    s = ChunkSet(2, 100)
-    s.set(40, 3)
-    s.set(41, 1)
-    assert s.get(40) == 3
-    assert s.get(41) == 1
-    assert all(s.get(c) == 0 for c in range(100) if c not in (40, 41))
+                assert s.values() == values
+    s = ChunkSet.from_values([0] * 40 + [3, 1] + [0] * 58, 2)
+    assert (s.get(40), s.get(41)) == (3, 1)
 
 
 def test_all_zero_means_empty_everywhere():
@@ -51,24 +48,20 @@ def test_all_zero_means_empty_everywhere():
 
 
 def test_value_out_of_range():
-    s = ChunkSet(2, 4)
+    for bits, bad in ((1, 2), (2, 4), (2, -1), (4, 16)):
+        with pytest.raises(ChunkSetError, match="does not fit"):
+            ChunkSet.from_values([0, bad, 0], bits)
     with pytest.raises(ChunkSetError):
-        s.set(0, 4)
-    with pytest.raises(ChunkSetError):
-        s.get(4)
+        ChunkSet(2, 4).get(4)
 
 
 def test_unused_trailing_bits_stay_zero():
-    s = ChunkSet(2, 33)  # 66 bits -> 2 words, 62 unused in the last
-    for c in range(33):
-        s.set(c, 3)
+    s = ChunkSet.from_values([3] * 33, 2)  # 66 bits -> 2 words, 62 unused in the last
     assert s.words[1] >> 2 == 0
 
 
 def test_matches_trivial_cases():
-    state = ChunkSet(2, 20)
-    state.set(3, 1)
-    state.set(7, 2)
+    state = ChunkSet.from_values([0, 0, 0, 1, 0, 0, 0, 2] + [0] * 12, 2)
     zero_mask = ChunkSet(2, 20)
     assert matches(state, zero_mask, ChunkSet(2, 20))  # vacuous constraint
     full_mask = ChunkSet.from_values([3] * 20, 2)
@@ -85,17 +78,14 @@ def test_matches_shape_mismatch():
 def test_matches_flipped_cell_detected():
     rng = random.Random(5)
     cells = 60
-    state = ChunkSet.from_values([rng.randrange(4) for _ in range(cells)], 2)
+    values = [rng.randrange(4) for _ in range(cells)]
     picked = rng.sample(range(cells), 5)
-    mask = ChunkSet(2, cells)
-    target = ChunkSet(2, cells)
-    for c in picked:
-        mask.set(c, 3)
-        target.set(c, state.get(c))
-    assert matches(state, mask, target)
+    mask = ChunkSet.from_values([3 if c in picked else 0 for c in range(cells)], 2)
+    target = ChunkSet.from_values([values[c] if c in picked else 0 for c in range(cells)], 2)
+    assert matches(ChunkSet.from_values(values, 2), mask, target)
     victim = picked[2]
-    state.set(victim, (state.get(victim) + 1) % 4)
-    assert not matches(state, mask, target)
+    values[victim] = (values[victim] + 1) % 4
+    assert not matches(ChunkSet.from_values(values, 2), mask, target)
 
 
 def naive_matches(state, mask, target):
@@ -113,14 +103,16 @@ def test_matches_agrees_with_naive_interpreter():
         cells = rng.randrange(1, 70)
         bits = rng.choice((1, 2, 4))
         state = ChunkSet.from_values([rng.randrange(1 << bits) for _ in range(cells)], bits)
-        mask = ChunkSet(bits, cells)
-        target = ChunkSet(bits, cells)
+        mask_values = [0] * cells
+        target_values = [0] * cells
         for c in rng.sample(range(cells), rng.randrange(cells + 1)):
             m = rng.randrange(1 << bits)
-            mask.set(c, m)
+            mask_values[c] = m
             # Bias half the triples toward matching targets.
             t = state.get(c) & m if rng.random() < 0.5 else rng.randrange(1 << bits) & m
-            target.set(c, t)
+            target_values[c] = t
+        mask = ChunkSet.from_values(mask_values, bits)
+        target = ChunkSet.from_values(target_values, bits)
         assert matches(state, mask, target) == naive_matches(state, mask, target)
         agree += 1
     assert agree == 10_000
@@ -128,17 +120,15 @@ def test_matches_agrees_with_naive_interpreter():
 
 def test_matching_cost_is_one_op_per_word():
     state = ChunkSet(2, 200)  # 400 bits -> 7 words
-    mask = ChunkSet(2, 200)
+    mask = ChunkSet(2, 200).with_bits(3 << 123 * 2)  # mask support size is irrelevant to the cost
     target = ChunkSet(2, 200)
-    mask.set(123, 3)  # mask support size is irrelevant to the cost
     counter = [0]
     assert matches(state, mask, target, counter)
     assert counter[0] == state.word_count == 7
 
 
 def test_violates():
-    s = ChunkSet(2, 10)
-    s.set(4, 2)
+    s = ChunkSet.from_values([0, 0, 0, 0, 2, 0, 0, 0, 0, 0], 2)
     assert violates(s, 4, 2)
     assert not violates(s, 4, 3)
     assert violates(s, 5, 0)  # empty cell, forbidden empty
@@ -146,13 +136,15 @@ def test_violates():
         violates(s, 4, 4)
 
 
-def test_copy_is_independent():
+def test_with_bits_leaves_the_board_alone():
+    """A board is never changed in place: ``with_bits`` makes a new one,
+    and no method sets a cell."""
     a = ChunkSet(2, 8)
-    b = a.copy()
-    b.set(0, 3)
-    assert a.get(0) == 0
+    b = a.with_bits(3)
+    assert (a.get(0), b.get(0)) == (0, 3)
     assert a != b
-    assert a == a.copy()
+    assert a == a.with_bits(a.bits) and a.with_bits(a.bits) is not a
+    assert not hasattr(ChunkSet, "set") and not hasattr(ChunkSet, "copy")
 
 
 def test_words_outside_a_64_bit_word_are_rejected():
@@ -239,7 +231,7 @@ def packed_case(draw):
 
 
 # Cells 31 and 32 hold 1 and 2, on both sides of the first word boundary.
-_EDGE = ChunkSet(2, 40).set(31, 1).set(32, 2)
+_EDGE = ChunkSet.from_values([0] * 31 + [1, 2] + [0] * 7, 2)
 
 
 @settings(max_examples=600, deadline=None)
@@ -254,10 +246,9 @@ def test_packed_test_agrees_with_the_word_oracle(case):
     """``match_instance`` equals ``matches`` word by word plus ``violates``
     cell by cell."""
     board, positives, negatives = case
-    mask = ChunkSet(board.chunk_bits, board.cell_count)
-    target = ChunkSet(board.chunk_bits, board.cell_count)
-    for cell, value in positives.items():
-        mask.set(cell, (1 << board.chunk_bits) - 1)
-        target.set(cell, value)
+    full = (1 << board.chunk_bits) - 1
+    cells = range(board.cell_count)
+    mask = ChunkSet.from_values([full if c in positives else 0 for c in cells], board.chunk_bits)
+    target = ChunkSet.from_values([positives.get(c, 0) for c in cells], board.chunk_bits)
     want = matches(board, mask, target) and not any(violates(board, c, v) for c, v in negatives)
     assert match_instance(packed_instance(mask, target, negatives), board.bits) == want

@@ -1,5 +1,6 @@
 """The quick demos run to completion.  Demos 03 and 04 play and tune
-whole matches (minutes each), so they stay out of the test suite."""
+whole matches (half a minute or more each), so they stay out of this
+suite; the long tier (``longtests/``) runs demo 03."""
 
 import os
 import subprocess

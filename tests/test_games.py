@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoweave as gw
-from geoweave.chunkset import ChunkSet
 from geoweave.games import GameState, IllegalMove, Move
 from geoweave.rng import SplitMix64
 from oracles import empty_slot_oracle, hex_groups_oracle, hex_win_bfs, minimax_winner, status_oracle
@@ -176,23 +175,14 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     assert rules.status(state) is not None
 
 
-def hand_built(rules, values, mover, carry_empty):
-    """A hand-built position of ``values``, with its empty cells given when
-    ``carry_empty`` (each cell's ``Move`` from the initial state)."""
-    board = ChunkSet.from_values(values, rules.chunk_bits)
-    empty = tuple(m for m in rules.initial_state().empty if values[m.to] == 0)
-    stones = sum(v != 0 for v in values)
-    return GameState(board, mover, None, stones, empty=empty if carry_empty else None), empty
-
-
 def assert_empty_slot_removed(rules, values, cell, mover):
     """``apply`` on ``cell`` hands the child its parent's empty cells minus
-    the one at the oracle's slot, from a carried or a scanned tuple."""
-    for carry_empty in (True, False):
-        state, empty = hand_built(rules, values, mover, carry_empty)
-        i = empty_slot_oracle(empty, cell)
-        assert empty[i].to == cell
-        assert rules.apply(state, Move(cell)).empty == empty[:i] + empty[i + 1:]
+    the one at the oracle's slot."""
+    state = rules.position(values, mover)
+    empty = state.empty
+    i = empty_slot_oracle(empty, cell)
+    assert empty[i].to == cell
+    assert rules.apply(state, Move(cell)).empty == empty[:i] + empty[i + 1:]
 
 
 SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
@@ -201,9 +191,9 @@ SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(SLOT_GAMES), data=st.data())
 def test_apply_removes_the_placed_cell_at_the_bisect_slot(name, data):
-    """Random hand-built boards: the slot ``apply`` counts from the board's
-    occupied chunks is the one a bisection of the empty cells finds,
-    the first and last cells included."""
+    """Random boards built by ``position``: the slot ``apply`` counts from
+    the board's occupied chunks is the one a bisection of the empty cells
+    finds, the first and last cells included."""
     rules = gw.game_from_name(name)
     n = rules.graph.cell_count
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
@@ -261,7 +251,7 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
                     for c in beyond if blocked else ():
                         values[c] = 3 - player
                     values[placed] = 0
-                    state, _ = hand_built(rules, values, player, carry_empty=True)
+                    state = rules.position(values, player)
                     child = rules.apply(state, Move(placed))
                     assert rules.status(child) == status_oracle(rules, child)
                     assert rules.status(child) == (player if len(run) >= 4 else None)
@@ -270,43 +260,94 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
     assert wins and checked > wins
 
 
-def test_hand_built_state_gives_the_scanned_legal_moves():
-    """A position built by hand, as demo 03 builds one, carries no empty
-    cells and no groups: ``legal_moves`` scans its board, and ``apply``
-    hands each child carried empty cells and groups that equal the scans."""
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(PROPERTY_GAMES), data=st.data())
+def test_position_derives_its_move_number_empty_cells_and_groups(name, data):
+    """Random boards: ``position`` holds the values, is in play, counts its
+    stones as its move number, carries the board's empty cells as its legal
+    moves and, on Hex, the board's connected components as its groups."""
+    rules = gw.game_from_name(name)
+    n = rules.graph.cell_count
+    values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    mover = data.draw(st.sampled_from([1, 2]))
+    state = rules.position(values, mover)
+    assert state.board.values() == values
+    assert (state.mover, state.last_move, state.result) == (mover, None, None)
+    assert state.move_number == sum(v != 0 for v in values)
+    assert [m.to for m in state.empty] == [c for c, v in enumerate(values) if v == 0]
+    assert rules.legal_moves(state) == list(state.empty)
+    if isinstance(rules, gw.HexRules):
+        assert carried_groups(state) == hex_groups_oracle(rules, values)
+    else:
+        assert state.groups is None
+
+
+def test_position_gives_the_empty_cells_as_legal_moves():
+    """The hex7 bridge position of demo 03: ``legal_moves`` offers exactly
+    the empty cells, none of the stones at 8, 15 and 16, and every child of
+    a random game from it carries the board's empty cells and groups."""
     rules = gw.hex_rules(7)
-    board = rules.initial_state().board
-    stones = {gw.hex_cell(rules.graph, 1, 1): 2, gw.hex_cell(rules.graph, 2, 2): 2}
     intrusion = gw.hex_cell(rules.graph, 1, 2)
-    stones[intrusion] = 1
-    for cell, player in stones.items():
-        board.set(cell, player)
-    state = gw.GameState(board=board, mover=2, last_move=Move(intrusion), move_number=3)
-    assert state.result is None and state.empty is None and state.groups is None
-    assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
+    values = [0] * rules.graph.cell_count
+    for q, r, player in ((1, 1, 2), (2, 2, 2), (1, 2, 1)):
+        values[gw.hex_cell(rules.graph, q, r)] = player
+    state = rules.position(values, 2, Move(intrusion))
+    assert state.last_move == Move(intrusion) and state.move_number == 3
+    legal = [m.to for m in rules.legal_moves(state)]
+    assert legal == empty_cells(rules, state)
+    assert not {8, 15, 16} & set(legal)
     rng = SplitMix64(31)
     for _ in range(8):
         legal = rules.legal_moves(state)
         state = rules.apply(state, legal[rng.next_u64() % len(legal)])
-        assert state.empty is not None
         assert [m.to for m in state.empty] == empty_cells(rules, state)
         assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
         assert carried_groups(state) == hex_groups_oracle(rules, state.board.values())
         assert rules.status(state) == status_oracle(rules, state)
 
 
-def test_hand_built_state_wins_through_its_scanned_groups():
-    """A hand-built hex3 position one stone short of player 1's connection:
-    the scanned groups merge with the placed stone into a winning group."""
+def test_position_wins_through_its_scanned_groups():
+    """A hex3 position one stone short of player 1's connection: the
+    scanned groups are the oracle's, and merge with the placed stone into
+    a winning group."""
     rules = gw.hex_rules(3)
-    board = rules.initial_state().board
+    values = [0] * 9
     for q, r, player in ((1, 0, 1), (1, 2, 1), (0, 0, 2), (2, 1, 2)):
-        board.set(gw.hex_cell(rules.graph, q, r), player)
-    state = gw.GameState(board=board, mover=1, last_move=None, move_number=4)
+        values[gw.hex_cell(rules.graph, q, r)] = player
+    state = rules.position(values, 1)
+    assert carried_groups(state) == hex_groups_oracle(rules, values)
     won = rules.apply(state, Move(gw.hex_cell(rules.graph, 1, 1)))
     assert won.result == 1 == status_oracle(rules, won)
     assert carried_groups(won) == hex_groups_oracle(rules, won.board.values())
     assert len(won.groups[0]) == 1
+
+
+def test_position_rejects_a_wrong_count_or_value():
+    for rules in (gw.hex_rules(3), gw.line4_rules(4, 4)):
+        n = rules.graph.cell_count
+        for values in ([0] * (n - 1), [0] * (n + 1), [3] + [0] * (n - 1), [0] * (n - 1) + [-1]):
+            with pytest.raises(ValueError):
+                rules.position(values, 1)
+        for mover in (0, 3):
+            with pytest.raises(ValueError):
+                rules.position([0] * n, mover)
+
+
+def test_initial_state_is_shared_and_unchanged_by_play():
+    """Every game starts from one shared position, which neither games,
+    searches nor ``position`` calls change."""
+    def fields(state):
+        return (state.board.bits, *state[1:])
+
+    for rules in (gw.hex_rules(4), gw.line4_rules(4, 4)):
+        n = rules.graph.cell_count
+        initial = rules.initial_state()
+        assert rules.initial_state() is initial
+        gw.play_match(rules, gw.AgentSpec(playouts=3), gw.AgentSpec(), 2, 7)
+        rules.position([1] + [0] * (n - 1), 2)
+        assert rules.initial_state() is initial
+        assert fields(initial) == fields(rules.position([0] * n, 1))
+        assert initial.board.bits == 0 and initial.move_number == 0 and initial.mover == 1
 
 
 def test_game_state_is_immutable_and_apply_keeps_the_parent():
@@ -316,6 +357,8 @@ def test_game_state_is_immutable_and_apply_keeps_the_parent():
                         ("groups", ((), ()))):
         with pytest.raises(AttributeError):
             setattr(state, name, value)
+    with pytest.raises(TypeError):  # no field of a position is left to a default
+        GameState(state.board, 1, None, 0)
     empty, words = state.empty, list(state.board.words)
     legal = rules.legal_moves(state)
     legal.clear()  # a fresh list: the position's tuple is untouched

@@ -22,6 +22,7 @@ from geoweave.features import (
     negate,
 )
 from geoweave.featuregen import GenConfig, generate_candidates
+from geoweave.games import Move
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.search import biased_scores, compile_feature_set
@@ -128,13 +129,14 @@ def test_negated_off_requires_on_board():
 
 
 def hex_bridge_position(rules):
-    """Fig-1 style position: white bridge (1,1)-(2,2), black intrudes (1,2)."""
+    """Fig-1 style position: white bridge (1,1)-(2,2), black intrudes (1,2)
+    and white is to move; with the intrusion and completion cells."""
     g = rules.graph
-    state = rules.initial_state()
-    state.board.set(gw.hex_cell(g, 1, 1), 2)
-    state.board.set(gw.hex_cell(g, 2, 2), 2)
-    state.board.set(gw.hex_cell(g, 1, 2), 1)
-    return state, gw.hex_cell(g, 1, 2), gw.hex_cell(g, 2, 1)
+    intrusion = gw.hex_cell(g, 1, 2)
+    values = [0] * g.cell_count
+    values[gw.hex_cell(g, 1, 1)] = values[gw.hex_cell(g, 2, 2)] = 2
+    values[intrusion] = 1
+    return rules.position(values, 2, Move(intrusion)), intrusion, gw.hex_cell(g, 2, 1)
 
 
 def test_bridge_instance_matches_fig1_position(bridge_fs):
@@ -172,13 +174,10 @@ def test_enemy_not_item3_negative_test():
     north = gw.square_cell(g, 1, 2)
     # Enemy means "neither empty nor mine": a pair of negative probes.
     assert set(inst.negative_tests) == {(north, 0), (north, 1), (north, 3)}
-    board = ChunkSet(2, g.cell_count)
-    board.set(north, 2)
-    assert match_instance(inst, board.bits)
-    board.set(north, 3)  # an enemy piece, but with the excluded index
-    assert not match_instance(inst, board.bits)
-    board.set(north, 1)  # friendly piece is not an enemy
-    assert not match_instance(inst, board.bits)
+    shift = north * 2
+    assert match_instance(inst, 2 << shift)
+    assert not match_instance(inst, 3 << shift)  # an enemy piece, but with the excluded index
+    assert not match_instance(inst, 1 << shift)  # friendly piece is not an enemy
 
 
 def test_enemy_two_player_compiles_positively(bridge_fs):
@@ -221,9 +220,7 @@ def test_move_from_actions_resolve_both_cells():
     inst = next(i for i in idx.instances if i.anchor == anchor)
     assert inst.action_from == anchor
     assert inst.action_to == gw.square_cell(g, 2, 3)
-    board = ChunkSet(2, g.cell_count)
-    board.set(anchor, 1)
-    assert match_instance(inst, board.bits)
+    assert match_instance(inst, 1 << anchor * 2)
 
 
 def test_absolute_feature_symmetry_expansion():
@@ -294,10 +291,7 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
 
 
 def random_board(rng, chunk_bits, cells, values_range):
-    board = ChunkSet(chunk_bits, cells)
-    for c in range(cells):
-        board.set(c, rng.next_u64() % values_range)
-    return board
+    return ChunkSet.from_values([rng.next_u64() % values_range for _ in range(cells)], chunk_bits)
 
 
 # Boards of 1, 2 and 3 words (hex7: 98 bits, hex9: 162, line4-8x8: 128).

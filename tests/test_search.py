@@ -40,17 +40,14 @@ def test_empty_index_gives_uniform_distribution():
 def test_single_feature_three_moves_gives_half():
     # One matching instance of weight 1 among 3 legal moves: (1+1)/4 = 0.5.
     rules = gw.line4_rules(4, 4)
-    state = rules.initial_state()
     # Fill all but three cells without making a line of four.
-    filled = {
-        0: 1, 1: 2, 2: 1, 3: 2,
-        4: 2, 5: 1, 6: 1, 7: 2,
-        8: 1, 9: 2, 10: 1, 11: 2,
-        12: 1,
-    }
-    for cell, player in filled.items():
-        state.board.set(cell, player)
-    state = gw.GameState(board=state.board, mover=1, last_move=Move(12), move_number=13)
+    filled = [
+        1, 2, 1, 2,
+        2, 1, 1, 2,
+        1, 2, 1, 2,
+        1, 0, 0, 0,
+    ]
+    state = rules.position(filled, 1, Move(12))
     legal = rules.legal_moves(state)
     assert len(legal) == 3  # cells 13, 14, 15
     feature = Feature(
@@ -100,7 +97,6 @@ def test_negative_weights_clamp_at_floor():
 
 def test_bridge_completion_gets_max_probability(bridge_fs, hex7_rules):
     state, intrusion, completion = hex_bridge_position(hex7_rules)
-    state = gw.GameState(board=state.board, mover=2, last_move=Move(intrusion), move_number=3)
     indexes = compile_feature_set(bridge_fs, hex7_rules)
     legal = hex7_rules.legal_moves(state)
     probs = biased_move_distribution(state, legal, indexes[2])
