@@ -27,9 +27,9 @@ def test_chunk_bits_validation():
     ChunkSet(1, 1)
 
 
-def test_from_values_get_round_trip_all_values():
-    """Each value of each chunk width at each cell, the other cells empty:
-    ``get`` reads it back and no other cell changes."""
+def test_set_get_round_trip_all_values():
+    """Each value of each chunk width, set at each cell through
+    ``from_values``, reads back through ``get`` and ``values``."""
     for bits in (1, 2, 4, 8):
         for cell in range(37):
             for v in range(1 << bits):
@@ -38,8 +38,13 @@ def test_from_values_get_round_trip_all_values():
                 s = ChunkSet.from_values(values, bits)
                 assert s.get(cell) == v
                 assert s.values() == values
+
+
+def test_set_leaves_other_cells_alone():
     s = ChunkSet.from_values([0] * 40 + [3, 1] + [0] * 58, 2)
-    assert (s.get(40), s.get(41)) == (3, 1)
+    assert s.get(40) == 3
+    assert s.get(41) == 1
+    assert all(s.get(c) == 0 for c in range(100) if c not in (40, 41))
 
 
 def test_all_zero_means_empty_everywhere():
