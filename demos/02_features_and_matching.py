@@ -39,11 +39,11 @@ values[gw.hex_cell(board, 1, 1)] = values[gw.hex_cell(board, 2, 2)] = 2
 values[intrusion] = 1
 state = rules.position(values, mover=2, last_move=gw.Move(intrusion))
 
-hits = [i for i in white.reactive_for(intrusion) if gw.match_instance(i, state.board.bits)]
+hits = [i for i in white.reactive_for(intrusion) if gw.match_instance(i, state.board)]
 completion = gw.hex_cell(board, 2, 1)
 print(f"\nBlack intrudes at cell {intrusion}")
 print(f"matching reactive instances: {len(hits)}")
 print(f"recommended reply: cell {hits[0].action_to} (bridge completion is {completion})")
 
 empty = rules.initial_state()
-print(f"same instance on an empty board matches: {gw.match_instance(hits[0], empty.board.bits)}")
+print(f"same instance on an empty board matches: {gw.match_instance(hits[0], empty.board)}")

@@ -1,10 +1,10 @@
 """Long tier: the full-size runs that do not fit the tier-1 suite's time.
 
-Run with ``PYTHONPATH=src python -m pytest longtests -q -s`` (~27 min on a
-2-CPU VM). Criterion 06 takes ~22.5 min of that, the weight hill-climb
-~4.5 min and demo 03 ~30 s. They run at their stated sizes with every
-assert kept; the tier-1 suite under ``tests/`` covers the same code paths
-at small sizes.
+Run with ``PYTHONPATH=src python -m pytest longtests -q -s`` (~18–22 min
+on a 2-CPU VM). Criterion 06 takes ~15.5–18.5 min of that, the weight
+hill-climb ~2.5 min, demo 03 ~25 s and demo 04 ~10 s. They run at their
+stated sizes with every assert kept; the tier-1 suite under ``tests/``
+covers the same code paths at small sizes.
 """
 
 import os
@@ -68,15 +68,28 @@ def test_hill_climb_budget_and_monotonicity():
     assert [r.win_rate for r in again.history] == [r.win_rate for r in result.history]
 
 
-def test_demo_03_runs(tmp_path):
-    """Demo 03 builds a position by hand and plays two matches: too long
-    for tier-1, which runs demos 01 and 02."""
+def run_demo(script: str, cwd: Path) -> str:
+    """Run a demo from ``cwd`` on this checkout's ``src``; its output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "03_biased_playouts.py")], cwd=tmp_path, env=env,
+        [sys.executable, str(ROOT / "demos" / script)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "the completion cell gets six times that" in proc.stdout
+    return proc.stdout
+
+
+def test_demo_03_runs(tmp_path):
+    """Demo 03 builds a position by hand and plays two matches: too long
+    for tier-1, which runs demos 01 and 02."""
+    assert "the completion cell gets six times that" in run_demo("03_biased_playouts.py", tmp_path)
     assert not any(tmp_path.iterdir())  # writes no files
+
+
+def test_demo_04_runs(tmp_path):
+    """Demo 04 renders the fixture features into ``demos/out`` and scores a
+    generated candidate over a 40-game match: too long for tier-1."""
+    out = run_demo("04_rendering_and_generation.py", tmp_path)
+    assert "candidates for hex with <=2 elements over 1-step walks: 25" in out
+    assert not any(tmp_path.iterdir())  # writes only under demos/out

@@ -19,7 +19,7 @@ from .board import (
     hex_cell,
     square_cell,
 )
-from .chunkset import ChunkSet, ChunkSetError, matches, required_bits, violates
+from .chunkset import required_bits
 from .dsl import (
     DslError,
     dump_feature_set,

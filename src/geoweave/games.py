@@ -29,12 +29,14 @@ mover's groups that touch the cell's neighbour mask, keeps the others,
 and wins iff the merged group meets both of the mover's edge masks; the
 other player's tuple is handed on as it is.  Line4 carries no groups.
 
-A position is never changed: ``apply`` returns a new one.  The other way
-to make one is ``GameRules.position``, which derives the move number (the
-stone count), the empty cells and the groups from one value per cell;
-``initial_state`` is the empty position it builds once and shares.  Hex
-finds the groups by replaying ``_placed`` over the stones in cell order,
-so the group join exists once.
+A position's board is one int in the chunk-set layout (``chunkset``):
+cell c's value sits in the 2-bit chunk at bit 2c, and the rules own that
+shape.  A position is never changed: ``apply`` returns a new one.  The
+other way to make one is ``GameRules.position``, which derives the move
+number (the stone count), the empty cells and the groups from one value
+per cell; ``initial_state`` is the empty position it builds once and
+shares.  Hex finds the groups by replaying ``_placed`` over the stones in
+cell order, so the group join exists once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
-from .chunkset import ChunkSet, required_bits
+from .chunkset import required_bits
 
 
 class IllegalMove(ValueError):
@@ -61,12 +63,12 @@ Groups = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class GameState(NamedTuple):
-    """A position; ``result`` is what ``apply`` decided on reaching it,
-    ``empty`` the ``Move``s of its empty cells in cell order and ``groups``
-    each player's groups (None for a game that keeps none).  Made by
-    ``GameRules.position`` and ``apply``."""
+    """A position; ``board`` is its chunk set, ``result`` what ``apply``
+    decided on reaching it, ``empty`` the ``Move``s of its empty cells in
+    cell order and ``groups`` each player's groups (None for a game that
+    keeps none).  Made by ``GameRules.position`` and ``apply``."""
 
-    board: ChunkSet
+    board: int
     mover: int
     last_move: Move | None
     move_number: int
@@ -108,10 +110,12 @@ class GameRules:
                 raise ValueError(f"cell {cell} holds {v!r}; a cell holds 0..{self.player_count}")
         if mover not in range(1, self.state_count):
             raise ValueError(f"mover {mover!r} is not a player 1..{self.player_count}")
-        board = ChunkSet.from_values(values, self.chunk_bits)
+        board = 0
+        for (_, s), v in zip(self._cells, values):
+            board |= v << s
         empty = tuple(m for (m, _), v in zip(self._cells, values) if not v)
         return GameState(board, mover, last_move, self._cell_count - len(empty), None, empty,
-                         self._scan_groups(board.bits))
+                         self._scan_groups(board))
 
     def initial_state(self) -> GameState:
         """The empty board, player 1 to move: one position, built on first
@@ -126,13 +130,12 @@ class GameRules:
         return list(state.empty)
 
     def apply(self, state: GameState, move: Move) -> GameState:
-        parent, mover, _, move_number, _, empty, groups = state
+        bits, mover, _, move_number, _, empty, groups = state
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
         cell = move.to
         if not 0 <= cell < self._cell_count:
             raise IllegalMove(f"cell {cell} outside board")
-        bits = parent.bits
         s = self._cells[cell][1]
         if (bits >> s) & self._chunk_mask:
             raise IllegalMove(f"cell {cell} is occupied")
@@ -143,7 +146,7 @@ class GameRules:
         move_number += 1
         result, groups = self._placed(child, groups, mover, cell, move_number)
         # Every field is given, so NamedTuple's argument handling is skipped.
-        return tuple.__new__(GameState, (parent.with_bits(child), 3 - mover, move, move_number,
+        return tuple.__new__(GameState, (child, 3 - mover, move, move_number,
                                          result, empty[:i] + empty[i + 1:], groups))
 
     def status(self, state: GameState) -> int | None:

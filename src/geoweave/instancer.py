@@ -89,7 +89,6 @@ class InstanceIndex:
     graph: BoardGraph
     mover: int
     player_count: int
-    chunk_bits: int  # with graph.cell_count, the shape of the boards it tests
     instances: list[FeatureInstance] = field(default_factory=list)
     proactive: list[FeatureInstance] = field(default_factory=list)
     reactive_by_last_move: dict[int, list[FeatureInstance]] = field(default_factory=dict)
@@ -102,12 +101,11 @@ def match_instance(inst: FeatureInstance, bits: int) -> bool:
     """Compiled instance test: one AND + compare of a board's int against
     the instance's mask and target, then one per negated-value probe.
 
-    ``bits`` is a board's ``ChunkSet.bits``, laid out like the boards of
-    the index the instance belongs to (``graph.cell_count`` chunks of
-    ``chunk_bits``); the caller checks that shape.  Equal to ``matches``
-    on the mask and target as chunk sets of the board's shape, followed
-    by a ``violates`` test for each of the ``negative_tests``, whatever
-    the board size.
+    ``bits`` is a position's board, from the rules the instance's index
+    was compiled for; the caller checks that.  Equal to a word-by-word
+    test of the mask and target over the board's 64-bit words, followed
+    by a per-cell test of each of the ``negative_tests``, whatever the
+    board size.
     """
     if bits & inst.mask != inst.target:
         return False
@@ -466,14 +464,13 @@ def instantiate(
     """
     if not 1 <= mover <= player_count:
         raise InstancerError(f"mover {mover} out of range 1..{player_count}")
-    chunk_bits = required_bits(player_count + 1)
     key = (tuple(map(_structure, fs.features)), graph, player_count, mover)
     compiled = _memo.get(key)
     if compiled is None:
-        compiled = _compile(fs, graph, player_count, mover, chunk_bits)
+        compiled = _compile(fs, graph, player_count, mover, required_bits(player_count + 1))
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = compiled
     else:
         _replay_walk_calls(fs, graph)
-    return _weighted_index(InstanceIndex(graph, mover, player_count, chunk_bits), fs, *compiled)
+    return _weighted_index(InstanceIndex(graph, mover, player_count), fs, *compiled)

@@ -28,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .chunkset import ChunkSetError
 from .features import FeatureSet
 from .games import GameRules, GameState, Move
 from .instancer import InstanceIndex, instantiate, match_instance
@@ -73,6 +72,17 @@ def compile_feature_set(fs: FeatureSet | None, rules: GameRules) -> PlayerIndexe
     }
 
 
+def _check_indexes(rules: GameRules, indexes: PlayerIndexes | None) -> None:
+    """Raise ``ValueError`` unless every index was compiled for the board
+    and player count of ``rules``: ``biased_scores`` tests the rules'
+    boards against them unchecked."""
+    if indexes is not None:
+        for idx in indexes.values():
+            if (idx.graph, idx.player_count) != (rules.graph, rules.player_count):
+                raise ValueError(f"an index compiled for another board or player count "
+                                 f"cannot score positions of {rules.name}")
+
+
 def biased_scores(
     state: GameState,
     legal: list[Move],
@@ -81,14 +91,12 @@ def biased_scores(
 ) -> list[float]:
     """Per-move selection scores after weight accumulation and flooring.
 
-    Raises ``ChunkSetError`` when the board is not of the index's shape.
+    The board is not checked: ``state`` must come from the rules ``idx``
+    was compiled for.
     """
     if idx is None:
         return [BASE_SCORE] * len(legal)
-    board = state.board
-    if board.chunk_bits != idx.chunk_bits or board.cell_count != idx.graph.cell_count:
-        raise ChunkSetError("chunk sets differ in shape")
-    bits = board.bits
+    bits = state.board
     last_move = state.last_move
     bucket = idx.reactive_by_last_move.get(last_move.to, ()) if last_move is not None else ()
     proactive = idx.proactive
@@ -150,13 +158,15 @@ def run_playout(
 ) -> int:
     """Play to the end with the biased policy; returns winner id or 0 (draw).
 
-    Exceeding the playout length cap counts as a draw.
+    Exceeding the playout length cap counts as a draw.  Raises
+    ``ValueError`` on a finished game or an index of other rules.
     """
     # Bound here, per call, so that a tracer's wrappers on the rules class
     # are what runs; biased_scores and _sample stay module lookups.
     status, legal_moves, apply = rules.status, rules.legal_moves, rules.apply
     if status(state) is not None:
         raise ValueError("playout requires a non-terminal state")
+    _check_indexes(rules, indexes)
     for _ in range(_move_cap(rules)):
         legal = legal_moves(state)
         idx = indexes[state.mover] if indexes is not None else None
@@ -212,11 +222,14 @@ def mcts_best_move(
     legal move whatever the seed or feature set.  On hex7 at 30 playouts
     per move the first 20 plies of a game from the empty board are
     therefore cells 0, 1, ..., 19.
+
+    Raises ``ValueError`` on a finished game or an index of other rules.
     """
     if playouts < 1:
         raise ValueError("playouts must be >= 1")
     if rules.status(state) is not None:
         raise ValueError("search requires a non-terminal state")
+    _check_indexes(rules, indexes)
     root_legal = rules.legal_moves(state)
     rng = SplitMix64(derive_seed(seed, 0))
     visits = _search_tree(state, rules, indexes, playouts, rng, counters)

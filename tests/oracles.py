@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from geoweave.board import OFF_BOARD, BoardGraph
-from geoweave.chunkset import ChunkSet, matches, required_bits, violates
+from geoweave.chunkset import required_bits
 from geoweave.features import Constraint, ElementKind, FeatureSet
 from geoweave.games import HexRules
 from geoweave.instancer import (
@@ -36,6 +36,65 @@ from geoweave.instancer import (
 from geoweave.walks import mirror_walk, resolve_walk_branches
 
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+
+# --- word-level chunk-set reference -----------------------------------------
+
+WORD_BITS = 64
+_WORD_MASK = (1 << WORD_BITS) - 1
+
+
+def pack_values(values, chunk_bits: int) -> int:
+    """The board holding ``values``, one ``chunk_bits`` chunk per cell in
+    cell order."""
+    bits = 0
+    for cell, v in enumerate(values):
+        assert 0 <= v < 1 << chunk_bits, f"value {v} does not fit in {chunk_bits} bits"
+        bits |= v << cell * chunk_bits
+    return bits
+
+
+def unpack_values(bits: int, chunk_bits: int, cell_count: int) -> list[int]:
+    """Each cell's value on the board ``bits``, in cell order."""
+    full = (1 << chunk_bits) - 1
+    return [(bits >> cell * chunk_bits) & full for cell in range(cell_count)]
+
+
+def word_count(chunk_bits: int, cell_count: int) -> int:
+    return -(-cell_count * chunk_bits // WORD_BITS)
+
+
+def words(bits: int, chunk_bits: int, cell_count: int) -> list[int]:
+    """The board as 64-bit words, lowest first."""
+    return [(bits >> i * WORD_BITS) & _WORD_MASK for i in range(word_count(chunk_bits, cell_count))]
+
+
+def matches(state: int, mask: int, target: int, chunk_bits: int, cell_count: int,
+            counter: list[int] | None = None) -> bool:
+    """Word-level pattern test: (state & mask) == target on every 64-bit
+    word of three boards of ``cell_count`` chunks of ``chunk_bits``.
+
+    ``counter``, when given, accumulates the number of AND+compare pairs
+    executed: one per word regardless of how many cells the mask covers.
+    """
+    shape = (chunk_bits, cell_count)
+    for s, m, t in zip(words(state, *shape), words(mask, *shape), words(target, *shape)):
+        if counter is not None:
+            counter[0] += 1
+        if s & m != t:
+            return False
+    return True
+
+
+def violates(bits: int, chunk_bits: int, cell: int, forbidden: int) -> bool:
+    """True when the cell holds exactly the forbidden chunk value."""
+    if not 0 <= forbidden < (1 << chunk_bits):
+        raise ValueError(f"forbidden value {forbidden} out of chunk range")
+    return (bits >> cell * chunk_bits) & ((1 << chunk_bits) - 1) == forbidden
+
+
+def board_values(rules, state) -> list[int]:
+    """The values of a position's cells, in cell order."""
+    return unpack_values(state.board, rules.chunk_bits, rules.graph.cell_count)
 
 # --- closed-form walk oracle on the square grid -----------------------------
 
@@ -203,7 +262,7 @@ def line4_winner_scan(rules, values, move_number: int) -> int | None:
 def status_oracle(rules, state) -> int | None:
     """The game result recomputed from the whole board, as ``status`` should
     report it."""
-    values = state.board.values()
+    values = board_values(rules, state)
     if isinstance(rules, HexRules):
         winners = [p for p in (1, 2) if hex_win_bfs(rules, values, p)]
         assert len(winners) <= 1, "both hex players connected"
@@ -264,7 +323,7 @@ def instantiate_oracle(
     if not 1 <= mover <= player_count:
         raise InstancerError(f"mover {mover} out of range 1..{player_count}")
     chunk_bits = required_bits(player_count + 1)
-    index = InstanceIndex(graph, mover, player_count, chunk_bits)
+    index = InstanceIndex(graph, mover, player_count)
     dedup: dict[tuple, FeatureInstance] = {}
 
     for feature in fs:
@@ -331,13 +390,13 @@ def instantiate_oracle(
                 for cell, value in positives.items():
                     mask_values[cell] = (1 << chunk_bits) - 1
                     target_values[cell] = value
-                mask = ChunkSet.from_values(mask_values, chunk_bits)
-                target = ChunkSet.from_values(target_values, chunk_bits)
+                mask = pack_values(mask_values, chunk_bits)
+                target = pack_values(target_values, chunk_bits)
 
                 neg_sorted = tuple(sorted(negatives))
                 key = (
-                    tuple(mask.words),
-                    tuple(target.words),
+                    tuple(words(mask, chunk_bits, graph.cell_count)),
+                    tuple(words(target, chunk_bits, graph.cell_count)),
                     neg_sorted,
                     action_to,
                     action_from,
@@ -352,8 +411,8 @@ def instantiate_oracle(
                     anchor=anchor,
                     start_dir=start_dir,
                     reflected=reflected,
-                    mask=mask.bits,
-                    target=target.bits,
+                    mask=mask,
+                    target=target,
                     negative_tests=neg_sorted,
                     negative_probes=_negative_probes(chunk_bits, neg_sorted),
                     element_sites=tuple(
@@ -386,11 +445,11 @@ def biased_scores_oracle(state, legal, idx) -> list[float]:
     taken from the engine, so that a change to either shows."""
     bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
     scores = [1.0] * len(legal)
-    board = state.board
+    board, chunk_bits = state.board, required_bits(idx.player_count + 1)
     for inst in [*bucket, *idx.proactive]:
-        if not matches(board, board.with_bits(inst.mask), board.with_bits(inst.target)):
+        if not matches(board, inst.mask, inst.target, chunk_bits, idx.graph.cell_count):
             continue
-        if any(violates(board, cell, v) for cell, v in inst.negative_tests):
+        if any(violates(board, chunk_bits, cell, v) for cell, v in inst.negative_tests):
             continue
         for i, move in enumerate(legal):
             if (move.to, move.from_) == (inst.action_to, inst.action_from):

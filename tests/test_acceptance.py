@@ -4,7 +4,7 @@ Each test prints one PASS line on success (run with -s to see them all);
 a failure reads as the criterion number plus what broke.  The two
 play-strength criteria are statistical, with their first passing tallies
 frozen as seeded regressions; all other criteria are exact or
-oracle-based.  Criterion 06 (~22.5 min) lives in ``longtests/``.
+oracle-based.  Criterion 06 (~15.5–18.5 min) lives in ``longtests/``.
 """
 
 import itertools
@@ -15,7 +15,6 @@ from fractions import Fraction as F
 import numpy as np
 
 import geoweave as gw
-from geoweave.chunkset import ChunkSet
 from geoweave.cli import main as cli_main
 from geoweave.dsl import parse_feature, serialize_feature
 from geoweave.instancer import instantiate, match_instance
@@ -31,7 +30,7 @@ from geoweave.search import (
 from geoweave.svg import render_feature
 from geoweave.walks import make_walk, resolve_walk_branches, round_turn
 from conftest import FIXTURES, GOLDEN
-from oracles import interpret_instances_batch, round_half_away, square_walk_oracle
+from oracles import interpret_instances_batch, round_half_away, square_walk_oracle, word_count, words
 from test_dsl import random_feature
 
 REGRESSION_SEED = 20250810
@@ -69,8 +68,8 @@ def test_criterion_01_matcher_oracle_equivalence(
     ]
     for fs, rules in setups:
         cells = rules.graph.cell_count
-        n_words = (cells * rules.chunk_bits + 63) // 64
-        shape = ChunkSet(rules.chunk_bits, cells)
+        shape = (rules.chunk_bits, cells)
+        n_words = word_count(*shape)
         values = rng.integers(0, 3, size=(n_states, cells), dtype=np.int64)
         state_words = pack_state_words(values, rules.chunk_bits, n_words)
         for mover in (1, 2):
@@ -80,8 +79,8 @@ def test_criterion_01_matcher_oracle_equivalence(
             want = interpret_instances_batch(idx.instances, values, mover, 2)
             got = np.empty_like(want)
             for j, inst in enumerate(idx.instances):
-                mask = np.array(shape.with_bits(inst.mask).words, dtype=np.uint64)
-                target = np.array(shape.with_bits(inst.target).words, dtype=np.uint64)
+                mask = np.array(words(inst.mask, *shape), dtype=np.uint64)
+                target = np.array(words(inst.target, *shape), dtype=np.uint64)
                 ok = np.all((state_words & mask) == target, axis=1)
                 for cell, forbidden in inst.negative_tests:
                     ok &= values[:, cell] != forbidden
@@ -92,8 +91,8 @@ def test_criterion_01_matcher_oracle_equivalence(
             for _ in range(200):
                 s = int(rng.integers(n_states))
                 j = int(rng.integers(len(idx.instances)))
-                board = ChunkSet(rules.chunk_bits, cells, list(map(int, state_words[s])))
-                assert match_instance(idx.instances[j], board.bits) == bool(got[s, j])
+                board = sum(int(w) << 64 * i for i, w in enumerate(state_words[s]))
+                assert match_instance(idx.instances[j], board) == bool(got[s, j])
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is one minute"
     report(1, f"{total_pairs} state x instance pairs across {total_instances} instances "

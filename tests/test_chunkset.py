@@ -1,11 +1,15 @@
+"""The chunk-set layout (``geoweave.chunkset``) and the word-level
+reference in ``oracles``, against which ``match_instance`` is checked."""
+
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoweave.chunkset import ChunkSet, ChunkSetError, matches, required_bits, violates
+from geoweave.chunkset import required_bits
 from geoweave.instancer import FeatureInstance, _negative_probes, match_instance
+from oracles import matches, pack_values, unpack_values, violates, word_count, words
 
 
 def test_required_bits():
@@ -15,69 +19,49 @@ def test_required_bits():
     assert required_bits(1) == 1
     assert required_bits(16) == 4
     assert required_bits(17) == 8
-    with pytest.raises(ChunkSetError):
+    with pytest.raises(ValueError):
         required_bits(0)
 
 
-def test_chunk_bits_validation():
-    with pytest.raises(ChunkSetError):
-        ChunkSet(3, 10)
-    with pytest.raises(ChunkSetError):
-        ChunkSet(128, 10)
-    ChunkSet(1, 1)
+def get(bits, chunk_bits, cell):
+    return (bits >> cell * chunk_bits) & ((1 << chunk_bits) - 1)
 
 
 def test_set_get_round_trip_all_values():
-    """Each value of each chunk width, set at each cell through
-    ``from_values``, reads back through ``get`` and ``values``."""
+    """Each value of each chunk width, packed at each cell, reads back
+    from its chunk and through ``unpack_values``."""
     for bits in (1, 2, 4, 8):
         for cell in range(37):
             for v in range(1 << bits):
                 values = [0] * 37
                 values[cell] = v
-                s = ChunkSet.from_values(values, bits)
-                assert s.get(cell) == v
-                assert s.values() == values
+                s = pack_values(values, bits)
+                assert get(s, bits, cell) == v
+                assert unpack_values(s, bits, 37) == values
 
 
 def test_set_leaves_other_cells_alone():
-    s = ChunkSet.from_values([0] * 40 + [3, 1] + [0] * 58, 2)
-    assert s.get(40) == 3
-    assert s.get(41) == 1
-    assert all(s.get(c) == 0 for c in range(100) if c not in (40, 41))
+    s = pack_values([0] * 40 + [3, 1] + [0] * 58, 2)
+    assert get(s, 2, 40) == 3
+    assert get(s, 2, 41) == 1
+    assert all(get(s, 2, c) == 0 for c in range(100) if c not in (40, 41))
 
 
 def test_all_zero_means_empty_everywhere():
-    s = ChunkSet(2, 50)
-    assert all(s.get(c) == 0 for c in range(50))
-
-
-def test_value_out_of_range():
-    for bits, bad in ((1, 2), (2, 4), (2, -1), (4, 16)):
-        with pytest.raises(ChunkSetError, match="does not fit"):
-            ChunkSet.from_values([0, bad, 0], bits)
-    with pytest.raises(ChunkSetError):
-        ChunkSet(2, 4).get(4)
+    assert pack_values([0] * 50, 2) == 0
+    assert unpack_values(0, 2, 50) == [0] * 50
 
 
 def test_unused_trailing_bits_stay_zero():
-    s = ChunkSet.from_values([3] * 33, 2)  # 66 bits -> 2 words, 62 unused in the last
-    assert s.words[1] >> 2 == 0
+    s = pack_values([3] * 33, 2)  # 66 bits -> 2 words, 62 unused in the last
+    assert words(s, 2, 33)[1] >> 2 == 0
 
 
 def test_matches_trivial_cases():
-    state = ChunkSet.from_values([0, 0, 0, 1, 0, 0, 0, 2] + [0] * 12, 2)
-    zero_mask = ChunkSet(2, 20)
-    assert matches(state, zero_mask, ChunkSet(2, 20))  # vacuous constraint
-    full_mask = ChunkSet.from_values([3] * 20, 2)
-    assert matches(state, full_mask, state)
-
-
-def test_matches_shape_mismatch():
-    with pytest.raises(ChunkSetError):
-        matches(ChunkSet(2, 10), ChunkSet(2, 11), ChunkSet(2, 10))
-    with pytest.raises(ChunkSetError):
-        matches(ChunkSet(2, 10), ChunkSet(4, 10), ChunkSet(4, 10))
+    state = pack_values([0, 0, 0, 1, 0, 0, 0, 2] + [0] * 12, 2)
+    assert matches(state, 0, 0, 2, 20)  # vacuous constraint
+    full_mask = pack_values([3] * 20, 2)
+    assert matches(state, full_mask, state, 2, 20)
 
 
 def test_matches_flipped_cell_detected():
@@ -85,18 +69,18 @@ def test_matches_flipped_cell_detected():
     cells = 60
     values = [rng.randrange(4) for _ in range(cells)]
     picked = rng.sample(range(cells), 5)
-    mask = ChunkSet.from_values([3 if c in picked else 0 for c in range(cells)], 2)
-    target = ChunkSet.from_values([values[c] if c in picked else 0 for c in range(cells)], 2)
-    assert matches(ChunkSet.from_values(values, 2), mask, target)
+    mask = pack_values([3 if c in picked else 0 for c in range(cells)], 2)
+    target = pack_values([values[c] if c in picked else 0 for c in range(cells)], 2)
+    assert matches(pack_values(values, 2), mask, target, 2, cells)
     victim = picked[2]
     values[victim] = (values[victim] + 1) % 4
-    assert not matches(ChunkSet.from_values(values, 2), mask, target)
+    assert not matches(pack_values(values, 2), mask, target, 2, cells)
 
 
-def naive_matches(state, mask, target):
+def naive_matches(state, mask, target, bits, cells):
     # Per-cell reference: selected bits of each cell equal the target bits.
-    for c in range(state.cell_count):
-        if state.get(c) & mask.get(c) != target.get(c):
+    for c in range(cells):
+        if get(state, bits, c) & get(mask, bits, c) != get(target, bits, c):
             return False
     return True
 
@@ -107,67 +91,38 @@ def test_matches_agrees_with_naive_interpreter():
     for _ in range(10_000):
         cells = rng.randrange(1, 70)
         bits = rng.choice((1, 2, 4))
-        state = ChunkSet.from_values([rng.randrange(1 << bits) for _ in range(cells)], bits)
+        values = [rng.randrange(1 << bits) for _ in range(cells)]
+        state = pack_values(values, bits)
         mask_values = [0] * cells
         target_values = [0] * cells
         for c in rng.sample(range(cells), rng.randrange(cells + 1)):
             m = rng.randrange(1 << bits)
             mask_values[c] = m
             # Bias half the triples toward matching targets.
-            t = state.get(c) & m if rng.random() < 0.5 else rng.randrange(1 << bits) & m
+            t = values[c] & m if rng.random() < 0.5 else rng.randrange(1 << bits) & m
             target_values[c] = t
-        mask = ChunkSet.from_values(mask_values, bits)
-        target = ChunkSet.from_values(target_values, bits)
-        assert matches(state, mask, target) == naive_matches(state, mask, target)
+        mask = pack_values(mask_values, bits)
+        target = pack_values(target_values, bits)
+        shape = (bits, cells)
+        assert matches(state, mask, target, *shape) == naive_matches(state, mask, target, *shape)
         agree += 1
     assert agree == 10_000
 
 
 def test_matching_cost_is_one_op_per_word():
-    state = ChunkSet(2, 200)  # 400 bits -> 7 words
-    mask = ChunkSet(2, 200).with_bits(3 << 123 * 2)  # mask support size is irrelevant to the cost
-    target = ChunkSet(2, 200)
+    mask = 3 << 123 * 2  # mask support size is irrelevant to the cost
     counter = [0]
-    assert matches(state, mask, target, counter)
-    assert counter[0] == state.word_count == 7
+    assert matches(0, mask, 0, 2, 200, counter)  # 400 bits -> 7 words
+    assert counter[0] == word_count(2, 200) == 7
 
 
 def test_violates():
-    s = ChunkSet.from_values([0, 0, 0, 0, 2, 0, 0, 0, 0, 0], 2)
-    assert violates(s, 4, 2)
-    assert not violates(s, 4, 3)
-    assert violates(s, 5, 0)  # empty cell, forbidden empty
-    with pytest.raises(ChunkSetError):
-        violates(s, 4, 4)
-
-
-def test_with_bits_leaves_the_board_alone():
-    """A board is never changed in place: ``with_bits`` makes a new one,
-    and no method sets a cell."""
-    a = ChunkSet(2, 8)
-    b = a.with_bits(3)
-    assert (a.get(0), b.get(0)) == (0, 3)
-    assert a != b
-    assert a == a.with_bits(a.bits) and a.with_bits(a.bits) is not a
-    assert not hasattr(ChunkSet, "set") and not hasattr(ChunkSet, "copy")
-
-
-def test_words_outside_a_64_bit_word_are_rejected():
-    # Packed, bit 64 of word 0 would become cell 32.
-    with pytest.raises(ChunkSetError, match="outside"):
-        ChunkSet(2, 40, [1 << 64 | 3, 0])
-    with pytest.raises(ChunkSetError, match="outside"):
-        ChunkSet(2, 40, [-1, 0])
-    assert ChunkSet(2, 40, [(1 << 64) - 1, 0]).get(31) == 3
-
-
-def test_words_setting_bits_beyond_the_cells_are_rejected():
-    # 40 cells of 2 bits: word 1 holds bits 64..79 only.
-    with pytest.raises(ChunkSetError, match="beyond"):
-        ChunkSet(2, 40, [0, 1 << 16])
-    with pytest.raises(ChunkSetError, match="beyond"):
-        ChunkSet(1, 3, [1 << 3])
-    assert ChunkSet(2, 40, [0, (1 << 16) - 1]).get(39) == 3
+    s = pack_values([0, 0, 0, 0, 2, 0, 0, 0, 0, 0], 2)
+    assert violates(s, 2, 4, 2)
+    assert not violates(s, 2, 4, 3)
+    assert violates(s, 2, 5, 0)  # empty cell, forbidden empty
+    with pytest.raises(ValueError):
+        violates(s, 2, 4, 4)
 
 
 # (chunk bits, cells) of boards of 1, 2, 3 and 7 words.
@@ -187,31 +142,32 @@ def packed_words(draw):
 @settings(max_examples=300, deadline=None)
 @given(packed_words())
 def test_words_and_values_round_trip(case):
-    chunk_bits, cells, words = case
-    board = ChunkSet(chunk_bits, cells, words)
-    assert board.words == words and board.word_count == len(words)
+    chunk_bits, cells, board_words = case
+    board = sum(w << 64 * i for i, w in enumerate(board_words))
+    assert words(board, chunk_bits, cells) == board_words
+    assert word_count(chunk_bits, cells) == len(board_words)
     # Each cell decoded from its own word: no chunk straddles two.
     full = (1 << chunk_bits) - 1
-    decoded = [(words[c * chunk_bits // 64] >> c * chunk_bits % 64) & full for c in range(cells)]
-    assert board.values() == decoded
-    assert ChunkSet.from_values(decoded, chunk_bits) == board
+    decoded = [(board_words[c * chunk_bits // 64] >> c * chunk_bits % 64) & full for c in range(cells)]
+    assert unpack_values(board, chunk_bits, cells) == decoded
+    assert pack_values(decoded, chunk_bits) == board
 
 
-def packed_instance(mask, target, negative_tests):
+def packed_instance(chunk_bits, mask, target, negative_tests):
     """An instance holding only the tests ``match_instance`` reads, packed
     as ``instantiate`` packs them."""
     return FeatureInstance(
         feature=None, anchor=0, start_dir=0, reflected=False,
-        mask=mask.bits, target=target.bits, negative_tests=negative_tests,
-        negative_probes=_negative_probes(mask.chunk_bits, negative_tests),
+        mask=mask, target=target, negative_tests=negative_tests,
+        negative_probes=_negative_probes(chunk_bits, negative_tests),
         element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
     )
 
 
 @st.composite
 def packed_case(draw):
-    """A random board, and positive and negated chunk tests on it that
-    agree with the board about half the time."""
+    """A board shape, a random board of it, and positive and negated chunk
+    tests on it that agree with the board about half the time."""
     chunk_bits, cells = draw(st.sampled_from(SHAPES))
     top = (1 << chunk_bits) - 1
     values = draw(st.lists(st.integers(0, top), min_size=cells, max_size=cells))
@@ -232,28 +188,29 @@ def packed_case(draw):
     negatives = set()
     for c in draw(st.lists(cell, max_size=4)):
         negatives.add((c, draw(test_value(c))))
-    return ChunkSet.from_values(values, chunk_bits), positives, tuple(sorted(negatives))
+    return chunk_bits, cells, pack_values(values, chunk_bits), positives, tuple(sorted(negatives))
 
 
 # Cells 31 and 32 hold 1 and 2, on both sides of the first word boundary.
-_EDGE = ChunkSet.from_values([0] * 31 + [1, 2] + [0] * 7, 2)
+_EDGE = (2, 40, pack_values([0] * 31 + [1, 2] + [0] * 7, 2))
 
 
 @settings(max_examples=600, deadline=None)
 @given(packed_case())
-@example((_EDGE, {31: 1, 32: 2}, ()))
-@example((_EDGE, {31: 1, 32: 3}, ()))
-@example((_EDGE, {31: 2, 32: 2}, ()))
-@example((_EDGE, {}, ((31, 0), (32, 0))))
-@example((_EDGE, {}, ((31, 1),)))
-@example((_EDGE, {31: 1}, ((32, 2),)))
+@example((*_EDGE, {31: 1, 32: 2}, ()))
+@example((*_EDGE, {31: 1, 32: 3}, ()))
+@example((*_EDGE, {31: 2, 32: 2}, ()))
+@example((*_EDGE, {}, ((31, 0), (32, 0))))
+@example((*_EDGE, {}, ((31, 1),)))
+@example((*_EDGE, {31: 1}, ((32, 2),)))
 def test_packed_test_agrees_with_the_word_oracle(case):
     """``match_instance`` equals ``matches`` word by word plus ``violates``
     cell by cell."""
-    board, positives, negatives = case
-    full = (1 << board.chunk_bits) - 1
-    cells = range(board.cell_count)
-    mask = ChunkSet.from_values([full if c in positives else 0 for c in cells], board.chunk_bits)
-    target = ChunkSet.from_values([positives.get(c, 0) for c in cells], board.chunk_bits)
-    want = matches(board, mask, target) and not any(violates(board, c, v) for c, v in negatives)
-    assert match_instance(packed_instance(mask, target, negatives), board.bits) == want
+    chunk_bits, cell_count, board, positives, negatives = case
+    full = (1 << chunk_bits) - 1
+    cells = range(cell_count)
+    mask = pack_values([full if c in positives else 0 for c in cells], chunk_bits)
+    target = pack_values([positives.get(c, 0) for c in cells], chunk_bits)
+    want = matches(board, mask, target, chunk_bits, cell_count) and not any(
+        violates(board, chunk_bits, c, v) for c, v in negatives)
+    assert match_instance(packed_instance(chunk_bits, mask, target, negatives), board) == want

@@ -5,11 +5,20 @@ from hypothesis import strategies as st
 import geoweave as gw
 from geoweave.games import GameState, IllegalMove, Move
 from geoweave.rng import SplitMix64
-from oracles import empty_slot_oracle, hex_groups_oracle, hex_win_bfs, minimax_winner, status_oracle
+from oracles import (
+    board_values,
+    empty_slot_oracle,
+    hex_groups_oracle,
+    hex_win_bfs,
+    minimax_winner,
+    pack_values,
+    status_oracle,
+    words,
+)
 
 
 def empty_cells(rules, state):
-    return [c for c in range(rules.graph.cell_count) if state.board.get(c) == 0]
+    return [c for c, v in enumerate(board_values(rules, state)) if v == 0]
 
 
 def carried_groups(state):
@@ -39,7 +48,7 @@ def test_apply_basics():
     assert s1.mover == 2 and s0.mover == 1
     assert s1.move_number == 1
     assert len(rules.legal_moves(s1)) == len(rules.legal_moves(s0)) - 1
-    assert s0.board.get(5) == 0  # copy-on-apply: input state untouched
+    assert board_values(rules, s0)[5] == 0  # copy-on-apply: input state untouched
     with pytest.raises(IllegalMove):
         rules.apply(s1, Move(5))
     with pytest.raises(IllegalMove):
@@ -120,7 +129,7 @@ def test_hex_win_matches_bfs_oracle():
     for _ in range(300):
         state = rules.initial_state()
         while True:
-            values = state.board.values()
+            values = board_values(rules, state)
             status = rules.status(state)
             assert (status == 1, status == 2) == (
                 hex_win_bfs(rules, values, 1),
@@ -145,25 +154,31 @@ MOST_CELLS = 81  # hex9: enough picks to fill any of the boards above
 )
 def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     """Random games (the i-th move is legal move ``picks[i] mod count``):
-    after every ``apply``, ``status`` equals the whole-board oracle, the
-    carried empty cells and the legal moves are the board's empty cells,
-    the carried Hex groups are the board's connected components, and the
+    after every ``apply``, the board is the oracle's packing of the values
+    played so far, ``status`` equals the whole-board oracle, the carried
+    empty cells and the legal moves are the board's empty cells, the
+    carried Hex groups are the board's connected components, and the
     parent position is intact."""
     rules = gw.game_from_name(name)
     hex_game = isinstance(rules, gw.HexRules)
+    shape = (rules.chunk_bits, rules.graph.cell_count)
     state = rules.initial_state()
+    values = [0] * rules.graph.cell_count
     for pick in picks:
         if rules.status(state) is not None:
             break
         legal = rules.legal_moves(state)
-        parent, parent_words, parent_empty = state, list(state.board.words), list(state.empty)
+        parent, parent_words, parent_empty = state, words(state.board, *shape), list(state.empty)
         parent_groups = carried_groups(state) if hex_game else None
-        state = rules.apply(state, legal[pick % len(legal)])
+        move = legal[pick % len(legal)]
+        state = rules.apply(state, move)
+        values[move.to] = parent.mover
+        assert state.board == pack_values(values, rules.chunk_bits)
         assert rules.status(state) == status_oracle(rules, state)
-        assert parent.board.words == parent_words
+        assert words(parent.board, *shape) == parent_words
         assert list(parent.empty) == parent_empty
         if hex_game:
-            assert carried_groups(state) == hex_groups_oracle(rules, state.board.values())
+            assert carried_groups(state) == hex_groups_oracle(rules, values)
             assert carried_groups(parent) == parent_groups
         else:
             assert state.groups is None
@@ -271,7 +286,8 @@ def test_position_derives_its_move_number_empty_cells_and_groups(name, data):
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     mover = data.draw(st.sampled_from([1, 2]))
     state = rules.position(values, mover)
-    assert state.board.values() == values
+    assert state.board == pack_values(values, rules.chunk_bits)
+    assert board_values(rules, state) == values
     assert (state.mover, state.last_move, state.result) == (mover, None, None)
     assert state.move_number == sum(v != 0 for v in values)
     assert [m.to for m in state.empty] == [c for c, v in enumerate(values) if v == 0]
@@ -302,7 +318,7 @@ def test_position_gives_the_empty_cells_as_legal_moves():
         state = rules.apply(state, legal[rng.next_u64() % len(legal)])
         assert [m.to for m in state.empty] == empty_cells(rules, state)
         assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
-        assert carried_groups(state) == hex_groups_oracle(rules, state.board.values())
+        assert carried_groups(state) == hex_groups_oracle(rules, board_values(rules, state))
         assert rules.status(state) == status_oracle(rules, state)
 
 
@@ -318,7 +334,7 @@ def test_position_wins_through_its_scanned_groups():
     assert carried_groups(state) == hex_groups_oracle(rules, values)
     won = rules.apply(state, Move(gw.hex_cell(rules.graph, 1, 1)))
     assert won.result == 1 == status_oracle(rules, won)
-    assert carried_groups(won) == hex_groups_oracle(rules, won.board.values())
+    assert carried_groups(won) == hex_groups_oracle(rules, board_values(rules, won))
     assert len(won.groups[0]) == 1
 
 
@@ -336,9 +352,6 @@ def test_position_rejects_a_wrong_count_or_value():
 def test_initial_state_is_shared_and_unchanged_by_play():
     """Every game starts from one shared position, which neither games,
     searches nor ``position`` calls change."""
-    def fields(state):
-        return (state.board.bits, *state[1:])
-
     for rules in (gw.hex_rules(4), gw.line4_rules(4, 4)):
         n = rules.graph.cell_count
         initial = rules.initial_state()
@@ -346,8 +359,8 @@ def test_initial_state_is_shared_and_unchanged_by_play():
         gw.play_match(rules, gw.AgentSpec(playouts=3), gw.AgentSpec(), 2, 7)
         rules.position([1] + [0] * (n - 1), 2)
         assert rules.initial_state() is initial
-        assert fields(initial) == fields(rules.position([0] * n, 1))
-        assert initial.board.bits == 0 and initial.move_number == 0 and initial.mover == 1
+        assert initial == rules.position([0] * n, 1)
+        assert initial.board == 0 and initial.move_number == 0 and initial.mover == 1
 
 
 def test_game_state_is_immutable_and_apply_keeps_the_parent():
@@ -359,12 +372,12 @@ def test_game_state_is_immutable_and_apply_keeps_the_parent():
             setattr(state, name, value)
     with pytest.raises(TypeError):  # no field of a position is left to a default
         GameState(state.board, 1, None, 0)
-    empty, words = state.empty, list(state.board.words)
+    empty, board = state.empty, state.board
     legal = rules.legal_moves(state)
     legal.clear()  # a fresh list: the position's tuple is untouched
     child = rules.apply(state, Move(5))
     assert state.empty is empty and [m.to for m in empty] == list(range(16))
-    assert state.board.words == words
+    assert state.board == board == 0
     assert state.groups == ((), ())
     assert [m.to for m in child.empty] == [c for c in range(16) if c != 5]
     assert child.groups == ((1 << 5,), ())

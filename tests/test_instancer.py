@@ -6,7 +6,6 @@ import pytest
 
 import geoweave as gw
 from geoweave import instancer
-from geoweave.chunkset import ChunkSet, ChunkSetError
 from geoweave.features import (
     EMPTY,
     ENEMY,
@@ -25,10 +24,10 @@ from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.games import Move
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
-from geoweave.search import biased_scores, compile_feature_set
+from geoweave.search import compile_feature_set
 from geoweave.walks import make_walk, resolve_walk_branches
 import oracles
-from oracles import instantiate_oracle, interpret_instance
+from oracles import instantiate_oracle, interpret_instance, pack_values, word_count, words
 
 KNIGHT = make_walk([0, 0, F(1, 4)])
 
@@ -143,12 +142,12 @@ def test_bridge_instance_matches_fig1_position(bridge_fs):
     rules = gw.hex_rules(7)
     idx = instantiate(bridge_fs, rules.graph, 2, mover=2)
     state, intrusion, completion = hex_bridge_position(rules)
-    hits = [i for i in idx.reactive_for(intrusion) if match_instance(i, state.board.bits)]
+    hits = [i for i in idx.reactive_for(intrusion) if match_instance(i, state.board)]
     assert len(hits) == 1
     assert hits[0].action_to == completion
     # The same instance fails on an empty board: no enemy stone to react to.
     empty = rules.initial_state()
-    assert not match_instance(hits[0], empty.board.bits)
+    assert not match_instance(hits[0], empty.board)
 
 
 def test_reactive_indexing_partitions_instances(bridge_fs):
@@ -290,8 +289,8 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
         assert x.negative_tests == y.negative_tests
 
 
-def random_board(rng, chunk_bits, cells, values_range):
-    return ChunkSet.from_values([rng.next_u64() % values_range for _ in range(cells)], chunk_bits)
+def random_values(rng, cells, values_range):
+    return [rng.next_u64() % values_range for _ in range(cells)]
 
 
 # Boards of 1, 2 and 3 words (hex7: 98 bits, hex9: 162, line4-8x8: 128).
@@ -306,7 +305,7 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
     rng = SplitMix64(7)
     for name in BOARDS[game]:
         rules = gw.game_from_name(name)
-        empty = rules.initial_state().board
+        shape = (rules.chunk_bits, rules.graph.cell_count)
         outcomes = set()
         for mover in (1, 2):
             idx = instantiate(fs, rules.graph, 2, mover)
@@ -320,26 +319,16 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
                 )
             # ... and on boards of several words some instance's mask spans
             # two words of the 64-bit view.
-            if empty.word_count > 1:
-                assert any(sum(1 for m in empty.with_bits(i.mask).words if m) > 1 for i in idx.instances)
+            if word_count(*shape) > 1:
+                assert any(sum(1 for m in words(i.mask, *shape) if m) > 1 for i in idx.instances)
             for _ in range(60):
-                board = random_board(rng, rules.chunk_bits, rules.graph.cell_count, 3)
-                values = board.values()
+                values = random_values(rng, rules.graph.cell_count, 3)
+                board = pack_values(values, rules.chunk_bits)
                 for inst in idx.instances:
-                    got = match_instance(inst, board.bits)
+                    got = match_instance(inst, board)
                     assert got == interpret_instance(inst, values, mover, 2), name
                     outcomes.add(got)
         assert outcomes == {True, False}, name
-
-
-def test_scoring_rejects_board_of_another_shape(hex7_rules, bridge_fs):
-    idx = instantiate(bridge_fs, hex7_rules.graph, 2, 1)
-    state = hex7_rules.initial_state()
-    legal = hex7_rules.legal_moves(state)
-    biased_scores(state._replace(board=ChunkSet(2, 49)), legal, idx)  # the index's own shape passes
-    for other in (ChunkSet(2, 50), ChunkSet(2, 48), ChunkSet(4, 49), ChunkSet(1, 49)):
-        with pytest.raises(ChunkSetError, match="shape"):
-            biased_scores(state._replace(board=other), legal, idx)
 
 
 # --- the compiler against its memo-free oracle ------------------------------
@@ -349,8 +338,8 @@ def assert_same_index(got, want):
     """Same instances in the same order, field by field (the feature by
     identity, the weight with == and bit for bit), and the same
     proactive/reactive split."""
-    assert (got.graph, got.mover, got.player_count, got.chunk_bits) == (
-        want.graph, want.mover, want.player_count, want.chunk_bits
+    assert (got.graph, got.mover, got.player_count) == (
+        want.graph, want.mover, want.player_count
     )
     assert len(got.instances) == len(want.instances)
     for a, b in zip(got.instances, want.instances):

@@ -178,6 +178,25 @@ def test_mcts_hex2_picks_winning_opening():
     assert minimax_winner(rules, after) == 1
 
 
+def test_search_rejects_an_index_of_other_rules(bridge_fs, hex7_rules):
+    """Search checks that its indexes were compiled for its rules' board
+    and player count: a hex7 index is refused on line4-7x7, which has
+    hex7's 49 cells of 2 bits, and on hex5, and a three-player index on
+    hex7.  The same rules built again pass."""
+    indexes = compile_feature_set(bridge_fs, hex7_rules)
+    three_players = {p: gw.instantiate(bridge_fs, hex7_rules.graph, 3, p) for p in (1, 2)}
+    for rules, other in ((gw.line4_rules(7, 7), indexes), (gw.hex_rules(5), indexes),
+                         (hex7_rules, three_players)):
+        state = rules.initial_state()
+        with pytest.raises(ValueError, match="another board or player count"):
+            mcts_best_move(state, rules, other, 4, 1)
+        with pytest.raises(ValueError, match="another board or player count"):
+            run_playout(state, rules, other, SplitMix64(1))
+    again = gw.hex_rules(7)
+    run_playout(again.initial_state(), again, indexes, SplitMix64(1))
+    mcts_best_move(again.initial_state(), again, indexes, 4, 1)
+
+
 def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
     indexes = compile_feature_set(bridge_fs, hex7_rules)
     counters = MatchCounters()

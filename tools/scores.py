@@ -7,7 +7,7 @@ the garbage collector off, the best of ``--repeat`` passes over exactly
 those positions:
 
     biased_scores   search.biased_scores(state, legal, idx), us/call
-    match_instance  instancer.match_instance(inst, board.bits) for each
+    match_instance  instancer.match_instance(inst, state.board) for each
                     instance that biased_scores tests there: the bare test
                     on the board's int, ns/test
 
@@ -81,8 +81,7 @@ def hex19_pairs(boards: int, seed: int) -> list:
     instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), rules.graph, 2, 1).instances
     rng = SplitMix64(seed)
     cells = rules.graph.cell_count
-    return [(gw.ChunkSet.from_values([rng.next_u64() % 3 for _ in range(cells)], rules.chunk_bits).bits,
-             instances)
+    return [(rules.position([rng.next_u64() % 3 for _ in range(cells)], 1).board, instances)
             for _ in range(boards)]
 
 
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
 
     seed = REGRESSION_SEED + args.case
     calls = record_positions(seed)
-    pairs = [(state.board.bits, tested(state, idx)) for state, _, idx in calls]
+    pairs = [(state.board, tested(state, idx)) for state, _, idx in calls]
     tests = sum(len(i) for _, i in pairs)
     scores_us = per_call_us(search.biased_scores, calls, args.repeat)
     large = hex19_pairs(args.boards, seed)
