@@ -20,7 +20,7 @@ board = rules.graph
 
 # One instance index per player perspective: friend/enemy are resolved to
 # concrete cell values at instantiation time.
-white = gw.instantiate(bridge, board, rules.player_count, mover=2)
+white = gw.instantiate(bridge, board, mover=2)
 print(f"\ninstances for White on 7x7 hex: {len(white.instances)}")
 print(f"reactive buckets (indexed by the opponent's last move): {len(white.reactive_by_last_move)}")
 

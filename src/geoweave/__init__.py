@@ -19,7 +19,7 @@ from .board import (
     hex_cell,
     square_cell,
 )
-from .chunkset import required_bits
+from .chunkset import CHUNK_BITS
 from .dsl import (
     DslError,
     dump_feature_set,

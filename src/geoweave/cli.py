@@ -123,7 +123,7 @@ def cmd_render(args) -> int:
     fs = load_feature_set(args.features)
     run = Run("render", args, args.out)
     for i, feature in enumerate(fs.features):
-        svg = render_feature(feature, rules.graph, rules.player_count)
+        svg = render_feature(feature, rules.graph)
         run.write_text(f"feature_{i:03d}.svg", svg)
     run.finish(seed)
     print(f"rendered {len(fs.features)} feature(s) to {run.out}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
-from .chunkset import required_bits
+from .chunkset import CHUNK_BITS
 
 
 class IllegalMove(ValueError):
@@ -81,18 +81,14 @@ class GameRules:
     """Shared plumbing for two-player placement games."""
 
     name: str
-    player_count = 2
 
     def __init__(self, graph: BoardGraph):
         self.graph = graph
-        self.state_count = self.player_count + 1
-        self.chunk_bits = required_bits(self.state_count)
-        assert self.chunk_bits == 2, "apply folds each 2-bit chunk onto its low bit"
-        self._chunk_mask = (1 << self.chunk_bits) - 1
+        self._chunk_mask = (1 << CHUNK_BITS) - 1
         cells = graph.cell_count
         self._cell_count = cells
         # Per cell: its one shared Move and the shift of its chunk in the board.
-        self._cells = [(Move(c), c * self.chunk_bits) for c in range(cells)]
+        self._cells = [(Move(c), c * CHUNK_BITS) for c in range(cells)]
         # Per cell: the low bit of every chunk below its own (0b01 repeated).
         low = ((1 << 2 * cells) - 1) // 3
         self._below = [low & ((1 << s) - 1) for _, s in self._cells]
@@ -101,15 +97,24 @@ class GameRules:
     def position(self, values, mover: int, last_move: Move | None = None) -> GameState:
         """The position in play that holds ``values``, one per cell in cell
         order (0 for empty, p for a stone of player p), with ``mover`` to
-        move.  Raises ``ValueError`` on a wrong count or value."""
+        move after ``last_move``.  Raises ``ValueError`` on a wrong count or
+        value, or on a last move that no play could have made: one off the
+        board, with a from-cell, or on a cell without a stone of the
+        player who made it, ``3 - mover``."""
         values = list(values)
         if len(values) != self._cell_count:
             raise ValueError(f"{self.name} has {self._cell_count} cells, got {len(values)} values")
         for cell, v in enumerate(values):
-            if v not in range(self.state_count):
-                raise ValueError(f"cell {cell} holds {v!r}; a cell holds 0..{self.player_count}")
-        if mover not in range(1, self.state_count):
-            raise ValueError(f"mover {mover!r} is not a player 1..{self.player_count}")
+            if v not in (0, 1, 2):
+                raise ValueError(f"cell {cell} holds {v!r}; a cell holds 0..2")
+        if mover not in (1, 2):
+            raise ValueError(f"mover {mover!r} is not a player 1..2")
+        if last_move is not None and not (
+            last_move.from_ is None
+            and 0 <= last_move.to < self._cell_count
+            and values[last_move.to] == 3 - mover
+        ):
+            raise ValueError(f"last move {last_move!r} is not a placement of player {3 - mover}")
         board = 0
         for (_, s), v in zip(self._cells, values):
             board |= v << s

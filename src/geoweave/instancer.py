@@ -17,10 +17,10 @@ its placements and features:
   ``resolve_walk_branches`` per walk of each placement;
 - each distinct pair of element constraint signature (every element's
   constraint tuple, by value) and combo (the element sites and the to,
-  from and last-move cells) is compiled once: the mover and player count
-  are fixed within a compile, so the pair decides the instance, and a
-  repeat is one lookup that adds the feature to the recipe of the
-  instance the pair gave, or finds that the pair was rejected;
+  from and last-move cells) is compiled once: the mover is fixed within
+  a compile, so the pair decides the instance, and a repeat is one
+  lookup that adds the feature to the recipe of the instance the pair
+  gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site;
 - each distinct instance builds its full-board mask/target once: a
   duplicate is found from its required and forbidden cell values, its
@@ -35,15 +35,18 @@ element sites come from the placement that first produced it.
 
 The memos above live for one compile.  Its templates and recipes are kept
 by the process, keyed by the feature set's structure (every field of each
-feature but its weight, by value), the graph (by value), the player count
-and the mover; the last ``MEMO_ENTRIES`` structures are kept.  Calling
-``instantiate`` again on a set of that structure, such as a hill climb's
-reweighted set or the second agent of a self-play match, only builds
-fresh instances and sums the new weights, plus the walk calls that the
-benchmark counts (see ``_replay_walk_calls``).
+feature but its weight, by value), the graph (by value) and the mover;
+the last ``MEMO_ENTRIES`` structures are kept.  Calling ``instantiate``
+again on a set of that structure, such as a hill climb's reweighted set
+or the second agent of a self-play match, only builds fresh instances
+and sums the new weights, plus the walk calls that the benchmark counts
+(see ``_replay_walk_calls``).
 
 Friend/enemy constraints are resolved against a concrete mover when
-instantiating, so an engine holds one instance index per player.
+instantiating, so an engine holds one instance index per player.  The
+games have two players and a cell holds 0..2 (``chunkset``), so the enemy
+of ``mover`` is ``3 - mover``, a player index ``Pn`` is 1..2 and an item
+index ``In``, which the games read as the cell value n, is 0..2.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .board import OFF_BOARD, BoardGraph
-from .chunkset import required_bits
+from .chunkset import CHUNK_BITS
 from .features import Constraint, ElementKind, Feature, FeatureSet
 from .walks import Walk, mirror_walk, resolve_walk_branches, round_turn
 
@@ -88,7 +91,6 @@ class FeatureInstance:
 class InstanceIndex:
     graph: BoardGraph
     mover: int
-    player_count: int
     instances: list[FeatureInstance] = field(default_factory=list)
     proactive: list[FeatureInstance] = field(default_factory=list)
     reactive_by_last_move: dict[int, list[FeatureInstance]] = field(default_factory=dict)
@@ -115,11 +117,11 @@ def match_instance(inst: FeatureInstance, bits: int) -> bool:
     return True
 
 
-def _negative_probes(chunk_bits: int, negative_tests: tuple[tuple[int, int], ...]) -> tuple:
+def _negative_probes(negative_tests: tuple[tuple[int, int], ...]) -> tuple:
     """``negative_probes`` for one compiled instance."""
-    full = (1 << chunk_bits) - 1
+    full = (1 << CHUNK_BITS) - 1
     return tuple(
-        (full << cell * chunk_bits, forbidden << cell * chunk_bits)
+        (full << cell * CHUNK_BITS, forbidden << cell * CHUNK_BITS)
         for cell, forbidden in negative_tests
     )
 
@@ -172,7 +174,6 @@ def _compile_constraints(
     constraints: tuple[Constraint, ...],
     site: int,
     mover: int,
-    player_count: int,
 ) -> tuple[dict[int, int], set[tuple[int, int]]] | None:
     """Positive chunk assignments and negative tests for one element.
 
@@ -182,7 +183,6 @@ def _compile_constraints(
     """
     positives: dict[int, int] = {}
     negatives: set[tuple[int, int]] = set()
-    enemy_value = None if player_count != 2 else 3 - mover
 
     has_positive_off = any(c.kind is ElementKind.OFF and not c.negated for c in constraints)
     if has_positive_off:
@@ -198,23 +198,14 @@ def _compile_constraints(
         elif c.kind is ElementKind.FRIEND:
             value = mover
         elif c.kind is ElementKind.ENEMY:
-            if enemy_value is None:
-                if c.negated:
-                    raise InstancerError(
-                        "negated enemy constraints need exactly 2 players "
-                        "(not-enemy is a disjunction the compiled tests cannot express)"
-                    )
-                negatives.add((site, 0))
-                negatives.add((site, mover))
-                continue
-            value = enemy_value
+            value = 3 - mover
         elif c.kind is ElementKind.PLAYER:
-            if not 1 <= c.index <= player_count:
-                raise InstancerError(f"player index {c.index} out of range 1..{player_count}")
+            if not 1 <= c.index <= 2:
+                raise InstancerError(f"player index {c.index} out of range 1..2")
             value = c.index
         else:  # ITEM: the built-in games equip one piece type per player
-            if not 0 <= c.index <= player_count:
-                raise InstancerError(f"item index {c.index} out of range 0..{player_count}")
+            if not 0 <= c.index <= 2:
+                raise InstancerError(f"item index {c.index} out of range 0..2")
             value = c.index
         if c.negated:
             negatives.add((site, value))
@@ -255,7 +246,7 @@ MEMO_ENTRIES = 4
 # Every Feature field but the weight: the structure that decides the
 # compiled tests, and with them the memo key.
 _structure = attrgetter(*(f.name for f in fields(Feature) if f.name != "weight"))
-# (feature structures, graph, player count, mover) -> (templates, recipes);
+# (feature structures, graph, mover) -> (templates, recipes);
 # see ``_compile``.
 _memo: dict[tuple, tuple] = {}
 
@@ -315,13 +306,7 @@ def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
                 resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
 
 
-def _compile(
-    fs: FeatureSet,
-    graph: BoardGraph,
-    player_count: int,
-    mover: int,
-    chunk_bits: int,
-) -> tuple[tuple, tuple]:
+def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tuple]:
     """The templates and recipes of a feature set's instances, in order.
 
     A template holds every ``FeatureInstance`` field between ``feature``
@@ -330,7 +315,7 @@ def _compile(
     the order the placements produced them; its first position names the
     instance's feature.
     """
-    full = (1 << chunk_bits) - 1
+    full = (1 << CHUNK_BITS) - 1
     templates: list[tuple] = []
     recipes: list[list[int]] = []
     # Instance number by its compiled tests and action cells.
@@ -354,7 +339,7 @@ def _compile(
         for (constraints, by_site), site in zip(elements, combo):
             compiled = by_site.get(site, _MISSING)
             if compiled is _MISSING:
-                compiled = by_site[site] = _compile_constraints(constraints, site, mover, player_count)
+                compiled = by_site[site] = _compile_constraints(constraints, site, mover)
             if compiled is None:
                 return None
             pos, neg = compiled
@@ -377,8 +362,8 @@ def _compile(
             return number
         mask = target = 0
         for cell, value in positives.items():
-            mask |= full << cell * chunk_bits
-            target |= value << cell * chunk_bits
+            mask |= full << cell * CHUNK_BITS
+            target |= value << cell * CHUNK_BITS
         number = dedup[key] = len(templates)
         templates.append((
             anchor,
@@ -387,7 +372,7 @@ def _compile(
             mask,
             target,
             neg_sorted,
-            _negative_probes(chunk_bits, neg_sorted),
+            _negative_probes(neg_sorted),
             tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
             action_to,
             action_from,
@@ -448,12 +433,7 @@ def _weighted_index(index: InstanceIndex, fs: FeatureSet, templates: tuple, reci
     return index
 
 
-def instantiate(
-    fs: FeatureSet,
-    graph: BoardGraph,
-    player_count: int,
-    mover: int,
-) -> InstanceIndex:
+def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     """Expand a feature set into its full per-board instance index.
 
     Duplicate instances (identical compiled tests and action) are merged
@@ -462,15 +442,15 @@ def instantiate(
     A structure compiled before in this process is not compiled again
     (see the module docstring); every call returns new instances.
     """
-    if not 1 <= mover <= player_count:
-        raise InstancerError(f"mover {mover} out of range 1..{player_count}")
-    key = (tuple(map(_structure, fs.features)), graph, player_count, mover)
+    if not 1 <= mover <= 2:
+        raise InstancerError(f"mover {mover} out of range 1..2")
+    key = (tuple(map(_structure, fs.features)), graph, mover)
     compiled = _memo.get(key)
     if compiled is None:
-        compiled = _compile(fs, graph, player_count, mover, required_bits(player_count + 1))
+        compiled = _compile(fs, graph, mover)
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = compiled
     else:
         _replay_walk_calls(fs, graph)
-    return _weighted_index(InstanceIndex(graph, mover, player_count), fs, *compiled)
+    return _weighted_index(InstanceIndex(graph, mover), fs, *compiled)

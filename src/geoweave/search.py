@@ -66,21 +66,17 @@ def compile_feature_set(fs: FeatureSet | None, rules: GameRules) -> PlayerIndexe
     """One instance index per player, resolved against that player's view."""
     if fs is None:
         return None
-    return {
-        p: instantiate(fs, rules.graph, rules.player_count, p)
-        for p in range(1, rules.player_count + 1)
-    }
+    return {p: instantiate(fs, rules.graph, p) for p in (1, 2)}
 
 
 def _check_indexes(rules: GameRules, indexes: PlayerIndexes | None) -> None:
     """Raise ``ValueError`` unless every index was compiled for the board
-    and player count of ``rules``: ``biased_scores`` tests the rules'
-    boards against them unchecked."""
+    of ``rules``: ``biased_scores`` tests the rules' boards against them
+    unchecked."""
     if indexes is not None:
         for idx in indexes.values():
-            if (idx.graph, idx.player_count) != (rules.graph, rules.player_count):
-                raise ValueError(f"an index compiled for another board or player count "
-                                 f"cannot score positions of {rules.name}")
+            if idx.graph != rules.graph:
+                raise ValueError(f"an index compiled for another board cannot score positions of {rules.name}")
 
 
 def biased_scores(

@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 
 
-def wilson_interval(successes: float, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%).
+# The standard normal quantile of a two-sided 95% interval.
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(successes: float, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     ``successes`` may be fractional: match win rates count draws as half a
     win, which keeps the interval meaningful for drawish games at the cost
@@ -15,8 +19,8 @@ def wilson_interval(successes: float, n: int, z: float = 1.959963984540054) -> t
     if n <= 0:
         raise ValueError("need at least one trial")
     p = successes / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     centre = (p + z2 / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
+    half = (Z_95 / denom) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
     return (max(0.0, centre - half), min(1.0, centre + half))

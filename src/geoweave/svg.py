@@ -22,6 +22,8 @@ ANCHOR_FILL = "#fff3c4"
 CELL_FILL = "#ffffff"
 CONTEXT_FILL = "#f2f2f2"
 EDGE = "#666666"
+# Drawing units per board unit.
+SCALE = 40.0
 
 
 def _fmt(v: float) -> str:
@@ -29,8 +31,8 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _central_instance(feature: Feature, graph: BoardGraph, player_count: int) -> FeatureInstance:
-    index = instantiate(FeatureSet((feature,), "render"), graph, player_count, mover=1)
+def _central_instance(feature: Feature, graph: BoardGraph) -> FeatureInstance:
+    index = instantiate(FeatureSet((feature,), "render"), graph, mover=1)
     if not index.instances:
         raise InstancerError("feature has no valid instance on this board")
     cx = sum(x for x, _ in graph.centers) / graph.cell_count
@@ -67,9 +69,9 @@ def _edge_midpoint(graph: BoardGraph, cell: int, slot: int) -> tuple[float, floa
     return best
 
 
-def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, scale: float = 40.0) -> str:
+def render_feature(feature: Feature, graph: BoardGraph) -> str:
     """One feature as a standalone SVG 1.1 document (deterministic bytes)."""
-    inst = _central_instance(feature, graph, player_count)
+    inst = _central_instance(feature, graph)
     walk_of = mirror_walk if inst.reflected else (lambda w: w)
 
     # Cells to draw: pattern sites, action, last move, plus a one-ring halo.
@@ -108,18 +110,18 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
     min_y, max_y = min(ys) - pad, max(ys) + pad
 
     def tx(x: float) -> float:
-        return (x - min_x) * scale
+        return (x - min_x) * SCALE
 
     def ty(y: float) -> float:
-        return (max_y - y) * scale  # flip: board north is up
+        return (max_y - y) * SCALE  # flip: board north is up
 
     svg = ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
             "version": "1.1",
-            "width": _fmt((max_x - min_x) * scale),
-            "height": _fmt((max_y - min_y) * scale),
+            "width": _fmt((max_x - min_x) * SCALE),
+            "height": _fmt((max_y - min_y) * SCALE),
         },
     )
 
@@ -143,7 +145,7 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
             {
                 "cx": _fmt(tx(gx)),
                 "cy": _fmt(ty(gy)),
-                "r": _fmt(0.28 * scale),
+                "r": _fmt(0.28 * SCALE),
                 "fill": "none",
                 "stroke": EDGE,
                 "stroke-width": "1",
@@ -156,7 +158,7 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
         attrs = {
             "cx": _fmt(tx(x)),
             "cy": _fmt(ty(y)),
-            "r": _fmt(0.30 * scale),
+            "r": _fmt(0.30 * SCALE),
             "fill": fill,
             "stroke": "#000000",
             "stroke-width": "1.5",
@@ -173,7 +175,7 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
             {
                 "cx": _fmt(tx(x)),
                 "cy": _fmt(ty(y)),
-                "r": _fmt(0.07 * scale),
+                "r": _fmt(0.07 * SCALE),
                 "fill": "#ffffff",
                 "stroke": "#000000",
                 "stroke-width": "1",
@@ -188,7 +190,7 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
             {
                 "x": _fmt(tx(x)),
                 "y": _fmt(ty(y + dy)),
-                "font-size": _fmt(0.28 * scale),
+                "font-size": _fmt(0.28 * SCALE),
                 "font-family": "sans-serif",
                 "text-anchor": "middle",
                 "fill": "#333333",
@@ -220,8 +222,8 @@ def render_feature(feature: Feature, graph: BoardGraph, player_count: int = 2, s
     # Action marker: green plus for encouraged moves, red minus otherwise.
     ax, ay = graph.centers[inst.action_to]
     color = GREEN if feature.weight >= 0 else RED
-    arm = 0.22 * scale
-    w = _fmt(0.09 * scale)
+    arm = 0.22 * SCALE
+    w = _fmt(0.09 * SCALE)
     ET.SubElement(
         svg,
         "line",

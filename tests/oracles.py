@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from geoweave.board import OFF_BOARD, BoardGraph
-from geoweave.chunkset import required_bits
+from geoweave.chunkset import CHUNK_BITS
 from geoweave.features import Constraint, ElementKind, FeatureSet
 from geoweave.games import HexRules
 from geoweave.instancer import (
@@ -94,7 +94,7 @@ def violates(bits: int, chunk_bits: int, cell: int, forbidden: int) -> bool:
 
 def board_values(rules, state) -> list[int]:
     """The values of a position's cells, in cell order."""
-    return unpack_values(state.board, rules.chunk_bits, rules.graph.cell_count)
+    return unpack_values(state.board, CHUNK_BITS, rules.graph.cell_count)
 
 # --- closed-form walk oracle on the square grid -----------------------------
 
@@ -126,7 +126,7 @@ def square_walk_oracle(width, height, start_xy, start_compass, turns):
 # --- per-element interpretive matcher ---------------------------------------
 
 
-def constraint_holds(constraint: Constraint, value: int | None, mover: int, player_count: int) -> bool:
+def constraint_holds(constraint: Constraint, value: int | None, mover: int) -> bool:
     """One element constraint against a decoded cell value (None = off board)."""
     kind = constraint.kind
     if kind is ElementKind.OFF:
@@ -146,18 +146,18 @@ def constraint_holds(constraint: Constraint, value: int | None, mover: int, play
     return not holds if constraint.negated else holds
 
 
-def interpret_instance(inst, values, mover: int, player_count: int) -> bool:
+def interpret_instance(inst, values, mover: int) -> bool:
     """Naive matcher: walk the instance's element sites one by one and test
     the decoded per-cell values against each constraint."""
     for site, constraints in inst.element_sites:
         value = None if site == OFF_BOARD else values[site]
         for c in constraints:
-            if not constraint_holds(c, value, mover, player_count):
+            if not constraint_holds(c, value, mover):
                 return False
     return True
 
 
-def interpret_instances_batch(instances, value_matrix: np.ndarray, mover: int, player_count: int) -> np.ndarray:
+def interpret_instances_batch(instances, value_matrix: np.ndarray, mover: int) -> np.ndarray:
     """Vectorised-over-states version of :func:`interpret_instance`.
 
     ``value_matrix`` is (n_states, n_cells) of decoded chunk values; the
@@ -304,12 +304,7 @@ def one_ply_winning_moves(rules, state) -> list:
 # --- instance compiler oracle ----------------------------------------------
 
 
-def instantiate_oracle(
-    fs: FeatureSet,
-    graph: BoardGraph,
-    player_count: int,
-    mover: int,
-) -> InstanceIndex:
+def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     """The instance compiler as it was before its per-call memos: every
     placement resolves its walks and compiles its constraints afresh, and
     every combination builds its full-board mask/target before deduplication.
@@ -320,10 +315,9 @@ def instantiate_oracle(
     with their weights summed, which preserves the additive application
     semantics when symmetry expansion or ambiguity branches overlap.
     """
-    if not 1 <= mover <= player_count:
-        raise InstancerError(f"mover {mover} out of range 1..{player_count}")
-    chunk_bits = required_bits(player_count + 1)
-    index = InstanceIndex(graph, mover, player_count)
+    if not 1 <= mover <= 2:
+        raise InstancerError(f"mover {mover} out of range 1..2")
+    index = InstanceIndex(graph, mover)
     dedup: dict[tuple, FeatureInstance] = {}
 
     for feature in fs:
@@ -364,7 +358,7 @@ def instantiate_oracle(
                 negatives: set[tuple[int, int]] = set()
                 ok = True
                 for el, site in zip(feature.elements, sites):
-                    compiled = _compile_constraints(el.constraints, site, mover, player_count)
+                    compiled = _compile_constraints(el.constraints, site, mover)
                     if compiled is None:
                         ok = False
                         break
@@ -388,15 +382,15 @@ def instantiate_oracle(
                 mask_values = [0] * graph.cell_count
                 target_values = [0] * graph.cell_count
                 for cell, value in positives.items():
-                    mask_values[cell] = (1 << chunk_bits) - 1
+                    mask_values[cell] = (1 << CHUNK_BITS) - 1
                     target_values[cell] = value
-                mask = pack_values(mask_values, chunk_bits)
-                target = pack_values(target_values, chunk_bits)
+                mask = pack_values(mask_values, CHUNK_BITS)
+                target = pack_values(target_values, CHUNK_BITS)
 
                 neg_sorted = tuple(sorted(negatives))
                 key = (
-                    tuple(words(mask, chunk_bits, graph.cell_count)),
-                    tuple(words(target, chunk_bits, graph.cell_count)),
+                    tuple(words(mask, CHUNK_BITS, graph.cell_count)),
+                    tuple(words(target, CHUNK_BITS, graph.cell_count)),
                     neg_sorted,
                     action_to,
                     action_from,
@@ -414,7 +408,7 @@ def instantiate_oracle(
                     mask=mask,
                     target=target,
                     negative_tests=neg_sorted,
-                    negative_probes=_negative_probes(chunk_bits, neg_sorted),
+                    negative_probes=_negative_probes(neg_sorted),
                     element_sites=tuple(
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
                     ),
@@ -445,11 +439,11 @@ def biased_scores_oracle(state, legal, idx) -> list[float]:
     taken from the engine, so that a change to either shows."""
     bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
     scores = [1.0] * len(legal)
-    board, chunk_bits = state.board, required_bits(idx.player_count + 1)
+    board = state.board
     for inst in [*bucket, *idx.proactive]:
-        if not matches(board, inst.mask, inst.target, chunk_bits, idx.graph.cell_count):
+        if not matches(board, inst.mask, inst.target, CHUNK_BITS, idx.graph.cell_count):
             continue
-        if any(violates(board, chunk_bits, cell, v) for cell, v in inst.negative_tests):
+        if any(violates(board, CHUNK_BITS, cell, v) for cell, v in inst.negative_tests):
             continue
         for i, move in enumerate(legal):
             if (move.to, move.from_) == (inst.action_to, inst.action_from):

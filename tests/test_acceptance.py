@@ -68,15 +68,15 @@ def test_criterion_01_matcher_oracle_equivalence(
     ]
     for fs, rules in setups:
         cells = rules.graph.cell_count
-        shape = (rules.chunk_bits, cells)
+        shape = (gw.CHUNK_BITS, cells)
         n_words = word_count(*shape)
         values = rng.integers(0, 3, size=(n_states, cells), dtype=np.int64)
-        state_words = pack_state_words(values, rules.chunk_bits, n_words)
+        state_words = pack_state_words(values, gw.CHUNK_BITS, n_words)
         for mover in (1, 2):
-            idx = instantiate(fs, rules.graph, rules.player_count, mover)
+            idx = instantiate(fs, rules.graph, mover)
             assert idx.instances
             total_instances += len(idx.instances)
-            want = interpret_instances_batch(idx.instances, values, mover, 2)
+            want = interpret_instances_batch(idx.instances, values, mover)
             got = np.empty_like(want)
             for j, inst in enumerate(idx.instances):
                 mask = np.array(words(inst.mask, *shape), dtype=np.uint64)

@@ -7,20 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoweave.chunkset import required_bits
-from geoweave.instancer import FeatureInstance, _negative_probes, match_instance
+from geoweave.instancer import FeatureInstance, match_instance
 from oracles import matches, pack_values, unpack_values, violates, word_count, words
-
-
-def test_required_bits():
-    assert required_bits(3) == 2  # empty + two colours
-    assert required_bits(2) == 1
-    assert required_bits(5) == 4  # 3 bits rounded up to a power of 2
-    assert required_bits(1) == 1
-    assert required_bits(16) == 4
-    assert required_bits(17) == 8
-    with pytest.raises(ValueError):
-        required_bits(0)
 
 
 def get(bits, chunk_bits, cell):
@@ -155,11 +143,12 @@ def test_words_and_values_round_trip(case):
 
 def packed_instance(chunk_bits, mask, target, negative_tests):
     """An instance holding only the tests ``match_instance`` reads, packed
-    as ``instantiate`` packs them."""
+    as ``instantiate`` packs them but with ``chunk_bits``-bit chunks."""
+    full = (1 << chunk_bits) - 1
     return FeatureInstance(
         feature=None, anchor=0, start_dir=0, reflected=False,
         mask=mask, target=target, negative_tests=negative_tests,
-        negative_probes=_negative_probes(chunk_bits, negative_tests),
+        negative_probes=tuple((full << c * chunk_bits, v << c * chunk_bits) for c, v in negative_tests),
         element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
     )
 

@@ -161,7 +161,7 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     parent position is intact."""
     rules = gw.game_from_name(name)
     hex_game = isinstance(rules, gw.HexRules)
-    shape = (rules.chunk_bits, rules.graph.cell_count)
+    shape = (gw.CHUNK_BITS, rules.graph.cell_count)
     state = rules.initial_state()
     values = [0] * rules.graph.cell_count
     for pick in picks:
@@ -173,7 +173,7 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
         move = legal[pick % len(legal)]
         state = rules.apply(state, move)
         values[move.to] = parent.mover
-        assert state.board == pack_values(values, rules.chunk_bits)
+        assert state.board == pack_values(values, gw.CHUNK_BITS)
         assert rules.status(state) == status_oracle(rules, state)
         assert words(parent.board, *shape) == parent_words
         assert list(parent.empty) == parent_empty
@@ -286,7 +286,7 @@ def test_position_derives_its_move_number_empty_cells_and_groups(name, data):
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     mover = data.draw(st.sampled_from([1, 2]))
     state = rules.position(values, mover)
-    assert state.board == pack_values(values, rules.chunk_bits)
+    assert state.board == pack_values(values, gw.CHUNK_BITS)
     assert board_values(rules, state) == values
     assert (state.mover, state.last_move, state.result) == (mover, None, None)
     assert state.move_number == sum(v != 0 for v in values)
@@ -347,6 +347,14 @@ def test_position_rejects_a_wrong_count_or_value():
         for mover in (0, 3):
             with pytest.raises(ValueError):
                 rules.position([0] * n, mover)
+        # Player 2 has just placed on cell 1; player 1 holds cell 0.
+        values = [1, 2] + [0] * (n - 2)
+        assert rules.position(values, 1, Move(1)).last_move == Move(1)
+        # Off the board, with a from-cell, on an empty cell, on the mover's
+        # own stone: no placement of player 2 leaves these.
+        for last in (Move(100), Move(-3), Move(n), Move(1, 0), Move(2), Move(0)):
+            with pytest.raises(ValueError, match="last move"):
+                rules.position(values, 1, last)
 
 
 def test_initial_state_is_shared_and_unchanged_by_play():

@@ -17,7 +17,6 @@ from geoweave.features import (
     FeatureAction,
     FeatureSet,
     PatternElement,
-    item,
     negate,
 )
 from geoweave.featuregen import GenConfig, generate_candidates
@@ -52,7 +51,7 @@ def knight_star(x, y):
 
 def test_knight_instances_form_the_star():
     g = gw.build_board(gw.Square(8, 8))
-    idx = instantiate(FeatureSet((knight_feature(),)), g, 2, 1)
+    idx = instantiate(FeatureSet((knight_feature(),)), g, 1)
     anchor = gw.square_cell(g, 4, 4)
     mine = [i for i in idx.instances if i.anchor == anchor]
     assert len(mine) == 8  # 4 rotations x 2 reflections, all distinct
@@ -63,7 +62,7 @@ def test_knight_instances_form_the_star():
 
 def test_knight_instance_count_bound():
     g = gw.build_board(gw.Square(8, 8))
-    idx = instantiate(FeatureSet((knight_feature(),)), g, 2, 1)
+    idx = instantiate(FeatureSet((knight_feature(),)), g, 1)
     bound = g.cell_count * 4 * 2
     discarded = 0
     for x in range(8):
@@ -88,7 +87,7 @@ def test_semi3464_knight_splits_into_two_instances(semi3):
 
     def instances_for(start_dir):
         feature = knight_feature(reflections=False, rotations=(F(start_dir, 4),))
-        idx = instantiate(FeatureSet((feature,)), semi3, 2, 1)
+        idx = instantiate(FeatureSet((feature,)), semi3, 1)
         return [i for i in idx.instances if i.anchor == centre_sq]
 
     through_triangle = instances_for(tri_dir)
@@ -109,7 +108,7 @@ def test_off_board_element_forces_edge_anchors():
         action=FeatureAction(()),
         rotations=(F(0),),  # keep facing north only
     )
-    idx = instantiate(FeatureSet((feature,)), g, 2, 1)
+    idx = instantiate(FeatureSet((feature,)), g, 1)
     anchors = {i.anchor for i in idx.instances}
     top_row = {gw.square_cell(g, x, 5) for x in range(6)}
     assert anchors == top_row
@@ -122,7 +121,7 @@ def test_negated_off_requires_on_board():
         action=FeatureAction(()),
         rotations=(F(0),),
     )
-    idx = instantiate(FeatureSet((feature,)), g, 2, 1)
+    idx = instantiate(FeatureSet((feature,)), g, 1)
     anchors = {i.anchor for i in idx.instances}
     assert anchors == {gw.square_cell(g, x, y) for x in range(4) for y in range(3)}
 
@@ -140,7 +139,7 @@ def hex_bridge_position(rules):
 
 def test_bridge_instance_matches_fig1_position(bridge_fs):
     rules = gw.hex_rules(7)
-    idx = instantiate(bridge_fs, rules.graph, 2, mover=2)
+    idx = instantiate(bridge_fs, rules.graph, mover=2)
     state, intrusion, completion = hex_bridge_position(rules)
     hits = [i for i in idx.reactive_for(intrusion) if match_instance(i, state.board)]
     assert len(hits) == 1
@@ -152,7 +151,7 @@ def test_bridge_instance_matches_fig1_position(bridge_fs):
 
 def test_reactive_indexing_partitions_instances(bridge_fs):
     rules = gw.hex_rules(5)
-    idx = instantiate(bridge_fs, rules.graph, 2, 1)
+    idx = instantiate(bridge_fs, rules.graph, 1)
     assert not idx.proactive
     assert sum(len(v) for v in idx.reactive_by_last_move.values()) == len(idx.instances)
     for cell, bucket in idx.reactive_by_last_move.items():
@@ -160,40 +159,11 @@ def test_reactive_indexing_partitions_instances(bridge_fs):
             assert inst.last_move_cell == cell
 
 
-def test_enemy_not_item3_negative_test():
-    g = gw.build_board(gw.Square(4, 4))
-    feature = Feature(
-        elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (ENEMY, item(3, True)))),
-        action=FeatureAction(()),
-        rotations=(F(0),),
-    )
-    idx = instantiate(FeatureSet((feature,)), g, 3, mover=1)  # three players
-    anchor = gw.square_cell(g, 1, 1)
-    inst = next(i for i in idx.instances if i.anchor == anchor)
-    north = gw.square_cell(g, 1, 2)
-    # Enemy means "neither empty nor mine": a pair of negative probes.
-    assert set(inst.negative_tests) == {(north, 0), (north, 1), (north, 3)}
-    shift = north * 2
-    assert match_instance(inst, 2 << shift)
-    assert not match_instance(inst, 3 << shift)  # an enemy piece, but with the excluded index
-    assert not match_instance(inst, 1 << shift)  # friendly piece is not an enemy
-
-
 def test_enemy_two_player_compiles_positively(bridge_fs):
     rules = gw.hex_rules(5)
-    idx = instantiate(bridge_fs, rules.graph, 2, mover=2)
+    idx = instantiate(bridge_fs, rules.graph, mover=2)
     inst = idx.instances[0]
     assert inst.negative_tests == ()  # pure mask/target fast path
-
-
-def test_negated_enemy_multiplayer_rejected():
-    g = gw.build_board(gw.Square(4, 4))
-    feature = Feature(
-        elements=(PatternElement((), (negate(ENEMY),)),),
-        action=FeatureAction(()),
-    )
-    with pytest.raises(InstancerError, match="2 players"):
-        instantiate(FeatureSet((feature,)), g, 3, 1)
 
 
 def test_player_index_out_of_range():
@@ -203,7 +173,13 @@ def test_player_index_out_of_range():
         action=FeatureAction(()),
     )
     with pytest.raises(InstancerError, match="out of range"):
-        instantiate(FeatureSet((feature,)), g, 2, 1)
+        instantiate(FeatureSet((feature,)), g, 1)
+
+
+@pytest.mark.parametrize("mover", [0, 3])
+def test_mover_out_of_range(mover, bridge_fs):
+    with pytest.raises(InstancerError, match=f"mover {mover} out of range 1..2"):
+        instantiate(bridge_fs, gw.hex_rules(5).graph, mover)
 
 
 def test_move_from_actions_resolve_both_cells():
@@ -214,7 +190,7 @@ def test_move_from_actions_resolve_both_cells():
         action=FeatureAction(to=make_walk([0]), from_=()),
         rotations=(F(0),),
     )
-    idx = instantiate(FeatureSet((feature,)), g, 2, 1)
+    idx = instantiate(FeatureSet((feature,)), g, 1)
     anchor = gw.square_cell(g, 2, 2)
     inst = next(i for i in idx.instances if i.anchor == anchor)
     assert inst.action_from == anchor
@@ -231,14 +207,14 @@ def test_absolute_feature_symmetry_expansion():
         anchor=corner,
         reflections=True,
     )
-    idx = instantiate(FeatureSet((feature,)), g, 2, 1)
+    idx = instantiate(FeatureSet((feature,)), g, 1)
     anchors = {i.anchor for i in idx.instances}
     assert anchors == {gw.square_cell(g, x, y) for x in (0, 4) for y in (0, 4)}
     # Rotations only (no reflections) still visits every corner.
     feature_rot = Feature(
         elements=feature.elements, action=feature.action, anchor=corner, reflections=False
     )
-    idx_rot = instantiate(FeatureSet((feature_rot,)), g, 2, 1)
+    idx_rot = instantiate(FeatureSet((feature_rot,)), g, 1)
     assert {i.anchor for i in idx_rot.instances} == anchors
 
 
@@ -251,7 +227,7 @@ def test_absolute_explicit_rotations_stay_at_anchor():
         anchor=centre,
         rotations=make_walk([0, F(1, 2)]),
     )
-    idx = instantiate(FeatureSet((feature,)), g, 2, 1)
+    idx = instantiate(FeatureSet((feature,)), g, 1)
     assert {i.anchor for i in idx.instances} == {centre}
     assert len(idx.instances) == 2
 
@@ -261,7 +237,7 @@ def test_symmetry_maps_are_built_on_first_use(line4_fs):
     compile_feature_set(line4_fs, rules)  # relative patterns only
     assert "symmetries" not in rules.graph.__dict__
     corner = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
-    instantiate(FeatureSet((corner,)), rules.graph, 2, 1)
+    instantiate(FeatureSet((corner,)), rules.graph, 1)
     assert "symmetries" in rules.graph.__dict__
 
 
@@ -272,13 +248,13 @@ def test_absolute_symmetry_unsupported_on_semi(semi3):
         anchor=0,
     )
     with pytest.raises(InstancerError, match="symmetry"):
-        instantiate(FeatureSet((feature,)), semi3, 2, 1)
+        instantiate(FeatureSet((feature,)), semi3, 1)
 
 
 def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
     g = line4_7_rules.graph
-    a = instantiate(line4_fs, g, 2, 1)
-    b = instantiate(line4_fs, g, 2, 1)
+    a = instantiate(line4_fs, g, 1)
+    b = instantiate(line4_fs, g, 1)
     assert len(a.instances) == len(b.instances)
     for x, y in zip(a.instances, b.instances):
         assert x.anchor == y.anchor
@@ -305,16 +281,16 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
     rng = SplitMix64(7)
     for name in BOARDS[game]:
         rules = gw.game_from_name(name)
-        shape = (rules.chunk_bits, rules.graph.cell_count)
+        shape = (gw.CHUNK_BITS, rules.graph.cell_count)
         outcomes = set()
         for mover in (1, 2):
-            idx = instantiate(fs, rules.graph, 2, mover)
+            idx = instantiate(fs, rules.graph, mover)
             assert idx.instances
             # Each negative probe sits at its cell's chunk ...
-            full = (1 << rules.chunk_bits) - 1
+            full = (1 << gw.CHUNK_BITS) - 1
             for inst in idx.instances:
                 assert inst.negative_probes == tuple(
-                    (full << cell * rules.chunk_bits, v << cell * rules.chunk_bits)
+                    (full << cell * gw.CHUNK_BITS, v << cell * gw.CHUNK_BITS)
                     for cell, v in inst.negative_tests
                 )
             # ... and on boards of several words some instance's mask spans
@@ -323,10 +299,10 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
                 assert any(sum(1 for m in words(i.mask, *shape) if m) > 1 for i in idx.instances)
             for _ in range(60):
                 values = random_values(rng, rules.graph.cell_count, 3)
-                board = pack_values(values, rules.chunk_bits)
+                board = pack_values(values, gw.CHUNK_BITS)
                 for inst in idx.instances:
                     got = match_instance(inst, board)
-                    assert got == interpret_instance(inst, values, mover, 2), name
+                    assert got == interpret_instance(inst, values, mover), name
                     outcomes.add(got)
         assert outcomes == {True, False}, name
 
@@ -338,9 +314,7 @@ def assert_same_index(got, want):
     """Same instances in the same order, field by field (the feature by
     identity, the weight with == and bit for bit), and the same
     proactive/reactive split."""
-    assert (got.graph, got.mover, got.player_count) == (
-        want.graph, want.mover, want.player_count
-    )
+    assert (got.graph, got.mover) == (want.graph, want.mover)
     assert len(got.instances) == len(want.instances)
     for a, b in zip(got.instances, want.instances):
         assert a.feature is b.feature
@@ -360,20 +334,20 @@ def assert_same_index(got, want):
     assert positions(got) == positions(want)
 
 
-def assert_compiles_like_oracle(fs, graph, player_count=2, movers=(1, 2)):
+def assert_compiles_like_oracle(fs, graph, movers=(1, 2)):
     """A cold compile and then a memo hit each equal the oracle, or raise
     its error."""
     for mover in movers:
         instancer.clear_memo()
         try:
-            want = instantiate_oracle(fs, graph, player_count, mover)
+            want = instantiate_oracle(fs, graph, mover)
         except InstancerError as exc:
             for _ in range(2):
                 with pytest.raises(InstancerError, match=re.escape(str(exc))):
-                    instantiate(fs, graph, player_count, mover)
+                    instantiate(fs, graph, mover)
             continue
         for _ in range(2):
-            assert_same_index(instantiate(fs, graph, player_count, mover), want)
+            assert_same_index(instantiate(fs, graph, mover), want)
 
 
 @pytest.mark.parametrize("board", ["hex5", "hex7", "hex9", "line4-5x5", "line4-7x7"])
@@ -489,8 +463,8 @@ def test_swapped_element_order_merges_into_one_instance(board, request):
                     action=FeatureAction(()), weight=0.4)
     fs = FeatureSet((pattern, swapped, enemy, pattern))
     assert_compiles_like_oracle(fs, graph)
-    alone = instantiate(FeatureSet((pattern,)), graph, 2, 1).instances
-    idx = instantiate(fs, graph, 2, 1)
+    alone = instantiate(FeatureSet((pattern,)), graph, 1).instances
+    idx = instantiate(fs, graph, 1)
     assert len(idx.instances) == 2 * len(alone)
     assert [i.feature for i in idx.instances] == [pattern] * len(alone) + [enemy] * len(alone)
     assert {i.weight for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
@@ -524,13 +498,13 @@ def test_walk_calls_match_oracle(name, request, monkeypatch):
         for mover in (1, 2):
             cold, hit, want = [], [], []
             recorder(oracles, want)
-            instantiate_oracle(fs, graph, 2, mover)
+            instantiate_oracle(fs, graph, mover)
             recorder(instancer, cold)
-            instantiate(fs, graph, 2, mover)
+            instantiate(fs, graph, mover)
             monkeypatch.undo()
             recorder(instancer, hit)
             monkeypatch.setattr(instancer, "_compile", no_compile)
-            instantiate(fs, graph, 2, mover)
+            instantiate(fs, graph, mover)
             monkeypatch.undo()
             assert cold == want
             assert hit == want
@@ -572,14 +546,14 @@ def assert_hits_equal_oracle(fs, graph, mover, rng, monkeypatch, sets=2):
     hits that equal the oracle on the reweighted set."""
     instancer.clear_memo()
     try:
-        instantiate(fs, graph, 2, mover)
+        instantiate(fs, graph, mover)
     except InstancerError:
         return
     monkeypatch.setattr(instancer, "_compile", no_compile)
     for _ in range(sets):
         new = reweighted(fs, rng)
-        got = instantiate(new, graph, 2, mover)
-        assert_same_index(got, instantiate_oracle(new, graph, 2, mover))
+        got = instantiate(new, graph, mover)
+        assert_same_index(got, instantiate_oracle(new, graph, mover))
         assert {id(inst.feature) for inst in got.instances} <= {id(f) for f in new.features}
     monkeypatch.undo()
 
@@ -607,9 +581,9 @@ def test_memo_hit_on_reweighted_candidates_equals_oracle(mover, monkeypatch):
 def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeypatch):
     fs = request.getfixturevalue(fixture_name)
     graph = gw.game_from_name(board).graph
-    want = instantiate_oracle(fs, graph, 2, 1)
+    want = instantiate_oracle(fs, graph, 1)
     instancer.clear_memo()
-    indexes = [instantiate(fs, graph, 2, 1)]
+    indexes = [instantiate(fs, graph, 1)]
     monkeypatch.setattr(instancer, "_compile", no_compile)
     for _ in range(2):
         # Spoil the index before: its instances, lists and buckets.
@@ -620,20 +594,21 @@ def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeyp
             bucket.clear()
         indexes[-1].proactive.clear()
         indexes[-1].instances.reverse()
-        indexes.append(instantiate(fs, graph, 2, 1))
+        indexes.append(instantiate(fs, graph, 1))
         assert_same_index(indexes[-1], want)
     assert len({id(inst) for idx in indexes for inst in idx.instances}) == 3 * len(want.instances)
 
 
 def test_a_structure_that_fails_to_compile_fails_every_time(semi3):
     g = gw.build_board(gw.Square(4, 4))
-    enemy = Feature(elements=(PatternElement((), (negate(ENEMY),)),), action=FeatureAction(()))
+    player3 = Feature(elements=(PatternElement((), (Constraint(ElementKind.PLAYER, 3),)),),
+                      action=FeatureAction(()))
     absolute = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
     instancer.clear_memo()
-    for feature, graph, players, message in ((enemy, g, 3, "2 players"), (absolute, semi3, 2, "symmetry")):
+    for feature, graph, message in ((player3, g, "out of range"), (absolute, semi3, "symmetry")):
         for weight in (1.0, 1.0, -2.0):
             with pytest.raises(InstancerError, match=message):
-                instantiate(FeatureSet((dataclasses.replace(feature, weight=weight),)), graph, players, 1)
+                instantiate(FeatureSet((dataclasses.replace(feature, weight=weight),)), graph, 1)
     assert not instancer._memo
 
 
@@ -652,16 +627,16 @@ def test_memo_keeps_its_bound_and_drops_the_oldest(bridge_fs, line4_fs, monkeypa
             for mover in (1, 2)]
     assert len(keys) > instancer.MEMO_ENTRIES
     for fs, board, mover in keys:
-        instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+        instantiate(fs, gw.game_from_name(board).graph, mover)
         assert len(instancer._memo) <= instancer.MEMO_ENTRIES
     assert len(compiles) == len(keys)
     # The newest structures hit, each on a graph built anew (the graph
     # counts by value); the oldest was dropped and compiles again.
     for fs, board, mover in keys[-instancer.MEMO_ENTRIES:]:
-        instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+        instantiate(fs, gw.game_from_name(board).graph, mover)
     assert len(compiles) == len(keys)
     fs, board, mover = keys[0]
-    instantiate(fs, gw.game_from_name(board).graph, 2, mover)
+    instantiate(fs, gw.game_from_name(board).graph, mover)
     assert len(compiles) == len(keys) + 1
     assert len(instancer._memo) == instancer.MEMO_ENTRIES
 

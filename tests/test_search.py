@@ -47,7 +47,7 @@ def test_single_feature_three_moves_gives_half():
         1, 2, 1, 2,
         1, 0, 0, 0,
     ]
-    state = rules.position(filled, 1, Move(12))
+    state = rules.position(filled, 1, Move(11))
     legal = rules.legal_moves(state)
     assert len(legal) == 3  # cells 13, 14, 15
     feature = Feature(
@@ -55,7 +55,7 @@ def test_single_feature_three_moves_gives_half():
         action=FeatureAction(()),
         rotations=(F(0),),  # anchor faces north, friend just south
     )
-    idx = gw.instantiate(FeatureSet((feature,)), rules.graph, 2, 1)
+    idx = gw.instantiate(FeatureSet((feature,)), rules.graph, 1)
     probs = biased_move_distribution(state, legal, idx)
     by_move = dict(zip([m.to for m in legal], probs))
     # Cell 14 sits above the friendly stone at 10; no other candidate does.
@@ -179,19 +179,16 @@ def test_mcts_hex2_picks_winning_opening():
 
 
 def test_search_rejects_an_index_of_other_rules(bridge_fs, hex7_rules):
-    """Search checks that its indexes were compiled for its rules' board
-    and player count: a hex7 index is refused on line4-7x7, which has
-    hex7's 49 cells of 2 bits, and on hex5, and a three-player index on
-    hex7.  The same rules built again pass."""
+    """Search checks that its indexes were compiled for its rules' board:
+    a hex7 index is refused on line4-7x7, which has hex7's 49 cells, and
+    on hex5.  The same rules built again pass."""
     indexes = compile_feature_set(bridge_fs, hex7_rules)
-    three_players = {p: gw.instantiate(bridge_fs, hex7_rules.graph, 3, p) for p in (1, 2)}
-    for rules, other in ((gw.line4_rules(7, 7), indexes), (gw.hex_rules(5), indexes),
-                         (hex7_rules, three_players)):
+    for rules in (gw.line4_rules(7, 7), gw.hex_rules(5)):
         state = rules.initial_state()
-        with pytest.raises(ValueError, match="another board or player count"):
-            mcts_best_move(state, rules, other, 4, 1)
-        with pytest.raises(ValueError, match="another board or player count"):
-            run_playout(state, rules, other, SplitMix64(1))
+        with pytest.raises(ValueError, match="another board"):
+            mcts_best_move(state, rules, indexes, 4, 1)
+        with pytest.raises(ValueError, match="another board"):
+            run_playout(state, rules, indexes, SplitMix64(1))
     again = gw.hex_rules(7)
     run_playout(again.initial_state(), again, indexes, SplitMix64(1))
     mcts_best_move(again.initial_state(), again, indexes, 4, 1)

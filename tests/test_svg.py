@@ -54,7 +54,7 @@ def test_off_board_elements_render_ghosts():
 def test_player_and_item_disks_are_labelled():
     g = gw.build_board(gw.Square(5, 5))
     feature = parse_feature("rel proactive rot={0} el={}:. el={0}:P2 el={1/4}:I1,!I0 act_to={}")
-    svg = render_feature(feature, g, player_count=2)
+    svg = render_feature(feature, g)
     assert ">P2</text>" in svg
     assert ">I1</text>" in svg
     assert ">!I0</text>" in svg

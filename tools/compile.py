@@ -58,7 +58,7 @@ def cold_compile(fs, graph, mover: int):
 
     instancer.clear_memo()
     with rebinding(instancer, resolve_walk_branches=counting):
-        index = instancer.instantiate(fs, graph, 2, mover)
+        index = instancer.instantiate(fs, graph, mover)
     return len(index.instances), calls
 
 
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         instances, calls = cold_compile(fs, graph, mover)
 
         def compile_once(mover=mover):
-            instancer.instantiate(fs, graph, 2, mover)
+            instancer.instantiate(fs, graph, mover)
 
         cold = best_s(compile_once, args.repeat, setup=instancer.clear_memo)
         compile_once()

@@ -78,7 +78,7 @@ def hex19_pairs(boards: int, seed: int) -> list:
     """``boards`` random hex19 positions, each with every group3.fs
     instance of player 1."""
     rules = gw.hex_rules(19)
-    instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), rules.graph, 2, 1).instances
+    instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), rules.graph, 1).instances
     rng = SplitMix64(seed)
     cells = rules.graph.cell_count
     return [(rules.position([rng.next_u64() % 3 for _ in range(cells)], 1).board, instances)
