@@ -157,10 +157,6 @@ def parse_feature(text: str, line: int | None = None) -> Feature:
         raise DslError("missing mode (proactive or reactive)", line)
     if act_to is None:
         raise DslError("missing act_to={...}", line)
-    if not elements:
-        raise DslError("feature needs at least one el={...}", line)
-    if reactive and last_move is None:
-        raise DslError("reactive feature needs last={...}", line)
 
     try:
         return Feature(
@@ -204,11 +200,15 @@ def load_feature_set(source, name: str = "") -> FeatureSet:
     """Load a feature set from a path or text stream.
 
     Parse problems are aggregated and reported together with their line
-    numbers rather than failing at the first bad line.
+    numbers rather than failing at the first bad line.  A path that cannot
+    be opened or decoded as UTF-8 raises ``DslError`` too.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_feature_set(fh, name or str(source))
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return load_feature_set(fh, name or str(source))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DslError(f"cannot read feature file {source}: {exc}") from None
     features = []
     errors = []
     set_name = name

@@ -9,9 +9,12 @@ has ``from_`` None.
 
 ``apply`` decides the result once, from the stone it places (its Hex
 group or its Line4 runs): it refuses every move after the game ends, so
-a new win must pass through that stone.  ``status`` reads the recorded
-result back: None while the game is ongoing, 0 for a draw and the
-winning player id otherwise.
+a new win must pass through that stone.  Each move fills one empty cell,
+and the base ``apply`` calls a full board without a win a draw, so every
+game, built-in or subclassed, ends within cell-count plies and every
+position in play has a legal move.  ``status`` reads the recorded result
+back: None while the game is ongoing, 0 for a draw and the winning
+player id otherwise.
 
 The position also carries its empty cells: ``position`` lists each empty
 cell's shared ``Move`` in cell order, and ``apply`` hands the child that
@@ -32,11 +35,11 @@ other player's tuple is handed on as it is.  Line4 carries no groups.
 A position's board is one int in the chunk-set layout (``chunkset``):
 cell c's value sits in the 2-bit chunk at bit 2c, and the rules own that
 shape.  A position is never changed: ``apply`` returns a new one.  The
-other way to make one is ``GameRules.position``, which derives the move
-number (the stone count), the empty cells and the groups from one value
-per cell; ``initial_state`` is the empty position it builds once and
-shares.  Hex finds the groups by replaying ``_placed`` over the stones in
-cell order, so the group join exists once.
+other way to make one is ``GameRules.position``, which derives the empty
+cells and the groups from one value per cell and refuses a full board;
+``initial_state`` is the empty position it builds once and shares.  Hex
+finds the groups by replaying ``_placed`` over the stones in cell order,
+so the group join exists once.
 """
 
 from __future__ import annotations
@@ -71,14 +74,14 @@ class GameState(NamedTuple):
     board: int
     mover: int
     last_move: Move | None
-    move_number: int
     result: int | None
     empty: tuple[Move, ...]
     groups: Groups | None
 
 
 class GameRules:
-    """Shared plumbing for two-player placement games."""
+    """Shared plumbing for two-player placement games: a subclass finds
+    wins in ``_placed``, and ``apply`` draws a full board without one."""
 
     name: str
 
@@ -98,9 +101,11 @@ class GameRules:
         """The position in play that holds ``values``, one per cell in cell
         order (0 for empty, p for a stone of player p), with ``mover`` to
         move after ``last_move``.  Raises ``ValueError`` on a wrong count or
-        value, or on a last move that no play could have made: one off the
-        board, with a from-cell, or on a cell without a stone of the
-        player who made it, ``3 - mover``."""
+        value, on a full board, which is never in play, or on a last move
+        that no play could have made: one off the board, with a from-cell,
+        or on a cell without a stone of the player who made it,
+        ``3 - mover``.  It does not look for a win already on the board:
+        the position is in play whatever its stones."""
         values = list(values)
         if len(values) != self._cell_count:
             raise ValueError(f"{self.name} has {self._cell_count} cells, got {len(values)} values")
@@ -119,8 +124,9 @@ class GameRules:
         for (_, s), v in zip(self._cells, values):
             board |= v << s
         empty = tuple(m for (m, _), v in zip(self._cells, values) if not v)
-        return GameState(board, mover, last_move, self._cell_count - len(empty), None, empty,
-                         self._scan_groups(board))
+        if not empty:
+            raise ValueError("a full board is never in play")
+        return GameState(board, mover, last_move, None, empty, self._scan_groups(board))
 
     def initial_state(self) -> GameState:
         """The empty board, player 1 to move: one position, built on first
@@ -135,7 +141,7 @@ class GameRules:
         return list(state.empty)
 
     def apply(self, state: GameState, move: Move) -> GameState:
-        bits, mover, _, move_number, _, empty, groups = state
+        bits, mover, _, _, empty, groups = state
         if move.from_ is not None:
             raise IllegalMove("placement games take no move-from location")
         cell = move.to
@@ -148,11 +154,12 @@ class GameRules:
             raise IllegalMove("game is over")
         child = bits | mover << s  # the chunk was checked to be zero
         i = cell - ((bits | bits >> 1) & self._below[cell]).bit_count()
-        move_number += 1
-        result, groups = self._placed(child, groups, mover, cell, move_number)
+        rest = empty[:i] + empty[i + 1:]
+        result, groups = self._placed(child, groups, mover, cell)
+        if not rest and result is None:
+            result = 0
         # Every field is given, so NamedTuple's argument handling is skipped.
-        return tuple.__new__(GameState, (child, 3 - mover, move, move_number,
-                                         result, empty[:i] + empty[i + 1:], groups))
+        return tuple.__new__(GameState, (child, 3 - mover, move, result, rest, groups))
 
     def status(self, state: GameState) -> int | None:
         return state.result
@@ -162,11 +169,12 @@ class GameRules:
         that keeps none."""
         return None
 
-    def _placed(self, bits: int, groups: Groups | None, mover: int, cell: int,
-                move_number: int) -> tuple[int | None, Groups | None]:
-        """The result and the groups once ``mover`` has placed on ``cell``,
-        leaving the board ``bits`` after ``move_number`` moves, where
-        ``groups`` were the groups before; the game was on before."""
+    def _placed(self, bits: int, groups: Groups | None, mover: int,
+                cell: int) -> tuple[int | None, Groups | None]:
+        """The winner (None for no win) and the groups once ``mover`` has
+        placed on ``cell``, leaving the board ``bits``, where ``groups`` were
+        the groups before; the game was on before.  ``apply`` draws a full
+        board without a win."""
         raise NotImplementedError
 
 
@@ -201,10 +209,10 @@ class HexRules(GameRules):
         for c, (_, s) in enumerate(self._cells):
             player = (bits >> s) & self._chunk_mask
             if player:
-                groups = self._placed(bits, groups, player, c, 0)[1]
+                groups = self._placed(bits, groups, player, c)[1]
         return groups
 
-    def _placed(self, bits, groups, mover, cell, move_number):
+    def _placed(self, bits, groups, mover, cell):
         adjacent = self._adjacent[cell]
         merged = 1 << cell
         kept = []
@@ -226,7 +234,8 @@ _LINE4_DIRS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
 
 class Line4Rules(GameRules):
-    """Place-to-make-4-in-a-row on a square board; full board is a draw."""
+    """Place-to-make-4-in-a-row on a square board; a full board without a
+    line of four is a draw, which the base ``apply`` decides."""
 
     def __init__(self, width: int, height: int):
         if width < 4 or height < 4:
@@ -254,7 +263,7 @@ class Line4Rules(GameRules):
                     pairs.append(tuple(pair))
                 self._rays.append(tuple(pairs))
 
-    def _placed(self, bits, groups, player, cell, move_number):
+    def _placed(self, bits, groups, player, cell):
         # A new line of four must run through the placed cell; three stones
         # on either side of it are as many as such a line can use.
         mask = self._chunk_mask
@@ -270,7 +279,7 @@ class Line4Rules(GameRules):
                 run += 1
             if run >= 4:
                 return player, None
-        return (0 if move_number >= self._cell_count else None), None
+        return None, None
 
 
 def hex_rules(size: int) -> HexRules:

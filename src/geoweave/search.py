@@ -56,12 +56,6 @@ class MatchCounters:
 PlayerIndexes = dict[int, InstanceIndex]
 
 
-def _move_cap(rules: GameRules) -> int:
-    """Plies after which a playout or a match game ends as a draw: a guard
-    for custom rules, which no built-in game reaches."""
-    return 4 * rules.graph.cell_count
-
-
 def compile_feature_set(fs: FeatureSet | None, rules: GameRules) -> PlayerIndexes | None:
     """One instance index per player, resolved against that player's view."""
     if fs is None:
@@ -154,8 +148,7 @@ def run_playout(
 ) -> int:
     """Play to the end with the biased policy; returns winner id or 0 (draw).
 
-    Exceeding the playout length cap counts as a draw.  Raises
-    ``ValueError`` on a finished game or an index of other rules.
+    Raises ``ValueError`` on a finished game or an index of other rules.
     """
     # Bound here, per call, so that a tracer's wrappers on the rules class
     # are what runs; biased_scores and _sample stay module lookups.
@@ -163,15 +156,14 @@ def run_playout(
     if status(state) is not None:
         raise ValueError("playout requires a non-terminal state")
     _check_indexes(rules, indexes)
-    for _ in range(_move_cap(rules)):
+    result = None
+    while result is None:
         legal = legal_moves(state)
         idx = indexes[state.mover] if indexes is not None else None
         scores = biased_scores(state, legal, idx, counters)
         state = apply(state, legal[_sample(scores, rng)])
         result = status(state)
-        if result is not None:
-            return result
-    return 0
+    return result
 
 
 class _Node:
@@ -249,9 +241,7 @@ def _search_tree(
         node = root
         cur = state
         # Selection: descend while fully expanded.
-        while node.terminal_result is None and node.legal is not None and len(node.children) == len(node.legal):
-            if not node.children:
-                break  # no-legal-move dead end, backed up as a draw below
+        while node.terminal_result is None and len(node.children) == len(node.legal):
             log_n = math.log(node.visits)
             best_child = None
             best_score = -math.inf
@@ -276,9 +266,6 @@ def _search_tree(
         if node.terminal_result is not None:
             _backup(node, node.terminal_result)
             continue
-        if not node.legal:
-            _backup(node, 0)
-            continue
 
         # Expansion: next untried move in legal order, then one playout.
         move = node.legal[len(node.children)]
@@ -287,6 +274,8 @@ def _search_tree(
         cur = rules.apply(cur, move)
         result = rules.status(cur)
         if result is not None:
+            # A terminal node's empty legal list tells selection that its
+            # status is known and need not be asked again.
             child.terminal_result = result
             child.legal = []
             winner = result
@@ -360,10 +349,9 @@ def _play_one_game(
     game_seed: int,
 ) -> int:
     state = rules.initial_state()
-    max_moves = _move_cap(rules)
     ply = 0
     result = rules.status(state)
-    while result is None and ply < max_moves:
+    while result is None:
         spec, indexes = agents[state.mover]
         ply_seed = derive_seed(game_seed, ply)
         if spec.playouts == 0:
@@ -376,7 +364,7 @@ def _play_one_game(
         state = rules.apply(state, move)
         ply += 1
         result = rules.status(state)
-    return result if result is not None else 0
+    return result
 
 
 def play_match(

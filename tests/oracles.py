@@ -239,10 +239,10 @@ def hex_groups_oracle(rules, values) -> tuple[list[int], list[int]]:
     return sorted(groups[0]), sorted(groups[1])
 
 
-def line4_winner_scan(rules, values, move_number: int) -> int | None:
+def line4_winner_scan(rules, values) -> int | None:
     """Full-board Line4 result: the first stone, in cell order, that starts
-    a line of four in one of the four directions; else a draw once the
-    board is full, else None."""
+    a line of four in one of the four directions; else a draw when no cell
+    is empty, else None."""
     width, height = rules.width, rules.height
 
     def at(x, y):
@@ -256,7 +256,7 @@ def line4_winner_scan(rules, values, move_number: int) -> int | None:
             for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
                 if all(at(x + k * dx, y + k * dy) == v for k in range(1, 4)):
                     return v
-    return 0 if move_number >= width * height else None
+    return None if 0 in values else 0
 
 
 def status_oracle(rules, state) -> int | None:
@@ -267,7 +267,7 @@ def status_oracle(rules, state) -> int | None:
         winners = [p for p in (1, 2) if hex_win_bfs(rules, values, p)]
         assert len(winners) <= 1, "both hex players connected"
         return winners[0] if winners else None
-    return line4_winner_scan(rules, values, state.move_number)
+    return line4_winner_scan(rules, values)
 
 
 def empty_slot_oracle(empty, cell: int) -> int:

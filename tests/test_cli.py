@@ -32,6 +32,22 @@ def test_render_rejects_unparseable_features(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_render_rejects_an_unreadable_feature_file(tmp_path, kind, capsys):
+    """A feature file that cannot be opened or decoded is an error in what
+    the user gave: exit 2, and no output directory is made."""
+    path = tmp_path / "features.fs"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"rel proactive el={}:. act_to={} \xff\n")
+    out = tmp_path / "o"
+    rc = main(["render", "--game", "hex7", "--features", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "cannot read feature file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_rejects_empty_feature_set(tmp_path):
     empty = tmp_path / "empty.fs"
     empty.write_text("# only a comment\n")

@@ -96,8 +96,8 @@ def test_contradictory_positives_rejected():
 
 
 def test_reactive_requires_last_move():
-    with pytest.raises(DslError):
-        parse_feature("rel reactive el={0}:x act_to={}")
+    with pytest.raises(DslError, match=r"^line 4: reactive feature needs a last-move walk"):
+        parse_feature("rel reactive el={0}:x act_to={}", 4)
 
 
 def test_missing_clauses_rejected():

@@ -46,7 +46,7 @@ def test_apply_basics():
     s1 = rules.apply(s0, Move(5))
     assert s1.last_move == Move(5)
     assert s1.mover == 2 and s0.mover == 1
-    assert s1.move_number == 1
+    assert [m.to for m in s1.empty] == [c for c in range(16) if c != 5]
     assert len(rules.legal_moves(s1)) == len(rules.legal_moves(s0)) - 1
     assert board_values(rules, s0)[5] == 0  # copy-on-apply: input state untouched
     with pytest.raises(IllegalMove):
@@ -95,7 +95,7 @@ def test_line4_full_board_draw_exists():
 
     draw = extend(rules.initial_state())
     assert draw is not None
-    assert draw.move_number == 16
+    assert draw.empty == ()
     assert rules.status(draw) == 0
 
 
@@ -277,19 +277,22 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(PROPERTY_GAMES), data=st.data())
-def test_position_derives_its_move_number_empty_cells_and_groups(name, data):
-    """Random boards: ``position`` holds the values, is in play, counts its
-    stones as its move number, carries the board's empty cells as its legal
-    moves and, on Hex, the board's connected components as its groups."""
+def test_position_derives_its_empty_cells_and_groups(name, data):
+    """Random boards: ``position`` refuses a full one; any other it holds,
+    is in play, carries the board's empty cells as its legal moves and, on
+    Hex, the board's connected components as its groups."""
     rules = gw.game_from_name(name)
     n = rules.graph.cell_count
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     mover = data.draw(st.sampled_from([1, 2]))
+    if 0 not in values:
+        with pytest.raises(ValueError, match="full board"):
+            rules.position(values, mover)
+        return
     state = rules.position(values, mover)
     assert state.board == pack_values(values, gw.CHUNK_BITS)
     assert board_values(rules, state) == values
     assert (state.mover, state.last_move, state.result) == (mover, None, None)
-    assert state.move_number == sum(v != 0 for v in values)
     assert [m.to for m in state.empty] == [c for c, v in enumerate(values) if v == 0]
     assert rules.legal_moves(state) == list(state.empty)
     if isinstance(rules, gw.HexRules):
@@ -308,7 +311,7 @@ def test_position_gives_the_empty_cells_as_legal_moves():
     for q, r, player in ((1, 1, 2), (2, 2, 2), (1, 2, 1)):
         values[gw.hex_cell(rules.graph, q, r)] = player
     state = rules.position(values, 2, Move(intrusion))
-    assert state.last_move == Move(intrusion) and state.move_number == 3
+    assert state.last_move == Move(intrusion) and len(state.empty) == rules.graph.cell_count - 3
     legal = [m.to for m in rules.legal_moves(state)]
     assert legal == empty_cells(rules, state)
     assert not {8, 15, 16} & set(legal)
@@ -347,6 +350,10 @@ def test_position_rejects_a_wrong_count_or_value():
         for mover in (0, 3):
             with pytest.raises(ValueError):
                 rules.position([0] * n, mover)
+        # A full board, even one without a win, is never in play.
+        for values in ([1] * n, [1 + c % 2 for c in range(n)]):
+            with pytest.raises(ValueError, match="full board"):
+                rules.position(values, 1)
         # Player 2 has just placed on cell 1; player 1 holds cell 0.
         values = [1, 2] + [0] * (n - 2)
         assert rules.position(values, 1, Move(1)).last_move == Move(1)
@@ -368,7 +375,7 @@ def test_initial_state_is_shared_and_unchanged_by_play():
         rules.position([1] + [0] * (n - 1), 2)
         assert rules.initial_state() is initial
         assert initial == rules.position([0] * n, 1)
-        assert initial.board == 0 and initial.move_number == 0 and initial.mover == 1
+        assert initial.board == 0 and len(initial.empty) == n and initial.mover == 1
 
 
 def test_game_state_is_immutable_and_apply_keeps_the_parent():

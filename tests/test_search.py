@@ -194,6 +194,42 @@ def test_search_rejects_an_index_of_other_rules(bridge_fs, hex7_rules):
     mcts_best_move(again.initial_state(), again, indexes, 4, 1)
 
 
+def test_search_rejects_a_finished_game_no_playouts_and_no_legal_moves():
+    rules = gw.line4_rules(4, 4)
+    won = rules.initial_state()
+    for move in (0, 4, 1, 5, 2, 6, 3):
+        won = rules.apply(won, Move(move))
+    assert rules.status(won) == 1
+    with pytest.raises(ValueError, match="non-terminal"):
+        mcts_best_move(won, rules, None, 4, 1)
+    with pytest.raises(ValueError, match="playouts"):
+        mcts_best_move(rules.initial_state(), rules, None, 0, 1)
+    with pytest.raises(ValueError, match="no legal moves"):
+        biased_move_distribution(won, [], None)
+
+
+class NoWinRules(gw.GameRules):
+    """Placement on a 3x3 square board where no line ever wins."""
+
+    name = "nowin-3x3"
+
+    def __init__(self):
+        super().__init__(gw.build_board(gw.Square(3, 3)))
+
+    def _placed(self, bits, groups, mover, cell, *_):
+        return None, groups
+
+
+def test_a_game_without_wins_ends_in_a_draw_on_the_full_board():
+    """The base ``apply`` draws a full board, so rules that never find a
+    win still end: a playout fills the board, and so does every match game,
+    under the policy and under MCTS."""
+    rules = NoWinRules()
+    assert run_playout(rules.initial_state(), rules, None, SplitMix64(3)) == 0
+    result = play_match(rules, AgentSpec(playouts=4), AgentSpec(), games=2, seed=5)
+    assert (result.wins_a, result.wins_b, result.draws) == (0, 0, 2)
+
+
 def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
     indexes = compile_feature_set(bridge_fs, hex7_rules)
     counters = MatchCounters()
