@@ -37,7 +37,7 @@ intrusion = gw.hex_cell(board, 1, 2)
 values = [0] * board.cell_count
 values[gw.hex_cell(board, 1, 1)] = values[gw.hex_cell(board, 2, 2)] = 2
 values[intrusion] = 1
-state = rules.position(values, mover=2, last_move=gw.Move(intrusion))
+state = rules.position(values, mover=2, last_move=intrusion)
 
 hits = [i for i in white.reactive_for(intrusion) if gw.match_instance(i, state.board)]
 completion = gw.hex_cell(board, 2, 1)

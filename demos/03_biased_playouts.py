@@ -9,7 +9,6 @@ vs vanilla MCTS.
 from pathlib import Path
 
 import geoweave as gw
-from geoweave.games import Move
 from geoweave.search import AgentSpec, biased_move_distribution, compile_feature_set, play_match
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -24,11 +23,11 @@ intrusion = gw.hex_cell(board, 1, 2)
 values = [0] * board.cell_count
 values[gw.hex_cell(board, 1, 1)] = values[gw.hex_cell(board, 2, 2)] = 2
 values[intrusion] = 1
-state = rules.position(values, mover=2, last_move=Move(intrusion))
+state = rules.position(values, mover=2, last_move=intrusion)
 
 legal = rules.legal_moves(state)
 probs = biased_move_distribution(state, legal, indexes[2])
-ranked = sorted(zip(probs, (m.to for m in legal)), reverse=True)
+ranked = sorted(zip(probs, legal), reverse=True)
 print("probability mass after the intrusion (top 3 moves):")
 for p, cell in ranked[:3]:
     q, r = cell % 7, cell // 7

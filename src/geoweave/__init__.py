@@ -34,7 +34,6 @@ from .features import (
     Constraint,
     ElementKind,
     Feature,
-    FeatureAction,
     FeatureError,
     FeatureSet,
     PatternElement,
@@ -45,7 +44,6 @@ from .games import (
     HexRules,
     IllegalMove,
     Line4Rules,
-    Move,
     game_from_name,
     hex_rules,
     line4_rules,

@@ -4,7 +4,7 @@ One feature per line, ``#`` comments, optional ``name:`` header.  The
 grammar is documented in full in docs/dsl.md; the short form is::
 
     rel|abs@N  proactive|reactive  [w=F] [last={..}] [rot=all|{..}]
-    [refl=yes|no]  el={walk}:constraints ...  act_to={walk} [act_from={walk}]
+    [refl=yes|no]  el={walk}:constraints ...  act_to={walk}
 
 Walks are brace-delimited comma lists of signed fractions of a full
 clockwise revolution, e.g. ``{0,0,1/4}``.  Element constraints are the
@@ -24,7 +24,6 @@ from .features import (
     Constraint,
     ElementKind,
     Feature,
-    FeatureAction,
     FeatureError,
     FeatureSet,
     PatternElement,
@@ -81,7 +80,6 @@ def parse_feature(text: str, line: int | None = None) -> Feature:
     last_move = None
     elements: list[PatternElement] = []
     act_to = None
-    act_from = None
 
     def fail(col: int, msg: str):
         raise DslError(msg, line, col)
@@ -140,10 +138,6 @@ def parse_feature(text: str, line: int | None = None) -> Feature:
                 if act_to is not None:
                     fail(col, "duplicate act_to")
                 act_to = parse_walk(tok[7:])
-            elif tok.startswith("act_from="):
-                if act_from is not None:
-                    fail(col, "duplicate act_from")
-                act_from = parse_walk(tok[9:])
             else:
                 fail(col, f"unrecognised token {tok!r}")
         except DslError:
@@ -161,7 +155,7 @@ def parse_feature(text: str, line: int | None = None) -> Feature:
     try:
         return Feature(
             elements=tuple(elements),
-            action=FeatureAction(act_to, act_from),
+            action=act_to,
             weight=1.0 if weight is None else weight,
             reactive=reactive,
             anchor=anchor,
@@ -190,9 +184,7 @@ def serialize_feature(f: Feature) -> str:
     parts.append("refl=" + ("yes" if f.reflections else "no"))
     for el in f.elements:
         parts.append("el=" + format_walk(el.walk) + ":" + ",".join(c.glyph() for c in el.constraints))
-    parts.append("act_to=" + format_walk(f.action.to))
-    if f.action.from_ is not None:
-        parts.append("act_from=" + format_walk(f.action.from_))
+    parts.append("act_to=" + format_walk(f.action))
     return " ".join(parts)
 
 

@@ -22,7 +22,6 @@ from .features import (
     FRIEND,
     OFF,
     Feature,
-    FeatureAction,
     FeatureSet,
     PatternElement,
 )
@@ -85,7 +84,6 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
     # default_vocabulary raises GenError for a game with no generator.
     walks = _walks_up_to(default_vocabulary(rules), cfg.max_walk_length)
     minimum = PatternElement((), (EMPTY,))
-    action = FeatureAction(to=())
 
     out: list[Feature] = []
     seen: set[str] = set()
@@ -102,7 +100,7 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
                 elements = (minimum,) + tuple(
                     PatternElement(w, (k,)) for w, k in zip(walk_combo, kinds)
                 )
-                feature = Feature(elements=elements, action=action, weight=1.0)
+                feature = Feature(elements=elements, action=(), weight=1.0)
                 emit(feature)
                 if cfg.include_reactive:
                     for w, k in zip(walk_combo, kinds):

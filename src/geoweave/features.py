@@ -1,8 +1,8 @@
 """Feature model: patterns of walk-located element constraints plus an action.
 
 A feature pairs a pattern (what must be present or absent around an anchor)
-with an action (where to move, and optionally from where) and a weight that
-biases playouts toward or away from that action.  Reactive features are
+with an action (a walk to the cell to place on) and a weight that biases
+playouts toward or away from that action.  Reactive features are
 additionally keyed to the opponent's last move via a walk from the anchor.
 """
 
@@ -64,15 +64,9 @@ class PatternElement:
 
 
 @dataclass(frozen=True)
-class FeatureAction:
-    to: Walk
-    from_: Walk | None = None
-
-
-@dataclass(frozen=True)
 class Feature:
     elements: tuple[PatternElement, ...]
-    action: FeatureAction
+    action: Walk  # from the anchor to the cell to place on
     weight: float = 1.0
     reactive: bool = False
     anchor: int | None = None  # None = relative, otherwise absolute at this cell
@@ -91,6 +85,8 @@ class Feature:
             raise FeatureError("proactive feature cannot carry a last-move walk")
         if self.rotations is not None:
             normalized = make_walk(self.rotations)
+            if not normalized:
+                raise FeatureError("rotation list is empty; use rot=all for every start direction")
             object.__setattr__(self, "rotations", tuple(sorted(set(normalized))))
 
     @property

@@ -2,10 +2,7 @@
 
 Both are placement games for two players.  The tests exercise the
 reactive and proactive features, rotations and off-board elements against
-these rules.  Neither game has moves with a from-cell, so a move-from
-feature compiles and is tested but never boosts a move: its instances'
-``(action_to, action_from)`` has a from-cell, and every legal ``Move(c)``
-has ``from_`` None.
+these rules.  A move is the cell it places on, an int.
 
 ``apply`` decides the result once, from the stone it places (its Hex
 group or its Line4 runs): it refuses every move after the game ends, so
@@ -16,14 +13,14 @@ position in play has a legal move.  ``status`` reads the recorded result
 back: None while the game is ongoing, 0 for a draw and the winning
 player id otherwise.
 
-The position also carries its empty cells: ``position`` lists each empty
-cell's shared ``Move`` in cell order, and ``apply`` hands the child that
-tuple minus the placed cell, so ``legal_moves`` copies it instead of
-scanning the board.  Since the tuple holds exactly the empty cells in
-cell order, the placed cell's slot in it is the cell minus the number of
-occupied cells below it: ``apply`` ORs each 2-bit chunk of the parent's
-board onto its low bit, keeps the low bits of the chunks below the cell
-and counts them with ``int.bit_count``.
+The position also carries its empty cells: ``position`` lists them in
+cell order, and ``apply`` hands the child that tuple minus the placed
+cell, so ``legal_moves`` copies it instead of scanning the board.  Since
+the tuple holds exactly the empty cells in cell order, the placed cell's
+slot in it is the cell minus the number of occupied cells below it:
+``apply`` ORs each 2-bit chunk of the parent's board onto its low bit,
+keeps the low bits of the chunks below the cell and counts them with
+``int.bit_count``.
 
 A Hex position carries each player's groups as well: ``groups[p - 1]`` is
 a tuple of bitmasks, one per connected group of player ``p``, with bit c
@@ -44,7 +41,6 @@ so the group join exists once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
@@ -55,27 +51,22 @@ class IllegalMove(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
-    to: int
-    from_: int | None = None
-
-
 # Per player, the bitmask of each of its connected groups (Hex only).
 Groups = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class GameState(NamedTuple):
-    """A position; ``board`` is its chunk set, ``result`` what ``apply``
-    decided on reaching it, ``empty`` the ``Move``s of its empty cells in
-    cell order and ``groups`` each player's groups (None for a game that
-    keeps none).  Made by ``GameRules.position`` and ``apply``."""
+    """A position; ``board`` is its chunk set, ``last_move`` the cell last
+    placed on, ``result`` what ``apply`` decided on reaching it, ``empty``
+    its empty cells in cell order and ``groups`` each player's groups
+    (None for a game that keeps none).  Made by ``GameRules.position`` and
+    ``apply``."""
 
     board: int
     mover: int
-    last_move: Move | None
+    last_move: int | None
     result: int | None
-    empty: tuple[Move, ...]
+    empty: tuple[int, ...]
     groups: Groups | None
 
 
@@ -90,21 +81,19 @@ class GameRules:
         self._chunk_mask = (1 << CHUNK_BITS) - 1
         cells = graph.cell_count
         self._cell_count = cells
-        # Per cell: its one shared Move and the shift of its chunk in the board.
-        self._cells = [(Move(c), c * CHUNK_BITS) for c in range(cells)]
         # Per cell: the low bit of every chunk below its own (0b01 repeated).
         low = ((1 << 2 * cells) - 1) // 3
-        self._below = [low & ((1 << s) - 1) for _, s in self._cells]
+        self._below = [low & ((1 << c * CHUNK_BITS) - 1) for c in range(cells)]
         self._initial: GameState | None = None
 
-    def position(self, values, mover: int, last_move: Move | None = None) -> GameState:
+    def position(self, values, mover: int, last_move: int | None = None) -> GameState:
         """The position in play that holds ``values``, one per cell in cell
         order (0 for empty, p for a stone of player p), with ``mover`` to
-        move after ``last_move``.  Raises ``ValueError`` on a wrong count or
-        value, on a full board, which is never in play, or on a last move
-        that no play could have made: one off the board, with a from-cell,
-        or on a cell without a stone of the player who made it,
-        ``3 - mover``.  It does not look for a win already on the board:
+        move after a placement on the cell ``last_move``.  Raises
+        ``ValueError`` on a wrong count or value, on a full board, which is
+        never in play, or on a last move that no play could have made: one
+        off the board, or on a cell without a stone of the player who made
+        it, ``3 - mover``.  It does not look for a win already on the board:
         the position is in play whatever its stones."""
         values = list(values)
         if len(values) != self._cell_count:
@@ -115,15 +104,13 @@ class GameRules:
         if mover not in (1, 2):
             raise ValueError(f"mover {mover!r} is not a player 1..2")
         if last_move is not None and not (
-            last_move.from_ is None
-            and 0 <= last_move.to < self._cell_count
-            and values[last_move.to] == 3 - mover
+            0 <= last_move < self._cell_count and values[last_move] == 3 - mover
         ):
             raise ValueError(f"last move {last_move!r} is not a placement of player {3 - mover}")
         board = 0
-        for (_, s), v in zip(self._cells, values):
-            board |= v << s
-        empty = tuple(m for (m, _), v in zip(self._cells, values) if not v)
+        for cell, v in enumerate(values):
+            board |= v << cell * CHUNK_BITS
+        empty = tuple(cell for cell, v in enumerate(values) if not v)
         if not empty:
             raise ValueError("a full board is never in play")
         return GameState(board, mover, last_move, None, empty, self._scan_groups(board))
@@ -135,19 +122,16 @@ class GameRules:
             self._initial = self.position([0] * self._cell_count, 1)
         return self._initial
 
-    def legal_moves(self, state: GameState) -> list[Move]:
+    def legal_moves(self, state: GameState) -> list[int]:
         if self.status(state) is not None:
             return []
         return list(state.empty)
 
-    def apply(self, state: GameState, move: Move) -> GameState:
+    def apply(self, state: GameState, cell: int) -> GameState:
         bits, mover, _, _, empty, groups = state
-        if move.from_ is not None:
-            raise IllegalMove("placement games take no move-from location")
-        cell = move.to
         if not 0 <= cell < self._cell_count:
             raise IllegalMove(f"cell {cell} outside board")
-        s = self._cells[cell][1]
+        s = cell * CHUNK_BITS
         if (bits >> s) & self._chunk_mask:
             raise IllegalMove(f"cell {cell} is occupied")
         if self.status(state) is not None:
@@ -159,7 +143,7 @@ class GameRules:
         if not rest and result is None:
             result = 0
         # Every field is given, so NamedTuple's argument handling is skipped.
-        return tuple.__new__(GameState, (child, 3 - mover, move, result, rest, groups))
+        return tuple.__new__(GameState, (child, 3 - mover, cell, result, rest, groups))
 
     def status(self, state: GameState) -> int | None:
         return state.result
@@ -206,8 +190,8 @@ class HexRules(GameRules):
 
     def _scan_groups(self, bits):
         groups = ((), ())
-        for c, (_, s) in enumerate(self._cells):
-            player = (bits >> s) & self._chunk_mask
+        for c in range(self._cell_count):
+            player = (bits >> c * CHUNK_BITS) & self._chunk_mask
             if player:
                 groups = self._placed(bits, groups, player, c)[1]
         return groups
@@ -257,7 +241,7 @@ class Line4Rules(GameRules):
                         shifts = []
                         x2, y2 = x + sx, y + sy
                         while len(shifts) < 3 and 0 <= x2 < width and 0 <= y2 < height:
-                            shifts.append(self._cells[y2 * width + x2][1])
+                            shifts.append((y2 * width + x2) * CHUNK_BITS)
                             x2, y2 = x2 + sx, y2 + sy
                         pair.append(tuple(shifts))
                     pairs.append(tuple(pair))

@@ -16,15 +16,15 @@ its placements and features:
   repeat is a lookup in the compile's walk memo, but still one call of
   ``resolve_walk_branches`` per walk of each placement;
 - each distinct pair of element constraint signature (every element's
-  constraint tuple, by value) and combo (the element sites and the to,
-  from and last-move cells) is compiled once: the mover is fixed within
+  constraint tuple, by value) and combo (the element sites and the action
+  and last-move cells) is compiled once: the mover is fixed within
   a compile, so the pair decides the instance, and a repeat is one
   lookup that adds the feature to the recipe of the instance the pair
   gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site;
 - each distinct instance builds its full-board mask/target once: a
   duplicate is found from its required and forbidden cell values, its
-  action cells and its last-move cell, and only adds to its recipe.
+  action cell and its last-move cell, and only adds to its recipe.
 
 A compile yields one template per instance (every field but the feature
 and the weight) and one recipe: the positions of the features whose
@@ -78,7 +78,6 @@ class FeatureInstance:
     negative_probes: tuple[tuple[int, int], ...]  # (chunk mask, forbidden chunk)
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
-    action_from: int | None
     last_move_cell: int | None
     weight: float
 
@@ -217,10 +216,10 @@ def _compile_constraints(
 
 
 def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool) -> tuple:
-    """The feature's element, to, from and last-move walks in one flat
-    tuple (from/last None when absent), mirrored on request, each replaced
-    by the call's one object of equal value so that the walk memo shares
-    its entries."""
+    """The feature's element, action and last-move walks in one flat
+    tuple (last None when absent), mirrored on request, each replaced by
+    the call's one object of equal value so that the walk memo shares its
+    entries."""
 
     def one(walk: Walk | None) -> Walk | None:
         if walk is None:
@@ -231,14 +230,13 @@ def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool)
 
     return (
         *(one(el.walk) for el in feature.elements),
-        one(feature.action.to),
-        one(feature.action.from_),
+        one(feature.action),
         one(feature.last_move),
     )
 
 
 _MISSING = object()
-_ABSENT = [None]  # the one "branch" of an absent from or last-move walk
+_ABSENT = [None]  # the one "branch" of an absent last-move walk
 
 # Compiled structures kept by the process, oldest first; the oldest is
 # dropped when a new one would make more than this many.
@@ -272,9 +270,10 @@ def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, boo
 def _placement_walks(fs: FeatureSet, graph: BoardGraph):
     """Each placement of each feature, in compile order, as (position in
     ``fs.features``, anchor, start direction, reflected, walks): the
-    feature's element, to, from and last-move walks in one flat tuple,
-    mirrored for a reflected placement, None where absent.  Equal walks
-    are one object across the call, so that a walk memo shares entries.
+    feature's element, action and last-move walks in one flat tuple,
+    mirrored for a reflected placement, with None for an absent last-move
+    walk.  Equal walks are one object across the call, so that a walk memo
+    shares entries.
 
     The compile makes one ``resolve_walk_branches`` call per walk present
     of each placement, even where its pair memo leaves the result unused,
@@ -318,7 +317,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
     full = (1 << CHUNK_BITS) - 1
     templates: list[tuple] = []
     recipes: list[list[int]] = []
-    # Instance number by its compiled tests and action cells.
+    # Instance number by its compiled tests and action cell.
     dedup: dict[tuple, int] = {}
     # Memos of this compile; only its result is kept (see ``instantiate``).
     walk_memo: dict = {}
@@ -331,8 +330,8 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
     def compile_pair(feature, elements, combo, anchor, start_dir, reflected):
         """The instance number of one pair not seen before in this compile,
         or None when the pair can never match."""
-        action_to, action_from, last_cell = combo[-3:]
-        if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
+        action_to, last_cell = combo[-2:]
+        if action_to == OFF_BOARD or last_cell == OFF_BOARD:
             return None
         positives: dict[int, int] = {}
         negatives: set[tuple[int, int]] = set()
@@ -356,7 +355,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
 
         # One-to-one with the compiled mask/target, which are only
         # built for an instance not seen before.
-        key = (tuple(sorted(positives.items())), neg_sorted, action_to, action_from, last_cell)
+        key = (tuple(sorted(positives.items())), neg_sorted, action_to, last_cell)
         number = dedup.get(key)
         if number is not None:
             return number
@@ -375,7 +374,6 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
             _negative_probes(neg_sorted),
             tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
             action_to,
-            action_from,
             last_cell,
         ))
         recipes.append([])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .features import FeatureSet
-from .games import GameRules, GameState, Move
+from .games import GameRules, GameState
 from .instancer import InstanceIndex, instantiate, match_instance
 from .rng import SplitMix64, derive_seed
 from .stats import wilson_interval
@@ -75,7 +75,7 @@ def _check_indexes(rules: GameRules, indexes: PlayerIndexes | None) -> None:
 
 def biased_scores(
     state: GameState,
-    legal: list[Move],
+    legal: list[int],
     idx: InstanceIndex | None,
     counters: MatchCounters | None = None,
 ) -> list[float]:
@@ -87,8 +87,8 @@ def biased_scores(
     if idx is None:
         return [BASE_SCORE] * len(legal)
     bits = state.board
-    last_move = state.last_move
-    bucket = idx.reactive_by_last_move.get(last_move.to, ()) if last_move is not None else ()
+    # No reactive instance is keyed by None, the last move of a new game.
+    bucket = idx.reactive_by_last_move.get(state.last_move, ())
     proactive = idx.proactive
     if counters is not None:
         counters.calls += 1
@@ -102,9 +102,9 @@ def biased_scores(
     # Few instances match, so the move slots are looked up only on a hit;
     # weights are added in test order, reactive first.
     scores = [BASE_SCORE] * len(legal)
-    slot = {(m.to, m.from_): i for i, m in enumerate(legal)}
+    slot = {cell: i for i, cell in enumerate(legal)}
     for inst in hits:
-        i = slot.get((inst.action_to, inst.action_from))
+        i = slot.get(inst.action_to)
         if i is not None:
             scores[i] += inst.weight
     return [s if s > FLOOR else FLOOR for s in scores]
@@ -112,7 +112,7 @@ def biased_scores(
 
 def biased_move_distribution(
     state: GameState,
-    legal: list[Move],
+    legal: list[int],
     idx: InstanceIndex | None,
     counters: MatchCounters | None = None,
 ) -> list[float]:
@@ -170,11 +170,11 @@ class _Node:
     __slots__ = ("move", "parent", "children", "legal", "visits", "value",
                  "mover_who_moved", "terminal_result")
 
-    def __init__(self, move: Move | None, parent: "_Node | None", mover_who_moved: int):
+    def __init__(self, move: int | None, parent: "_Node | None", mover_who_moved: int):
         self.move = move
         self.parent = parent
         self.children: list[_Node] = []
-        self.legal: list[Move] | None = None
+        self.legal: list[int] | None = None
         self.visits = 0
         self.value = 0.0
         self.mover_who_moved = mover_who_moved
@@ -198,7 +198,7 @@ def mcts_best_move(
     playouts: int,
     seed: int,
     counters: MatchCounters | None = None,
-) -> Move:
+) -> int:
     """UCT with mean-value backup; playouts biased when indexes are given.
 
     Runs ``playouts`` playouts in one tree and returns the first root move

@@ -90,8 +90,6 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
             pattern_cells[site] = constraints
 
     core = set(pattern_cells) | {inst.anchor, inst.action_to}
-    if inst.action_from is not None:
-        core.add(inst.action_from)
     if inst.last_move_cell is not None:
         core.add(inst.last_move_cell)
     halo = set(core)
@@ -241,17 +239,6 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
                 "x1": _fmt(tx(ax)), "y1": _fmt(ty(ay) - arm),
                 "x2": _fmt(tx(ax)), "y2": _fmt(ty(ay) + arm),
                 "stroke": color, "stroke-width": w, "stroke-linecap": "round",
-            },
-        )
-    if inst.action_from is not None:
-        fx, fy = graph.centers[inst.action_from]
-        ET.SubElement(
-            svg,
-            "line",
-            {
-                "x1": _fmt(tx(fx)), "y1": _fmt(ty(fy)),
-                "x2": _fmt(tx(ax)), "y2": _fmt(ty(ay)),
-                "stroke": color, "stroke-width": "2", "stroke-dasharray": "5,4",
             },
         )
 

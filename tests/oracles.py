@@ -271,9 +271,9 @@ def status_oracle(rules, state) -> int | None:
 
 
 def empty_slot_oracle(empty, cell: int) -> int:
-    """Where ``cell`` sits in a position's cell-ordered empty ``Move``s: the
-    index ``bisect_left`` by ``to`` finds, as a count of the moves below it."""
-    return sum(1 for m in empty if m.to < cell)
+    """Where ``cell`` sits in a position's cell-ordered empty cells: the
+    index ``bisect_left`` finds, as a count of the cells below it."""
+    return sum(1 for c in empty if c < cell)
 
 
 def minimax_winner(rules, state) -> int:
@@ -336,22 +336,17 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                 resolve_walk_branches(graph, anchor, start_dir, walk_of(el.walk))
                 for el in feature.elements
             ]
-            to_branches = resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.to))
-            from_branches = (
-                resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action.from_))
-                if feature.action.from_ is not None
-                else [None]
-            )
+            to_branches = resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.action))
             last_branches = (
                 resolve_walk_branches(graph, anchor, start_dir, walk_of(feature.last_move))
                 if feature.last_move is not None
                 else [None]
             )
 
-            for combo in itertools.product(*element_branches, to_branches, from_branches, last_branches):
+            for combo in itertools.product(*element_branches, to_branches, last_branches):
                 sites = combo[: len(feature.elements)]
-                action_to, action_from, last_cell = combo[-3], combo[-2], combo[-1]
-                if action_to == OFF_BOARD or action_from == OFF_BOARD or last_cell == OFF_BOARD:
+                action_to, last_cell = combo[-2], combo[-1]
+                if action_to == OFF_BOARD or last_cell == OFF_BOARD:
                     continue
 
                 positives: dict[int, int] = {}
@@ -393,7 +388,6 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                     tuple(words(target, CHUNK_BITS, graph.cell_count)),
                     neg_sorted,
                     action_to,
-                    action_from,
                     last_cell,
                 )
                 existing = dedup.get(key)
@@ -413,7 +407,6 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
                     ),
                     action_to=action_to,
-                    action_from=action_from,
                     last_move_cell=last_cell,
                     weight=feature.weight,
                 )
@@ -437,7 +430,7 @@ def biased_scores_oracle(state, legal, idx) -> list[float]:
     instances first, each group in index order, and the sums are floored
     at 0.01.  The base score 1.0 and the floor are written out here, not
     taken from the engine, so that a change to either shows."""
-    bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
+    bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
     scores = [1.0] * len(legal)
     board = state.board
     for inst in [*bucket, *idx.proactive]:
@@ -446,7 +439,7 @@ def biased_scores_oracle(state, legal, idx) -> list[float]:
         if any(violates(board, CHUNK_BITS, cell, v) for cell, v in inst.negative_tests):
             continue
         for i, move in enumerate(legal):
-            if (move.to, move.from_) == (inst.action_to, inst.action_from):
+            if move == inst.action_to:
                 scores[i] += inst.weight
     return [max(s, 0.01) for s in scores]
 

@@ -232,7 +232,7 @@ def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules):
             idx = indexes[state.mover]
             counters = MatchCounters()
             scores = biased_scores(state, legal, idx, counters)
-            bucket = len(idx.reactive_for(state.last_move.to)) if state.last_move else 0
+            bucket = len(idx.reactive_for(state.last_move)) if state.last_move is not None else 0
             assert counters.reactive_tests == bucket
             assert counters.proactive_tests == len(idx.proactive) == 0
             if state.last_move is not None:

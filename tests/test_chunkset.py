@@ -149,7 +149,7 @@ def packed_instance(chunk_bits, mask, target, negative_tests):
         feature=None, anchor=0, start_dir=0, reflected=False,
         mask=mask, target=target, negative_tests=negative_tests,
         negative_probes=tuple((full << c * chunk_bits, v << c * chunk_bits) for c, v in negative_tests),
-        element_sites=(), action_to=0, action_from=None, last_move_cell=None, weight=1.0,
+        element_sites=(), action_to=0, last_move_cell=None, weight=1.0,
     )
 
 

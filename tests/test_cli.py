@@ -102,6 +102,22 @@ def test_features_or_step_the_game_cannot_use_are_usage_errors(tmp_path, command
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("rel proactive rot={} el={}:. act_to={}", "rotation list is empty"),  # would never fire
+    ("rel proactive el={}:. act_to={0} act_from={}", "unrecognised token"),  # a move is its cell
+])
+def test_match_rejects_a_feature_the_dsl_refuses(tmp_path, line, message, capsys):
+    features = tmp_path / "f.fs"
+    features.write_text(line + "\n")
+    out = tmp_path / "o"
+    rc = main(["match", "--game", "hex5", "--a", str(features), "--games", "2", "--playouts", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err and message in err
+    assert not out.exists()
+
+
 def test_internal_error_exits_1_not_usage(tmp_path, monkeypatch, capsys):
     def broken_match(*args, **kwargs):
         raise IllegalMove("cell 3 is occupied")

@@ -11,7 +11,7 @@ from geoweave.dsl import (
     parse_feature_set,
     serialize_feature,
 )
-from geoweave.features import Constraint, ElementKind, Feature, FeatureAction, PatternElement
+from geoweave.features import Constraint, ElementKind, Feature, PatternElement
 from geoweave.rng import SplitMix64
 from geoweave.walks import make_walk
 
@@ -22,7 +22,7 @@ def test_parse_hex_extension_feature():
     assert f.weight == 1.0
     assert f.rotations is None and f.reflections
     assert len(f.elements) == 2
-    assert f.action.to == make_walk([F(1, 6)])
+    assert f.action == make_walk([F(1, 6)])
 
 
 def test_parse_bridge_feature():
@@ -31,7 +31,7 @@ def test_parse_bridge_feature():
     assert f.last_move == make_walk([0])
     kinds = [el.constraints[0].kind for el in f.elements]
     assert kinds == [ElementKind.ENEMY, ElementKind.FRIEND, ElementKind.FRIEND, ElementKind.EMPTY]
-    assert f.action.to == ()
+    assert f.action == ()
 
 
 def test_parse_multi_qualifier_negation():
@@ -56,7 +56,7 @@ def test_serialize_round_trips_spec_examples():
     for text in (
         "rel proactive w=1.0 rot=all refl=yes el={}:o el={0}:o act_to={1/6}",
         "rel reactive w=2.0 last={0} el={0}:x el={1/6}:o el={-1/6}:o el={}:. act_to={}",
-        "abs@12 proactive w=0.25 rot={0} el={0}:x,!I3 act_to={0} act_from={}",
+        "abs@12 proactive w=0.25 rot={0} el={0}:x,!I3 act_to={0}",
     ):
         f = parse_feature(text)
         assert parse_feature(serialize_feature(f)) == f
@@ -98,6 +98,21 @@ def test_contradictory_positives_rejected():
 def test_reactive_requires_last_move():
     with pytest.raises(DslError, match=r"^line 4: reactive feature needs a last-move walk"):
         parse_feature("rel reactive el={0}:x act_to={}", 4)
+
+
+def test_empty_rotation_list_rejected():
+    """``rot={}`` would give no placement at all, so a feature that never
+    fires; ``rot=all`` is the way to ask for every start direction."""
+    for scope in ("rel", "abs@3"):
+        with pytest.raises(DslError, match=r"^line 2: rotation list is empty; use rot=all"):
+            parse_feature(f"{scope} proactive rot={{}} el={{}}:. act_to={{}}", 2)
+
+
+def test_act_from_is_an_unrecognised_token():
+    """A move is the cell it places on: there is no move-from clause."""
+    with pytest.raises(DslError, match=r"^line 5, col 34: unrecognised token 'act_from=\{\}'") as err:
+        parse_feature("rel proactive el={}:. act_to={0} act_from={}", 5)
+    assert err.value.column == 34
 
 
 def test_missing_clauses_rejected():
@@ -190,7 +205,7 @@ def random_feature(rng: SplitMix64) -> Feature:
     rotations = None if rng.next_u64() % 2 == 0 else tuple({frac() for _ in range(1 + rng.next_u64() % 3)})
     return Feature(
         elements=tuple(element() for _ in range(1 + rng.next_u64() % 4)),
-        action=FeatureAction(walk(), walk() if rng.next_u64() % 4 == 0 else None),
+        action=walk(),
         weight=(rng.next_u64() % 4001 - 2000) / 8.0,
         reactive=reactive,
         anchor=None if rng.next_u64() % 2 == 0 else int(rng.next_u64() % 50),

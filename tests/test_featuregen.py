@@ -49,7 +49,7 @@ def test_every_candidate_carries_minimum_pattern_and_round_trips():
             for el in anchor_elements
             for c in el.constraints
         )
-        assert f.action.to == ()
+        assert f.action == ()
         assert parse_feature(serialize_feature(f)) == f
     reactive = [f for f in candidates if f.reactive]
     assert reactive

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoweave as gw
-from geoweave.games import GameState, IllegalMove, Move
+from geoweave.games import GameState, IllegalMove
 from geoweave.rng import SplitMix64
 from oracles import (
     board_values,
@@ -28,7 +28,7 @@ def carried_groups(state):
 
 def play(rules, state, *cells):
     for c in cells:
-        state = rules.apply(state, Move(c))
+        state = rules.apply(state, c)
     return state
 
 
@@ -37,24 +37,22 @@ def test_legal_moves_on_empty_board():
         state = rules.initial_state()
         legal = rules.legal_moves(state)
         assert len(legal) == rules.graph.cell_count
-        assert legal == sorted(legal, key=lambda m: m.to)
+        assert legal == sorted(legal)
 
 
 def test_apply_basics():
     rules = gw.line4_rules(4, 4)
     s0 = rules.initial_state()
-    s1 = rules.apply(s0, Move(5))
-    assert s1.last_move == Move(5)
+    s1 = rules.apply(s0, 5)
+    assert s1.last_move == 5
     assert s1.mover == 2 and s0.mover == 1
-    assert [m.to for m in s1.empty] == [c for c in range(16) if c != 5]
+    assert list(s1.empty) == [c for c in range(16) if c != 5]
     assert len(rules.legal_moves(s1)) == len(rules.legal_moves(s0)) - 1
     assert board_values(rules, s0)[5] == 0  # copy-on-apply: input state untouched
     with pytest.raises(IllegalMove):
-        rules.apply(s1, Move(5))
+        rules.apply(s1, 5)
     with pytest.raises(IllegalMove):
-        rules.apply(s1, Move(99))
-    with pytest.raises(IllegalMove):
-        rules.apply(s1, Move(3, from_=2))
+        rules.apply(s1, 99)
 
 
 def test_line4_row_win():
@@ -117,8 +115,8 @@ def test_hex_2x2_first_player_wins_by_exhaustion():
 
 def test_hex_occupied_cell_not_legal():
     rules = gw.hex_rules(3)
-    state = rules.apply(rules.initial_state(), Move(4))
-    assert Move(4) not in rules.legal_moves(state)
+    state = rules.apply(rules.initial_state(), 4)
+    assert 4 not in rules.legal_moves(state)
 
 
 def test_hex_win_matches_bfs_oracle():
@@ -172,7 +170,7 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
         parent_groups = carried_groups(state) if hex_game else None
         move = legal[pick % len(legal)]
         state = rules.apply(state, move)
-        values[move.to] = parent.mover
+        values[move] = parent.mover
         assert state.board == pack_values(values, gw.CHUNK_BITS)
         assert rules.status(state) == status_oracle(rules, state)
         assert words(parent.board, *shape) == parent_words
@@ -183,10 +181,10 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
         else:
             assert state.groups is None
         scan = empty_cells(rules, state)
-        assert [m.to for m in state.empty] == scan
+        assert list(state.empty) == scan
         if rules.status(state) is not None:
             scan = []
-        assert [m.to for m in rules.legal_moves(state)] == scan
+        assert rules.legal_moves(state) == scan
     assert rules.status(state) is not None
 
 
@@ -196,8 +194,8 @@ def assert_empty_slot_removed(rules, values, cell, mover):
     state = rules.position(values, mover)
     empty = state.empty
     i = empty_slot_oracle(empty, cell)
-    assert empty[i].to == cell
-    assert rules.apply(state, Move(cell)).empty == empty[:i] + empty[i + 1:]
+    assert empty[i] == cell
+    assert rules.apply(state, cell).empty == empty[:i] + empty[i + 1:]
 
 
 SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
@@ -267,7 +265,7 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
                         values[c] = 3 - player
                     values[placed] = 0
                     state = rules.position(values, player)
-                    child = rules.apply(state, Move(placed))
+                    child = rules.apply(state, placed)
                     assert rules.status(child) == status_oracle(rules, child)
                     assert rules.status(child) == (player if len(run) >= 4 else None)
                     checked += 1
@@ -293,7 +291,7 @@ def test_position_derives_its_empty_cells_and_groups(name, data):
     assert state.board == pack_values(values, gw.CHUNK_BITS)
     assert board_values(rules, state) == values
     assert (state.mover, state.last_move, state.result) == (mover, None, None)
-    assert [m.to for m in state.empty] == [c for c, v in enumerate(values) if v == 0]
+    assert list(state.empty) == [c for c, v in enumerate(values) if v == 0]
     assert rules.legal_moves(state) == list(state.empty)
     if isinstance(rules, gw.HexRules):
         assert carried_groups(state) == hex_groups_oracle(rules, values)
@@ -310,17 +308,17 @@ def test_position_gives_the_empty_cells_as_legal_moves():
     values = [0] * rules.graph.cell_count
     for q, r, player in ((1, 1, 2), (2, 2, 2), (1, 2, 1)):
         values[gw.hex_cell(rules.graph, q, r)] = player
-    state = rules.position(values, 2, Move(intrusion))
-    assert state.last_move == Move(intrusion) and len(state.empty) == rules.graph.cell_count - 3
-    legal = [m.to for m in rules.legal_moves(state)]
+    state = rules.position(values, 2, intrusion)
+    assert state.last_move == intrusion and len(state.empty) == rules.graph.cell_count - 3
+    legal = rules.legal_moves(state)
     assert legal == empty_cells(rules, state)
     assert not {8, 15, 16} & set(legal)
     rng = SplitMix64(31)
     for _ in range(8):
         legal = rules.legal_moves(state)
         state = rules.apply(state, legal[rng.next_u64() % len(legal)])
-        assert [m.to for m in state.empty] == empty_cells(rules, state)
-        assert [m.to for m in rules.legal_moves(state)] == empty_cells(rules, state)
+        assert list(state.empty) == empty_cells(rules, state)
+        assert rules.legal_moves(state) == empty_cells(rules, state)
         assert carried_groups(state) == hex_groups_oracle(rules, board_values(rules, state))
         assert rules.status(state) == status_oracle(rules, state)
 
@@ -335,7 +333,7 @@ def test_position_wins_through_its_scanned_groups():
         values[gw.hex_cell(rules.graph, q, r)] = player
     state = rules.position(values, 1)
     assert carried_groups(state) == hex_groups_oracle(rules, values)
-    won = rules.apply(state, Move(gw.hex_cell(rules.graph, 1, 1)))
+    won = rules.apply(state, gw.hex_cell(rules.graph, 1, 1))
     assert won.result == 1 == status_oracle(rules, won)
     assert carried_groups(won) == hex_groups_oracle(rules, board_values(rules, won))
     assert len(won.groups[0]) == 1
@@ -356,10 +354,10 @@ def test_position_rejects_a_wrong_count_or_value():
                 rules.position(values, 1)
         # Player 2 has just placed on cell 1; player 1 holds cell 0.
         values = [1, 2] + [0] * (n - 2)
-        assert rules.position(values, 1, Move(1)).last_move == Move(1)
-        # Off the board, with a from-cell, on an empty cell, on the mover's
-        # own stone: no placement of player 2 leaves these.
-        for last in (Move(100), Move(-3), Move(n), Move(1, 0), Move(2), Move(0)):
+        assert rules.position(values, 1, 1).last_move == 1
+        # Off the board, on an empty cell, on the mover's own stone: no
+        # placement of player 2 leaves these.
+        for last in (100, -3, n, 2, 0):
             with pytest.raises(ValueError, match="last move"):
                 rules.position(values, 1, last)
 
@@ -390,13 +388,13 @@ def test_game_state_is_immutable_and_apply_keeps_the_parent():
     empty, board = state.empty, state.board
     legal = rules.legal_moves(state)
     legal.clear()  # a fresh list: the position's tuple is untouched
-    child = rules.apply(state, Move(5))
-    assert state.empty is empty and [m.to for m in empty] == list(range(16))
+    child = rules.apply(state, 5)
+    assert state.empty is empty and list(empty) == list(range(16))
     assert state.board == board == 0
     assert state.groups == ((), ())
-    assert [m.to for m in child.empty] == [c for c in range(16) if c != 5]
+    assert list(child.empty) == [c for c in range(16) if c != 5]
     assert child.groups == ((1 << 5,), ())
-    grandchild = rules.apply(child, Move(6))
+    grandchild = rules.apply(child, 6)
     assert child.groups == ((1 << 5,), ()) and grandchild.groups[0] is child.groups[0]
     assert grandchild.groups == ((1 << 5,), (1 << 6,))
     assert len(rules.legal_moves(state)) == 16

@@ -14,13 +14,11 @@ from geoweave.features import (
     Constraint,
     ElementKind,
     Feature,
-    FeatureAction,
     FeatureSet,
     PatternElement,
     negate,
 )
 from geoweave.featuregen import GenConfig, generate_candidates
-from geoweave.games import Move
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.search import compile_feature_set
@@ -34,7 +32,7 @@ KNIGHT = make_walk([0, 0, F(1, 4)])
 def knight_feature(**kw):
     defaults = dict(
         elements=(PatternElement((), (EMPTY,)),),
-        action=FeatureAction(KNIGHT),
+        action=KNIGHT,
         weight=1.0,
         reflections=True,
     )
@@ -76,7 +74,6 @@ def test_knight_instance_count_bound():
 
 
 def test_semi3464_knight_splits_into_two_instances(semi3):
-    fs = FeatureSet((knight_feature(reflections=False, rotations=()),))
     # Pick a central square cell and aim it at a triangle, then a hexagon.
     centre_sq = min(
         (c for c in range(semi3.cell_count) if semi3.sides[c] == 4),
@@ -105,7 +102,7 @@ def test_off_board_element_forces_edge_anchors():
     g = gw.build_board(gw.Square(6, 6))
     feature = Feature(
         elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (OFF,))),
-        action=FeatureAction(()),
+        action=(),
         rotations=(F(0),),  # keep facing north only
     )
     idx = instantiate(FeatureSet((feature,)), g, 1)
@@ -118,7 +115,7 @@ def test_negated_off_requires_on_board():
     g = gw.build_board(gw.Square(4, 4))
     feature = Feature(
         elements=(PatternElement(make_walk([0]), (negate(OFF),)),),
-        action=FeatureAction(()),
+        action=(),
         rotations=(F(0),),
     )
     idx = instantiate(FeatureSet((feature,)), g, 1)
@@ -134,7 +131,7 @@ def hex_bridge_position(rules):
     values = [0] * g.cell_count
     values[gw.hex_cell(g, 1, 1)] = values[gw.hex_cell(g, 2, 2)] = 2
     values[intrusion] = 1
-    return rules.position(values, 2, Move(intrusion)), intrusion, gw.hex_cell(g, 2, 1)
+    return rules.position(values, 2, intrusion), intrusion, gw.hex_cell(g, 2, 1)
 
 
 def test_bridge_instance_matches_fig1_position(bridge_fs):
@@ -170,7 +167,7 @@ def test_player_index_out_of_range():
     g = gw.build_board(gw.Square(4, 4))
     feature = Feature(
         elements=(PatternElement((), (Constraint(ElementKind.PLAYER, 3),)),),
-        action=FeatureAction(()),
+        action=(),
     )
     with pytest.raises(InstancerError, match="out of range"):
         instantiate(FeatureSet((feature,)), g, 1)
@@ -182,28 +179,12 @@ def test_mover_out_of_range(mover, bridge_fs):
         instantiate(bridge_fs, gw.hex_rules(5).graph, mover)
 
 
-def test_move_from_actions_resolve_both_cells():
-    # No shipped game moves pieces, but the action channel must compile.
-    g = gw.build_board(gw.Square(5, 5))
-    feature = Feature(
-        elements=(PatternElement((), (FRIEND,)), PatternElement(make_walk([0]), (EMPTY,))),
-        action=FeatureAction(to=make_walk([0]), from_=()),
-        rotations=(F(0),),
-    )
-    idx = instantiate(FeatureSet((feature,)), g, 1)
-    anchor = gw.square_cell(g, 2, 2)
-    inst = next(i for i in idx.instances if i.anchor == anchor)
-    assert inst.action_from == anchor
-    assert inst.action_to == gw.square_cell(g, 2, 3)
-    assert match_instance(inst, 1 << anchor * 2)
-
-
 def test_absolute_feature_symmetry_expansion():
     g = gw.build_board(gw.Square(5, 5))
     corner = gw.square_cell(g, 0, 0)
     feature = Feature(
         elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (FRIEND,))),
-        action=FeatureAction(()),
+        action=(),
         anchor=corner,
         reflections=True,
     )
@@ -223,7 +204,7 @@ def test_absolute_explicit_rotations_stay_at_anchor():
     centre = gw.square_cell(g, 2, 2)
     feature = Feature(
         elements=(PatternElement(make_walk([0]), (FRIEND,)),),
-        action=FeatureAction(()),
+        action=(),
         anchor=centre,
         rotations=make_walk([0, F(1, 2)]),
     )
@@ -236,7 +217,7 @@ def test_symmetry_maps_are_built_on_first_use(line4_fs):
     rules = gw.game_from_name("line4-5x5")
     compile_feature_set(line4_fs, rules)  # relative patterns only
     assert "symmetries" not in rules.graph.__dict__
-    corner = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
+    corner = Feature(elements=(PatternElement((), (EMPTY,)),), action=(), anchor=0)
     instantiate(FeatureSet((corner,)), rules.graph, 1)
     assert "symmetries" in rules.graph.__dict__
 
@@ -244,7 +225,7 @@ def test_symmetry_maps_are_built_on_first_use(line4_fs):
 def test_absolute_symmetry_unsupported_on_semi(semi3):
     feature = Feature(
         elements=(PatternElement((), (EMPTY,)),),
-        action=FeatureAction(()),
+        action=(),
         anchor=0,
     )
     with pytest.raises(InstancerError, match="symmetry"):
@@ -369,8 +350,8 @@ def test_generated_candidates_compile_like_oracle(game, mover):
 
 def placement_kinds(graph):
     """A reflected, a symmetry-expanded absolute, an explicitly rotated
-    absolute and a move-from feature, with quarter turns that branch in
-    odd-sided cells, negative tests, a reactive walk and weights whose
+    absolute and an off-board-edged feature, with quarter turns that branch
+    in odd-sided cells, negative tests, a reactive walk and weights whose
     sums depend on their order."""
     q = F(1, 4)
     anchor = graph.cell_count // 3
@@ -381,14 +362,14 @@ def placement_kinds(graph):
                 PatternElement(make_walk([0]), (FRIEND,)),
                 PatternElement(make_walk([0, q]), (negate(FRIEND),)),
             ),
-            action=FeatureAction(()),
+            action=(),
             weight=0.1,
             reflections=True,
         ),
         Feature(
             elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0, 0]), (ENEMY,)),
                       PatternElement(make_walk([q]), (negate(OFF),))),
-            action=FeatureAction(()),
+            action=(),
             weight=0.2,
             anchor=anchor,
             reflections=True,
@@ -396,7 +377,7 @@ def placement_kinds(graph):
         Feature(
             elements=(PatternElement(make_walk([0]), (FRIEND,)),
                       PatternElement(make_walk([0, -q]), (EMPTY,))),
-            action=FeatureAction(make_walk([q])),
+            action=make_walk([q]),
             weight=0.3,
             anchor=anchor,
             rotations=make_walk([0, q, F(1, 2)]),
@@ -404,12 +385,12 @@ def placement_kinds(graph):
         Feature(
             elements=(PatternElement((), (FRIEND,)), PatternElement(make_walk([0, q]), (EMPTY,)),
                       PatternElement(make_walk([q, q]), (OFF,))),
-            action=FeatureAction(to=make_walk([0, q]), from_=()),
+            action=make_walk([0, q]),
             weight=0.7,
         ),
         Feature(
             elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([q, 0]), (ENEMY,))),
-            action=FeatureAction(()),
+            action=(),
             weight=0.1,
             reflections=True,
             reactive=True,
@@ -453,14 +434,14 @@ def test_weighted_candidates_compile_like_oracle(game, mover):
 def test_swapped_element_order_merges_into_one_instance(board, request):
     graph = gw.game_from_name(board).graph if board == "hex5" else request.getfixturevalue(board)
     here, ahead = PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (FRIEND,))
-    pattern = Feature(elements=(here, ahead), action=FeatureAction(()), weight=0.1)
+    pattern = Feature(elements=(here, ahead), action=(), weight=0.1)
     # The same pattern with its elements swapped: another constraint
     # signature, and every placement compiles to the same instance ...
-    swapped = Feature(elements=(ahead, here), action=FeatureAction(()), weight=0.2)
+    swapped = Feature(elements=(ahead, here), action=(), weight=0.2)
     # ... and one with the same walks, so the same placements and sites,
     # but another constraint: never the same instance.
     enemy = Feature(elements=(here, PatternElement(make_walk([0]), (ENEMY,))),
-                    action=FeatureAction(()), weight=0.4)
+                    action=(), weight=0.4)
     fs = FeatureSet((pattern, swapped, enemy, pattern))
     assert_compiles_like_oracle(fs, graph)
     alone = instantiate(FeatureSet((pattern,)), graph, 1).instances
@@ -602,8 +583,8 @@ def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeyp
 def test_a_structure_that_fails_to_compile_fails_every_time(semi3):
     g = gw.build_board(gw.Square(4, 4))
     player3 = Feature(elements=(PatternElement((), (Constraint(ElementKind.PLAYER, 3),)),),
-                      action=FeatureAction(()))
-    absolute = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), anchor=0)
+                      action=())
+    absolute = Feature(elements=(PatternElement((), (EMPTY,)),), action=(), anchor=0)
     instancer.clear_memo()
     for feature, graph, message in ((player3, g, "out of range"), (absolute, semi3, "symmetry")):
         for weight in (1.0, 1.0, -2.0):
@@ -642,7 +623,7 @@ def test_memo_keeps_its_bound_and_drops_the_oldest(bridge_fs, line4_fs, monkeypa
 
 
 def test_memo_key_holds_every_feature_field_but_the_weight():
-    base = Feature(elements=(PatternElement((), (EMPTY,)),), action=FeatureAction(()), weight=0.5)
+    base = Feature(elements=(PatternElement((), (EMPTY,)),), action=(), weight=0.5)
     for f in dataclasses.fields(Feature):
         # A value equal to no other: a field outside the key would let two
         # different structures share one memo entry.

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoweave as gw
-from geoweave.features import EMPTY, FRIEND, Feature, FeatureAction, FeatureSet, PatternElement
-from geoweave.games import Move
+from geoweave.features import EMPTY, FRIEND, Feature, FeatureSet, PatternElement
 from geoweave.rng import SplitMix64, derive_seed
 from geoweave.search import (
     FLOOR,
@@ -47,17 +46,17 @@ def test_single_feature_three_moves_gives_half():
         1, 2, 1, 2,
         1, 0, 0, 0,
     ]
-    state = rules.position(filled, 1, Move(11))
+    state = rules.position(filled, 1, 11)
     legal = rules.legal_moves(state)
     assert len(legal) == 3  # cells 13, 14, 15
     feature = Feature(
         elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([F(1, 2)]), (FRIEND,))),
-        action=FeatureAction(()),
+        action=(),
         rotations=(F(0),),  # anchor faces north, friend just south
     )
     idx = gw.instantiate(FeatureSet((feature,)), rules.graph, 1)
     probs = biased_move_distribution(state, legal, idx)
-    by_move = dict(zip([m.to for m in legal], probs))
+    by_move = dict(zip(legal, probs))
     # Cell 14 sits above the friendly stone at 10; no other candidate does.
     assert by_move[14] == 0.5
     assert by_move[13] == 0.25 and by_move[15] == 0.25
@@ -83,12 +82,12 @@ def test_negative_weights_clamp_at_floor():
     rules = gw.line4_rules(5, 5)
     feature = Feature(
         elements=(PatternElement((), (EMPTY,)), PatternElement(make_walk([0]), (FRIEND,))),
-        action=FeatureAction(()),
+        action=(),
         weight=-50.0,
     )
     indexes = compile_feature_set(FeatureSet((feature,)), rules)
-    state = rules.apply(rules.initial_state(), Move(12))
-    state = rules.apply(state, Move(0))
+    state = rules.apply(rules.initial_state(), 12)
+    state = rules.apply(state, 0)
     legal = rules.legal_moves(state)
     scores = biased_scores(state, legal, indexes[1])
     assert min(scores) == FLOOR
@@ -101,7 +100,7 @@ def test_bridge_completion_gets_max_probability(bridge_fs, hex7_rules):
     legal = hex7_rules.legal_moves(state)
     probs = biased_move_distribution(state, legal, indexes[2])
     best = max(range(len(legal)), key=lambda i: probs[i])
-    assert legal[best].to == completion
+    assert legal[best] == completion
     # Weight 5 on base 1: the completion cell is exactly six times as likely.
     assert probs[best] == pytest.approx(6.0 * probs[0])
 
@@ -110,7 +109,7 @@ def test_playout_rejects_terminal_state():
     rules = gw.line4_rules(4, 4)
     state = rules.initial_state()
     for move in (0, 4, 1, 5, 2, 6, 3):
-        state = rules.apply(state, Move(move))
+        state = rules.apply(state, move)
     assert rules.status(state) == 1
     with pytest.raises(ValueError):
         run_playout(state, rules, None, SplitMix64(1))
@@ -126,7 +125,7 @@ def test_playout_reproducible_and_uniform_equivalence():
     assert empty_idx is None
     fs = FeatureSet((Feature(
         elements=(PatternElement((), (EMPTY,)),),
-        action=FeatureAction(()),
+        action=(),
         weight=0.0,
     ),))
     zero_idx = compile_feature_set(fs, rules)
@@ -138,11 +137,11 @@ def test_mcts_finds_immediate_line4_win():
     rules = gw.line4_rules(5, 5)
     state = rules.initial_state()
     for move in (0, 20, 1, 21, 2, 22):
-        state = rules.apply(state, Move(move))
+        state = rules.apply(state, move)
     wins = one_ply_winning_moves(rules, state)
-    assert wins == [Move(3)]
+    assert wins == [3]
     best = mcts_best_move(state, rules, None, playouts=1000, seed=9)
-    assert best == Move(3)
+    assert best == 3
 
 
 def test_mcts_deterministic_given_seed():
@@ -160,7 +159,7 @@ def test_mcts_symmetric_root_visits_are_balanced():
     state = rules.initial_state()
     visits = _search_tree(state, rules, None, 2000, SplitMix64(3), None)
     legal = rules.legal_moves(state)
-    corners = [visits[i] for i, m in enumerate(legal) if m.to in (0, 3, 12, 15)]
+    corners = [visits[i] for i, m in enumerate(legal) if m in (0, 3, 12, 15)]
     mean = sum(corners) / 4
     assert mean > 0
     for v in corners:
@@ -198,7 +197,7 @@ def test_search_rejects_a_finished_game_no_playouts_and_no_legal_moves():
     rules = gw.line4_rules(4, 4)
     won = rules.initial_state()
     for move in (0, 4, 1, 5, 2, 6, 3):
-        won = rules.apply(won, Move(move))
+        won = rules.apply(won, move)
     assert rules.status(won) == 1
     with pytest.raises(ValueError, match="non-terminal"):
         mcts_best_move(won, rules, None, 4, 1)
@@ -243,7 +242,7 @@ def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
         idx = indexes[state.mover]
         before = (counters.reactive_tests, counters.proactive_tests)
         biased_scores(state, legal, idx, counters)
-        bucket = len(idx.reactive_for(state.last_move.to)) if state.last_move else 0
+        bucket = len(idx.reactive_for(state.last_move)) if state.last_move is not None else 0
         tested.append((counters.reactive_tests - before[0], counters.proactive_tests - before[1], bucket))
         state = hex7_rules.apply(state, legal[rng.next_u64() % len(legal)])
     assert tested
@@ -294,20 +293,6 @@ def test_bridge_mcts_match_tally_is_frozen(bridge_fs, hex7_rules):
     )
     assert (result.wins_a, result.wins_b, result.draws) == (3, 1, 0)
     assert (result.wins_a_as_first, result.wins_a_as_second) == (1, 2)
-
-
-def test_match_with_move_from_feature_is_deterministic():
-    """A match whose agent scores move-from actions replays exactly."""
-    rules = gw.line4_rules(4, 4)
-    feature = Feature(
-        elements=(PatternElement((), (EMPTY,)),),
-        action=FeatureAction(to=(), from_=make_walk([0])),
-        rotations=(0,),
-    )
-    agent = AgentSpec(feature_set=FeatureSet((feature,)), playouts=4)
-    first = play_match(rules, agent, AgentSpec(playouts=4), 2, 5)
-    again = play_match(rules, agent, AgentSpec(playouts=4), 2, 5)
-    assert first.to_dict() == again.to_dict()
 
 
 def test_derive_seed_streams_differ():

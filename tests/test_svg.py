@@ -60,13 +60,6 @@ def test_player_and_item_disks_are_labelled():
     assert ">!I0</text>" in svg
 
 
-def test_move_from_actions_draw_a_connector():
-    g = gw.build_board(gw.Square(5, 5))
-    feature = parse_feature("rel proactive rot={0} el={}:o el={0}:. act_to={0} act_from={}")
-    svg = render_feature(feature, g)
-    assert "stroke-dasharray=\"5,4\"" in svg
-
-
 def test_unplaceable_feature_raises():
     g = gw.build_board(gw.Square(4, 4))
     # Off-board in two opposite directions at once never resolves.

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         "apply": per_call_us(rules.apply, [(p[0], p[4]) for p in plies], args.repeat),
         "win_check": per_call_us(
             rules._placed,
-            [(c.board, p[0].groups, p[0].mover, p[4].to)
+            [(c.board, p[0].groups, p[0].mover, p[4])
              for p, c in zip(plies, children)],
             args.repeat),
         "playout_ply": best_s(lambda: replay_playouts(rules, playouts), args.repeat) / len(plies) * 1e6,

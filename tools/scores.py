@@ -58,7 +58,7 @@ def record_positions(seed: int) -> list:
 
 def tested(state, idx) -> list:
     """The instances ``biased_scores`` tests on ``state``, in its order."""
-    bucket = idx.reactive_for(state.last_move.to) if state.last_move is not None else []
+    bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
     return [*bucket, *idx.proactive]
 
 
