@@ -151,13 +151,16 @@ def parse_feature(text: str, line: int | None = None) -> Feature:
         raise DslError("missing mode (proactive or reactive)", line)
     if act_to is None:
         raise DslError("missing act_to={...}", line)
+    if reactive and last_move is None:
+        raise DslError("reactive feature needs a last-move walk (last={...})", line)
+    if not reactive and last_move is not None:
+        raise DslError("proactive feature cannot carry a last-move walk", line)
 
     try:
         return Feature(
             elements=tuple(elements),
             action=act_to,
             weight=1.0 if weight is None else weight,
-            reactive=reactive,
             anchor=anchor,
             rotations=None if rotations in ("unset", None) else tuple(rotations),
             reflections=bool(reflections),

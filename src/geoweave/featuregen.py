@@ -105,7 +105,7 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
                 if cfg.include_reactive:
                     for w, k in zip(walk_combo, kinds):
                         if k is ENEMY:
-                            emit(replace(feature, reactive=True, last_move=w))
+                            emit(replace(feature, last_move=w))
     return out
 
 

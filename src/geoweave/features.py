@@ -68,21 +68,16 @@ class Feature:
     elements: tuple[PatternElement, ...]
     action: Walk  # from the anchor to the cell to place on
     weight: float = 1.0
-    reactive: bool = False
     anchor: int | None = None  # None = relative, otherwise absolute at this cell
     rotations: tuple[Fraction, ...] | None = None  # None = all start directions
     reflections: bool = False
-    last_move: Walk | None = None  # reactive only
+    last_move: Walk | None = None  # set for a reactive feature only
 
     def __post_init__(self):
         if not self.elements:
             raise FeatureError("pattern needs at least one element")
         if not math.isfinite(self.weight):
             raise FeatureError("feature weight must be finite")
-        if self.reactive and self.last_move is None:
-            raise FeatureError("reactive feature needs a last-move walk (last={...})")
-        if not self.reactive and self.last_move is not None:
-            raise FeatureError("proactive feature cannot carry a last-move walk")
         if self.rotations is not None:
             normalized = make_walk(self.rotations)
             if not normalized:
@@ -92,6 +87,10 @@ class Feature:
     @property
     def relative(self) -> bool:
         return self.anchor is None
+
+    @property
+    def reactive(self) -> bool:
+        return self.last_move is not None
 
 
 @dataclass(frozen=True)

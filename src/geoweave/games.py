@@ -13,14 +13,10 @@ position in play has a legal move.  ``status`` reads the recorded result
 back: None while the game is ongoing, 0 for a draw and the winning
 player id otherwise.
 
-The position also carries its empty cells: ``position`` lists them in
-cell order, and ``apply`` hands the child that tuple minus the placed
-cell, so ``legal_moves`` copies it instead of scanning the board.  Since
-the tuple holds exactly the empty cells in cell order, the placed cell's
-slot in it is the cell minus the number of occupied cells below it:
-``apply`` ORs each 2-bit chunk of the parent's board onto its low bit,
-keeps the low bits of the chunks below the cell and counts them with
-``int.bit_count``.
+The position also carries its empty cells in cell order, the one record
+of which cells are free: ``apply`` finds the placed cell in them by
+bisection, which refuses an occupied or off-board cell, and hands the
+child that tuple minus the cell, so ``legal_moves`` copies it.
 
 A Hex position carries each player's groups as well: ``groups[p - 1]`` is
 a tuple of bitmasks, one per connected group of player ``p``, with bit c
@@ -32,15 +28,15 @@ other player's tuple is handed on as it is.  Line4 carries no groups.
 A position's board is one int in the chunk-set layout (``chunkset``):
 cell c's value sits in the 2-bit chunk at bit 2c, and the rules own that
 shape.  A position is never changed: ``apply`` returns a new one.  The
-other way to make one is ``GameRules.position``, which derives the empty
-cells and the groups from one value per cell and refuses a full board;
-``initial_state`` is the empty position it builds once and shares.  Hex
-finds the groups by replaying ``_placed`` over the stones in cell order,
-so the group join exists once.
+other way to make one is ``GameRules.position``, from one value per
+cell: it replays ``_placed`` over the stones in cell order, and since
+every line or chain runs through a stone, the replay finds the groups
+and any win.  ``initial_state`` is the empty position, built once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
@@ -72,54 +68,61 @@ class GameState(NamedTuple):
 
 class GameRules:
     """Shared plumbing for two-player placement games: a subclass finds
-    wins in ``_placed``, and ``apply`` draws a full board without one."""
+    wins in ``_placed``, for ``apply`` and ``position`` alike, and both
+    draw a full board without one."""
 
     name: str
+    # The groups of the empty board, which ``position`` replays from: None
+    # for a game that keeps none.
+    _empty_groups: Groups | None = None
 
     def __init__(self, graph: BoardGraph):
         self.graph = graph
         self._chunk_mask = (1 << CHUNK_BITS) - 1
-        cells = graph.cell_count
-        self._cell_count = cells
-        # Per cell: the low bit of every chunk below its own (0b01 repeated).
-        low = ((1 << 2 * cells) - 1) // 3
-        self._below = [low & ((1 << c * CHUNK_BITS) - 1) for c in range(cells)]
         self._initial: GameState | None = None
 
     def position(self, values, mover: int, last_move: int | None = None) -> GameState:
-        """The position in play that holds ``values``, one per cell in cell
-        order (0 for empty, p for a stone of player p), with ``mover`` to
-        move after a placement on the cell ``last_move``.  Raises
-        ``ValueError`` on a wrong count or value, on a full board, which is
-        never in play, or on a last move that no play could have made: one
-        off the board, or on a cell without a stone of the player who made
-        it, ``3 - mover``.  It does not look for a win already on the board:
-        the position is in play whatever its stones."""
+        """The position that holds ``values``, one per cell in cell order
+        (0 for empty, p for a stone of player p), with ``mover`` to move
+        after a placement on the cell ``last_move``.  Its result is decided
+        as ``apply`` decides it: ``3 - mover`` when that player has won, a
+        draw on a full board without a win, and None otherwise.  Raises
+        ``ValueError`` on a wrong count or value, and on a board or last
+        move that no play reaches: ``mover`` has already won, or the last
+        move is off the board or on a cell without a stone of the player
+        who made it, ``3 - mover``."""
         values = list(values)
-        if len(values) != self._cell_count:
-            raise ValueError(f"{self.name} has {self._cell_count} cells, got {len(values)} values")
+        cells = self.graph.cell_count
+        if len(values) != cells:
+            raise ValueError(f"{self.name} has {cells} cells, got {len(values)} values")
         for cell, v in enumerate(values):
             if v not in (0, 1, 2):
                 raise ValueError(f"cell {cell} holds {v!r}; a cell holds 0..2")
         if mover not in (1, 2):
             raise ValueError(f"mover {mover!r} is not a player 1..2")
         if last_move is not None and not (
-            0 <= last_move < self._cell_count and values[last_move] == 3 - mover
+            0 <= last_move < cells and values[last_move] == 3 - mover
         ):
             raise ValueError(f"last move {last_move!r} is not a placement of player {3 - mover}")
-        board = 0
+        board = sum(v << cell * CHUNK_BITS for cell, v in enumerate(values))
+        groups, result = self._empty_groups, None
         for cell, v in enumerate(values):
-            board |= v << cell * CHUNK_BITS
+            if v:
+                won, groups = self._placed(board, groups, v, cell)
+                if won == mover:
+                    raise ValueError(f"player {mover} is to move but has already won")
+                if won is not None:
+                    result = won
         empty = tuple(cell for cell, v in enumerate(values) if not v)
-        if not empty:
-            raise ValueError("a full board is never in play")
-        return GameState(board, mover, last_move, None, empty, self._scan_groups(board))
+        if not empty and result is None:
+            result = 0
+        return GameState(board, mover, last_move, result, empty, groups)
 
     def initial_state(self) -> GameState:
         """The empty board, player 1 to move: one position, built on first
         use and shared by every game of these rules."""
         if self._initial is None:
-            self._initial = self.position([0] * self._cell_count, 1)
+            self._initial = self.position([0] * self.graph.cell_count, 1)
         return self._initial
 
     def legal_moves(self, state: GameState) -> list[int]:
@@ -128,16 +131,15 @@ class GameRules:
         return list(state.empty)
 
     def apply(self, state: GameState, cell: int) -> GameState:
+        """The position after a placement on ``cell``; ``IllegalMove`` unless
+        the bisection finds ``cell`` among the empty cells and the game is on."""
         bits, mover, _, _, empty, groups = state
-        if not 0 <= cell < self._cell_count:
-            raise IllegalMove(f"cell {cell} outside board")
-        s = cell * CHUNK_BITS
-        if (bits >> s) & self._chunk_mask:
-            raise IllegalMove(f"cell {cell} is occupied")
+        i = bisect_left(empty, cell)
+        if i == len(empty) or empty[i] != cell:
+            raise IllegalMove(f"cell {cell} is not an empty cell of the board")
         if self.status(state) is not None:
             raise IllegalMove("game is over")
-        child = bits | mover << s  # the chunk was checked to be zero
-        i = cell - ((bits | bits >> 1) & self._below[cell]).bit_count()
+        child = bits | mover << cell * CHUNK_BITS
         rest = empty[:i] + empty[i + 1:]
         result, groups = self._placed(child, groups, mover, cell)
         if not rest and result is None:
@@ -148,23 +150,20 @@ class GameRules:
     def status(self, state: GameState) -> int | None:
         return state.result
 
-    def _scan_groups(self, bits: int) -> Groups | None:
-        """The groups of the stones on the board ``bits``: None for a game
-        that keeps none."""
-        return None
-
     def _placed(self, bits: int, groups: Groups | None, mover: int,
                 cell: int) -> tuple[int | None, Groups | None]:
         """The winner (None for no win) and the groups once ``mover`` has
         placed on ``cell``, leaving the board ``bits``, where ``groups`` were
-        the groups before; the game was on before.  ``apply`` draws a full
-        board without a win."""
+        the groups before.  ``position`` asks it of each stone on its whole
+        board; ``apply`` draws a full board without a win."""
         raise NotImplementedError
 
 
 class HexRules(GameRules):
     """Hex: player 1 connects the r=0 and r=n-1 edges, player 2 the q=0 and
     q=n-1 edges.  No swap rule; drawless by the usual Hex argument."""
+
+    _empty_groups = ((), ())
 
     def __init__(self, size: int):
         if size < 2:
@@ -187,14 +186,6 @@ class HexRules(GameRules):
         self._adjacent = [
             sum(1 << c2 for c2 in self.graph.neighbors[c] if c2 >= 0) for c in range(cells)
         ]
-
-    def _scan_groups(self, bits):
-        groups = ((), ())
-        for c in range(self._cell_count):
-            player = (bits >> c * CHUNK_BITS) & self._chunk_mask
-            if player:
-                groups = self._placed(bits, groups, player, c)[1]
-        return groups
 
     def _placed(self, bits, groups, mover, cell):
         adjacent = self._adjacent[cell]

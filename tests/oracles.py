@@ -9,7 +9,7 @@ constraint compilation instead of sharing them within a call, pattern
 tests word by word over the 64-bit ``words`` view and cell by cell
 instead of the one AND + compare on the board's int, a linear scan
 over the scores instead of a bisection of their running sums, and a
-count over the empty cells instead of a popcount of the board.
+count over the empty cells instead of their bisection.
 """
 
 from __future__ import annotations
@@ -268,6 +268,15 @@ def status_oracle(rules, state) -> int | None:
         assert len(winners) <= 1, "both hex players connected"
         return winners[0] if winners else None
     return line4_winner_scan(rules, values)
+
+
+def winners_oracle(rules, values) -> set[int]:
+    """Every player who holds a win on the board ``values``, each found on
+    a board that keeps only that player's stones."""
+    if isinstance(rules, HexRules):
+        return {p for p in (1, 2) if hex_win_bfs(rules, values, p)}
+    return {p for p in (1, 2)
+            if line4_winner_scan(rules, [v if v == p else 0 for v in values]) == p}
 
 
 def empty_slot_oracle(empty, cell: int) -> int:

@@ -169,7 +169,7 @@ def test_criterion_05_bias_correctness(line4_fs):
                 tuple(
                     gw.Feature(
                         elements=f.elements, action=f.action, weight=0.0,
-                        reactive=f.reactive, anchor=f.anchor, rotations=f.rotations,
+                        anchor=f.anchor, rotations=f.rotations,
                         reflections=f.reflections, last_move=f.last_move,
                     )
                     for f in line4_fs.features

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from fractions import Fraction as F
 
@@ -98,6 +99,18 @@ def test_contradictory_positives_rejected():
 def test_reactive_requires_last_move():
     with pytest.raises(DslError, match=r"^line 4: reactive feature needs a last-move walk"):
         parse_feature("rel reactive el={0}:x act_to={}", 4)
+
+
+def test_proactive_refuses_a_last_move_walk():
+    with pytest.raises(DslError, match=r"^line 6: proactive feature cannot carry a last-move walk"):
+        parse_feature("rel proactive last={0} el={}:. act_to={}", 6)
+
+
+def test_a_feature_is_reactive_iff_it_has_a_last_move_walk():
+    f = parse_feature("rel reactive last={0} el={}:. act_to={}")
+    assert f.reactive and not dataclasses.replace(f, last_move=None).reactive
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, reactive=False)
 
 
 def test_empty_rotation_list_rejected():
@@ -207,7 +220,6 @@ def random_feature(rng: SplitMix64) -> Feature:
         elements=tuple(element() for _ in range(1 + rng.next_u64() % 4)),
         action=walk(),
         weight=(rng.next_u64() % 4001 - 2000) / 8.0,
-        reactive=reactive,
         anchor=None if rng.next_u64() % 2 == 0 else int(rng.next_u64() % 50),
         rotations=rotations,
         reflections=rng.next_u64() % 2 == 0,

@@ -13,6 +13,7 @@ from oracles import (
     minimax_winner,
     pack_values,
     status_oracle,
+    winners_oracle,
     words,
 )
 
@@ -188,14 +189,63 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     assert rules.status(state) is not None
 
 
-def assert_empty_slot_removed(rules, values, cell, mover):
-    """``apply`` on ``cell`` hands the child its parent's empty cells minus
-    the one at the oracle's slot."""
+def decided_position(rules, values, mover):
+    """``position`` checked against the whole-board oracles: None when it
+    refuses ``values`` because ``mover`` already holds a win; otherwise the
+    position, whose result is the oracle's, and which offers no move and
+    refuses a placement once finished."""
+    if mover in winners_oracle(rules, values):
+        with pytest.raises(ValueError, match="already won"):
+            rules.position(values, mover)
+        return None
     state = rules.position(values, mover)
+    assert rules.status(state) == status_oracle(rules, state)
+    if rules.status(state) is not None:
+        assert rules.legal_moves(state) == []
+        if state.empty:
+            with pytest.raises(IllegalMove, match="game is over"):
+                rules.apply(state, state.empty[0])
+    return state
+
+
+def assert_empty_slot_removed(rules, values, cell, mover) -> bool:
+    """``apply`` on ``cell`` hands the child its parent's empty cells minus
+    the one at the oracle's slot, when ``position`` puts ``values`` in
+    play; whether it did."""
+    state = decided_position(rules, values, mover)
+    if state is None or rules.status(state) is not None:
+        return False
     empty = state.empty
     i = empty_slot_oracle(empty, cell)
     assert empty[i] == cell
     assert rules.apply(state, cell).empty == empty[:i] + empty[i + 1:]
+    return True
+
+
+def without_wins(rules, values):
+    """``values`` with each stone, in cell order, left off when it would
+    complete a win: a board that holds none."""
+    kept = [0] * len(values)
+    for c, v in enumerate(values):
+        kept[c] = v
+        if v and v in winners_oracle(rules, kept):
+            kept[c] = 0
+    return kept
+
+
+def no_line_values(rules):
+    """A full board with no line of four: rows of pairs 1 1 2 2 ..., each
+    row the one below with its values swapped, so that no row, column or
+    diagonal holds three equal stones in a row."""
+    return [1 + (x // 2 + y) % 2 for y in range(rules.height) for x in range(rules.width)]
+
+
+def no_connection_values(rules, cell):
+    """A Hex board full but for the r=0 corner ``cell``, with player 1 on
+    the rest of its column and player 2 everywhere else: player 1 reaches
+    the r=0 edge, and player 2 the cell's q edge, only through ``cell``."""
+    n = rules.size
+    return [0 if c == cell else 1 if c % n == cell % n else 2 for c in range(n * n)]
 
 
 SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
@@ -204,30 +254,42 @@ SLOT_GAMES = ["hex5", "hex9", "line4-4x4", "line4-5x7"]
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(SLOT_GAMES), data=st.data())
 def test_apply_removes_the_placed_cell_at_the_bisect_slot(name, data):
-    """Random boards built by ``position``: the slot ``apply`` counts from
-    the board's occupied chunks is the one a bisection of the empty cells
-    finds, the first and last cells included."""
+    """Random boards built by ``position``, each as drawn and with every
+    stone that completes a win left off: on a board in play, the slot
+    ``apply`` bisects from the empty cells is the one a count of the cells
+    below finds, the first and last cells included; a board that holds a
+    win is finished or refused, as the oracles decide."""
     rules = gw.game_from_name(name)
     n = rules.graph.cell_count
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     cell = data.draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
     values[cell] = 0
-    assert_empty_slot_removed(rules, values, cell, data.draw(st.sampled_from([1, 2])))
+    mover = data.draw(st.sampled_from([1, 2]))
+    assert_empty_slot_removed(rules, values, cell, mover)
+    assert assert_empty_slot_removed(rules, without_wins(rules, values), cell, mover)
 
 
 @pytest.mark.parametrize("name", SLOT_GAMES)
 def test_apply_slot_at_the_first_and_last_cells(name):
-    """Cells 0 and n-1 on the empty board, on a board full but for them and
-    on a board whose only stones are at the other end."""
+    """Cells 0 and n-1 on the empty board, on a board full but for them
+    and without a win and on a board whose only stones are at the other
+    end, all in play; and on a board of alternating stones full but for
+    them, which holds a win and is finished or refused."""
     rules = gw.game_from_name(name)
     n = rules.graph.cell_count
     for cell in (0, n - 1):
         other = n - 1 - cell
-        boards = ([0] * n, [1 + c % 2 for c in range(n)], [2 if c == other else 0 for c in range(n)])
+        full = no_connection_values(rules, cell) if isinstance(rules, gw.HexRules) else no_line_values(rules)
+        boards = ([0] * n, full, [2 if c == other else 0 for c in range(n)])
         for values in boards:
             values = list(values)
             values[cell] = 0
-            assert_empty_slot_removed(rules, values, cell, 1)
+            assert assert_empty_slot_removed(rules, values, cell, 1)
+        alternating = [1 + c % 2 for c in range(n)]
+        alternating[cell] = 0
+        assert winners_oracle(rules, alternating)
+        for mover in (1, 2):
+            assert not assert_empty_slot_removed(rules, alternating, cell, mover)
 
 
 def line4_runs(width, height):
@@ -250,10 +312,13 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
     """Each run of 3-7 stones in every direction and position, edges and
     corners included, completed by its middle stone or by either end stone,
     with the cells beyond its ends empty or held by the other player: the
-    result ``apply`` records is the whole-board oracle's."""
+    result ``apply`` records is the whole-board oracle's.  A run of five or
+    more that lacks an end stone already holds a line of four, so
+    ``position`` finishes that board, or refuses it with its owner to
+    move."""
     rules = gw.line4_rules(*size)
     n = rules.graph.cell_count
-    checked = wins = 0
+    checked = wins = finished = 0
     for run, beyond in line4_runs(*size):
         for player in (1, 2):
             for blocked in (False, True):
@@ -264,6 +329,14 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
                     for c in beyond if blocked else ():
                         values[c] = 3 - player
                     values[placed] = 0
+                    if len(run) > 4 and placed != run[len(run) // 2]:
+                        # The stones left already make a line of four: the
+                        # game ended before this placement.
+                        assert winners_oracle(rules, values) == {player}
+                        assert decided_position(rules, values, player) is None
+                        assert decided_position(rules, values, 3 - player).result == player
+                        finished += 1
+                        continue
                     state = rules.position(values, player)
                     child = rules.apply(state, placed)
                     assert rules.status(child) == status_oracle(rules, child)
@@ -271,28 +344,29 @@ def test_line4_runs_through_the_placed_stone_match_the_oracle(size):
                     checked += 1
                     wins += len(run) >= 4
     assert wins and checked > wins
+    assert finished or size == (4, 4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(PROPERTY_GAMES), data=st.data())
 def test_position_derives_its_empty_cells_and_groups(name, data):
-    """Random boards: ``position`` refuses a full one; any other it holds,
-    is in play, carries the board's empty cells as its legal moves and, on
-    Hex, the board's connected components as its groups."""
+    """Random boards: ``position`` refuses one that the mover has won; any
+    other it holds with the oracle's result, carries the board's empty
+    cells, offers them as its legal moves while the game is on and, on
+    Hex, carries the board's connected components as its groups."""
     rules = gw.game_from_name(name)
     n = rules.graph.cell_count
     values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     mover = data.draw(st.sampled_from([1, 2]))
-    if 0 not in values:
-        with pytest.raises(ValueError, match="full board"):
-            rules.position(values, mover)
+    state = decided_position(rules, values, mover)
+    if state is None:
         return
-    state = rules.position(values, mover)
     assert state.board == pack_values(values, gw.CHUNK_BITS)
     assert board_values(rules, state) == values
-    assert (state.mover, state.last_move, state.result) == (mover, None, None)
+    assert (state.mover, state.last_move) == (mover, None)
     assert list(state.empty) == [c for c, v in enumerate(values) if v == 0]
-    assert rules.legal_moves(state) == list(state.empty)
+    if state.result is None:
+        assert rules.legal_moves(state) == list(state.empty)
     if isinstance(rules, gw.HexRules):
         assert carried_groups(state) == hex_groups_oracle(rules, values)
     else:
@@ -339,6 +413,58 @@ def test_position_wins_through_its_scanned_groups():
     assert len(won.groups[0]) == 1
 
 
+def player_1_won_board(name):
+    """A board that holds a win of player 1 placed by no ``apply``: on hex3
+    player 1's stones at (1,0), (1,1) and (1,2), on line4-4x4 player 1's
+    full bottom row."""
+    rules = gw.game_from_name(name)
+    values = [0] * rules.graph.cell_count
+    if name == "hex3":
+        for q, r in ((1, 0), (1, 1), (1, 2)):
+            values[gw.hex_cell(rules.graph, q, r)] = 1
+    else:
+        values[:4] = [1] * 4
+    return rules, values
+
+
+@pytest.mark.parametrize("name", ["hex3", "line4-4x4"])
+def test_position_finishes_a_board_already_won(name):
+    """``position`` decides a won board as ``apply`` would have: player 1
+    has won, no move is legal, and no placement, playout or search goes on
+    past the win."""
+    rules, values = player_1_won_board(name)
+    state = rules.position(values, 2)
+    assert rules.status(state) == 1 == status_oracle(rules, state)
+    assert rules.legal_moves(state) == []
+    with pytest.raises(IllegalMove, match="game is over"):
+        rules.apply(state, state.empty[0])
+    with pytest.raises(ValueError, match="non-terminal"):
+        gw.run_playout(state, rules, None, SplitMix64(1))
+    with pytest.raises(ValueError, match="non-terminal"):
+        gw.mcts_best_move(state, rules, None, 4, 1)
+
+
+@pytest.mark.parametrize("name", ["hex3", "line4-4x4"])
+def test_position_refuses_a_board_the_mover_has_won(name):
+    """No play leaves the winner to move, so ``position`` refuses it."""
+    rules, values = player_1_won_board(name)
+    with pytest.raises(ValueError, match="player 1 is to move but has already won"):
+        rules.position(values, 1)
+
+
+@pytest.mark.parametrize("size", [(4, 4), (5, 7), (7, 7)])
+def test_position_draws_a_full_line4_board_without_a_line(size):
+    """A full Line4 board without a line of four is a draw, as ``apply``
+    records it on the last placement."""
+    rules = gw.line4_rules(*size)
+    values = no_line_values(rules)
+    assert not winners_oracle(rules, values)
+    for mover in (1, 2):
+        state = rules.position(values, mover)
+        assert state.empty == () and rules.legal_moves(state) == []
+        assert rules.status(state) == 0 == status_oracle(rules, state)
+
+
 def test_position_rejects_a_wrong_count_or_value():
     for rules in (gw.hex_rules(3), gw.line4_rules(4, 4)):
         n = rules.graph.cell_count
@@ -348,9 +474,10 @@ def test_position_rejects_a_wrong_count_or_value():
         for mover in (0, 3):
             with pytest.raises(ValueError):
                 rules.position([0] * n, mover)
-        # A full board, even one without a win, is never in play.
+        # Full boards that player 1 has won: no play leaves player 1 to move.
         for values in ([1] * n, [1 + c % 2 for c in range(n)]):
-            with pytest.raises(ValueError, match="full board"):
+            assert 1 in winners_oracle(rules, values)
+            with pytest.raises(ValueError, match="player 1 is to move but has already won"):
                 rules.position(values, 1)
         # Player 2 has just placed on cell 1; player 1 holds cell 0.
         values = [1, 2] + [0] * (n - 2)

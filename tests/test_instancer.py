@@ -393,7 +393,6 @@ def placement_kinds(graph):
             action=(),
             weight=0.1,
             reflections=True,
-            reactive=True,
             last_move=make_walk([q, 0]),
         ),
     )

@@ -12,7 +12,7 @@ those positions:
                     on the board's int, ns/test
 
 and, as a guard for large boards, ``match_instance`` of every group3.fs
-instance on ``--boards`` random hex19 positions (ns/test).
+instance on ``--boards`` random hex19 boards (ns/test).
 
 Usage: python3 tools/scores.py [--case 5] [--repeat 5] [--boards 20] [--json]
 """
@@ -75,13 +75,13 @@ def per_test_ns(pairs: list, repeat: int) -> float:
 
 
 def hex19_pairs(boards: int, seed: int) -> list:
-    """``boards`` random hex19 positions, each with every group3.fs
-    instance of player 1."""
-    rules = gw.hex_rules(19)
-    instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), rules.graph, 1).instances
+    """``boards`` random hex19 boards, as their ints, each with every
+    group3.fs instance of player 1.  A random board may hold a win, which
+    ``position`` would refuse or finish, so the boards are packed here."""
+    graph = gw.hex_rules(19).graph
+    instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), graph, 1).instances
     rng = SplitMix64(seed)
-    cells = rules.graph.cell_count
-    return [(rules.position([rng.next_u64() % 3 for _ in range(cells)], 1).board, instances)
+    return [(sum(rng.next_u64() % 3 << c * gw.CHUNK_BITS for c in range(graph.cell_count)), instances)
             for _ in range(boards)]
 
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     ap.add_argument("--case", type=int, default=5,
                     help=f"benchmark case k, which plays seed {REGRESSION_SEED} + k")
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--boards", type=int, default=20, help="random hex19 positions")
+    ap.add_argument("--boards", type=int, default=20, help="random hex19 boards")
     ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
 
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     print(f"  biased_scores   {report['biased_scores_us_per_call']:9.3f} us/call")
     print(f"  match_instance  {report['match_instance_ns_per_test']:9.1f} ns/test")
     h = report["hex19_group3"]
-    print(f"hex19, group3.fs, {h['boards']} random positions x {h['instances']} instances:")
+    print(f"hex19, group3.fs, {h['boards']} random boards x {h['instances']} instances:")
     print(f"  match_instance  {h['match_instance_ns_per_test']:9.1f} ns/test")
     return 0
 
