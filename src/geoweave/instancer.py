@@ -11,9 +11,10 @@ A compile does each distinct piece of its work once and shares it across
 its placements and features:
 
 - each feature's walks are mirrored once per feature, not once per
-  placement, and equal walks share one object across the compile;
+  placement, and equal walks share one object across the compile; the
+  features that place alike share one list of placements;
 - each distinct ``(walk, anchor, start direction)`` is resolved once; a
-  repeat is a lookup in the compile's walk memo, but still one call of
+  repeat is a lookup in the walk memo, but still one call of
   ``resolve_walk_branches`` per walk of each placement;
 - each distinct pair of element constraint signature (every element's
   constraint tuple, by value) and combo (the element sites and the action
@@ -33,14 +34,18 @@ the recipe in that order, so every merged weight is the same float sum as
 compiling without memos; an instance's feature, anchor, direction and
 element sites come from the placement that first produced it.
 
-The memos above live for one compile.  Its templates and recipes are kept
-by the process, keyed by the feature set's structure (every field of each
-feature but its weight, by value), the graph (by value) and the mover;
-the last ``MEMO_ENTRIES`` structures are kept.  Calling ``instantiate``
-again on a set of that structure, such as a hill climb's reweighted set
-or the second agent of a self-play match, only builds fresh instances
-and sums the new weights, plus the walk calls that the benchmark counts
-(see ``_replay_walk_calls``).
+The walk plan (each feature's interned walks and placements, in compile
+order) and the walk memo depend on the feature set's structure (every
+field of each feature but its weight, by value) and the graph (by value);
+the other memos above live for one compile.  The process keeps a
+compile's templates and recipes with its plan and walk memo, keyed by
+the structure, the graph and the mover; the two movers' entries share one
+plan and one walk memo, and the last ``MEMO_ENTRIES`` entries are kept.
+Calling ``instantiate`` again on a set of that structure, such as a hill
+climb's reweighted set or the second agent of a self-play match, only
+builds fresh instances and sums the new weights, plus the walk calls that
+the benchmark counts: the plan replays them, each a lookup in the kept
+walk memo (see ``_replay_walk_calls``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.  The
@@ -80,10 +85,6 @@ class FeatureInstance:
     action_to: int
     last_move_cell: int | None
     weight: float
-
-    @property
-    def reactive(self) -> bool:
-        return self.last_move_cell is not None
 
 
 @dataclass
@@ -244,8 +245,10 @@ MEMO_ENTRIES = 4
 # Every Feature field but the weight: the structure that decides the
 # compiled tests, and with them the memo key.
 _structure = attrgetter(*(f.name for f in fields(Feature) if f.name != "weight"))
-# (feature structures, graph, mover) -> (templates, recipes);
-# see ``_compile``.
+# (feature structures, graph, mover) -> (templates, recipes, walk plan,
+# walk memo); see ``_compile`` and ``_walk_plan``.  A hit replays its walk
+# calls from the plan, each a lookup in the walk memo.  The two movers'
+# entries of one structure and graph share one plan and one walk memo.
 _memo: dict[tuple, tuple] = {}
 
 
@@ -267,13 +270,17 @@ def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, boo
     ]
 
 
-def _placement_walks(fs: FeatureSet, graph: BoardGraph):
-    """Each placement of each feature, in compile order, as (position in
-    ``fs.features``, anchor, start direction, reflected, walks): the
-    feature's element, action and last-move walks in one flat tuple,
-    mirrored for a reflected placement, with None for an absent last-move
-    walk.  Equal walks are one object across the call, so that a walk memo
-    shares entries.
+def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
+    """One entry per feature of ``fs``, in compile order: (position in
+    ``fs.features``, plain walks, mirrored walks, placements).
+
+    The walks are the feature's element, action and last-move walks in one
+    flat tuple, with None for an absent last-move walk; the mirrored ones
+    serve its reflected placements and are None for a feature without
+    reflections.  Equal walks are one object across the plan, so that a
+    walk memo shares entries.  The placements are its (anchor, start
+    direction, reflected) in compile order, one list shared by the
+    features that place alike.
 
     The compile makes one ``resolve_walk_branches`` call per walk present
     of each placement, even where its pair memo leaves the result unused,
@@ -281,32 +288,43 @@ def _placement_walks(fs: FeatureSet, graph: BoardGraph):
     perfbench/expected.json freezes the number of walk calls.
     """
     interned_walks: dict[Walk, Walk] = {}
+    # Placements by the fields that decide them.
+    shared: dict[tuple, list] = {}
+    plan = []
     for position, feature in enumerate(fs):
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
-        for anchor, start_dir, reflected in _placements(feature, graph):
-            yield position, anchor, start_dir, reflected, mirrored if reflected else plain
+        placing = (feature.anchor, feature.rotations, feature.reflections)
+        placements = shared.get(placing)
+        if placements is None:
+            placements = shared[placing] = _placements(feature, graph)
+        plan.append((position, plain, mirrored, placements))
+    return tuple(plan)
 
 
-def _replay_walk_calls(fs: FeatureSet, graph: BoardGraph) -> None:
-    """The walk calls of a compile of ``fs``, in its order, with their
+def _replay_walk_calls(plan: tuple, graph: BoardGraph, walk_memo: dict) -> None:
+    """The walk calls of a compile along ``plan``, in its order, with their
     results dropped.
 
-    A memo hit needs none of the results and makes the calls only for the
-    frozen count; they are most of a hit's cost.  Once the benchmark's
-    work counts can be re-recorded on their own (ROADMAP item 1), a hit
-    can skip them.
+    Every call is a lookup in ``walk_memo``, which that compile filled.  A
+    memo hit needs none of the results and makes the calls only for the
+    frozen count; once the benchmark's work counts can be re-recorded on
+    their own (ROADMAP item 1), a hit can skip them.
     """
-    walk_memo: dict = {}
-    for _, anchor, start_dir, _, walks in _placement_walks(fs, graph):
-        for walk in walks:
-            if walk is not None:
-                resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+    resolve = resolve_walk_branches
+    for _, plain, mirrored, placements in plan:
+        for anchor, start_dir, reflected in placements:
+            for walk in mirrored if reflected else plain:
+                if walk is not None:
+                    resolve(graph, anchor, start_dir, walk, walk_memo)
 
 
-def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tuple]:
-    """The templates and recipes of a feature set's instances, in order.
+def _compile(
+    fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple, walk_memo: dict
+) -> tuple[tuple, tuple]:
+    """The templates and recipes of a feature set's instances, in order,
+    compiled along ``plan`` (``_walk_plan(fs, graph)``) with ``walk_memo``.
 
     A template holds every ``FeatureInstance`` field between ``feature``
     and ``weight``, in field order.  A recipe holds the positions in
@@ -320,7 +338,6 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
     # Instance number by its compiled tests and action cell.
     dedup: dict[tuple, int] = {}
     # Memos of this compile; only its result is kept (see ``instantiate``).
-    walk_memo: dict = {}
     # Compiled element tests by constraint tuple (by value), then by site.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
@@ -388,21 +405,22 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int) -> tuple[tuple, tupl
         ]
         prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
 
-    for position, anchor, start_dir, reflected, walks in _placement_walks(fs, graph):
+    for position, plain, mirrored, placements in plan:
         feature = features[position]
         elements, by_combo = prepared[position]
-        branches = [
-            _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
-            for walk in walks
-        ]
-        for combo in itertools.product(*branches):
-            number = by_combo.get(combo, _MISSING)
-            if number is _MISSING:
-                number = by_combo[combo] = compile_pair(
-                    feature, elements, combo, anchor, start_dir, reflected
-                )
-            if number is not None:
-                recipes[number].append(position)
+        for anchor, start_dir, reflected in placements:
+            branches = [
+                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
+                for walk in (mirrored if reflected else plain)
+            ]
+            for combo in itertools.product(*branches):
+                number = by_combo.get(combo, _MISSING)
+                if number is _MISSING:
+                    number = by_combo[combo] = compile_pair(
+                        feature, elements, combo, anchor, start_dir, reflected
+                    )
+                if number is not None:
+                    recipes[number].append(position)
 
     # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
     # memo keeps one tuple of each.
@@ -442,13 +460,20 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     """
     if not 1 <= mover <= 2:
         raise InstancerError(f"mover {mover} out of range 1..2")
-    key = (tuple(map(_structure, fs.features)), graph, mover)
-    compiled = _memo.get(key)
-    if compiled is None:
-        compiled = _compile(fs, graph, mover)
+    structures = tuple(map(_structure, fs.features))
+    key = (structures, graph, mover)
+    entry = _memo.get(key)
+    if entry is None:
+        # The walk plan and walk memo do not depend on the mover, so a kept
+        # entry of the other mover lends its own.
+        other = _memo.get((structures, graph, 3 - mover))
+        plan, walk_memo = other[2:] if other else (_walk_plan(fs, graph), {})
+        entry = (*_compile(fs, graph, mover, plan, walk_memo), plan, walk_memo)
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
-        _memo[key] = compiled
+        _memo[key] = entry
     else:
-        _replay_walk_calls(fs, graph)
-    return _weighted_index(InstanceIndex(graph, mover), fs, *compiled)
+        _, _, plan, walk_memo = entry
+        _replay_walk_calls(plan, graph, walk_memo)
+    templates, recipes, _, _ = entry
+    return _weighted_index(InstanceIndex(graph, mover), fs, templates, recipes)

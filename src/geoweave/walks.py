@@ -112,25 +112,28 @@ def resolve_walk_exits(
 
 def resolve_walk_branches(
     graph: BoardGraph, anchor: int, start_dir: int, walk: Walk, memo: dict | None = None
-) -> list[int]:
-    """Terminal location of every ambiguity branch, one entry per branch.
+) -> tuple[int, ...]:
+    """Terminal location of every ambiguity branch, one entry per branch,
+    as a tuple.
 
     ``memo`` is an optional dict owned by the caller that turns a repeated
-    ``(walk, anchor, start_dir)`` into a lookup.  It is keyed on the walk
-    object's identity, not its value, because hashing a tuple of Fractions
-    costs several times a whole lookup by id; the memo keeps each walk alive,
-    so no other object can take its id while the memo is in use.  Give
-    equal walks one object to share entries.  A memo serves one graph.
-    Every call returns a new list, so a caller cannot alter the memo.
+    ``(walk, anchor, start_dir)`` into a lookup that returns the tuple the
+    first call made.  It is keyed on the walk object's identity, not its
+    value, because hashing a tuple of Fractions costs several times a whole
+    lookup by id; the memo keeps each walk alive, so no other object can
+    take its id while the memo is in use.  Give equal walks one object to
+    share entries.  A memo serves one graph.
     """
-    if memo is None:
-        return [loc for loc, _, _ in resolve_walk_exits(graph, anchor, start_dir, walk)]
-    key = (id(walk), anchor, start_dir)
-    entry = memo.get(key)
-    if entry is None:
-        branches = tuple(loc for loc, _, _ in resolve_walk_exits(graph, anchor, start_dir, walk))
-        entry = memo[key] = (walk, branches)
-    return list(entry[1])
+    if memo is not None:
+        key = (id(walk), anchor, start_dir)
+        try:
+            return memo[key][1]
+        except KeyError:
+            pass
+    branches = tuple(loc for loc, _, _ in resolve_walk_exits(graph, anchor, start_dir, walk))
+    if memo is not None:
+        memo[key] = (walk, branches)
+    return branches
 
 
 def resolve_walk(

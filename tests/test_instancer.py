@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import geoweave as gw
-from geoweave import instancer
+from geoweave import instancer, walks
 from geoweave.features import (
     EMPTY,
     ENEMY,
@@ -450,12 +450,38 @@ def test_swapped_element_order_merges_into_one_instance(board, request):
     assert {i.weight for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
 
 
+def with_copied_walks(fs, rng):
+    """``fs`` reweighted as new Feature objects whose walks equal the
+    originals but are new objects (but the empty walk, which is one
+    object)."""
+
+    def copy(walk):
+        return None if walk is None else make_walk(walk)
+
+    copies = FeatureSet(tuple(
+        dataclasses.replace(
+            f,
+            elements=tuple(dataclasses.replace(el, walk=copy(el.walk)) for el in f.elements),
+            action=copy(f.action),
+            last_move=copy(f.last_move),
+            weight=random_weight(rng),
+        )
+        for f in fs
+    ), fs.name)
+    for f, c in zip(fs, copies):
+        for a, b in zip((*(el.walk for el in f.elements), f.action, f.last_move),
+                        (*(el.walk for el in c.elements), c.action, c.last_move)):
+            assert a == b and (a is not b or not a)
+    return copies
+
+
 @pytest.mark.parametrize("name", ["bridge_fs", "group3_fs", "thin_group_fs", "line4_fs", "candidates"])
 def test_walk_calls_match_oracle(name, request, monkeypatch):
     """The benchmark freezes the number of walk resolutions: ``instantiate``
     makes exactly the oracle's calls, one per walk of each placement, in the
     oracle's order, memo hits included, on a cold compile and on a hit of
-    the compile memo alike."""
+    the compile memo alike.  A hit, also on a reweighted set of new walk
+    objects, resolves no walk anew."""
     if name == "candidates":
         rules = gw.hex_rules(7)
         cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
@@ -473,23 +499,37 @@ def test_walk_calls_match_oracle(name, request, monkeypatch):
 
         monkeypatch.setattr(module, "resolve_walk_branches", recording)
 
+    exits = []
+    resolve_exits = walks.resolve_walk_exits
+
+    def counting_exits(*args):
+        exits.append(args)
+        return resolve_exits(*args)
+
     instancer.clear_memo()
     for fs, graph in sets:
+        copies = with_copied_walks(fs, SplitMix64(len(fs)))
         for mover in (1, 2):
-            cold, hit, want = [], [], []
+            cold, want = [], []
             recorder(oracles, want)
             instantiate_oracle(fs, graph, mover)
             recorder(instancer, cold)
             instantiate(fs, graph, mover)
             monkeypatch.undo()
-            recorder(instancer, hit)
-            monkeypatch.setattr(instancer, "_compile", no_compile)
-            instantiate(fs, graph, mover)
-            monkeypatch.undo()
             assert cold == want
-            assert hit == want
             if name == "candidates":
                 assert len(want) == 303_996
+            # Hits, on the set itself and on a reweighted copy of it whose
+            # walks are other objects, only look walks up in the memo.
+            for hit_fs in (fs, copies):
+                hit = []
+                recorder(instancer, hit)
+                monkeypatch.setattr(instancer, "_compile", no_compile)
+                monkeypatch.setattr(walks, "resolve_walk_exits", counting_exits)
+                instantiate(hit_fs, graph, mover)
+                monkeypatch.undo()
+                assert hit == want
+                assert not exits
 
 
 # --- the compile memo -------------------------------------------------------

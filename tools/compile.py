@@ -10,14 +10,12 @@ workload (its rules and generation bound at full size, taken from
     hit    the set's structure is in the memo, so the call builds fresh
            instances from it and sums the weights
 
-Next to the hit it times the walk calls a hit replays alone
-(``instancer._replay_walk_calls``), and gives their share of the hit: the
-part of a hit that only keeps the benchmark's frozen count of walk calls.
-Each pass times the hit and the replay three times each, alternating, and
-takes the share from the best of each in that pass, so that one slow
-timing under a shared machine's load does not tip it; the share printed
-is the median over the passes.  It prints the best of ``--repeat`` passes
-in seconds per call.
+Inside each hit it also times the walk calls that the hit replays
+(``instancer._replay_walk_calls``, rebound to a timing wrapper for the
+call), and gives their share of that same call: the part of a hit that
+only keeps the benchmark's frozen count of walk calls.  The share printed
+is the median over ``--repeat`` hits; the times printed are the best of
+``--repeat`` calls, in seconds per call.
 
 The traced ``instancer.instantiate.self_s`` is no use here: the tracer
 opens a span for each of the ~300,000 walk calls of one compile.
@@ -31,6 +29,7 @@ import argparse
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,8 +41,6 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from timing import best_s, rebinding  # noqa: E402
 
 TUNE = WORKLOADS["hex7-tune-candidates"]
-# Timings of the hit and of its replay in each pass.
-PASS_TIMINGS = 3
 
 
 def cold_compile(fs, graph, mover: int):
@@ -60,6 +57,23 @@ def cold_compile(fs, graph, mover: int):
     with rebinding(instancer, resolve_walk_branches=counting):
         index = instancer.instantiate(fs, graph, mover)
     return len(index.instances), calls
+
+
+def timed_hit(fs, graph, mover: int) -> tuple[float, float]:
+    """Seconds of one memo-hit ``instantiate`` call and of the walk replay
+    inside it."""
+    replay = instancer._replay_walk_calls
+    inside = []
+
+    def timing(*args):
+        start = time.perf_counter()
+        replay(*args)
+        inside.append(time.perf_counter() - start)
+
+    with rebinding(instancer, _replay_walk_calls=timing):
+        hit = best_s(lambda: instancer.instantiate(fs, graph, mover), 1)
+    (replayed,) = inside  # exactly one replay: the call hit the memo
+    return hit, replayed
 
 
 def main(argv=None) -> int:
@@ -79,23 +93,14 @@ def main(argv=None) -> int:
 
         cold = best_s(compile_once, args.repeat, setup=instancer.clear_memo)
         compile_once()
-
-        def replay_once():
-            instancer._replay_walk_calls(fs, graph)
-
-        # Per pass: the best of three hits and of three replays, timed in
-        # turn, so that the share compares timings made under the same load.
-        passes = []
-        for _ in range(args.repeat):
-            times = [(best_s(compile_once, 1), best_s(replay_once, 1)) for _ in range(PASS_TIMINGS)]
-            passes.append((min(hit for hit, _ in times), min(replay for _, replay in times)))
+        hits = [timed_hit(fs, graph, mover) for _ in range(args.repeat)]
         movers[mover] = {
             "instances": instances,
             "walk_calls": calls,
             "cold_s": round(cold, 4),
-            "hit_s": round(min(hit for hit, _ in passes), 4),
-            "hit_walk_replay_s": round(min(replay for _, replay in passes), 4),
-            "hit_walk_replay_share": round(statistics.median(replay / hit for hit, replay in passes), 3),
+            "hit_s": round(min(hit for hit, _ in hits), 4),
+            "hit_walk_replay_s": round(min(replay for _, replay in hits), 4),
+            "hit_walk_replay_share": round(statistics.median(replay / hit for hit, replay in hits), 3),
         }
     report = {"candidates": len(fs), "repeat": args.repeat, "movers": movers}
     if args.json:
