@@ -258,16 +258,30 @@ def clear_memo() -> None:
     _memo.clear()
 
 
-def _placements(feature: Feature, graph: BoardGraph) -> list[tuple[int, int, bool]]:
-    """(anchor, start direction, reflected) of every placement, in compile order."""
+# Every Feature field that decides its placements: the fields that
+# ``_placements``, ``_orientations`` and ``_absolute_placements`` read.
+_placing = attrgetter("anchor", "rotations", "reflections")
+
+
+def _placements(feature: Feature, graph: BoardGraph, shared: dict) -> list[tuple[int, int, bool]]:
+    """(anchor, start direction, reflected) of every placement, in compile
+    order: one list in ``shared`` for all the features of ``graph`` that
+    place alike."""
+    placing = _placing(feature)
+    placements = shared.get(placing)
+    if placements is not None:
+        return placements
     if not feature.relative:
-        return _absolute_placements(feature, graph)
-    by_sides = {sides: _orientations(feature, sides) for sides in set(graph.sides)}
-    return [
-        (anchor, d, refl)
-        for anchor, sides in enumerate(graph.sides)
-        for d, refl in by_sides[sides]
-    ]
+        placements = _absolute_placements(feature, graph)
+    else:
+        by_sides = {sides: _orientations(feature, sides) for sides in set(graph.sides)}
+        placements = [
+            (anchor, d, refl)
+            for anchor, sides in enumerate(graph.sides)
+            for d, refl in by_sides[sides]
+        ]
+    shared[placing] = placements
+    return placements
 
 
 def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
@@ -288,18 +302,13 @@ def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
     perfbench/expected.json freezes the number of walk calls.
     """
     interned_walks: dict[Walk, Walk] = {}
-    # Placements by the fields that decide them.
-    shared: dict[tuple, list] = {}
+    shared_placements: dict[tuple, list] = {}
     plan = []
     for position, feature in enumerate(fs):
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
-        placing = (feature.anchor, feature.rotations, feature.reflections)
-        placements = shared.get(placing)
-        if placements is None:
-            placements = shared[placing] = _placements(feature, graph)
-        plan.append((position, plain, mirrored, placements))
+        plan.append((position, plain, mirrored, _placements(feature, graph, shared_placements)))
     return tuple(plan)
 
 

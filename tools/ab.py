@@ -6,7 +6,8 @@ under two package names, binds a copy of this checkout's
 ``perfbench/workloads.py`` to each, sets the workload up once per tree and
 then times its call, the two trees in turn, for ``--rounds`` rounds.  The
 tree that goes first alternates from round to round, and every call plays
-the same seed, so each round is a pair of calls doing the same work.
+benchmark case ``CASE`` (the case of ``perfbench/run.py --seed 5``), so
+each round is a pair of calls doing the same work.
 
 Times are in reference seconds (``perfbench/speed.py``), as the
 benchmark's ``games_per_s`` is.  Every call's outcome must equal the other
@@ -18,7 +19,7 @@ first, so one-off imports stay out of the rounds.  It writes no file (no
 bytecode either) into either tree.
 
 Usage: python3 tools/ab.py --base DIR --workload W [--rounds 10]
-           [--seed 5] [--size full] [--json]
+           [--size full] [--json]
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from speed import SpeedProbe  # noqa: E402
+
+# The benchmark case every call plays: case k plays seed REGRESSION_SEED + k.
+CASE = 5
 
 
 def load_package(name: str, tree: Path):
@@ -79,7 +83,6 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, type=Path, help="root of the other checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=5, help="as perfbench/run.py's --seed")
     ap.add_argument("--size", default="full")
     ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
@@ -96,7 +99,7 @@ def main(argv=None) -> int:
     if args.size not in sides["change"].sizes:
         ap.error(f"workload {args.workload} has no size {args.size!r}")
     size = sides["change"].sizes[args.size]
-    seed = workloads.REGRESSION_SEED + args.seed % workloads.CASES
+    seed = workloads.REGRESSION_SEED + CASE
     prepared = {side: workload.setup(size) for side, workload in sides.items()}
 
     probe = SpeedProbe()
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
             times[side].append(ref)
     ratios = [b / c for b, c in zip(times["base"], times["change"])]
     report = {
-        "workload": args.workload, "size": args.size, "seed": args.seed, "match_seed": seed,
+        "workload": args.workload, "size": args.size, "case": CASE, "seed": seed,
         "rounds": args.rounds, "games": outcome["games"], "base": str(trees["base"]),
         "seconds": {side: {"min": round(min(t), 4), "median": round(statistics.median(t), 4)}
                     for side, t in times.items()},
@@ -131,7 +134,7 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(report))
         return 0
-    print(f"{args.workload} ({args.size}, seed {args.seed}), {args.rounds} rounds, "
+    print(f"{args.workload} ({args.size}, case {CASE}), {args.rounds} rounds, "
           f"reference seconds per call, outcomes equal")
     for side, s in report["seconds"].items():
         print(f"  {side:6}  min {s['min']:.4f}  median {s['median']:.4f}")
