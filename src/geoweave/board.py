@@ -170,14 +170,15 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
 
     Candidates are rotations in 30-degree steps about the board centroid
     and reflections across axes in 15-degree steps, which covers every
-    symmetry the supported tilings can have.
+    symmetry the supported tilings can have.  No two accepted candidates
+    share their maps, since they are different isometries.  Only square and
+    hex boards are probed, whose cells all have the same number of sides.
     """
     cx = sum(x for x, _ in graph.centers) / graph.cell_count
     cy = sum(y for _, y in graph.centers) / graph.cell_count
     lookup = {_pos_key(x, y): i for i, (x, y) in enumerate(graph.centers)}
 
     found: list[Symmetry] = []
-    seen: set[tuple] = set()
     candidates: list[tuple[str, float, bool]] = []
     for k in range(12):
         candidates.append((f"rot{k * 30}", k * 30.0, False))
@@ -218,11 +219,7 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
             continue
 
         dir_maps = []
-        for c in range(graph.cell_count):
-            image = cell_map[c]
-            if graph.sides[image] != graph.sides[c]:
-                ok = False
-                break
+        for c, image in enumerate(cell_map):
             target_angles = graph.edge_angles[image]
             dmap = []
             for theta in graph.edge_angles[c]:
@@ -239,11 +236,6 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
             dir_maps.append(tuple(dmap))
         if not ok:
             continue
-
-        fingerprint = (tuple(cell_map), tuple(dir_maps), mirror)
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
         found.append(Symmetry(name, tuple(cell_map), tuple(dir_maps), mirror))
     return tuple(found)
 

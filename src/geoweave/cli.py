@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -82,10 +81,16 @@ class Run:
         self.config = {
             k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
         }
-        self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        self._out = Path(out_dir)
         self.outputs: list[Path] = []
         self.started = time.monotonic()
+
+    @property
+    def out(self) -> Path:
+        """The output directory, made on first use, so that a run the
+        library refuses before writing anything leaves none."""
+        self._out.mkdir(parents=True, exist_ok=True)
+        return self._out
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out / name
@@ -189,8 +194,6 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     seed = _seed_from(args)
     _check_search_flags(args)
-    if not math.isfinite(args.step):
-        raise UsageError("--step must be finite")
     rules = _rules_from(args)
     fs = load_feature_set(args.features)
     run = Run("tune", args, args.out)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .dsl import feature_set_hash, serialize_feature
+from .dsl import feature_set_hash
 from .features import (
     EMPTY,
     ENEMY,
@@ -58,17 +59,11 @@ def default_vocabulary(rules: GameRules) -> tuple[Fraction, ...]:
 
 
 def _walks_up_to(vocab: tuple[Fraction, ...], max_len: int) -> list[Walk]:
-    walks: list[Walk] = []
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(vocab, repeat=length):
-            walks.append(make_walk(combo))
-    seen = set()
-    unique = []
-    for w in walks:
-        if w not in seen:
-            seen.add(w)
-            unique.append(w)
-    return unique
+    return [
+        make_walk(combo)
+        for length in range(1, max_len + 1)
+        for combo in itertools.product(vocab, repeat=length)
+    ]
 
 
 def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[Feature]:
@@ -77,8 +72,9 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
     Placement games force an EMPTY constraint at the anchor, which is also
     the action's "to" site; extra elements draw from empty/friend/enemy/
     off-board over all walks up to the configured length.  Output order is
-    deterministic and exact duplicates (after walk normalization) are
-    removed.
+    deterministic, and the candidates are distinct by construction: they
+    take distinct combinations of distinct walks with distinct tuples of
+    kinds, and the reactive variants of one differ in their last-move walk.
     """
     cfg = cfg or GenConfig()
     # default_vocabulary raises GenError for a game with no generator.
@@ -86,14 +82,6 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
     minimum = PatternElement((), (EMPTY,))
 
     out: list[Feature] = []
-    seen: set[str] = set()
-
-    def emit(feature: Feature) -> None:
-        text = serialize_feature(feature)
-        if text not in seen:
-            seen.add(text)
-            out.append(feature)
-
     for extra_count in range(cfg.max_elements):
         for walk_combo in itertools.combinations(walks, extra_count):
             for kinds in itertools.product(_EXTRA_KINDS, repeat=extra_count):
@@ -101,11 +89,11 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
                     PatternElement(w, (k,)) for w, k in zip(walk_combo, kinds)
                 )
                 feature = Feature(elements=elements, action=(), weight=1.0)
-                emit(feature)
+                out.append(feature)
                 if cfg.include_reactive:
                     for w, k in zip(walk_combo, kinds):
                         if k is ENEMY:
-                            emit(replace(feature, last_move=w))
+                            out.append(replace(feature, last_move=w))
     return out
 
 
@@ -179,6 +167,8 @@ def hill_climb_weights(
     """
     if budget < 1:
         raise GenError("budget must be >= 1")
+    if not math.isfinite(step):
+        raise GenError("step must be finite")
     match_seed = derive_seed(seed, 0)
 
     def run(candidate: FeatureSet) -> EvalRecord:

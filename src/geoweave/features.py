@@ -105,23 +105,10 @@ class FeatureSet:
         return iter(self.features)
 
 
-def element(walk_turns, *constraints: Constraint) -> PatternElement:
-    """Convenience builder used by fixtures and tests."""
-    return PatternElement(make_walk(walk_turns), tuple(constraints))
-
-
 EMPTY = Constraint(ElementKind.EMPTY)
 FRIEND = Constraint(ElementKind.FRIEND)
 ENEMY = Constraint(ElementKind.ENEMY)
 OFF = Constraint(ElementKind.OFF)
-
-
-def player(n: int, negated: bool = False) -> Constraint:
-    return Constraint(ElementKind.PLAYER, n, negated)
-
-
-def item(n: int, negated: bool = False) -> Constraint:
-    return Constraint(ElementKind.ITEM, n, negated)
 
 
 def negate(c: Constraint) -> Constraint:

@@ -268,19 +268,20 @@ def line4_rules(width: int, height: int) -> Line4Rules:
 def game_from_name(name: str) -> GameRules:
     """Registry lookup: ``hexN`` or ``line4-WxH`` (``line4`` = 7x7)."""
     name = name.strip().lower()
+    # Only the name's parse is guarded, so a size the rules refuse reports
+    # the rules' own reason.
     if name.startswith("hex"):
         try:
-            return hex_rules(int(name[3:]))
+            size = int(name[3:])
         except ValueError:
             raise ValueError(f"bad hex board name {name!r}; use e.g. hex7") from None
+        return hex_rules(size)
     if name == "line4":
         return line4_rules(7, 7)
     if name.startswith("line4-"):
-        dims = name[6:].split("x")
-        if len(dims) == 2:
-            try:
-                return line4_rules(int(dims[0]), int(dims[1]))
-            except ValueError:
-                pass
-        raise ValueError(f"bad line4 board name {name!r}; use e.g. line4-7x7")
+        try:
+            width, height = map(int, name[6:].split("x"))
+        except ValueError:
+            raise ValueError(f"bad line4 board name {name!r}; use e.g. line4-7x7") from None
+        return line4_rules(width, height)
     raise ValueError(f"unknown game {name!r}; known: hexN, line4-WxH")

@@ -149,25 +149,19 @@ def _absolute_placements(feature: Feature, graph: BoardGraph) -> list[tuple[int,
         raise InstancerError(f"absolute anchor {anchor} outside board")
     if feature.rotations is not None:
         # Explicit rotation lists turn the pattern in place at its anchor.
-        placements = [(anchor, d, refl) for d, refl in _orientations(feature, graph.sides[anchor])]
-        return placements
+        return [(anchor, d, refl) for d, refl in _orientations(feature, graph.sides[anchor])]
     if not graph.symmetries:
         raise InstancerError(
             f"board {type(graph.kind).__name__} has no symmetry maps; "
             "absolute patterns with rot=all/refl=yes are unsupported here"
         )
-    placements = []
-    for sym in graph.symmetries:
-        if sym.mirror and not feature.reflections:
-            continue
-        placements.append((sym.cell_map[anchor], sym.dir_maps[anchor][0], sym.mirror))
-    seen = set()
-    unique = []
-    for p in placements:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    # Distinct: two different isometries never agree on the anchor's image,
+    # the image of its slot 0 and whether they mirror.
+    return [
+        (sym.cell_map[anchor], sym.dir_maps[anchor][0], sym.mirror)
+        for sym in graph.symmetries
+        if feature.reflections or not sym.mirror
+    ]
 
 
 def _compile_constraints(
@@ -285,8 +279,8 @@ def _placements(feature: Feature, graph: BoardGraph, shared: dict) -> list[tuple
 
 
 def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
-    """One entry per feature of ``fs``, in compile order: (position in
-    ``fs.features``, plain walks, mirrored walks, placements).
+    """One entry per feature of ``fs``, in its order: (plain walks,
+    mirrored walks, placements).
 
     The walks are the feature's element, action and last-move walks in one
     flat tuple, with None for an absent last-move walk; the mirrored ones
@@ -304,11 +298,11 @@ def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
     interned_walks: dict[Walk, Walk] = {}
     shared_placements: dict[tuple, list] = {}
     plan = []
-    for position, feature in enumerate(fs):
+    for feature in fs:
         plain = _feature_walks(feature, interned_walks, mirrored=False)
         # Only features with reflections have reflected placements.
         mirrored = _feature_walks(feature, interned_walks, mirrored=True) if feature.reflections else None
-        plan.append((position, plain, mirrored, _placements(feature, graph, shared_placements)))
+        plan.append((plain, mirrored, _placements(feature, graph, shared_placements)))
     return tuple(plan)
 
 
@@ -322,7 +316,7 @@ def _replay_walk_calls(plan: tuple, graph: BoardGraph, walk_memo: dict) -> None:
     their own (ROADMAP item 1), a hit can skip them.
     """
     resolve = resolve_walk_branches
-    for _, plain, mirrored, placements in plan:
+    for plain, mirrored, placements in plan:
         for anchor, start_dir, reflected in placements:
             for walk in mirrored if reflected else plain:
                 if walk is not None:
@@ -333,7 +327,8 @@ def _compile(
     fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple, walk_memo: dict
 ) -> tuple[tuple, tuple]:
     """The templates and recipes of a feature set's instances, in order,
-    compiled along ``plan`` (``_walk_plan(fs, graph)``) with ``walk_memo``.
+    compiled along ``plan`` (``_walk_plan(fs, graph)``, whose entry at each
+    position is that feature's) with ``walk_memo``.
 
     A template holds every ``FeatureInstance`` field between ``feature``
     and ``weight``, in field order.  A recipe holds the positions in
@@ -414,7 +409,7 @@ def _compile(
         ]
         prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
 
-    for position, plain, mirrored, placements in plan:
+    for position, (plain, mirrored, placements) in enumerate(plan):
         feature = features[position]
         elements, by_combo = prepared[position]
         for anchor, start_dir, reflected in placements:

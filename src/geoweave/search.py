@@ -256,6 +256,10 @@ def _search_tree(
             node = best_child
             cur = rules.apply(cur, node.move)
             if node.legal is None:
+                # Never finds a result: expansion asked when it made this
+                # child and gave a terminal one ``legal = []``.  The call
+                # stays only because perfbench/expected.json freezes
+                # ``games.status.calls`` (ROADMAP item 12).
                 result = rules.status(cur)
                 if result is not None:
                     node.terminal_result = result

@@ -151,6 +151,34 @@ def test_triangular_and_semi_have_no_symmetry_maps(semi3):
     assert semi3.symmetries == ()
 
 
+@pytest.mark.parametrize("kind,count", [
+    (gw.Square(1, 1), 8),
+    (gw.Square(4, 6), 4),
+    (gw.Square(5, 5), 8),
+    (gw.HexRhombus(1), 12),
+    (gw.HexRhombus(5), 4),
+])
+def test_symmetry_counts_and_distinct_maps(kind, count):
+    symmetries = gw.build_board(kind).symmetries
+    assert len(symmetries) == count
+    assert len({(s.cell_map, s.dir_maps, s.mirror) for s in symmetries}) == count
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gw.build_board("penrose"), "unsupported tiling kind: 'penrose'"),
+    (lambda: gw.square_cell(gw.build_board(gw.HexRhombus(3)), 0, 0), "square_cell requires a square board"),
+    (lambda: gw.square_cell(gw.build_board(gw.Square(4, 3)), 4, 0), "(4, 0) outside 4x3 board"),
+    (lambda: gw.square_cell(gw.build_board(gw.Square(4, 3)), 0, -1), "(0, -1) outside 4x3 board"),
+    (lambda: gw.hex_cell(gw.build_board(gw.Square(3, 3)), 0, 0), "hex_cell requires a hex board"),
+    (lambda: gw.hex_cell(gw.build_board(gw.HexRhombus(3)), 1, 3), "(1, 3) outside size-3 hex board"),
+    (lambda: gw.hex_cell(gw.build_board(gw.HexRhombus(3)), -1, 0), "(-1, 0) outside size-3 hex board"),
+])
+def test_board_lookups_refuse_bad_input(call, message):
+    with pytest.raises(BoardError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_geometry_is_present_for_rendering(semi3):
     for g in (gw.build_board(gw.Square(3, 3)), semi3):
         assert len(g.centers) == g.cell_count

@@ -65,6 +65,18 @@ def test_match_unknown_game_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("game,message", [
+    ("hex1", "hex board needs size >= 2"),
+    ("line4-3x3", "line4 board needs width and height >= 4"),
+])
+def test_match_on_a_board_too_small_names_the_bound(tmp_path, game, message, capsys):
+    out = tmp_path / "o"
+    rc = main(["match", "--game", game, "--games", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--playouts", "-1"],
     ["--games", "3"],  # odd: sides are swapped each game
@@ -100,6 +112,21 @@ def test_features_or_step_the_game_cannot_use_are_usage_errors(tmp_path, command
     rc = main([*command, "--game", "hex5", "--features", str(features), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--step", "inf"], "step must be finite"),
+    (["--budget", "0"], "budget must be >= 1"),
+])
+def test_tune_refused_by_the_library_leaves_no_output(tmp_path, flags, message, capsys):
+    features = tmp_path / "f.fs"
+    features.write_text("rel proactive el={}:. act_to={}\n")
+    out = tmp_path / "o"
+    rc = main(["tune", "--game", "hex5", "--features", str(features), "--games", "2", "--playouts", "1",
+               "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line,message", [

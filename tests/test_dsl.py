@@ -12,7 +12,7 @@ from geoweave.dsl import (
     parse_feature_set,
     serialize_feature,
 )
-from geoweave.features import Constraint, ElementKind, Feature, PatternElement
+from geoweave.features import Constraint, ElementKind, Feature, FeatureError, PatternElement
 from geoweave.rng import SplitMix64
 from geoweave.walks import make_walk
 
@@ -126,6 +126,44 @@ def test_act_from_is_an_unrecognised_token():
     with pytest.raises(DslError, match=r"^line 5, col 34: unrecognised token 'act_from=\{\}'") as err:
         parse_feature("rel proactive el={}:. act_to={0} act_from={}", 5)
     assert err.value.column == 34
+
+
+@pytest.mark.parametrize("text,column,message", [
+    ("  ", None, "empty feature"),
+    ("abs@0 rel proactive el={}:. act_to={}", 7, "duplicate scope"),
+    ("rel abs@0 proactive el={}:. act_to={}", 5, "duplicate scope"),
+    ("rel proactive reactive el={}:. act_to={}", 15, "duplicate mode"),
+    ("rel w=1 w=2 el={}:. act_to={}", 9, "duplicate weight"),
+    ("rel last={0} last={0} el={}:. act_to={}", 14, "duplicate last-move walk"),
+    ("rel rot=all rot={0} el={}:. act_to={}", 13, "duplicate rotations"),
+    ("rel refl=no refl=yes el={}:. act_to={}", 13, "duplicate reflections flag"),
+    ("rel refl=maybe el={}:. act_to={}", 5, "refl= takes yes or no, got 'maybe'"),
+    ("rel proactive el={} act_to={}", 15, "element needs walk:constraints"),
+    ("rel proactive el={}:. act_to={} act_to={0}", 33, "duplicate act_to"),
+])
+def test_malformed_feature_is_reported_at_its_token(text, column, message):
+    with pytest.raises(DslError) as err:
+        parse_feature(text, line=7)
+    where = "line 7: " if column is None else f"line 7, col {column}: "
+    assert str(err.value) == where + message
+    assert (err.value.line, err.value.column) == (7, column)
+
+
+EMPTY_ANCHOR = PatternElement((), (Constraint(ElementKind.EMPTY),))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Constraint(ElementKind.PLAYER), "PLAYER constraint needs index >= 0"),
+    (lambda: Constraint(ElementKind.ITEM, -1), "ITEM constraint needs index >= 0"),
+    (lambda: Constraint(ElementKind.FRIEND, 1), "FRIEND constraint takes no index"),
+    (lambda: PatternElement((), ()), "element needs at least one constraint"),
+    (lambda: Feature((EMPTY_ANCHOR,), (), weight=float("inf")), "feature weight must be finite"),
+    (lambda: Feature((EMPTY_ANCHOR,), (), weight=float("nan")), "feature weight must be finite"),
+])
+def test_feature_model_refuses_malformed_parts(build, message):
+    with pytest.raises(FeatureError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_missing_clauses_rejected():

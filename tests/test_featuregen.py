@@ -3,7 +3,8 @@ import json
 import pytest
 
 import geoweave as gw
-from geoweave.dsl import parse_feature, parse_feature_set, serialize_feature
+from geoweave import featuregen
+from geoweave.dsl import feature_set_hash, parse_feature, parse_feature_set, serialize_feature
 from geoweave.featuregen import (
     EvalRecord,
     GenConfig,
@@ -124,3 +125,33 @@ def test_hill_climb_budget_validation(bridge_fs):
     rules = gw.hex_rules(4)
     with pytest.raises(GenError):
         hill_climb_weights(bridge_fs, rules, budget=0)
+
+
+@pytest.mark.parametrize("step", [float("inf"), float("-inf"), float("nan")])
+def test_hill_climb_refuses_a_non_finite_step_before_any_match(bridge_fs, step, monkeypatch):
+    played = []
+    monkeypatch.setattr(featuregen, "play_match", lambda *args, **kwargs: played.append(args))
+    with pytest.raises(GenError, match="^step must be finite$"):
+        hill_climb_weights(bridge_fs, gw.hex_rules(4), budget=3, step=step)
+    assert played == []
+
+
+@pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (-1, 2)])
+def test_gen_config_bounds(bounds):
+    with pytest.raises(GenError) as err:
+        GenConfig(*bounds)
+    assert str(err.value) == "bounds must be >= 1"
+
+
+# The generator drops no duplicate: its candidates are distinct by
+# construction.  These pins hold the lists it gives.
+@pytest.mark.parametrize("game,cfg,count,digest", [
+    ("hex7", GenConfig(3, 1), 265, "711aa053486e67c0"),
+    ("line4-5x5", GenConfig(3, 2, include_reactive=True), 4661, "ed5c56862e478454"),
+    ("hex5", GenConfig(2, 3, include_reactive=True), 1291, "0bfb497e6530c114"),
+])
+def test_candidates_are_pinned_and_pairwise_distinct(game, cfg, count, digest):
+    candidates = generate_candidates(gw.game_from_name(game), cfg)
+    texts = [serialize_feature(f) for f in candidates]
+    assert len(texts) == len(set(texts)) == count
+    assert feature_set_hash(gw.FeatureSet(tuple(candidates))) == digest

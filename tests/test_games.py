@@ -536,6 +536,24 @@ def test_registry_names():
             gw.game_from_name(bad)
 
 
+@pytest.mark.parametrize("name,message", [
+    ("hex1", "hex board needs size >= 2"),
+    ("hex-3", "hex board needs size >= 2"),
+    ("line4-3x3", "line4 board needs width and height >= 4"),
+    ("line4-9x3", "line4 board needs width and height >= 4"),
+    ("hexx", "bad hex board name 'hexx'; use e.g. hex7"),
+    ("line4-9", "bad line4 board name 'line4-9'; use e.g. line4-7x7"),
+    ("line4-5x5x5", "bad line4 board name 'line4-5x5x5'; use e.g. line4-7x7"),
+    ("line4-ax5", "bad line4 board name 'line4-ax5'; use e.g. line4-7x7"),
+    ("chess", "unknown game 'chess'; known: hexN, line4-WxH"),
+])
+def test_registry_names_the_reason_a_name_is_refused(name, message):
+    """A size the rules refuse reports the rules' bound, not a bad name."""
+    with pytest.raises(ValueError) as err:
+        gw.game_from_name(name)
+    assert str(err.value) == message
+
+
 def test_board_size_preconditions():
     with pytest.raises(ValueError):
         gw.hex_rules(1)

@@ -232,6 +232,21 @@ def test_absolute_symmetry_unsupported_on_semi(semi3):
         instantiate(FeatureSet((feature,)), semi3, 1)
 
 
+@pytest.mark.parametrize("kind", [
+    gw.Square(1, 1), gw.Square(4, 6), gw.Square(5, 5), gw.HexRhombus(1), gw.HexRhombus(5),
+])
+@pytest.mark.parametrize("reflections", [False, True])
+def test_absolute_placements_are_distinct(kind, reflections):
+    """Each symmetry gives an absolute feature one placement, and no two
+    agree on it, so the expansion needs no de-duplication."""
+    graph = gw.build_board(kind)
+    kept = [s for s in graph.symmetries if reflections or not s.mirror]
+    for anchor in range(graph.cell_count):
+        feature = Feature((PatternElement((), (EMPTY,)),), (), anchor=anchor, reflections=reflections)
+        placements = instancer._absolute_placements(feature, graph)
+        assert len(set(placements)) == len(placements) == len(kept)
+
+
 def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
     g = line4_7_rules.graph
     a = instantiate(line4_fs, g, 1)

@@ -30,3 +30,42 @@ def test_ab_against_its_own_tree_reports_equal_outcomes(workload):
     assert len(report["ratios"]) == 3 and 0 <= report["change_wins"] <= 3
     assert set(report["seconds"]) == {"base", "change"}
     assert tree_files() == before  # wrote nothing, bytecode included
+
+
+def shape(value):
+    """The keys of a JSON report, nested, with None for each leaf."""
+    return {k: shape(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+def leaves(*keys: str) -> dict:
+    return dict.fromkeys(keys)
+
+
+# The report each per-layer timing tool documents for --json.
+COMPILE_MOVER = leaves("instances", "walk_calls", "cold_s", "hit_s", "hit_walk_replay_s", "hit_walk_replay_share")
+TOOL_REPORTS = {
+    "plies": {
+        **leaves("case", "seed", "plies", "playouts", "unit_score_share", "repeat"),
+        "us_per_call": leaves("legal_moves", "biased_scores", "_sample", "apply", "win_check", "playout_ply"),
+    },
+    "compile": {**leaves("candidates", "repeat"), "movers": {"1": COMPILE_MOVER, "2": COMPILE_MOVER}},
+    "scores": {
+        **leaves("case", "seed", "positions", "tests_per_position", "repeat",
+                 "biased_scores_us_per_call", "match_instance_ns_per_test"),
+        "hex19_group3": leaves("boards", "instances", "match_instance_ns_per_test"),
+    },
+}
+
+
+@pytest.mark.parametrize("tool", sorted(TOOL_REPORTS))
+def test_timing_tool_reports_its_keys(tool):
+    before = tree_files()
+    # -B: Python's bytecode cache is not the tool's output.
+    proc = subprocess.run(
+        [sys.executable, "-B", f"tools/{tool}.py", "--repeat", "1", "--json"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert shape(report) == TOOL_REPORTS[tool] and report["repeat"] == 1
+    assert tree_files() == before
