@@ -170,9 +170,11 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
 
     Candidates are rotations in 30-degree steps about the board centroid
     and reflections across axes in 15-degree steps, which covers every
-    symmetry the supported tilings can have.  No two accepted candidates
-    share their maps, since they are different isometries.  Only square and
-    hex boards are probed, whose cells all have the same number of sides.
+    symmetry the supported tilings can have.  An isometry maps distinct
+    centres to distinct points, so every accepted cell map is one-to-one;
+    no two accepted candidates share their maps, being different
+    isometries.  Only square and hex boards are probed, whose cells all
+    have the same number of sides.
     """
     cx = sum(x for x, _ in graph.centers) / graph.cell_count
     cy = sum(y for _, y in graph.centers) / graph.cell_count
@@ -215,7 +217,7 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
                 ok = False
                 break
             cell_map.append(j)
-        if not ok or len(set(cell_map)) != graph.cell_count:
+        if not ok:
             continue
 
         dir_maps = []

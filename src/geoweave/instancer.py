@@ -11,11 +11,11 @@ A compile does each distinct piece of its work once and shares it across
 its placements and features:
 
 - each feature's walks are mirrored once per feature, not once per
-  placement, and equal walks share one object across the compile; the
+  placement, and equal walks share one memo table across the compile; the
   features that place alike share one list of placements;
 - each distinct ``(walk, anchor, start direction)`` is resolved once; a
-  repeat is a lookup in the walk memo, but still one call of
-  ``resolve_walk_branches`` per walk of each placement;
+  repeat is two int-keyed lookups in the walk's table, but still one call
+  of ``resolve_walk_branches`` per walk of each placement;
 - each distinct pair of element constraint signature (every element's
   constraint tuple, by value) and combo (the element sites and the action
   and last-move cells) is compiled once: the mover is fixed within
@@ -34,18 +34,17 @@ the recipe in that order, so every merged weight is the same float sum as
 compiling without memos; an instance's feature, anchor, direction and
 element sites come from the placement that first produced it.
 
-The walk plan (each feature's interned walks and placements, in compile
-order) and the walk memo depend on the feature set's structure (every
-field of each feature but its weight, by value) and the graph (by value);
-the other memos above live for one compile.  The process keeps a
-compile's templates and recipes with its plan and walk memo, keyed by
-the structure, the graph and the mover; the two movers' entries share one
-plan and one walk memo, and the last ``MEMO_ENTRIES`` entries are kept.
-Calling ``instantiate`` again on a set of that structure, such as a hill
-climb's reweighted set or the second agent of a self-play match, only
-builds fresh instances and sums the new weights, plus the walk calls that
-the benchmark counts: the plan replays them, each a lookup in the kept
-walk memo (see ``_replay_walk_calls``).
+The walk plan (each feature's walks with their tables, and its
+placements, in compile order) depends on the feature set's structure
+(every field of each feature but its weight, by value) and the graph (by
+value); the other memos above live for one compile.  The process keeps a
+compile's templates and recipes with its plan, keyed by the structure,
+the graph and the mover; the two movers' entries share one plan, and the
+last ``MEMO_ENTRIES`` entries are kept.  Calling ``instantiate`` again on
+a set of that structure, such as a hill climb's reweighted set or the
+second agent of a self-play match, only builds fresh instances and sums
+the new weights, plus the walk calls that the benchmark counts: the plan
+replays them, each a lookup in a kept table (see ``_replay_walk_calls``).
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.  The
@@ -210,24 +209,17 @@ def _compile_constraints(
     return positives, negatives
 
 
-def _feature_walks(feature: Feature, interned: dict[Walk, Walk], mirrored: bool) -> tuple:
+def _feature_walks(feature: Feature, interned: dict[Walk, tuple], mirrored: bool) -> tuple:
     """The feature's element, action and last-move walks in one flat
-    tuple (last None when absent), mirrored on request, each replaced by
-    the call's one object of equal value so that the walk memo shares its
-    entries."""
-
-    def one(walk: Walk | None) -> Walk | None:
-        if walk is None:
-            return None
-        if mirrored:
-            walk = mirror_walk(walk)
-        return interned.setdefault(walk, walk)
-
-    return (
-        *(one(el.walk) for el in feature.elements),
-        one(feature.action),
-        one(feature.last_move),
-    )
+    tuple (no last-move walk when absent), mirrored on request, each as
+    the one ``(walk, table)`` pair in ``interned`` of its value: equal
+    walks share one memo table."""
+    walks = (*(el.walk for el in feature.elements), feature.action)
+    if feature.last_move is not None:
+        walks += (feature.last_move,)
+    if mirrored:
+        walks = map(mirror_walk, walks)
+    return tuple(interned.setdefault(walk, (walk, {})) for walk in walks)
 
 
 _MISSING = object()
@@ -239,10 +231,10 @@ MEMO_ENTRIES = 4
 # Every Feature field but the weight: the structure that decides the
 # compiled tests, and with them the memo key.
 _structure = attrgetter(*(f.name for f in fields(Feature) if f.name != "weight"))
-# (feature structures, graph, mover) -> (templates, recipes, walk plan,
-# walk memo); see ``_compile`` and ``_walk_plan``.  A hit replays its walk
-# calls from the plan, each a lookup in the walk memo.  The two movers'
-# entries of one structure and graph share one plan and one walk memo.
+# (feature structures, graph, mover) -> (templates, recipes, walk plan);
+# see ``_compile`` and ``_walk_plan``.  A hit replays its walk calls from
+# the plan, each a lookup in the table that the plan keeps with its walk.
+# The two movers' entries of one structure and graph share one plan.
 _memo: dict[tuple, tuple] = {}
 
 
@@ -283,19 +275,20 @@ def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
     mirrored walks, placements).
 
     The walks are the feature's element, action and last-move walks in one
-    flat tuple, with None for an absent last-move walk; the mirrored ones
+    flat tuple, the last left out when absent, each as a ``(walk, table)``
+    pair: ``table`` is that walk's ``resolve_walk_branches`` memo on
+    ``graph``, one pair per walk value across the plan.  The mirrored walks
     serve its reflected placements and are None for a feature without
-    reflections.  Equal walks are one object across the plan, so that a
-    walk memo shares entries.  The placements are its (anchor, start
-    direction, reflected) in compile order, one list shared by the
-    features that place alike.
+    reflections.  The placements are its (anchor, start direction,
+    reflected) in compile order, one list shared by the features that
+    place alike.
 
     The compile makes one ``resolve_walk_branches`` call per walk present
     of each placement, even where its pair memo leaves the result unused,
     and a memo hit makes the same calls (``_replay_walk_calls``):
     perfbench/expected.json freezes the number of walk calls.
     """
-    interned_walks: dict[Walk, Walk] = {}
+    interned_walks: dict[Walk, tuple] = {}
     shared_placements: dict[tuple, list] = {}
     plan = []
     for feature in fs:
@@ -306,29 +299,26 @@ def _walk_plan(fs: FeatureSet, graph: BoardGraph) -> tuple:
     return tuple(plan)
 
 
-def _replay_walk_calls(plan: tuple, graph: BoardGraph, walk_memo: dict) -> None:
+def _replay_walk_calls(plan: tuple, graph: BoardGraph) -> None:
     """The walk calls of a compile along ``plan``, in its order, with their
     results dropped.
 
-    Every call is a lookup in ``walk_memo``, which that compile filled.  A
-    memo hit needs none of the results and makes the calls only for the
-    frozen count; once the benchmark's work counts can be re-recorded on
-    their own (ROADMAP item 1), a hit can skip them.
+    Every call is a lookup in the plan's tables, which that compile
+    filled.  A memo hit needs none of the results and makes the calls only
+    for the frozen count; once the benchmark's work counts can be
+    re-recorded on their own (ROADMAP item 1), a hit can skip them.
     """
     resolve = resolve_walk_branches
     for plain, mirrored, placements in plan:
         for anchor, start_dir, reflected in placements:
-            for walk in mirrored if reflected else plain:
-                if walk is not None:
-                    resolve(graph, anchor, start_dir, walk, walk_memo)
+            for walk, table in mirrored if reflected else plain:
+                resolve(graph, anchor, start_dir, walk, table)
 
 
-def _compile(
-    fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple, walk_memo: dict
-) -> tuple[tuple, tuple]:
+def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tuple[tuple, tuple]:
     """The templates and recipes of a feature set's instances, in order,
     compiled along ``plan`` (``_walk_plan(fs, graph)``, whose entry at each
-    position is that feature's) with ``walk_memo``.
+    position is that feature's), whose tables it fills.
 
     A template holds every ``FeatureInstance`` field between ``feature``
     and ``weight``, in field order.  A recipe holds the positions in
@@ -412,11 +402,14 @@ def _compile(
     for position, (plain, mirrored, placements) in enumerate(plan):
         feature = features[position]
         elements, by_combo = prepared[position]
+        absent = feature.last_move is None
         for anchor, start_dir, reflected in placements:
             branches = [
-                _ABSENT if walk is None else resolve_walk_branches(graph, anchor, start_dir, walk, walk_memo)
-                for walk in (mirrored if reflected else plain)
+                resolve_walk_branches(graph, anchor, start_dir, walk, table)
+                for walk, table in (mirrored if reflected else plain)
             ]
+            if absent:
+                branches.append(_ABSENT)
             for combo in itertools.product(*branches):
                 number = by_combo.get(combo, _MISSING)
                 if number is _MISSING:
@@ -468,16 +461,15 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     key = (structures, graph, mover)
     entry = _memo.get(key)
     if entry is None:
-        # The walk plan and walk memo do not depend on the mover, so a kept
-        # entry of the other mover lends its own.
+        # The walk plan and its tables do not depend on the mover, so a
+        # kept entry of the other mover lends its own.
         other = _memo.get((structures, graph, 3 - mover))
-        plan, walk_memo = other[2:] if other else (_walk_plan(fs, graph), {})
-        entry = (*_compile(fs, graph, mover, plan, walk_memo), plan, walk_memo)
+        plan = other[2] if other else _walk_plan(fs, graph)
+        entry = (*_compile(fs, graph, mover, plan), plan)
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = entry
     else:
-        _, _, plan, walk_memo = entry
-        _replay_walk_calls(plan, graph, walk_memo)
-    templates, recipes, _, _ = entry
+        _replay_walk_calls(entry[2], graph)
+    templates, recipes, _ = entry
     return _weighted_index(InstanceIndex(graph, mover), fs, templates, recipes)

@@ -116,23 +116,20 @@ def resolve_walk_branches(
     """Terminal location of every ambiguity branch, one entry per branch,
     as a tuple.
 
-    ``memo`` is an optional dict owned by the caller that turns a repeated
-    ``(walk, anchor, start_dir)`` into a lookup that returns the tuple the
-    first call made.  It is keyed on the walk object's identity, not its
-    value, because hashing a tuple of Fractions costs several times a whole
-    lookup by id; the memo keeps each walk alive, so no other object can
-    take its id while the memo is in use.  Give equal walks one object to
-    share entries.  A memo serves one graph.
+    ``memo`` is an optional dict owned by the caller: the table of this
+    one walk on this one graph, which turns a repeated ``(anchor,
+    start_dir)`` into two int-keyed lookups, ``memo[anchor][start_dir]``,
+    that return the tuple the first call made.  Give each walk value its
+    own table.  A bad start is in no table, so it still raises.
     """
     if memo is not None:
-        key = (id(walk), anchor, start_dir)
         try:
-            return memo[key][1]
+            return memo[anchor][start_dir]
         except KeyError:
             pass
     branches = tuple(loc for loc, _, _ in resolve_walk_exits(graph, anchor, start_dir, walk))
     if memo is not None:
-        memo[key] = (walk, branches)
+        memo.setdefault(anchor, {})[start_dir] = branches
     return branches
 
 

@@ -547,6 +547,39 @@ def test_walk_calls_match_oracle(name, request, monkeypatch):
                 assert not exits
 
 
+@pytest.mark.parametrize("name", ["bridge_fs", "candidates"])
+def test_second_mover_compile_borrows_the_walk_tables(name, request, monkeypatch):
+    """The other mover's cold compile borrows the first's walk plan with
+    its tables: it makes the oracle's walk calls and resolves no walk
+    anew."""
+    if name == "candidates":
+        rules = gw.hex_rules(7)
+        cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
+        fs = FeatureSet(tuple(generate_candidates(rules, cfg)))
+    else:
+        fs = request.getfixturevalue(name)
+    graph = gw.hex_rules(7).graph
+    want, got, exits = [], [], []
+
+    def recording(calls, resolve):
+        def record(graph, anchor, start_dir, walk, *memo):
+            calls.append((anchor, start_dir, tuple(walk)))
+            return resolve(graph, anchor, start_dir, walk, *memo)
+        return record
+
+    monkeypatch.setattr(oracles, "resolve_walk_branches", recording(want, resolve_walk_branches))
+    instantiate_oracle(fs, graph, 2)
+    instancer.clear_memo()
+    instantiate(fs, graph, 1)
+    monkeypatch.setattr(instancer, "resolve_walk_branches", recording(got, resolve_walk_branches))
+    monkeypatch.setattr(walks, "resolve_walk_exits", recording(exits, walks.resolve_walk_exits))
+    instantiate(fs, graph, 2)
+    monkeypatch.undo()
+    assert len(instancer._memo) == 2
+    assert got == want
+    assert not exits
+
+
 # --- the compile memo -------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ TOOL_REPORTS = {
         **leaves("case", "seed", "plies", "playouts", "unit_score_share", "repeat"),
         "us_per_call": leaves("legal_moves", "biased_scores", "_sample", "apply", "win_check", "playout_ply"),
     },
-    "compile": {**leaves("candidates", "repeat"), "movers": {"1": COMPILE_MOVER, "2": COMPILE_MOVER}},
+    "compile": {**leaves("candidates", "repeat", "cold_pair_s"), "movers": {"1": COMPILE_MOVER, "2": COMPILE_MOVER}},
     "scores": {
         **leaves("case", "seed", "positions", "tests_per_position", "repeat",
                  "biased_scores_us_per_call", "match_instance_ns_per_test"),

@@ -154,38 +154,46 @@ def test_mirrored_walk_is_board_reflection(kind, turns):
 
 @pytest.mark.parametrize("board", ["semi3", "square9", "hex5"])
 def test_memoised_resolution_equals_direct(board, request):
-    """With a memo, every anchor and start direction resolves plain and
-    mirrored walks as without one, on the first lookup and on repeats, and
-    both return a tuple."""
+    """With one memo table per walk, every anchor and start direction
+    resolves plain and mirrored walks as without one, on the first lookup
+    and on repeats, and both return a tuple."""
     g = gw.hex_rules(5).graph if board == "hex5" else request.getfixturevalue(board)
     turns = [F(0), F(1, 4), F(-1, 3)]
     walks = [make_walk(w) for n in range(4) for w in itertools.product(turns, repeat=n)]
     walks += [mirror_walk(w) for w in walks]
-    memo: dict = {}
+    memos: dict[int, dict] = {id(walk): {} for walk in walks}
     branched = False
     for _ in range(2):  # first lookups, then repeats
         for walk in walks:
             for anchor in range(g.cell_count):
                 for d in range(g.sides[anchor]):
                     want = resolve_walk_branches(g, anchor, d, walk)
-                    got = resolve_walk_branches(g, anchor, d, walk, memo)
+                    got = resolve_walk_branches(g, anchor, d, walk, memos[id(walk)])
                     assert type(got) is type(want) is tuple
                     assert got == want
                     branched |= len(got) > 1
     assert branched == (board == "semi3")
-    # One entry per walk object (the empty walk is a single object), anchor and direction.
-    assert len(memo) == len({id(w) for w in walks}) * sum(g.sides)
+    # Each table holds one entry per anchor and start direction.
+    for memo in memos.values():
+        assert sorted(memo) == list(range(g.cell_count))
+        assert sum(map(len, memo.values())) == sum(g.sides)
 
 
 def test_memoised_resolution_still_rejects_bad_starts(semi3):
+    """A start out of range is in no table, so it raises, and leaves the
+    table as it was, even once every valid start is in it."""
     walk = make_walk([0, F(1, 4)])
     memo: dict = {}
-    resolve_walk_branches(semi3, 0, 0, walk, memo)
+    for anchor in range(semi3.cell_count):
+        for d in range(semi3.sides[anchor]):
+            resolve_walk_branches(semi3, anchor, d, walk, memo)
+    filled = {anchor: dict(row) for anchor, row in memo.items()}
+    assert sum(map(len, filled.values())) == sum(semi3.sides)
     for anchor, d in ((-1, 0), (semi3.cell_count, 0), (0, semi3.sides[0]), (0, -1)):
         for _ in range(2):
             with pytest.raises(WalkError, match="out of range"):
                 resolve_walk_branches(semi3, anchor, d, walk, memo)
-    assert len(memo) == 1
+    assert memo == filled
 
 
 def test_walk_text_round_trip():
