@@ -22,10 +22,13 @@ its placements and features:
   a compile, so the pair decides the instance, and a repeat is one
   lookup that adds the feature to the recipe of the instance the pair
   gave, or finds that the pair was rejected;
-- each distinct constraint tuple (by value) is compiled once per site;
-- each distinct instance builds its full-board mask/target once: a
-  duplicate is found from its required and forbidden cell values, its
-  action cell and its last-move cell, and only adds to its recipe.
+- each distinct constraint tuple (by value) is compiled once per site,
+  to the mask and target of the cell it requires, its negative tests and
+  its ``(site, constraints)`` pair, which every template it enters
+  shares; a pair merges its elements' masks and targets with int
+  operations, and a duplicate instance is found from that mask and
+  target, its negative tests, its action cell and its last-move cell,
+  and only adds to its recipe.
 
 A compile yields one template per instance (every field but the feature
 and the weight) and one recipe: the positions of the features whose
@@ -325,6 +328,12 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     ``fs.features`` whose weights the instance sums, duplicates kept, in
     the order the placements produced them; its first position names the
     instance's feature.
+
+    Each element (constraint tuple by value, at a site) is compiled once,
+    from ``_compile_constraints``, to the mask and target of the cell it
+    requires, its negative tests and its ``(site, constraints)`` pair; a
+    new pair merges its elements' masks and targets with int operations,
+    and its template shares the elements' pairs.
     """
     full = (1 << CHUNK_BITS) - 1
     templates: list[tuple] = []
@@ -332,48 +341,64 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     # Instance number by its compiled tests and action cell.
     dedup: dict[tuple, int] = {}
     # Memos of this compile; only its result is kept (see ``instantiate``).
-    # Compiled element tests by constraint tuple (by value), then by site.
+    # Compiled elements by constraint tuple (by value), then by site:
+    # (mask, target, negative tests, (site, constraints)), or None where
+    # the element can never hold.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
     # gave, or None for a rejected pair: by signature (by value), then by combo.
     instance_by_signature: dict[tuple, dict] = {}
 
-    def compile_pair(feature, elements, combo, anchor, start_dir, reflected):
+    def compile_element(constraints, site):
+        compiled = _compile_constraints(constraints, site, mover)
+        if compiled is None:
+            return None
+        positives, negatives = compiled
+        mask = target = 0
+        for cell, value in positives.items():
+            mask |= full << cell * CHUNK_BITS
+            target |= value << cell * CHUNK_BITS
+        return mask, target, tuple(negatives), (site, constraints)
+
+    def compile_pair(elements, combo, anchor, start_dir, reflected):
         """The instance number of one pair not seen before in this compile,
         or None when the pair can never match."""
         action_to, last_cell = combo[-2:]
         if action_to == OFF_BOARD or last_cell == OFF_BOARD:
             return None
-        positives: dict[int, int] = {}
-        negatives: set[tuple[int, int]] = set()
+        mask = target = 0
+        negatives: list[tuple[int, int]] = []
+        sites = []
         for (constraints, by_site), site in zip(elements, combo):
             compiled = by_site.get(site, _MISSING)
             if compiled is _MISSING:
-                compiled = by_site[site] = _compile_constraints(constraints, site, mover)
+                compiled = by_site[site] = compile_element(constraints, site)
             if compiled is None:
                 return None
-            pos, neg = compiled
-            for cell, value in pos.items():
-                if positives.get(cell, value) != value:
-                    return None
-                positives[cell] = value
-            negatives |= neg
-        # A forbidden value equal to a required one can never match.
-        if any(positives.get(cell) == v for cell, v in negatives):
-            return None
-        # Required values subsume negative tests on the same cell.
-        neg_sorted = tuple(sorted((cell, v) for cell, v in negatives if cell not in positives))
+            m, t, neg, pair = compiled
+            # Two elements conflict on a cell both require with different values.
+            if (target ^ t) & mask & m:
+                return None
+            mask |= m
+            target |= t
+            negatives += neg
+            sites.append(pair)
+        kept = set()
+        for cell, value in negatives:
+            shift = cell * CHUNK_BITS
+            if not mask >> shift & full:
+                kept.add((cell, value))
+            elif target >> shift & full == value:
+                # A forbidden value equal to a required one can never
+                # match; any other is subsumed by the required value.
+                return None
+        neg_sorted = tuple(sorted(kept))
 
-        # One-to-one with the compiled mask/target, which are only
-        # built for an instance not seen before.
-        key = (tuple(sorted(positives.items())), neg_sorted, action_to, last_cell)
+        # One-to-one with the required and forbidden cell values.
+        key = (mask, target, neg_sorted, action_to, last_cell)
         number = dedup.get(key)
         if number is not None:
             return number
-        mask = target = 0
-        for cell, value in positives.items():
-            mask |= full << cell * CHUNK_BITS
-            target |= value << cell * CHUNK_BITS
         number = dedup[key] = len(templates)
         templates.append((
             anchor,
@@ -383,7 +408,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             target,
             neg_sorted,
             _negative_probes(neg_sorted),
-            tuple((site, el.constraints) for el, site in zip(feature.elements, combo)),
+            tuple(sites),
             action_to,
             last_cell,
         ))
@@ -413,9 +438,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             for combo in itertools.product(*branches):
                 number = by_combo.get(combo, _MISSING)
                 if number is _MISSING:
-                    number = by_combo[combo] = compile_pair(
-                        feature, elements, combo, anchor, start_dir, reflected
-                    )
+                    number = by_combo[combo] = compile_pair(elements, combo, anchor, start_dir, reflected)
                 if number is not None:
                     recipes[number].append(position)
 

@@ -7,7 +7,8 @@ agent: the position, its legal moves, the scores and the move that was
 sampled; and every bridge playout: its start position, its RNG state and
 its winner.  Then it times each layer on exactly those
 plies, with the garbage collector off, and prints the best of ``--repeat``
-passes in microseconds per call:
+passes in reference microseconds per call (``tools/timing.py``), so two
+runs compare:
 
     legal_moves     GameRules.legal_moves(state)
     biased_scores   search.biased_scores(state, legal, idx)
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
     print(f"hex7-mcts-bridge case {args.case} (seed {seed}): "
           f"{len(plies)} plies in {len(playouts)} bridge playouts, "
           f"{report['unit_score_share']:.1%} with every score 1.0; "
-          f"best of {args.repeat}, GC off, untraced")
+          f"best of {args.repeat}, GC off, untraced, reference microseconds")
     for name, us in timings.items():
         print(f"  {name:<14} {us:7.3f} us/call")
     return 0

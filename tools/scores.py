@@ -4,7 +4,8 @@ Plays case ``--case`` of the benchmark's line4-policy workload (its rules,
 feature set, match size and seed, taken from ``perfbench/workloads.py``)
 and records every position the biased agent scores.  Then it times, with
 the garbage collector off, the best of ``--repeat`` passes over exactly
-those positions:
+those positions, in reference time (``tools/timing.py``), so two runs
+compare:
 
     biased_scores   search.biased_scores(state, legal, idx), us/call
     match_instance  instancer.match_instance(inst, state.board) for each
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         return 0
     print(f"line4-policy case {args.case} (seed {seed}): {len(calls)} scored positions, "
           f"{report['tests_per_position']} instance tests each; "
-          f"best of {args.repeat}, GC off, untraced")
+          f"best of {args.repeat}, GC off, untraced, reference time")
     print(f"  biased_scores   {report['biased_scores_us_per_call']:9.3f} us/call")
     print(f"  match_instance  {report['match_instance_ns_per_test']:9.1f} ns/test")
     h = report["hex19_group3"]
