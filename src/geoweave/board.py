@@ -1,27 +1,31 @@
 """Board graphs for the supported tilings.
 
 A board is a graph of cells (the dual of the drawn tiling: one node per
-cell, edges between cells that share a tile edge).  Every cell stores its
-full clockwise ring of edge slots, including ``OFF_BOARD`` placeholders
-where a tile edge has no neighbouring cell, so walk resolution can locate
-board edges and corners.
+cell, edges between cells that share a tile edge).  A tiling is its
+cells' centres and polygons: each builder yields only those, in cell
+order, and ``_assemble`` derives the rest in one place.  Every polygon
+edge is a slot of its cell, and two cells are neighbours through the
+edge midpoint they share.  A cell thus stores its full clockwise ring of
+slots, including ``OFF_BOARD`` placeholders where no other cell shares
+the edge, so walk resolution can locate board edges and corners.
 
 Conventions (these are fixed by construction and documented here because
 relative patterns only need a *consistent* ordering, not any particular
 one):
 
 * The y axis points north; clockwise means decreasing polar angle.
+* A slot's edge angle is the direction from the cell's centre to the
+  edge's midpoint, in degrees rounded to 6 decimals.
 * Slot 0 of each cell is the first edge at or clockwise-after due north.
 * ``SQUARE`` cells therefore list neighbours as ``[N, E, S, W]``.
 * ``HEX_RHOMBUS`` cells list the six directions clockwise starting from
   the north-east edge: ``[NE, E, SE, SW, W, NW]``.
-* ``TRIANGULAR`` and ``SEMI_3464`` cells get their slot order from the
-  same north-clockwise rule applied to their polygon edge normals.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,60 +109,65 @@ def back_index(graph: BoardGraph, cell: int, direction: int) -> int:
 
 # --- construction ----------------------------------------------------------
 
-# Proto-cells are (key, center, [(edge_angle_deg, neighbor_key | None)], polygon).
-_Proto = tuple[object, tuple[float, float], list[tuple[float, object | None]], list[tuple[float, float]]]
-
-
-def _clockwise_key(angle: float) -> float:
-    # Position of an edge in the north-first clockwise ring.
-    return round((90.0 - angle) % 360.0, 6)
+# A tiling builder yields each cell, in cell order, as (centre, polygon).
+_Cell = tuple[tuple[float, float], tuple[tuple[float, float], ...]]
 
 
 def _pos_key(x: float, y: float) -> tuple[int, int]:
-    return (int(round(x * 1e5)), int(round(y * 1e5)))
+    return (round(x * 1e5), round(y * 1e5))
 
 
-def _assemble(kind: TilingKind, protos: list[_Proto]) -> BoardGraph:
-    index_of = {proto[0]: i for i, proto in enumerate(protos)}
-    if len(index_of) != len(protos):
-        raise BoardError("duplicate cell keys in tiling construction")
+def _assemble(kind: TilingKind, cells: Iterable[_Cell]) -> BoardGraph:
+    """Derive slots, edge angles and adjacency from the cells' polygons.
 
-    sides: list[int] = []
-    neighbors: list[tuple[int, ...]] = []
-    edge_angles: list[tuple[float, ...]] = []
+    Each polygon edge is a slot, at the direction from the cell's centre
+    to the edge's midpoint (degrees, rounded to 6 decimals), and a cell's
+    slots run clockwise from north.  The first cell to reach a midpoint
+    leaves its slot open; the second pairs with it, which fills in both
+    cells' neighbour and back index at once.
+    """
+    atan2, degrees = math.atan2, math.degrees
     centers: list[tuple[float, float]] = []
     polygons: list[tuple[tuple[float, float], ...]] = []
-    for key, center, slots, polygon in protos:
-        ordered = sorted(slots, key=lambda s: _clockwise_key(s[0]))
-        row = tuple(
-            index_of[nkey] if nkey is not None and nkey in index_of else OFF_BOARD
-            for _, nkey in ordered
-        )
-        sides.append(len(ordered))
-        neighbors.append(row)
-        edge_angles.append(tuple(angle % 360.0 for angle, _ in ordered))
-        centers.append(center)
-        polygons.append(tuple(polygon))
-
-    back_indexes: list[tuple[int, ...]] = []
-    for c, row in enumerate(neighbors):
-        back_row = []
-        for d, n in enumerate(row):
-            if n == OFF_BOARD:
+    edge_angles: list[tuple[float, ...]] = []
+    neighbors: list[list[int]] = []
+    back_indexes: list[list[int]] = []
+    open_slots: dict[tuple[int, int], tuple[int, int]] = {}  # edge midpoint -> (cell, slot)
+    for c, (center, polygon) in enumerate(cells):
+        cx, cy = center
+        slots = []
+        x0, y0 = polygon[-1]
+        for x1, y1 in polygon:
+            mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            angle = round(degrees(atan2(my - cy, mx - cx)) * 1e6) / 1e6 % 360.0
+            slots.append(((90.0 - angle) % 360.0, angle, _pos_key(mx, my)))
+            x0, y0 = x1, y1
+        slots.sort()
+        _, angles, midpoints = zip(*slots)
+        row, back_row = [], []
+        for d, midpoint in enumerate(midpoints):
+            other = open_slots.pop(midpoint, None)
+            if other is None:
+                open_slots[midpoint] = (c, d)
+                row.append(OFF_BOARD)
                 back_row.append(OFF_BOARD)
             else:
-                try:
-                    back_row.append(neighbors[n].index(c))
-                except ValueError:
-                    raise BoardError(f"adjacency not symmetric between {c} and {n}")
-        back_indexes.append(tuple(back_row))
+                n, b = other
+                row.append(n)
+                back_row.append(b)
+                neighbors[n][b], back_indexes[n][b] = c, d
+        centers.append(center)
+        polygons.append(polygon)
+        edge_angles.append(angles)
+        neighbors.append(row)
+        back_indexes.append(back_row)
 
     return BoardGraph(
         kind=kind,
-        cell_count=len(protos),
-        sides=tuple(sides),
-        neighbors=tuple(neighbors),
-        back_indexes=tuple(back_indexes),
+        cell_count=len(centers),
+        sides=tuple(map(len, polygons)),
+        neighbors=tuple(map(tuple, neighbors)),
+        back_indexes=tuple(map(tuple, back_indexes)),
         centers=tuple(centers),
         polygons=tuple(polygons),
         edge_angles=tuple(edge_angles),
@@ -242,105 +251,63 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
     return tuple(found)
 
 
-def _square_protos(w: int, h: int) -> list[_Proto]:
-    protos: list[_Proto] = []
+def _square_cells(w: int, h: int) -> Iterator[_Cell]:
     for y in range(h):
         for x in range(w):
-            key = (x, y)
-            slots = [
-                (90.0, (x, y + 1) if y + 1 < h else None),
-                (0.0, (x + 1, y) if x + 1 < w else None),
-                (270.0, (x, y - 1) if y - 1 >= 0 else None),
-                (180.0, (x - 1, y) if x - 1 >= 0 else None),
-            ]
-            poly = [
+            yield (float(x), float(y)), (
                 (x - 0.5, y - 0.5),
                 (x + 0.5, y - 0.5),
                 (x + 0.5, y + 0.5),
                 (x - 0.5, y + 0.5),
-            ]
-            protos.append((key, (float(x), float(y)), slots, poly))
-    return protos
+            )
 
 
-# Axial deltas in the fixed clockwise-from-north-east order.
-HEX_DELTAS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
-_HEX_ANGLES = (60.0, 0.0, 300.0, 240.0, 180.0, 120.0)
+def _hexagon_corners(radius: float) -> list[tuple[float, float]]:
+    """Corner offsets of a hexagon with flat east and west edges."""
+    return [
+        (radius * math.cos(math.radians(30 + 60 * k)), radius * math.sin(math.radians(30 + 60 * k)))
+        for k in range(6)
+    ]
 
 
-def _hex_center(q: int, r: int) -> tuple[float, float]:
-    return (q + r / 2.0, r * _SQRT3 / 2.0)
-
-
-def _hex_protos(n: int) -> list[_Proto]:
-    cells = {(q, r) for r in range(n) for q in range(n)}
-    protos: list[_Proto] = []
-    radius = 1.0 / _SQRT3
+def _hex_cells(n: int) -> Iterator[_Cell]:
+    corners = _hexagon_corners(1.0 / _SQRT3)
     for r in range(n):
         for q in range(n):
-            cx, cy = _hex_center(q, r)
-            slots = []
-            for (dq, dr), angle in zip(HEX_DELTAS, _HEX_ANGLES):
-                nkey = (q + dq, r + dr)
-                slots.append((angle, nkey if nkey in cells else None))
-            poly = [
-                (cx + radius * math.cos(math.radians(30 + 60 * k)), cy + radius * math.sin(math.radians(30 + 60 * k)))
-                for k in range(6)
-            ]
-            protos.append(((q, r), (cx, cy), slots, poly))
-    return protos
+            cx, cy = q + r / 2.0, r * _SQRT3 / 2.0
+            yield (cx, cy), tuple((cx + dx, cy + dy) for dx, dy in corners)
 
 
-def _triangular_protos(rows: int) -> list[_Proto]:
+def _triangular_cells(rows: int) -> Iterator[_Cell]:
     h = _SQRT3 / 2.0
-    protos: list[_Proto] = []
     for i in range(rows):
         y_bot = (rows - 1 - i) * h
         for j in range(2 * i + 1):
-            key = (i, j)
             if j % 2 == 0:  # up-pointing
-                k = j // 2
-                xl = -i / 2.0 + k
-                poly = [(xl, y_bot), (xl + 1.0, y_bot), (xl + 0.5, y_bot + h)]
-                center = (xl + 0.5, y_bot + h / 3.0)
-                slots = [
-                    (30.0, (i, j + 1) if j + 1 < 2 * i + 1 else None),
-                    (270.0, (i + 1, j + 1) if i + 1 < rows else None),
-                    (150.0, (i, j - 1) if j - 1 >= 0 else None),
-                ]
+                xl = -i / 2.0 + j // 2
+                yield (xl + 0.5, y_bot + h / 3.0), ((xl, y_bot), (xl + 1.0, y_bot), (xl + 0.5, y_bot + h))
             else:  # down-pointing
-                k = (j - 1) // 2
-                xl = -i / 2.0 + k + 0.5
-                poly = [(xl, y_bot + h), (xl + 1.0, y_bot + h), (xl + 0.5, y_bot)]
-                center = (xl + 0.5, y_bot + 2.0 * h / 3.0)
-                slots = [
-                    (90.0, (i - 1, j - 1)),
-                    (330.0, (i, j + 1) if j + 1 < 2 * i + 1 else None),
-                    (210.0, (i, j - 1)),
-                ]
-            protos.append((key, center, slots, poly))
-    return protos
+                xl = -i / 2.0 + (j - 1) // 2 + 0.5
+                yield (xl + 0.5, y_bot + 2.0 * h / 3.0), ((xl, y_bot + h), (xl + 1.0, y_bot + h), (xl + 0.5, y_bot))
 
 
-def _axial_rot60(u: int, v: int) -> tuple[int, int]:
-    return (-v, u + v)
-
-
-def _axial_rot300(u: int, v: int) -> tuple[int, int]:
-    return (u + v, -u)
-
-
-def _semi3464_protos(radius: int) -> list[_Proto]:
-    """Rhombitrihexagonal (3.4.6.4) patch.
+def _semi3464_cells(radius: int) -> Iterator[_Cell]:
+    """Rhombitrihexagonal (3.4.6.4) patch: hexagons, then squares, then
+    triangles, each in the sorted order of their lattice points.
 
     Hexagons sit on a triangular lattice, a square bridges every pair of
     adjacent hexagons, and a triangle fills every lattice triangle whose
-    three hexagons are all present.
+    three hexagons are all present.  A square or triangle is placed from
+    its hexagons in the order the loops below last met them, which fixes
+    the last bits of its centre and polygon.
     """
     spacing = 1.0 + _SQRT3
 
     def hex_xy(u: int, v: int) -> tuple[float, float]:
         return (spacing * (u + v / 2.0), spacing * v * _SQRT3 / 2.0)
+
+    def angle_of(dx: float, dy: float) -> float:
+        return math.degrees(math.atan2(dy, dx)) % 360.0
 
     hexes = set()
     for u in range(-radius, radius + 1):
@@ -348,20 +315,12 @@ def _semi3464_protos(radius: int) -> list[_Proto]:
             if (abs(u) + abs(v) + abs(u + v)) // 2 <= radius:
                 hexes.add((u, v))
 
-    lattice_dirs = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
-
-    def square_key(p: tuple[int, int], q: tuple[int, int]):
-        return ("S",) + tuple(sorted((p, q)))
-
-    def triangle_key(p, q, r):
-        return ("T",) + tuple(sorted((p, q, r)))
-
     squares = {}
     for p in hexes:
-        for du, dv in lattice_dirs:
+        for du, dv in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)):
             q = (p[0] + du, p[1] + dv)
             if q in hexes:
-                squares[square_key(p, q)] = (p, q)
+                squares[tuple(sorted((p, q)))] = (p, q)
 
     triangles = {}
     for p in hexes:
@@ -369,71 +328,40 @@ def _semi3464_protos(radius: int) -> list[_Proto]:
             q = (p[0] + a[0], p[1] + a[1])
             r = (p[0] + b[0], p[1] + b[1])
             if q in hexes and r in hexes:
-                triangles[triangle_key(p, q, r)] = (p, q, r)
+                triangles[tuple(sorted((p, q, r)))] = (p, q, r)
 
-    def angle_of(dx: float, dy: float) -> float:
-        return math.degrees(math.atan2(dy, dx)) % 360.0
-
-    protos: list[_Proto] = []
+    corners = _hexagon_corners(1.0)
     for p in sorted(hexes):
         cx, cy = hex_xy(*p)
-        slots = []
-        for du, dv in lattice_dirs:
-            q = (p[0] + du, p[1] + dv)
-            skey = square_key(p, q) if q in hexes else None
-            qx, qy = hex_xy(*q)
-            slots.append((angle_of(qx - cx, qy - cy), skey))
-        poly = [
-            (cx + math.cos(math.radians(30 + 60 * k)), cy + math.sin(math.radians(30 + 60 * k)))
-            for k in range(6)
-        ]
-        protos.append((("H",) + p, (cx, cy), slots, poly))
+        yield (cx, cy), tuple((cx + dx, cy + dy) for dx, dy in corners)
 
-    for skey in sorted(squares):
-        p, q = squares[skey]
+    half_diag = math.sqrt(0.5)
+    for key in sorted(squares):
+        p, q = squares[key]
         px, py = hex_xy(*p)
         qx, qy = hex_xy(*q)
         cx, cy = (px + qx) / 2.0, (py + qy) / 2.0
-        slots = [
-            (angle_of(px - cx, py - cy), ("H",) + p),
-            (angle_of(qx - cx, qy - cy), ("H",) + q),
-        ]
-        du, dv = q[0] - p[0], q[1] - p[1]
-        for rot in (_axial_rot60, _axial_rot300):
-            ru, rv = rot(du, dv)
-            third = (p[0] + ru, p[1] + rv)
-            tkey = triangle_key(p, q, third) if third in hexes else None
-            tx, ty = hex_xy(*third)
-            tcx, tcy = (px + qx + tx) / 3.0, (py + qy + ty) / 3.0
-            slots.append((angle_of(tcx - cx, tcy - cy), tkey))
         theta = angle_of(qx - px, qy - py)
-        half_diag = math.sqrt(0.5)
-        poly = [
+        yield (cx, cy), tuple(
             (cx + half_diag * math.cos(math.radians(theta + 45 + 90 * k)),
              cy + half_diag * math.sin(math.radians(theta + 45 + 90 * k)))
             for k in range(4)
-        ]
-        protos.append((skey, (cx, cy), slots, poly))
+        )
 
-    for tkey in sorted(triangles):
-        p, q, r = triangles[tkey]
-        corners = [hex_xy(*p), hex_xy(*q), hex_xy(*r)]
-        cx = sum(x for x, _ in corners) / 3.0
-        cy = sum(y for _, y in corners) / 3.0
-        slots = []
-        for a, b in ((p, q), (q, r), (p, r)):
-            ax, ay = hex_xy(*a)
-            bx, by = hex_xy(*b)
-            sx, sy = (ax + bx) / 2.0, (ay + by) / 2.0
-            slots.append((angle_of(sx - cx, sy - cy), square_key(a, b)))
-        circum = 1.0 / _SQRT3
-        normals = sorted(s[0] for s in slots)
-        poly = [
+    circum = 1.0 / _SQRT3
+    for key in sorted(triangles):
+        corners3 = [hex_xy(*p) for p in triangles[key]]
+        cx = sum(x for x, _ in corners3) / 3.0
+        cy = sum(y for _, y in corners3) / 3.0
+        # Edge normals point at the midpoints of the hexagon pairs.
+        normals = sorted(
+            angle_of((ax + bx) / 2.0 - cx, (ay + by) / 2.0 - cy)
+            for (ax, ay), (bx, by) in zip(corners3, corners3[1:] + corners3[:1])
+        )
+        yield (cx, cy), tuple(
             (cx + circum * math.cos(math.radians(t + 60.0)), cy + circum * math.sin(math.radians(t + 60.0)))
             for t in normals
-        ]
-        protos.append((tkey, (cx, cy), slots, poly))
-    return protos
+        )
 
 
 def build_board(kind: TilingKind) -> BoardGraph:
@@ -441,19 +369,19 @@ def build_board(kind: TilingKind) -> BoardGraph:
     if isinstance(kind, Square):
         if kind.width < 1 or kind.height < 1:
             raise BoardError("square board needs positive width and height")
-        return _assemble(kind, _square_protos(kind.width, kind.height))
+        return _assemble(kind, _square_cells(kind.width, kind.height))
     if isinstance(kind, HexRhombus):
         if kind.size < 1:
             raise BoardError("hex board needs positive size")
-        return _assemble(kind, _hex_protos(kind.size))
+        return _assemble(kind, _hex_cells(kind.size))
     if isinstance(kind, Triangular):
         if kind.rows < 1:
             raise BoardError("triangular board needs at least one row")
-        return _assemble(kind, _triangular_protos(kind.rows))
+        return _assemble(kind, _triangular_cells(kind.rows))
     if isinstance(kind, Semi3464):
         if kind.radius < 1:
             raise BoardError("3.4.6.4 board needs radius >= 1")
-        return _assemble(kind, _semi3464_protos(kind.radius))
+        return _assemble(kind, _semi3464_cells(kind.radius))
     raise BoardError(f"unsupported tiling kind: {kind!r}")
 
 

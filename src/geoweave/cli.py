@@ -4,10 +4,10 @@ Every run writes its outputs plus exactly one ``manifest.json`` under
 ``--out``.  Outputs are byte-reproducible for a given seed and flag set
 (the manifest's wall_time_s field is the one intentionally varying
 value).  Exit codes: 0 success; 2 for errors in what the user gave
-(flags, game name, ``GEOWEAVE_SEED``, feature files, features that
-cannot compile on the game's board, generator bounds); 1 for every
-other error.  ``GEOWEAVE_SEED`` provides the seed when
-``--seed`` is absent.
+(flags, an ``--out`` that is or lies under a file, game name,
+``GEOWEAVE_SEED``, feature files, features that cannot compile on the
+game's board, generator bounds); 1 for every other error.
+``GEOWEAVE_SEED`` provides the seed when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -67,6 +67,17 @@ def _check_search_flags(args) -> None:
         raise UsageError("--games must be even (sides are swapped each game)")
     if args.playouts < 0:
         raise UsageError("--playouts must be >= 0")
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that cannot become a directory before any work:
+    the nearest path of ``out`` and its parents that exists must be one."""
+    path = Path(out)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise UsageError(f"--out {out}: {p} is not a directory")
+            return
 
 
 def _sha256(path: Path) -> str:
@@ -270,6 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (UsageError, DslError, GenError, InstancerError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,19 @@
+import hashlib
+import json
+
 import pytest
 
 import geoweave as gw
+from conftest import GOLDEN
 from geoweave.board import OFF_BOARD, BoardError, back_index
+
+# The boards whose graphs tests/golden/board_graphs.json pins.
+PINNED_BOARDS = (
+    [gw.Square(w, h) for w in range(1, 12) for h in range(1, 12)]
+    + [gw.HexRhombus(n) for n in range(1, 25)]
+    + [gw.Triangular(n) for n in range(1, 15)]
+    + [gw.Semi3464(r) for r in range(1, 8)]
+)
 
 
 def off_count(graph, cell):
@@ -86,7 +98,8 @@ def test_back_index_errors():
 
 @pytest.mark.parametrize(
     "kind",
-    [gw.Square(4, 6), gw.Square(5, 5), gw.HexRhombus(4), gw.Triangular(4), gw.Semi3464(2)],
+    [gw.Square(4, 6), gw.Square(5, 5), gw.HexRhombus(4), gw.Triangular(4), gw.Semi3464(2),
+     gw.HexRhombus(7), gw.Triangular(6), gw.Semi3464(3)],
 )
 def test_back_index_involution_and_edge_parity(kind):
     g = gw.build_board(kind)
@@ -101,6 +114,36 @@ def test_back_index_involution_and_edge_parity(kind):
             assert g.neighbors[n][b] == c
             assert back_index(g, n, b) == d
     assert slots % 2 == 0
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [gw.Square(4, 6), gw.HexRhombus(5), gw.Triangular(5), gw.Semi3464(3), gw.Semi3464(4), gw.Semi3464(5)],
+)
+def test_slots_run_clockwise_from_north(kind):
+    """Each ring's clockwise positions (degrees from due north) rise from
+    slot 0 within [0, 360).  Edge angles are exact to 6 decimals, so an
+    edge within that of north is the north edge and comes first."""
+    g = gw.build_board(kind)
+    for c, angles in enumerate(g.edge_angles):
+        positions = [(90.0 - round(a, 6)) % 360.0 for a in angles]
+        assert all(0.0 <= p < 360.0 for p in positions), c
+        assert positions == sorted(set(positions)), c
+
+
+def graph_digest(g) -> str:
+    """sha256 of a graph's sides, neighbours, back indexes, centres,
+    polygons and edge angles (rounded to 9 decimals)."""
+    angles = [[round(a, 9) for a in ring] for ring in g.edge_angles]
+    fields = [g.sides, g.neighbors, g.back_indexes, g.centers, g.polygons, angles]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+
+
+def test_board_graphs_match_their_pins():
+    """Every float of a centre or polygon is pinned bit for bit; so are the
+    slot orders, which put each cell's north edge in slot 0."""
+    pins = json.loads((GOLDEN / "board_graphs.json").read_text())
+    assert {repr(kind): graph_digest(gw.build_board(kind)) for kind in PINNED_BOARDS} == pins
 
 
 def test_square_directed_edge_count():

@@ -244,3 +244,21 @@ def test_every_command_writes_exactly_one_manifest(tmp_path):
     main(["generate", "--game", "hex4", "--max-elements", "1", "--out", str(out)])
     files = list(out.glob("manifest*"))
     assert len(files) == 1
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_is_refused_before_the_match(tmp_path, under, monkeypatch, capsys):
+    """An ``--out`` that is a file, or lies under one, exits 2 before any
+    game is played, and leaves the file as it was."""
+    def no_match(*args, **kwargs):
+        raise AssertionError("play_match was called")
+
+    monkeypatch.setattr(cli, "play_match", no_match)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "o" if under else blocker
+    rc = main(["match", "--game", "hex5", "--games", "2", "--playouts", "0", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]

@@ -28,7 +28,8 @@ def test_ab_against_its_own_tree_reports_equal_outcomes(workload):
     report = json.loads(proc.stdout)
     assert report["workload"] == workload and report["rounds"] == 3 and report["games"] > 0
     assert len(report["ratios"]) == 3 and 0 <= report["change_wins"] <= 3
-    assert set(report["seconds"]) == {"base", "change"}
+    for key in ("seconds", "setup_seconds"):
+        assert shape(report[key]) == {side: leaves("min", "median") for side in ("base", "change")}
     assert tree_files() == before  # wrote nothing, bytecode included
 
 

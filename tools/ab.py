@@ -1,4 +1,4 @@
-"""Time one benchmark workload's call from two source trees in one process.
+"""Time one benchmark workload's call and set-up from two source trees in one process.
 
 Loads ``src/geoweave`` of this checkout (the change) and of ``--base``
 (another checkout, such as a parent commit unpacked with ``git archive``)
@@ -7,16 +7,18 @@ under two package names, binds a copy of this checkout's
 then times its call, the two trees in turn, for ``--rounds`` rounds.  The
 tree that goes first alternates from round to round, and every call plays
 benchmark case ``CASE`` (the case of ``perfbench/run.py --seed 5``), so
-each round is a pair of calls doing the same work.
+each round is a pair of calls doing the same work.  Each round also times
+one more set-up per tree, just before that tree's call (the benchmark's
+``setup_s``); the calls keep using the first set-up.
 
 Times are in reference seconds (``perfbench/speed.py``), as the
 benchmark's ``games_per_s`` is.  Every call's outcome must equal the other
 tree's; the tool stops with exit status 1 at the first that differs.  It
-prints both trees' best and median seconds per call, the paired ratios
-(base time over change time, so above 1 means the change is faster), and
-in how many rounds the change was faster.  One untimed call per tree comes
-first, so one-off imports stay out of the rounds.  It writes no file (no
-bytecode either) into either tree.
+prints both trees' best and median seconds per call and per set-up, the
+paired ratios of the calls (base time over change time, so above 1 means
+the change is faster), and in how many rounds the change was faster.
+One untimed call per tree comes first, so one-off imports stay out of
+the rounds.  It writes no file (no bytecode either) into either tree.
 
 Usage: python3 tools/ab.py --base DIR --workload W [--rounds 10]
            [--size full] [--json]
@@ -78,6 +80,12 @@ def load_workloads(name: str, package):
     return module
 
 
+def summary(per_side: dict[str, list[float]]) -> dict:
+    """Each tree's best and median seconds."""
+    return {side: {"min": round(min(t), 4), "median": round(statistics.median(t), 4)}
+            for side, t in per_side.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, type=Path, help="root of the other checkout")
@@ -104,6 +112,7 @@ def main(argv=None) -> int:
 
     probe = SpeedProbe()
     times: dict[str, list[float]] = {side: [] for side in sides}
+    setup_times: dict[str, list[float]] = {side: [] for side in sides}
 
     def call(side: str):
         return sides[side].call(prepared[side], size, seed)
@@ -115,6 +124,8 @@ def main(argv=None) -> int:
     for n in range(args.rounds):
         for side in ("base", "change") if n % 2 == 0 else ("change", "base"):
             gc.collect()
+            setup_times[side].append(probe.timed(sides[side].setup, size)[2])
+            gc.collect()
             got, _, ref = probe.timed(call, side)
             if got != outcome:
                 print(f"ab: round {n}: the {side} tree's outcome differs", file=sys.stderr)
@@ -124,8 +135,8 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload, "size": args.size, "case": CASE, "seed": seed,
         "rounds": args.rounds, "games": outcome["games"], "base": str(trees["base"]),
-        "seconds": {side: {"min": round(min(t), 4), "median": round(statistics.median(t), 4)}
-                    for side, t in times.items()},
+        "seconds": summary(times),
+        "setup_seconds": summary(setup_times),
         "ratios": [round(r, 3) for r in ratios],
         "ratio_median": round(statistics.median(ratios), 3),
         "ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4, method="inclusive")[::2]],
@@ -137,7 +148,9 @@ def main(argv=None) -> int:
     print(f"{args.workload} ({args.size}, case {CASE}), {args.rounds} rounds, "
           f"reference seconds per call, outcomes equal")
     for side, s in report["seconds"].items():
-        print(f"  {side:6}  min {s['min']:.4f}  median {s['median']:.4f}")
+        setup = report["setup_seconds"][side]
+        print(f"  {side:6}  min {s['min']:.4f}  median {s['median']:.4f}"
+              f"  (set-up min {setup['min']:.4f}  median {setup['median']:.4f})")
     q1, q3 = report["ratio_quartiles"]
     print(f"  base/change ratio: median {report['ratio_median']:.3f} (IQR {q1:.3f}-{q3:.3f}); "
           f"change faster in {report['change_wins']}/{args.rounds}")
