@@ -27,11 +27,13 @@ print(f"cells: {hx.cell_count}; centre ring (clockwise from NE): {hx.neighbors[c
 print("\n== triangular, 4 rows ==")
 tri = gw.build_board(gw.Triangular(4))
 print(f"cells: {tri.cell_count}; every cell has {set(tri.sides)} sides")
+print(f"symmetries: {[s.name for s in tri.symmetries]}")
 
 print("\n== semi-regular 3.4.6.4, radius 2 ==")
 semi = gw.build_board(gw.Semi3464(2))
 histogram = {k: semi.sides.count(k) for k in sorted(set(semi.sides))}
 print(f"cells by side count: {histogram}")
+print(f"symmetries: {[s.name for s in semi.symmetries]}")
 
 print("\n== walks ==")
 knight = make_walk([0, 0, F(1, 4)])

@@ -7,7 +7,9 @@ order, and ``_assemble`` derives the rest in one place.  Every polygon
 edge is a slot of its cell, and two cells are neighbours through the
 edge midpoint they share.  A cell thus stores its full clockwise ring of
 slots, including ``OFF_BOARD`` placeholders where no other cell shares
-the edge, so walk resolution can locate board edges and corners.
+the edge, so walk resolution can locate board edges and corners.  A
+board's symmetries are found the same way on every tiling, by probing
+planar isometries against its cell centres and edge angles.
 
 Conventions (these are fixed by construction and documented here because
 relative patterns only need a *consistent* ordering, not any particular
@@ -87,10 +89,9 @@ class BoardGraph:
 
     @cached_property
     def symmetries(self) -> tuple[Symmetry, ...]:
-        """The board's automorphisms, found on first use, for the square
-        and hex boards (the only ones absolute patterns are expanded on);
-        ``()`` for the others.  Not a field, so equality and hashing skip it."""
-        return _find_symmetries(self) if isinstance(self.kind, (Square, HexRhombus)) else ()
+        """The board's automorphisms, found on first use; the identity is
+        always one.  Not a field, so equality and hashing skip it."""
+        return _find_symmetries(self)
 
 
 class BoardError(ValueError):
@@ -177,78 +178,57 @@ def _assemble(kind: TilingKind, cells: Iterable[_Cell]) -> BoardGraph:
 def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
     """Probe candidate planar isometries against the cell-centre set.
 
-    Candidates are rotations in 30-degree steps about the board centroid
-    and reflections across axes in 15-degree steps, which covers every
-    symmetry the supported tilings can have.  An isometry maps distinct
-    centres to distinct points, so every accepted cell map is one-to-one;
-    no two accepted candidates share their maps, being different
-    isometries.  Only square and hex boards are probed, whose cells all
-    have the same number of sides.
+    Candidates are the 12 turns in 30-degree steps about the board
+    centroid, first alone (``rot{30k}``) and then after a flip of the y
+    axis, which together make the reflections across axes in 15-degree
+    steps (``refl{15k}``).  That covers every symmetry the supported
+    tilings can have.  An isometry maps distinct centres to distinct
+    points, so every accepted cell map is one-to-one; no two accepted
+    candidates share their maps, being different isometries.
     """
     cx = sum(x for x, _ in graph.centers) / graph.cell_count
     cy = sum(y for _, y in graph.centers) / graph.cell_count
     lookup = {_pos_key(x, y): i for i, (x, y) in enumerate(graph.centers)}
 
     found: list[Symmetry] = []
-    candidates: list[tuple[str, float, bool]] = []
-    for k in range(12):
-        candidates.append((f"rot{k * 30}", k * 30.0, False))
-    for k in range(12):
-        candidates.append((f"refl{k * 15}", k * 15.0, True))
-
-    for name, param, mirror in candidates:
-        if mirror:
-            a = math.radians(param)
-            cos2, sin2 = math.cos(2 * a), math.sin(2 * a)
-
-            def lin(x: float, y: float) -> tuple[float, float]:
-                return (cos2 * x + sin2 * y, sin2 * x - cos2 * y)
-
-            def ang(theta: float) -> float:
-                return 2 * param - theta
-
-        else:
-            a = math.radians(param)
-            cosr, sinr = math.cos(a), math.sin(a)
-
-            def lin(x: float, y: float) -> tuple[float, float]:
-                return (cosr * x - sinr * y, sinr * x + cosr * y)
-
-            def ang(theta: float) -> float:
-                return theta + param
-
-        cell_map = []
-        ok = True
-        for x, y in graph.centers:
-            ix, iy = lin(x - cx, y - cy)
-            j = lookup.get(_pos_key(ix + cx, iy + cy))
-            if j is None:
-                ok = False
-                break
-            cell_map.append(j)
-        if not ok:
-            continue
-
-        dir_maps = []
-        for c, image in enumerate(cell_map):
-            target_angles = graph.edge_angles[image]
-            dmap = []
-            for theta in graph.edge_angles[c]:
-                theta2 = ang(theta) % 360.0
-                for slot, t in enumerate(target_angles):
-                    if abs((t - theta2 + 180.0) % 360.0 - 180.0) < 1e-6:
-                        dmap.append(slot)
-                        break
-                else:
-                    ok = False
+    for mirror in (False, True):
+        flip = -1.0 if mirror else 1.0
+        for k in range(12):
+            turn = k * 30.0
+            cos, sin = math.cos(math.radians(turn)), math.sin(math.radians(turn))
+            cell_map = []
+            for x, y in graph.centers:
+                dx, dy = x - cx, flip * (y - cy)
+                image = lookup.get(_pos_key(cos * dx - sin * dy + cx, sin * dx + cos * dy + cy))
+                if image is None:
                     break
-            if not ok:
-                break
-            dir_maps.append(tuple(dmap))
-        if not ok:
-            continue
-        found.append(Symmetry(name, tuple(cell_map), tuple(dir_maps), mirror))
+                cell_map.append(image)
+            else:
+                dir_maps = [
+                    _slot_map(graph.edge_angles[c], graph.edge_angles[image], flip, turn)
+                    for c, image in enumerate(cell_map)
+                ]
+                if None not in dir_maps:
+                    name = f"refl{k * 15}" if mirror else f"rot{k * 30}"
+                    found.append(Symmetry(name, tuple(cell_map), tuple(dir_maps), mirror))
     return tuple(found)
+
+
+def _slot_map(
+    angles: tuple[float, ...], targets: tuple[float, ...], flip: float, turn: float
+) -> tuple[int, ...] | None:
+    """The slot among ``targets`` of each edge angle carried through the
+    isometry (``flip * angle + turn``), or None when one has no match."""
+    slots = []
+    for theta in angles:
+        image = (flip * theta + turn) % 360.0
+        for slot, t in enumerate(targets):
+            if abs((t - image + 180.0) % 360.0 - 180.0) < 1e-6:
+                slots.append(slot)
+                break
+        else:
+            return None
+    return tuple(slots)
 
 
 def _square_cells(w: int, h: int) -> Iterator[_Cell]:

@@ -2,7 +2,9 @@
 
 Candidates are built around each game's minimum pattern — for placement
 games, an empty cell at the action's "to" site — and enumerate small
-element combinations over short walks.  Weight tuning is a deliberately
+element combinations over short walks, whose turns come from the side
+counts of the board's cells, so every rules class on every tiling gets
+candidates from the same code.  Weight tuning is a deliberately
 simple coordinate hill-climb scored by match play against the vanilla
 MCTS baseline; pattern mining from random self-play is intentionally
 absent (it is known not to work well enough to pay for itself).
@@ -26,7 +28,7 @@ from .features import (
     FeatureSet,
     PatternElement,
 )
-from .games import GameRules, HexRules, Line4Rules
+from .games import GameRules
 from .rng import derive_seed
 from .search import AgentSpec, play_match
 from .walks import Walk, make_walk
@@ -51,11 +53,12 @@ _EXTRA_KINDS = (EMPTY, FRIEND, ENEMY, OFF)
 
 
 def default_vocabulary(rules: GameRules) -> tuple[Fraction, ...]:
-    if isinstance(rules, HexRules):
-        return make_walk([0, Fraction(1, 6), Fraction(-1, 6), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2)])
-    if isinstance(rules, Line4Rules):
-        return make_walk([0, Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2)])
-    raise GenError(f"no candidate generator for game {type(rules).__name__}")
+    """Every turn ``k/s`` for each side count ``s`` of the board's cells
+    and ``0 <= k <= s // 2``, ascending, each followed by its negation
+    except 0 and 1/2: for hex ``(0, 1/6, -1/6, 1/3, -1/3, 1/2)``."""
+    turns = sorted({Fraction(k, s) for s in set(rules.graph.sides) for k in range(s // 2 + 1)})
+    half = Fraction(1, 2)
+    return make_walk([t for turn in turns for t in ((turn,) if turn in (0, half) else (turn, -turn))])
 
 
 def _walks_up_to(vocab: tuple[Fraction, ...], max_len: int) -> list[Walk]:
@@ -77,7 +80,6 @@ def generate_candidates(rules: GameRules, cfg: GenConfig | None = None) -> list[
     kinds, and the reactive variants of one differ in their last-move walk.
     """
     cfg = cfg or GenConfig()
-    # default_vocabulary raises GenError for a game with no generator.
     walks = _walks_up_to(default_vocabulary(rules), cfg.max_walk_length)
     minimum = PatternElement((), (EMPTY,))
 

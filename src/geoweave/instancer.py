@@ -152,11 +152,6 @@ def _absolute_placements(feature: Feature, graph: BoardGraph) -> list[tuple[int,
     if feature.rotations is not None:
         # Explicit rotation lists turn the pattern in place at its anchor.
         return [(anchor, d, refl) for d, refl in _orientations(feature, graph.sides[anchor])]
-    if not graph.symmetries:
-        raise InstancerError(
-            f"board {type(graph.kind).__name__} has no symmetry maps; "
-            "absolute patterns with rot=all/refl=yes are unsupported here"
-        )
     # Distinct: two different isometries never agree on the anchor's image,
     # the image of its slot 0 and whether they mirror.
     return [

@@ -33,6 +33,7 @@ from geoweave.walks import make_walk, resolve_walk_branches, round_turn
 from conftest import FIXTURES, GOLDEN
 from oracles import interpret_instances_batch, round_half_away, square_walk_oracle, word_count, words
 from test_dsl import random_feature
+from test_search import record_tests
 
 REGRESSION_SEED = 20250810
 
@@ -219,11 +220,13 @@ def test_criterion_07_line4_strategy_fixture(line4_fs):
               f"{elapsed:.0f}s)")
 
 
-def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules):
-    """Per move, reactive instance tests == size of the last-move bucket
-    (never the whole reactive set), measured across 100+ playout moves."""
+def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules, monkeypatch):
+    """Per move, the instances tested are the last-move bucket's, by identity
+    and in order, then the (empty) proactive list: never the whole reactive
+    set, measured across 100+ playout moves."""
     indexes = compile_feature_set(bridge_fs, hex7_rules)
     total_reactive = sum(len(v) for v in indexes[1].reactive_by_last_move.values())
+    tested = record_tests(monkeypatch)
     rng = SplitMix64(313)
     moves_checked = 0
     while moves_checked < 100:
@@ -231,13 +234,15 @@ def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules):
         while hex7_rules.status(state) is None:
             legal = hex7_rules.legal_moves(state)
             idx = indexes[state.mover]
+            assert idx.proactive == []
+            tested.clear()
             counters = MatchCounters()
             scores = biased_scores(state, legal, idx, counters)
-            bucket = len(idx.reactive_for(state.last_move)) if state.last_move is not None else 0
-            assert counters.reactive_tests == bucket
-            assert counters.proactive_tests == len(idx.proactive) == 0
+            bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
+            assert list(map(id, tested)) == list(map(id, bucket + idx.proactive))
+            assert (counters.reactive_tests, counters.proactive_tests) == (len(bucket), 0)
             if state.last_move is not None:
-                assert bucket < total_reactive  # strictly less than the full set
+                assert len(bucket) < total_reactive  # strictly less than the full set
                 moves_checked += 1
             total = sum(scores)
             r = rng.random() * total
@@ -248,7 +253,7 @@ def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules):
                     pick = i
                     break
             state = hex7_rules.apply(state, legal[pick])
-    report(8, f"reactive tests equal the last-move bucket size on {moves_checked} moves "
+    report(8, f"the instances tested are the last-move bucket on {moves_checked} moves "
               f"(full reactive set: {total_reactive} instances)")
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -9,6 +10,7 @@ from geoweave.featuregen import (
     EvalRecord,
     GenConfig,
     GenError,
+    default_vocabulary,
     evaluate_feature_set,
     generate_candidates,
     hill_climb_weights,
@@ -65,12 +67,14 @@ def test_generation_is_deterministic():
     assert first == second
 
 
-def test_unsupported_game_rejected():
-    class FakeRules:
-        pass
+@pytest.mark.parametrize("game", [f"hex{n}" for n in range(2, 20)])
+def test_hex_vocabulary_is_the_sixth_turns(game):
+    assert default_vocabulary(gw.game_from_name(game)) == (0, F(1, 6), F(-1, 6), F(1, 3), F(-1, 3), F(1, 2))
 
-    with pytest.raises(GenError):
-        generate_candidates(FakeRules())
+
+@pytest.mark.parametrize("game", ["line4-4x4", "line4-5x5", "line4-7x7", "line4-9x6", "line4-4x9"])
+def test_line4_vocabulary_is_the_quarter_turns(game):
+    assert default_vocabulary(gw.game_from_name(game)) == (0, F(1, 4), F(-1, 4), F(1, 2))
 
 
 def test_no_op_feature_set_evaluates_to_exactly_half():

@@ -20,6 +20,7 @@ from geoweave.features import (
     PatternElement,
     negate,
 )
+from geoweave.chunkset import CHUNK_BITS
 from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
@@ -224,18 +225,9 @@ def test_symmetry_maps_are_built_on_first_use(line4_fs):
     assert "symmetries" in rules.graph.__dict__
 
 
-def test_absolute_symmetry_unsupported_on_semi(semi3):
-    feature = Feature(
-        elements=(PatternElement((), (EMPTY,)),),
-        action=(),
-        anchor=0,
-    )
-    with pytest.raises(InstancerError, match="symmetry"):
-        instantiate(FeatureSet((feature,)), semi3, 1)
-
-
 @pytest.mark.parametrize("kind", [
     gw.Square(1, 1), gw.Square(4, 6), gw.Square(5, 5), gw.HexRhombus(1), gw.HexRhombus(5),
+    gw.Triangular(1), gw.Triangular(4), gw.Semi3464(1),
 ])
 @pytest.mark.parametrize("reflections", [False, True])
 def test_absolute_placements_are_distinct(kind, reflections):
@@ -247,6 +239,62 @@ def test_absolute_placements_are_distinct(kind, reflections):
         feature = Feature((PatternElement((), (EMPTY,)),), (), anchor=anchor, reflections=reflections)
         placements = instancer._absolute_placements(feature, graph)
         assert len(set(placements)) == len(placements) == len(kept)
+
+
+def instance_counts(idx):
+    """Each instance as its required cells with their values, its forbidden
+    cells with theirs, its action cell and its last-move cell, counted
+    ``weight`` times (the weights are whole)."""
+    full = (1 << CHUNK_BITS) - 1
+    counts = {}
+    for inst in idx.instances:
+        required = frozenset(
+            (cell, inst.target >> cell * CHUNK_BITS & full)
+            for cell in range(idx.graph.cell_count) if inst.mask >> cell * CHUNK_BITS & full
+        )
+        key = (required, frozenset(inst.negative_tests), inst.action_to, inst.last_move_cell)
+        counts[key] = counts.get(key, 0) + inst.weight
+    return counts
+
+
+@pytest.mark.parametrize("kind", [gw.Square(5, 5), gw.HexRhombus(5), gw.Triangular(5), gw.Semi3464(2)])
+def test_symmetry_expansion_is_the_images_of_the_identity_placement(kind):
+    """At every anchor, an absolute feature with ``rot=all refl=yes``
+    compiles to the images, under every symmetry's cell map, of what its
+    identity placement (``rot={0} refl=no``) compiles to: a rule that needs
+    neither the slot maps nor the placements built from them."""
+    graph = gw.build_board(kind)
+    q = F(1, 4)
+    compiled = 0
+    for anchor in range(graph.cell_count):
+        feature = Feature(
+            elements=(
+                PatternElement((), (EMPTY,)),
+                PatternElement(make_walk([0]), (FRIEND,)),
+                PatternElement(make_walk([0, q]), (negate(ENEMY),)),
+                PatternElement(make_walk([q, 0]), (OFF,)),
+            ),
+            action=make_walk([q]),
+            anchor=anchor,
+            reflections=True,
+            last_move=make_walk([0, 0]),
+        )
+        identity = dataclasses.replace(feature, rotations=make_walk([0]), reflections=False)
+        placed = instance_counts(instantiate(FeatureSet((identity,)), graph, 1))
+        want = {}
+        for sym in graph.symmetries:
+            for (required, forbidden, action, last), n in placed.items():
+                key = (
+                    frozenset((sym.cell_map[cell], value) for cell, value in required),
+                    frozenset((sym.cell_map[cell], value) for cell, value in forbidden),
+                    sym.cell_map[action],
+                    sym.cell_map[last],
+                )
+                want[key] = want.get(key, 0) + n
+        got = instance_counts(instantiate(FeatureSet((feature,)), graph, 1))
+        assert got == want
+        compiled += sum(got.values())
+    assert compiled  # the feature fits somewhere on every board
 
 
 def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
@@ -365,6 +413,25 @@ def test_generated_candidates_compile_like_oracle(game, mover):
     assert_compiles_like_oracle(fs, rules.graph, movers=(mover,))
 
 
+class NoWinRules(gw.GameRules):
+    """Placement on any board, where nothing ever wins."""
+
+    name = "nowin"
+
+    def _placed(self, bits, groups, mover, cell, *_):
+        return None, groups
+
+
+@pytest.mark.parametrize("kind,count", [(gw.Triangular(4), 13), (gw.Semi3464(1), 33)])
+def test_candidates_for_any_rules_on_any_tiling_compile_like_oracle(kind, count):
+    """The generator takes its turns from the board, so it serves rules it
+    has never heard of, on boards with odd-sided and mixed cells."""
+    rules = NoWinRules(gw.build_board(kind))
+    fs = FeatureSet(tuple(generate_candidates(rules, GenConfig(2, 1))), "candidates")
+    assert len(fs.features) == count
+    assert_compiles_like_oracle(fs, rules.graph)
+
+
 def placement_kinds(graph):
     """A reflected, a symmetry-expanded absolute, an explicitly rotated
     absolute and an off-board-edged feature, with quarter turns that branch
@@ -420,13 +487,10 @@ def test_placement_kinds_compile_like_oracle(board, request):
     graph = gw.game_from_name(board).graph if board == "hex5" else request.getfixturevalue(board)
     features = placement_kinds(graph)
     if board == "semi3":
-        assert not graph.symmetries  # the symmetry-expanded feature is rejected by both
         assert any(len(resolve_walk_branches(graph, a, 0, make_walk([0, F(1, 4)]))) == 2
                    for a in range(graph.cell_count))
     for feature in features:
         assert_compiles_like_oracle(FeatureSet((feature,)), graph)
-    if not graph.symmetries:
-        features = tuple(f for f in features if f.relative or f.rotations is not None)
     assert_compiles_like_oracle(FeatureSet(features), graph)
     # Walks and constraints shared by value between features, the mirror of
     # one feature's walk being another's plain walk.
@@ -693,16 +757,14 @@ def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeyp
     assert len({id(inst) for idx in indexes for inst in idx.instances}) == 3 * len(want.instances)
 
 
-def test_a_structure_that_fails_to_compile_fails_every_time(semi3):
+def test_a_structure_that_fails_to_compile_fails_every_time():
     g = gw.build_board(gw.Square(4, 4))
     player3 = Feature(elements=(PatternElement((), (Constraint(ElementKind.PLAYER, 3),)),),
                       action=())
-    absolute = Feature(elements=(PatternElement((), (EMPTY,)),), action=(), anchor=0)
     instancer.clear_memo()
-    for feature, graph, message in ((player3, g, "out of range"), (absolute, semi3, "symmetry")):
-        for weight in (1.0, 1.0, -2.0):
-            with pytest.raises(InstancerError, match=message):
-                instantiate(FeatureSet((dataclasses.replace(feature, weight=weight),)), graph, 1)
+    for weight in (1.0, 1.0, -2.0):
+        with pytest.raises(InstancerError, match="out of range"):
+            instantiate(FeatureSet((dataclasses.replace(player3, weight=weight),)), g, 1)
     assert not instancer._memo
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoweave as gw
+from geoweave import search
 from geoweave.features import EMPTY, FRIEND, Feature, FeatureSet, PatternElement
 from geoweave.rng import SplitMix64, derive_seed
 from geoweave.search import (
@@ -25,7 +26,7 @@ from geoweave.search import (
 from geoweave.walks import make_walk
 from conftest import FIXTURES
 from oracles import biased_scores_oracle, one_ply_winning_moves, random_oracle, sample_oracle
-from test_instancer import hex_bridge_position
+from test_instancer import NoWinRules, hex_bridge_position
 
 
 def test_empty_index_gives_uniform_distribution():
@@ -207,48 +208,55 @@ def test_search_rejects_a_finished_game_no_playouts_and_no_legal_moves():
         biased_move_distribution(won, [], None)
 
 
-class NoWinRules(gw.GameRules):
-    """Placement on a 3x3 square board where no line ever wins."""
-
-    name = "nowin-3x3"
-
-    def __init__(self):
-        super().__init__(gw.build_board(gw.Square(3, 3)))
-
-    def _placed(self, bits, groups, mover, cell, *_):
-        return None, groups
-
-
 def test_a_game_without_wins_ends_in_a_draw_on_the_full_board():
     """The base ``apply`` draws a full board, so rules that never find a
     win still end: a playout fills the board, and so does every match game,
     under the policy and under MCTS."""
-    rules = NoWinRules()
+    rules = NoWinRules(gw.build_board(gw.Square(3, 3)))
     assert run_playout(rules.initial_state(), rules, None, SplitMix64(3)) == 0
     result = play_match(rules, AgentSpec(playouts=4), AgentSpec(), games=2, seed=5)
     assert (result.wins_a, result.wins_b, result.draws) == (0, 0, 2)
 
 
-def test_reactive_fast_path_counters(bridge_fs, hex7_rules):
+def record_tests(monkeypatch) -> list:
+    """Every instance that ``biased_scores`` tests from now on, in order."""
+    tested = []
+    match = search.match_instance
+
+    def recording(inst, bits):
+        tested.append(inst)
+        return match(inst, bits)
+
+    monkeypatch.setattr(search, "match_instance", recording)
+    return tested
+
+
+def test_reactive_fast_path_counters(bridge_fs, hex7_rules, monkeypatch):
+    """Each move tests the last-move bucket, by identity and in order, then
+    the proactive list (empty for the bridge set), and the counters count
+    exactly those tests."""
     indexes = compile_feature_set(bridge_fs, hex7_rules)
+    tested = record_tests(monkeypatch)
     counters = MatchCounters()
     rng = SplitMix64(17)
     state = hex7_rules.initial_state()
-    tested = []
+    moves = 0
     for _ in range(20):
         legal = hex7_rules.legal_moves(state)
         if not legal or hex7_rules.status(state) is not None:
             break
         idx = indexes[state.mover]
-        before = (counters.reactive_tests, counters.proactive_tests)
+        assert idx.proactive == []
+        tested.clear()
+        before = counters.reactive_tests
         biased_scores(state, legal, idx, counters)
-        bucket = len(idx.reactive_for(state.last_move)) if state.last_move is not None else 0
-        tested.append((counters.reactive_tests - before[0], counters.proactive_tests - before[1], bucket))
+        bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
+        assert list(map(id, tested)) == list(map(id, bucket + idx.proactive))
+        assert counters.reactive_tests - before == len(bucket)
+        moves += bool(bucket)
         state = hex7_rules.apply(state, legal[rng.next_u64() % len(legal)])
-    assert tested
-    for reactive_done, proactive_done, bucket in tested:
-        assert reactive_done == bucket  # only the last-move bucket is tested
-        assert proactive_done == 0  # the bridge set has no proactive instances
+    assert moves
+    assert counters.proactive_tests == 0
 
 
 def test_agent_label_names_the_kind_and_the_feature_set():
