@@ -49,6 +49,19 @@ def test_off_board_elements_render_ghosts():
     feature = parse_feature("rel proactive rot={0} el={}:. el={0}:- act_to={}")
     svg = render_feature(feature, g)
     assert "stroke-dasharray" in svg  # ghost marker for the off-board site
+    assert svg == (GOLDEN / "ghost_square.svg").read_text()
+
+
+@pytest.mark.parametrize("kind,text,golden,ghosts", [
+    # The walk enters a triangle, whose odd side count splits it into two
+    # branches that leave the board through different edges.
+    (gw.Triangular(3), "rel proactive rot={0} el={}:. el={0,0}:- act_to={}", "ghost_triangular.svg", 2),
+    (gw.Semi3464(1), "rel proactive el={}:. el={0,0,0}:- act_to={}", "ghost_semi3464.svg", 1),
+])
+def test_off_board_ghosts_on_odd_sided_tilings_match_goldens(kind, text, golden, ghosts):
+    svg = render_feature(parse_feature(text), gw.build_board(kind))
+    assert svg.count('stroke-dasharray="3,3"') == ghosts  # one ghost per off-board exit
+    assert svg == (GOLDEN / golden).read_text()
 
 
 def test_player_and_item_disks_are_labelled():
