@@ -44,6 +44,9 @@ completion = gw.hex_cell(board, 2, 1)
 print(f"\nBlack intrudes at cell {intrusion}")
 print(f"matching reactive instances: {len(hits)}")
 print(f"recommended reply: cell {hits[0].action_to} (bridge completion is {completion})")
+print("the instance sums the weights of:")
+for position in hits[0].features:
+    print(" ", serialize_feature(bridge.features[position]))
 
 empty = rules.initial_state()
 print(f"same instance on an empty board matches: {gw.match_instance(hits[0], empty.board)}")

@@ -87,6 +87,14 @@ class BoardGraph:
     polygons: tuple[tuple[tuple[float, float], ...], ...]
     edge_angles: tuple[tuple[float, ...], ...]
 
+    @property
+    def centroid(self) -> tuple[float, float]:
+        """The mean of the cell centres."""
+        return (
+            sum(x for x, _ in self.centers) / self.cell_count,
+            sum(y for _, y in self.centers) / self.cell_count,
+        )
+
     @cached_property
     def symmetries(self) -> tuple[Symmetry, ...]:
         """The board's automorphisms, found on first use; the identity is
@@ -118,16 +126,35 @@ def _pos_key(x: float, y: float) -> tuple[int, int]:
     return (round(x * 1e5), round(y * 1e5))
 
 
+def edge_midpoints(
+    center: tuple[float, float], polygon: tuple[tuple[float, float], ...]
+) -> list[tuple[float, tuple[float, float]]]:
+    """A cell's edges in slot order, each as (edge angle, edge midpoint).
+
+    The edge angle is the direction from the cell's centre to the edge's
+    midpoint, in degrees rounded to 6 decimals; slots run clockwise from
+    north.
+    """
+    cx, cy = center
+    edges = []
+    x0, y0 = polygon[-1]
+    for x1, y1 in polygon:
+        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        angle = round(math.degrees(math.atan2(my - cy, mx - cx)) * 1e6) / 1e6 % 360.0
+        edges.append(((90.0 - angle) % 360.0, angle, (mx, my)))
+        x0, y0 = x1, y1
+    edges.sort()
+    return [(angle, midpoint) for _, angle, midpoint in edges]
+
+
 def _assemble(kind: TilingKind, cells: Iterable[_Cell]) -> BoardGraph:
     """Derive slots, edge angles and adjacency from the cells' polygons.
 
-    Each polygon edge is a slot, at the direction from the cell's centre
-    to the edge's midpoint (degrees, rounded to 6 decimals), and a cell's
-    slots run clockwise from north.  The first cell to reach a midpoint
-    leaves its slot open; the second pairs with it, which fills in both
-    cells' neighbour and back index at once.
+    Each polygon edge is a slot, in the order and at the angle that
+    ``edge_midpoints`` gives.  The first cell to reach a midpoint leaves
+    its slot open; the second pairs with it, which fills in both cells'
+    neighbour and back index at once.
     """
-    atan2, degrees = math.atan2, math.degrees
     centers: list[tuple[float, float]] = []
     polygons: list[tuple[tuple[float, float], ...]] = []
     edge_angles: list[tuple[float, ...]] = []
@@ -135,18 +162,10 @@ def _assemble(kind: TilingKind, cells: Iterable[_Cell]) -> BoardGraph:
     back_indexes: list[list[int]] = []
     open_slots: dict[tuple[int, int], tuple[int, int]] = {}  # edge midpoint -> (cell, slot)
     for c, (center, polygon) in enumerate(cells):
-        cx, cy = center
-        slots = []
-        x0, y0 = polygon[-1]
-        for x1, y1 in polygon:
-            mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-            angle = round(degrees(atan2(my - cy, mx - cx)) * 1e6) / 1e6 % 360.0
-            slots.append(((90.0 - angle) % 360.0, angle, _pos_key(mx, my)))
-            x0, y0 = x1, y1
-        slots.sort()
-        _, angles, midpoints = zip(*slots)
+        angles, midpoints = zip(*edge_midpoints(center, polygon))
         row, back_row = [], []
-        for d, midpoint in enumerate(midpoints):
+        for d, (mx, my) in enumerate(midpoints):
+            midpoint = _pos_key(mx, my)
             other = open_slots.pop(midpoint, None)
             if other is None:
                 open_slots[midpoint] = (c, d)
@@ -186,8 +205,7 @@ def _find_symmetries(graph: BoardGraph) -> tuple[Symmetry, ...]:
     points, so every accepted cell map is one-to-one; no two accepted
     candidates share their maps, being different isometries.
     """
-    cx = sum(x for x, _ in graph.centers) / graph.cell_count
-    cy = sum(y for _, y in graph.centers) / graph.cell_count
+    cx, cy = graph.centroid
     lookup = {_pos_key(x, y): i for i, (x, y) in enumerate(graph.centers)}
 
     found: list[Symmetry] = []

@@ -55,7 +55,7 @@ class PatternElement:
     def __post_init__(self):
         if not self.constraints:
             raise FeatureError("element needs at least one constraint")
-        positives = {c for c in self.constraints if not c.negated}
+        positives = dict.fromkeys(c for c in self.constraints if not c.negated)  # in constraint order
         if len(positives) > 1:
             raise FeatureError(
                 "contradictory positive constraints on one site: "

@@ -23,18 +23,21 @@ its placements and features:
   lookup that adds the feature to the recipe of the instance the pair
   gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site,
-  to the mask and target of the cell it requires, its negative tests and
-  its ``(site, constraints)`` pair, which every template it enters
-  shares; a pair merges its elements' masks and targets with int
-  operations, and a duplicate instance is found from that mask and
-  target, its negative tests, its action cell and its last-move cell,
-  and only adds to its recipe.
+  straight to ints (``_compile_element``): the mask and target of the one
+  cell value it requires, if any, and its negative tests; its
+  ``(site, constraints)`` pair is shared by every template it enters.  A
+  pair merges its elements' masks and targets with int operations, and a
+  duplicate instance is found from that mask and target, its negative
+  tests, its action cell and its last-move cell, and only adds to its
+  recipe.
 
-A compile yields one template per instance (every field but the feature
-and the weight) and one recipe: the positions of the features whose
-weights the instance sums, in placement order.  Weights are added from
-the recipe in that order, so every merged weight is the same float sum as
-compiling without memos; an instance's feature, anchor, direction and
+A compile yields one template per instance (every field but the recipe
+and the weight) and one recipe: the positions in ``fs.features`` of the
+features whose weights the instance sums, in placement order, duplicates
+kept.  The recipe is the instance's ``features``; the memo keeps one tuple
+of each distinct recipe, which every instance of it shares.  Weights are
+added from the recipe in that order, so every merged weight is the same
+float sum as compiling without memos; an instance's anchor, direction and
 element sites come from the placement that first produced it.
 
 The walk plan (each feature's walks with their tables, and its
@@ -74,7 +77,9 @@ class InstancerError(ValueError):
 
 @dataclass(slots=True)
 class FeatureInstance:
-    feature: Feature
+    # The positions in the feature set of the features whose weights this
+    # instance sums, in placement order, duplicates kept.
+    features: tuple[int, ...]
     anchor: int
     start_dir: int
     reflected: bool
@@ -119,15 +124,6 @@ def match_instance(inst: FeatureInstance, bits: int) -> bool:
     return True
 
 
-def _negative_probes(negative_tests: tuple[tuple[int, int], ...]) -> tuple:
-    """``negative_probes`` for one compiled instance."""
-    full = (1 << CHUNK_BITS) - 1
-    return tuple(
-        (full << cell * CHUNK_BITS, forbidden << cell * CHUNK_BITS)
-        for cell, forbidden in negative_tests
-    )
-
-
 def _orientations(feature: Feature, sides: int) -> list[tuple[int, bool]]:
     """(start direction, reflected) of each placement at an anchor with
     ``sides`` edges."""
@@ -161,26 +157,27 @@ def _absolute_placements(feature: Feature, graph: BoardGraph) -> list[tuple[int,
     ]
 
 
-def _compile_constraints(
+def _compile_element(
     constraints: tuple[Constraint, ...],
     site: int,
     mover: int,
-) -> tuple[dict[int, int], set[tuple[int, int]]] | None:
-    """Positive chunk assignments and negative tests for one element.
+) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+    """One element's tests at ``site``: ``(mask, target, negative tests)``.
 
-    Returns None when the element can never hold at this site (walk landed
-    on/off board against the constraint's requirement), which discards the
-    whole candidate.
+    The mask and target cover the one cell value that the element's
+    positive constraint requires (``PatternElement`` allows at most one),
+    and are 0 without one; each negative test is a (cell, forbidden value)
+    pair.  Returns None when the element can never hold at this site (walk
+    landed on/off board against the constraint's requirement), which
+    discards the whole candidate.
     """
-    positives: dict[int, int] = {}
-    negatives: set[tuple[int, int]] = set()
-
-    has_positive_off = any(c.kind is ElementKind.OFF and not c.negated for c in constraints)
-    if has_positive_off:
-        return (positives, negatives) if site == OFF_BOARD else None
+    if any(c.kind is ElementKind.OFF and not c.negated for c in constraints):
+        return (0, 0, ()) if site == OFF_BOARD else None
     if site == OFF_BOARD:
         return None
 
+    mask = target = 0
+    negatives = []
     for c in constraints:
         if c.kind is ElementKind.OFF:
             continue  # negated OFF just demands an on-board site, already true
@@ -199,12 +196,11 @@ def _compile_constraints(
                 raise InstancerError(f"item index {c.index} out of range 0..2")
             value = c.index
         if c.negated:
-            negatives.add((site, value))
+            negatives.append((site, value))
         else:
-            if site in positives and positives[site] != value:
-                return None
-            positives[site] = value
-    return positives, negatives
+            mask = ((1 << CHUNK_BITS) - 1) << site * CHUNK_BITS
+            target = value << site * CHUNK_BITS
+    return mask, target, tuple(negatives)
 
 
 def _feature_walks(feature: Feature, interned: dict[Walk, tuple], mirrored: bool) -> tuple:
@@ -318,17 +314,16 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     compiled along ``plan`` (``_walk_plan(fs, graph)``, whose entry at each
     position is that feature's), whose tables it fills.
 
-    A template holds every ``FeatureInstance`` field between ``feature``
-    and ``weight``, in field order.  A recipe holds the positions in
-    ``fs.features`` whose weights the instance sums, duplicates kept, in
-    the order the placements produced them; its first position names the
-    instance's feature.
+    A template holds every ``FeatureInstance`` field between
+    ``features`` and ``weight``, in field order.  A recipe is an
+    instance's ``features``: the positions in ``fs.features`` whose
+    weights the instance sums, duplicates kept, in the order the
+    placements produced them.
 
     Each element (constraint tuple by value, at a site) is compiled once,
-    from ``_compile_constraints``, to the mask and target of the cell it
-    requires, its negative tests and its ``(site, constraints)`` pair; a
-    new pair merges its elements' masks and targets with int operations,
-    and its template shares the elements' pairs.
+    by ``_compile_element``, and kept with its ``(site, constraints)``
+    pair; a new pair merges its elements' masks and targets with int
+    operations, and its template shares the elements' pairs.
     """
     full = (1 << CHUNK_BITS) - 1
     templates: list[tuple] = []
@@ -344,17 +339,6 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     # gave, or None for a rejected pair: by signature (by value), then by combo.
     instance_by_signature: dict[tuple, dict] = {}
 
-    def compile_element(constraints, site):
-        compiled = _compile_constraints(constraints, site, mover)
-        if compiled is None:
-            return None
-        positives, negatives = compiled
-        mask = target = 0
-        for cell, value in positives.items():
-            mask |= full << cell * CHUNK_BITS
-            target |= value << cell * CHUNK_BITS
-        return mask, target, tuple(negatives), (site, constraints)
-
     def compile_pair(elements, combo, anchor, start_dir, reflected):
         """The instance number of one pair not seen before in this compile,
         or None when the pair can never match."""
@@ -367,7 +351,10 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
         for (constraints, by_site), site in zip(elements, combo):
             compiled = by_site.get(site, _MISSING)
             if compiled is _MISSING:
-                compiled = by_site[site] = compile_element(constraints, site)
+                compiled = _compile_element(constraints, site, mover)
+                if compiled is not None:
+                    compiled += ((site, constraints),)
+                by_site[site] = compiled
             if compiled is None:
                 return None
             m, t, neg, pair = compiled
@@ -402,7 +389,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             mask,
             target,
             neg_sorted,
-            _negative_probes(neg_sorted),
+            tuple((full << cell * CHUNK_BITS, value << cell * CHUNK_BITS) for cell, value in neg_sorted),
             tuple(sites),
             action_to,
             last_cell,
@@ -410,18 +397,12 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
         recipes.append([])
         return number
 
-    features = fs.features
-    prepared = []
-    for feature in features:
+    for position, (feature, (plain, mirrored, placements)) in enumerate(zip(fs.features, plan)):
         elements = [
             (el.constraints, compiled_by_constraints.setdefault(el.constraints, {}))
             for el in feature.elements
         ]
-        prepared.append((elements, instance_by_signature.setdefault(tuple(c for c, _ in elements), {})))
-
-    for position, (plain, mirrored, placements) in enumerate(plan):
-        feature = features[position]
-        elements, by_combo = prepared[position]
+        by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
         absent = feature.last_move is None
         for anchor, start_dir, reflected in placements:
             branches = [
@@ -437,25 +418,25 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
                 if number is not None:
                     recipes[number].append(position)
 
-    # Few recipes are distinct (58 of 5,296 on the hex7 candidates), so the
-    # memo keeps one tuple of each.
+    # Few recipes are distinct (58 of 5,296 on the hex7 candidates, as
+    # tools/compile.py reports), so the memo keeps one tuple of each.
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
     return tuple(templates), tuple(distinct.setdefault(r, r) for r in map(tuple, recipes))
 
 
 def _weighted_index(index: InstanceIndex, fs: FeatureSet, templates: tuple, recipes: tuple) -> InstanceIndex:
     """``index`` filled with fresh instances from templates and recipes,
-    each weight summed left to right as the placements produced it (not
-    with ``sum``, which compensates float sums from Python 3.12), so that
-    every weight is the float a compile without memos adds up."""
-    features = fs.features
-    weights = [f.weight for f in features]
+    each naming its recipe as its ``features`` and summing their weights
+    left to right as the placements produced them (not with ``sum``, which
+    compensates float sums from Python 3.12), so that every weight is the
+    float a compile without memos adds up."""
+    weights = [f.weight for f in fs.features]
     proactive, reactive = index.proactive, index.reactive_by_last_move
     for template, recipe in zip(templates, recipes):
         weight = weights[recipe[0]]
         for position in recipe[1:]:
             weight += weights[position]
-        inst = FeatureInstance(features[recipe[0]], *template, weight)
+        inst = FeatureInstance(recipe, *template, weight)
         index.instances.append(inst)
         if inst.last_move_cell is None:
             proactive.append(inst)

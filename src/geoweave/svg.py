@@ -8,10 +8,9 @@ tests: fixed float formatting, no timestamps.
 
 from __future__ import annotations
 
-import math
 import xml.etree.ElementTree as ET
 
-from .board import OFF_BOARD, BoardGraph
+from .board import OFF_BOARD, BoardGraph, edge_midpoints
 from .features import Constraint, ElementKind, Feature, FeatureSet
 from .instancer import FeatureInstance, InstancerError, instantiate
 from .walks import mirror_walk, resolve_walk_exits
@@ -35,8 +34,7 @@ def _central_instance(feature: Feature, graph: BoardGraph) -> FeatureInstance:
     index = instantiate(FeatureSet((feature,), "render"), graph, mover=1)
     if not index.instances:
         raise InstancerError("feature has no valid instance on this board")
-    cx = sum(x for x, _ in graph.centers) / graph.cell_count
-    cy = sum(y for _, y in graph.centers) / graph.cell_count
+    cx, cy = graph.centroid
 
     def centrality(inst: FeatureInstance) -> float:
         x, y = graph.centers[inst.anchor]
@@ -48,24 +46,6 @@ def _central_instance(feature: Feature, graph: BoardGraph) -> FeatureInstance:
         d = centrality(inst)
         if d < best_d - 1e-9:
             best, best_d = inst, d
-    return best
-
-
-def _edge_midpoint(graph: BoardGraph, cell: int, slot: int) -> tuple[float, float]:
-    cxy = graph.centers[cell]
-    target = graph.edge_angles[cell][slot]
-    poly = graph.polygons[cell]
-    best = None
-    best_err = 1e9
-    for i in range(len(poly)):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % len(poly)]
-        mx, my = (x1 + x2) / 2, (y1 + y2) / 2
-        ang = math.degrees(math.atan2(my - cxy[1], mx - cxy[0])) % 360.0
-        err = abs((ang - target + 180.0) % 360.0 - 180.0)
-        if err < best_err:
-            best_err = err
-            best = (mx, my)
     return best
 
 
@@ -84,7 +64,7 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
             ):
                 if loc == OFF_BOARD:
                     cx, cy = graph.centers[last_cell]
-                    mx, my = _edge_midpoint(graph, last_cell, exit_slot)
+                    _, (mx, my) = edge_midpoints((cx, cy), graph.polygons[last_cell])[exit_slot]
                     ghosts.append((cx + 2 * (mx - cx), cy + 2 * (my - cy)))
         else:
             pattern_cells[site] = constraints

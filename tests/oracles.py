@@ -29,8 +29,6 @@ from geoweave.instancer import (
     InstanceIndex,
     InstancerError,
     _absolute_placements,
-    _compile_constraints,
-    _negative_probes,
     _orientations,
 )
 from geoweave.walks import mirror_walk, resolve_walk_branches
@@ -313,6 +311,34 @@ def one_ply_winning_moves(rules, state) -> list:
 # --- instance compiler oracle ----------------------------------------------
 
 
+def constraint_value(constraint: Constraint, mover: int) -> int:
+    """The cell value a constraint names for ``mover``: empty 0, a player's
+    stone its player number, item n the value n."""
+    kind = constraint.kind
+    if kind is ElementKind.PLAYER and constraint.index not in (1, 2):
+        raise InstancerError(f"player index {constraint.index} out of range 1..2")
+    if kind is ElementKind.ITEM and constraint.index not in (0, 1, 2):
+        raise InstancerError(f"item index {constraint.index} out of range 0..2")
+    named = {ElementKind.EMPTY: 0, ElementKind.FRIEND: mover, ElementKind.ENEMY: 3 - mover}
+    return named[kind] if kind in named else constraint.index
+
+
+def element_tests(constraints, site: int, mover: int):
+    """The (cell, value) pairs that one element requires and forbids at
+    ``site``, as two lists, or None when it can never hold there.  An
+    element with a plain ``-`` holds exactly off the board, where it tests
+    nothing; any other element holds only on the board, where ``!-`` tests
+    nothing."""
+    off = Constraint(ElementKind.OFF) in constraints
+    if off or site == OFF_BOARD:
+        return ([], []) if off and site == OFF_BOARD else None
+    required, forbidden = [], []
+    for c in constraints:
+        if c.kind is not ElementKind.OFF:
+            (forbidden if c.negated else required).append((site, constraint_value(c, mover)))
+    return required, forbidden
+
+
 def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     """The instance compiler as it was before its per-call memos: every
     placement resolves its walks and compiles its constraints afresh, and
@@ -322,14 +348,20 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
 
     Duplicate instances (identical compiled tests and action) are merged
     with their weights summed, which preserves the additive application
-    semantics when symmetry expansion or ambiguity branches overlap.
+    semantics when symmetry expansion or ambiguity branches overlap; a
+    merge appends the feature's position to the instance's ``features``.
     """
     if not 1 <= mover <= 2:
         raise InstancerError(f"mover {mover} out of range 1..2")
     index = InstanceIndex(graph, mover)
     dedup: dict[tuple, FeatureInstance] = {}
+    full = (1 << CHUNK_BITS) - 1
 
-    for feature in fs:
+    def cell_int(cell: int, value: int) -> int:
+        """A board holding ``value`` in ``cell`` and 0 elsewhere."""
+        return pack_values([value if c == cell else 0 for c in range(graph.cell_count)], CHUNK_BITS)
+
+    for position, feature in enumerate(fs):
         if feature.relative:
             placements = [
                 (anchor, d, refl)
@@ -362,19 +394,19 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                 negatives: set[tuple[int, int]] = set()
                 ok = True
                 for el, site in zip(feature.elements, sites):
-                    compiled = _compile_constraints(el.constraints, site, mover)
-                    if compiled is None:
+                    tests = element_tests(el.constraints, site, mover)
+                    if tests is None:
                         ok = False
                         break
-                    pos, neg = compiled
-                    for cell, value in pos.items():
+                    required, forbidden = tests
+                    for cell, value in required:
                         if positives.get(cell, value) != value:
                             ok = False
                             break
                         positives[cell] = value
                     if not ok:
                         break
-                    negatives |= neg
+                    negatives.update(forbidden)
                 if not ok:
                     continue
                 # A forbidden value equal to a required one can never match.
@@ -386,7 +418,7 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                 mask_values = [0] * graph.cell_count
                 target_values = [0] * graph.cell_count
                 for cell, value in positives.items():
-                    mask_values[cell] = (1 << CHUNK_BITS) - 1
+                    mask_values[cell] = full
                     target_values[cell] = value
                 mask = pack_values(mask_values, CHUNK_BITS)
                 target = pack_values(target_values, CHUNK_BITS)
@@ -401,17 +433,18 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                 )
                 existing = dedup.get(key)
                 if existing is not None:
+                    existing.features += (position,)
                     existing.weight += feature.weight
                     continue
                 inst = FeatureInstance(
-                    feature=feature,
+                    features=(position,),
                     anchor=anchor,
                     start_dir=start_dir,
                     reflected=reflected,
                     mask=mask,
                     target=target,
                     negative_tests=neg_sorted,
-                    negative_probes=_negative_probes(neg_sorted),
+                    negative_probes=tuple((cell_int(cell, full), cell_int(cell, v)) for cell, v in neg_sorted),
                     element_sites=tuple(
                         (site, el.constraints) for el, site in zip(feature.elements, sites)
                     ),

@@ -159,6 +159,9 @@ EMPTY_ANCHOR = PatternElement((), (Constraint(ElementKind.EMPTY),))
     (lambda: PatternElement((), ()), "element needs at least one constraint"),
     (lambda: Feature((EMPTY_ANCHOR,), (), weight=float("inf")), "feature weight must be finite"),
     (lambda: Feature((EMPTY_ANCHOR,), (), weight=float("nan")), "feature weight must be finite"),
+    # At most one positive constraint per element, named in constraint order.
+    (lambda: PatternElement((), (Constraint(ElementKind.FRIEND), Constraint(ElementKind.PLAYER, 1))),
+     "contradictory positive constraints on one site: o,P1"),
 ])
 def test_feature_model_refuses_malformed_parts(build, message):
     with pytest.raises(FeatureError) as err:

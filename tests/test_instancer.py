@@ -21,6 +21,7 @@ from geoweave.features import (
     negate,
 )
 from geoweave.chunkset import CHUNK_BITS
+from geoweave.dsl import parse_feature
 from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
@@ -357,16 +358,13 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
 
 
 def assert_same_index(got, want):
-    """Same instances in the same order, field by field (the feature by
-    identity, the weight with == and bit for bit), and the same
-    proactive/reactive split."""
+    """Same instances in the same order, field by field (the weight with ==
+    and bit for bit), and the same proactive/reactive split."""
     assert (got.graph, got.mover) == (want.graph, want.mover)
     assert len(got.instances) == len(want.instances)
     for a, b in zip(got.instances, want.instances):
-        assert a.feature is b.feature
         for f in dataclasses.fields(FeatureInstance):
-            if f.name != "feature":
-                assert getattr(a, f.name) == getattr(b, f.name), f.name
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
         assert float(a.weight).hex() == float(b.weight).hex()
 
     def positions(index):
@@ -527,8 +525,51 @@ def test_swapped_element_order_merges_into_one_instance(board, request):
     alone = instantiate(FeatureSet((pattern,)), graph, 1).instances
     idx = instantiate(fs, graph, 1)
     assert len(idx.instances) == 2 * len(alone)
-    assert [i.feature for i in idx.instances] == [pattern] * len(alone) + [enemy] * len(alone)
+    assert [i.features for i in idx.instances] == [(0, 1, 3)] * len(alone) + [(2,)] * len(alone)
     assert {i.weight for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
+
+
+@pytest.mark.parametrize("board", ["hex5", "semi3"])
+def test_each_instance_names_every_feature_it_sums(board, request):
+    """An instance's ``features`` holds, in set order, the position of each
+    feature that compiles to it alone, once per placement that produced
+    it: checked on a set with duplicate features, rotations that merge and
+    a pattern with its elements swapped."""
+    graph = gw.game_from_name(board).graph if board == "hex5" else request.getfixturevalue(board)
+    pair, single, swapped, mirrored = (parse_feature(text) for text in (
+        "rel proactive el={}:. el={0}:o act_to={}",
+        "rel proactive el={}:. act_to={}",
+        "rel proactive el={0}:o el={}:. act_to={}",
+        "rel proactive refl=yes el={}:. el={0,1/4}:!x act_to={}",
+    ))
+    fs = FeatureSet((pair, single, swapped, pair, mirrored, single))
+    want: dict[tuple, list[int]] = {}
+    for position, feature in enumerate(fs):
+        # With weight 1, an instance's weight counts the placements that gave it.
+        alone = instantiate(FeatureSet((dataclasses.replace(feature, weight=1.0),)), graph, 1)
+        for inst in alone.instances:
+            key = (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell)
+            want.setdefault(key, []).extend([position] * int(inst.weight))
+    got = {
+        (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell): inst.features
+        for inst in instantiate(fs, graph, 1).instances
+    }
+    assert got == {key: tuple(positions) for key, positions in want.items()}
+    assert (0, 2, 3) in got.values()  # ``pair``, its swap and its copy
+    assert (1,) * 6 + (5,) * 6 in got.values()  # ``single`` and its copy, at each turn of a hexagon
+
+
+@pytest.mark.parametrize("game", ["hex7", "line4-7x7"])
+def test_element_forms_compile_like_oracle(game):
+    """Each form an element's constraints take: a positive with negatives
+    at one site, negatives only, off the board and on it."""
+    graph = gw.game_from_name(game).graph
+    forms = ("o,!x", ".,!o,!x", "!o,!x", "-", "!-")
+    features = tuple(parse_feature(f"rel proactive el={{}}:. el={{0,0}}:{form} act_to={{}}") for form in forms)
+    for feature in features:
+        assert instantiate(FeatureSet((feature,)), graph, 1).instances
+        assert_compiles_like_oracle(FeatureSet((feature,)), graph)
+    assert_compiles_like_oracle(FeatureSet(features), graph)
 
 
 def with_copied_walks(fs, rng):
@@ -688,7 +729,8 @@ def assert_hits_equal_oracle(fs, graph, mover, rng, monkeypatch, sets=2):
         new = reweighted(fs, rng)
         got = instantiate(new, graph, mover)
         assert_same_index(got, instantiate_oracle(new, graph, mover))
-        assert {id(inst.feature) for inst in got.instances} <= {id(f) for f in new.features}
+        # The hit's instances share the memo's one tuple of each recipe.
+        assert len({id(i.features) for i in got.instances}) == len({i.features for i in got.instances})
     monkeypatch.undo()
 
 

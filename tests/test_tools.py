@@ -43,7 +43,8 @@ def leaves(*keys: str) -> dict:
 
 
 # The report each per-layer timing tool documents for --json.
-COMPILE_MOVER = leaves("instances", "walk_calls", "cold_s", "hit_s", "hit_walk_replay_s", "hit_walk_replay_share")
+COMPILE_MOVER = leaves("instances", "walk_calls", "distinct_recipes", "cold_s", "hit_s", "hit_walk_replay_s",
+                       "hit_walk_replay_share")
 TOOL_REPORTS = {
     "plies": {
         **leaves("case", "seed", "plies", "playouts", "unit_score_share", "repeat"),

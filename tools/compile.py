@@ -10,6 +10,11 @@ workload (its rules and generation bound at full size, taken from
     hit    the set's structure is in the memo, so the call builds fresh
            instances from it and sums the weights
 
+Each mover's report also counts its instances, the walk calls of its
+cold compile and its distinct recipes (``distinct_recipes``): the distinct
+``inst.features`` tuples, each the positions of the features whose
+weights an instance sums.
+
 It also times the cold pair: ``compile_feature_set``, mover 1's call and
 then mover 2's from a cleared memo, where the second compile borrows the
 first one's walk plan and its tables.  That is what a one-off ``match`` or
@@ -57,7 +62,8 @@ TUNE = WORKLOADS["hex7-tune-candidates"]
 
 
 def cold_compile(fs, graph, mover: int):
-    """The instance count and the walk call count of one cold compile."""
+    """The instance count, the walk call count and the distinct recipe
+    count of one cold compile."""
     resolve = instancer.resolve_walk_branches
     calls = 0
 
@@ -69,7 +75,7 @@ def cold_compile(fs, graph, mover: int):
     instancer.clear_memo()
     with rebinding(instancer, resolve_walk_branches=counting):
         index = instancer.instantiate(fs, graph, mover)
-    return len(index.instances), calls
+    return len(index.instances), calls, len({inst.features for inst in index.instances})
 
 
 def timed_hit(fs, graph, mover: int, probe: SpeedProbe) -> tuple[float, float]:
@@ -117,7 +123,7 @@ def main(argv=None) -> int:
     probe = SpeedProbe()
     movers = {}
     for mover in (1, 2):
-        instances, calls = cold_compile(fs, graph, mover)
+        instances, calls, recipes = cold_compile(fs, graph, mover)
 
         def compile_once(mover=mover):
             instancer.instantiate(fs, graph, mover)
@@ -131,6 +137,7 @@ def main(argv=None) -> int:
         movers[mover] = {
             "instances": instances,
             "walk_calls": calls,
+            "distinct_recipes": recipes,
             "cold_s": round(cold, 4),
             "hit_s": round(reference_s(min(wall for wall, _ in hits), samples), 4),
             "hit_walk_replay_s": round(reference_s(min(replay for _, replay in hits), samples), 4),
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
     print(f"hex7-tune-candidates: {len(fs)} candidates; best of {args.repeat}, GC off, untraced, "
           "reference seconds")
     for mover, m in movers.items():
-        print(f"  mover {mover}: {m['instances']} instances, {m['walk_calls']} walk calls; "
+        print(f"  mover {mover}: {m['instances']} instances ({m['distinct_recipes']} distinct recipes), "
+              f"{m['walk_calls']} walk calls; "
               f"cold {m['cold_s']:.4f} s, hit {m['hit_s']:.4f} s "
               f"(walk replay {m['hit_walk_replay_s']:.4f} s, {m['hit_walk_replay_share']:.0%})")
     print(f"  cold pair (mover 1, then mover 2): {report['cold_pair_s']:.4f} s, "
