@@ -1,13 +1,21 @@
 """Command-line entry point: render, match, generate, evaluate, tune.
 
-Every run writes its outputs plus exactly one ``manifest.json`` under
-``--out``.  Outputs are byte-reproducible for a given seed and flag set
-(the manifest's wall_time_s field is the one intentionally varying
-value).  Exit codes: 0 success; 2 for errors in what the user gave
-(flags, an ``--out`` that is or lies under a file, game name,
-``GEOWEAVE_SEED``, feature files, features that cannot compile on the
-game's board, generator bounds); 1 for every other error.
-``GEOWEAVE_SEED`` provides the seed when ``--seed`` is absent.
+``main`` reads what the user gave once, in this order, before any
+command runs: ``--out`` (an ``--out`` that is or lies under a file is
+refused), the seed (``--seed``, else ``GEOWEAVE_SEED``, else 0), the
+search flags of the commands that play games (``--games`` even and at
+least 2, ``--playouts`` >= 0), and the game.  Each ``cmd_*`` then does
+its work, hands its outputs to the ``Run`` record and returns the one
+line that ``main`` prints.
+
+A run writes its outputs plus exactly one ``manifest.json`` under
+``--out``, all at the end: a run refused at any point writes nothing.
+Outputs are byte-reproducible for a given seed and flag set (the
+manifest's wall_time_s field is the one intentionally varying value).
+Exit codes: 0 success; 2 for errors in what the user gave (flags,
+``--out``, game name, ``GEOWEAVE_SEED``, feature files, features that
+cannot compile on the game's board, generator bounds); 1 for every other
+error.
 """
 
 from __future__ import annotations
@@ -21,14 +29,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .dsl import DslError, dump_feature_set, feature_set_hash, load_feature_set, save_feature_set
+from .dsl import DslError, dump_feature_set, feature_set_hash, load_feature_set
 from .featuregen import (
     GenConfig,
     GenError,
+    eval_log,
     evaluate_feature_set,
     generate_candidates,
     hill_climb_weights,
-    write_eval_log,
 )
 from .features import FeatureSet
 from .games import game_from_name
@@ -80,44 +88,27 @@ def _check_out(out: str) -> None:
             return
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Run:
-    """Collects outputs and writes the per-run manifest."""
+    """One run's record: its outputs are kept in memory and written, with
+    the manifest that hashes those same bytes, only by ``finish``."""
 
-    def __init__(self, command: str, args: argparse.Namespace, out_dir: str):
-        self.command = command
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self.config = {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
+            k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
         }
-        self._out = Path(out_dir)
-        self.outputs: list[Path] = []
+        self.out = Path(args.out)
+        self.outputs: dict[str, bytes] = {}
         self.started = time.monotonic()
 
-    @property
-    def out(self) -> Path:
-        """The output directory, made on first use, so that a run the
-        library refuses before writing anything leaves none."""
-        self._out.mkdir(parents=True, exist_ok=True)
-        return self._out
+    def write_text(self, name: str, text: str) -> None:
+        self.outputs[name] = text.encode("utf-8")
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.out / name
-        path.write_text(text, encoding="utf-8")
-        self.outputs.append(path)
-        return path
+    def write_json(self, name: str, payload: dict) -> None:
+        self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def add(self, path: Path) -> Path:
-        self.outputs.append(path)
-        return path
-
-    def finish(self, seed: int) -> Path:
-        """Write the manifest."""
+    def finish(self, seed: int) -> None:
+        """Write every output and then the manifest."""
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -125,36 +116,28 @@ class Run:
             "versions": {"geoweave": __version__, "python": sys.version.split()[0]},
             "wall_time_s": round(time.monotonic() - self.started, 3),
             "outputs": [
-                {"path": p.name, "sha256": _sha256(p)} for p in self.outputs
+                {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
+                for name, data in self.outputs.items()
             ],
         }
-        path = self.out / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
+        self.write_json("manifest.json", manifest)
+        self.out.mkdir(parents=True, exist_ok=True)
+        for name, data in self.outputs.items():
+            (self.out / name).write_bytes(data)
 
 
-def cmd_render(args) -> int:
-    seed = _seed_from(args)
-    rules = _rules_from(args)
+def cmd_render(args, rules, seed: int, run: Run) -> str:
     fs = load_feature_set(args.features)
-    run = Run("render", args, args.out)
     for i, feature in enumerate(fs.features):
-        svg = render_feature(feature, rules.graph)
-        run.write_text(f"feature_{i:03d}.svg", svg)
-    run.finish(seed)
-    print(f"rendered {len(fs.features)} feature(s) to {run.out}")
-    return 0
+        run.write_text(f"feature_{i:03d}.svg", render_feature(feature, rules.graph))
+    return f"rendered {len(fs.features)} feature(s) to {run.out}"
 
 
-def cmd_match(args) -> int:
-    seed = _seed_from(args)
-    _check_search_flags(args)
-    rules = _rules_from(args)
-    fs_a = load_feature_set(args.a) if args.a else None
-    fs_b = load_feature_set(args.b) if args.b else None
-    agent_a = AgentSpec(feature_set=fs_a, playouts=args.playouts)
-    agent_b = AgentSpec(feature_set=fs_b, playouts=args.playouts)
-    run = Run("match", args, args.out)
+def cmd_match(args, rules, seed: int, run: Run) -> str:
+    agent_a, agent_b = (
+        AgentSpec(feature_set=load_feature_set(path) if path else None, playouts=args.playouts)
+        for path in (args.a, args.b)
+    )
     result = play_match(rules, agent_a, agent_b, args.games, seed)
     payload = {
         "game": rules.name,
@@ -164,66 +147,41 @@ def cmd_match(args) -> int:
         **result.to_dict(),
     }
     run.write_json("match.json", payload)
-    run.finish(seed)
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    return json.dumps(payload, sort_keys=True)
 
 
-def cmd_generate(args) -> int:
-    seed = _seed_from(args)
-    rules = _rules_from(args)
+def cmd_generate(args, rules, seed: int, run: Run) -> str:
     cfg = GenConfig(
         max_elements=args.max_elements,
         max_walk_length=args.max_walk_length,
         include_reactive=args.reactive,
     )
-    run = Run("generate", args, args.out)
     candidates = generate_candidates(rules, cfg)
     fs = FeatureSet(tuple(candidates), f"{rules.name}-candidates")
     run.write_text("candidates.fs", dump_feature_set(fs))
-    run.finish(seed)
-    print(f"generated {len(candidates)} candidate feature(s) to {run.out / 'candidates.fs'}")
-    return 0
+    return f"generated {len(candidates)} candidate feature(s) to {run.out / 'candidates.fs'}"
 
 
-def cmd_evaluate(args) -> int:
-    seed = _seed_from(args)
-    _check_search_flags(args)
-    rules = _rules_from(args)
+def cmd_evaluate(args, rules, seed: int, run: Run) -> str:
     fs = load_feature_set(args.features)
-    run = Run("evaluate", args, args.out)
     record = evaluate_feature_set(fs, rules, args.games, seed, playouts=args.playouts)
     run.write_json("eval.json", record.to_dict())
-    log_path = run.out / "eval.jsonl"
-    write_eval_log([record], log_path)
-    run.add(log_path)
-    run.finish(seed)
-    print(json.dumps(record.to_dict(), sort_keys=True))
-    return 0
+    run.write_text("eval.jsonl", eval_log([record]))
+    return json.dumps(record.to_dict(), sort_keys=True)
 
 
-def cmd_tune(args) -> int:
-    seed = _seed_from(args)
-    _check_search_flags(args)
-    rules = _rules_from(args)
+def cmd_tune(args, rules, seed: int, run: Run) -> str:
     fs = load_feature_set(args.features)
-    run = Run("tune", args, args.out)
     result = hill_climb_weights(
         fs, rules, budget=args.budget, step=args.step, seed=seed,
         games=args.games, playouts=args.playouts,
     )
-    tuned_path = run.out / "tuned.fs"
-    save_feature_set(result.best, tuned_path)
-    run.add(tuned_path)
-    log_path = run.out / "tune_log.jsonl"
-    write_eval_log(result.history, log_path)
-    run.add(log_path)
-    run.finish(seed)
-    print(
+    run.write_text("tuned.fs", dump_feature_set(result.best))
+    run.write_text("tune_log.jsonl", eval_log(result.history))
+    return (
         f"tuned set {feature_set_hash(result.best)} win rate "
         f"{result.best_record.win_rate:.3f} after {len(result.history)} evaluation(s)"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,13 +240,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        return args.func(args)
+        seed = _seed_from(args)
+        if hasattr(args, "games"):
+            _check_search_flags(args)
+        rules = _rules_from(args)
+        run = Run(args)
+        summary = args.func(args, rules, seed, run)
+        run.finish(seed)
     except (UsageError, DslError, GenError, InstancerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

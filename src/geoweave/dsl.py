@@ -1,7 +1,8 @@
 """Line-oriented textual format for features and feature sets.
 
 One feature per line, ``#`` comments, optional ``name:`` header.  The
-grammar is documented in full in docs/dsl.md; the short form is::
+grammar is documented in full in docs/dsl.md; the short form, whose parts
+may come in any order, is::
 
     rel|abs@N  proactive|reactive  [w=F] [last={..}] [rot=all|{..}]
     [refl=yes|no]  el={walk}:constraints ...  act_to={walk}
@@ -18,7 +19,6 @@ import hashlib
 import io
 import os
 import re
-from fractions import Fraction
 
 from .features import (
     Constraint,
@@ -28,7 +28,7 @@ from .features import (
     FeatureSet,
     PatternElement,
 )
-from .walks import WalkError, format_turn, format_walk, parse_walk
+from .walks import format_turn, format_walk, parse_walk
 
 _GLYPH_RE = re.compile(r"^(!?)(-|\.|o|x|P(\d+)|I(\d+))$")
 
@@ -56,115 +56,91 @@ def _parse_constraint(text: str) -> Constraint:
     return Constraint(ElementKind(body), None, negated)
 
 
-def _split_tokens(text: str) -> list[tuple[int, str]]:
-    tokens = []
-    col = 0
-    for piece in text.split(" "):
-        if piece:
-            tokens.append((col + 1, piece))
-        col += len(piece) + 1
-    return tokens
+def _parse_element(text: str) -> PatternElement:
+    walk_text, colon, cons_text = text.partition(":")
+    if not colon:
+        raise ValueError("element needs walk:constraints")
+    walk = parse_walk(walk_text)
+    # Identical duplicate constraints collapse; contradictions raise.
+    cons = dict.fromkeys(_parse_constraint(p) for p in cons_text.split(",") if p)
+    return PatternElement(walk, tuple(cons))
+
+
+def _parse_reflections(text: str) -> bool:
+    if text not in ("yes", "no"):
+        raise ValueError(f"refl= takes yes or no, got {text!r}")
+    return text == "yes"
+
+
+# Clause key -> (name in the "duplicate ..." error and in ``given``, value reader).
+_CLAUSES = {
+    "rel": ("scope", lambda _: None),
+    "abs@": ("scope", int),
+    "proactive": ("mode", lambda _: False),
+    "reactive": ("mode", lambda _: True),
+    "w=": ("weight", float),
+    "last=": ("last-move walk", parse_walk),
+    "rot=": ("rotations", lambda text: None if text == "all" else parse_walk(text)),
+    "refl=": ("reflections flag", _parse_reflections),
+    "el=": ("element", _parse_element),
+    "act_to=": ("act_to", parse_walk),
+}
+
+
+def _clause(token: str) -> tuple[str, str]:
+    """Split a token into its clause key (``rel``, ``abs@``, ``w=``, ...)
+    and the value text after it."""
+    key = "abs@" if token.startswith("abs@") else token[: token.find("=") + 1] or token
+    return key, token[len(key):]
 
 
 def parse_feature(text: str, line: int | None = None) -> Feature:
-    tokens = _split_tokens(text.strip())
-    if not tokens:
+    """Parse one feature line.  Scope, mode and clauses come in any order;
+    ``el=`` repeats in pattern order and every other clause is given at
+    most once."""
+    text = text.strip()
+    if not text:
         raise DslError("empty feature", line)
-
-    anchor: int | None = None
-    relative: bool | None = None
-    reactive: bool | None = None
-    weight: float | None = None
-    rotations: tuple[Fraction, ...] | None | str = "unset"
-    reflections: bool | None = None
-    last_move = None
+    given: dict[str, object] = {}
     elements: list[PatternElement] = []
-    act_to = None
-
-    def fail(col: int, msg: str):
-        raise DslError(msg, line, col)
-
-    for col, tok in tokens:
+    for match in re.finditer(r"[^ ]+", text):
+        col, token = match.start() + 1, match.group()
+        key, value = _clause(token)
+        if key not in _CLAUSES:
+            raise DslError(f"unrecognised token {token!r}", line, col)
+        name, read = _CLAUSES[key]
+        if name in given:
+            raise DslError(f"duplicate {name}", line, col)
         try:
-            if tok == "rel":
-                if relative is not None:
-                    fail(col, "duplicate scope")
-                relative = True
-            elif tok.startswith("abs@"):
-                if relative is not None:
-                    fail(col, "duplicate scope")
-                relative = False
-                anchor = int(tok[4:])
-            elif tok in ("proactive", "reactive"):
-                if reactive is not None:
-                    fail(col, "duplicate mode")
-                reactive = tok == "reactive"
-            elif tok.startswith("w="):
-                if weight is not None:
-                    fail(col, "duplicate weight")
-                weight = float(tok[2:])
-            elif tok.startswith("last="):
-                if last_move is not None:
-                    fail(col, "duplicate last-move walk")
-                last_move = parse_walk(tok[5:])
-            elif tok.startswith("rot="):
-                if rotations != "unset":
-                    fail(col, "duplicate rotations")
-                body = tok[4:]
-                if body == "all":
-                    rotations = None
-                else:
-                    rotations = parse_walk(body)
-            elif tok.startswith("refl="):
-                if reflections is not None:
-                    fail(col, "duplicate reflections flag")
-                if tok[5:] not in ("yes", "no"):
-                    fail(col, f"refl= takes yes or no, got {tok[5:]!r}")
-                reflections = tok[5:] == "yes"
-            elif tok.startswith("el="):
-                body = tok[3:]
-                if ":" not in body:
-                    fail(col, "element needs walk:constraints")
-                walk_text, _, cons_text = body.partition(":")
-                walk = parse_walk(walk_text)
-                cons = tuple(_parse_constraint(p) for p in cons_text.split(",") if p)
-                # Identical duplicate constraints collapse; contradictions raise.
-                seen = []
-                for c in cons:
-                    if c not in seen:
-                        seen.append(c)
-                elements.append(PatternElement(walk, tuple(seen)))
-            elif tok.startswith("act_to="):
-                if act_to is not None:
-                    fail(col, "duplicate act_to")
-                act_to = parse_walk(tok[7:])
-            else:
-                fail(col, f"unrecognised token {tok!r}")
-        except DslError:
-            raise
-        except (ValueError, WalkError, FeatureError) as exc:
-            fail(col, str(exc))
+            parsed = read(value)
+        except ValueError as exc:  # WalkError and FeatureError among them
+            raise DslError(str(exc), line, col) from None
+        if key == "el=":
+            elements.append(parsed)
+        else:
+            given[name] = parsed
 
-    if relative is None:
-        raise DslError("missing scope (rel or abs@N)", line)
-    if reactive is None:
-        raise DslError("missing mode (proactive or reactive)", line)
-    if act_to is None:
-        raise DslError("missing act_to={...}", line)
-    if reactive and last_move is None:
+    for name, message in (
+        ("scope", "missing scope (rel or abs@N)"),
+        ("mode", "missing mode (proactive or reactive)"),
+        ("act_to", "missing act_to={...}"),
+    ):
+        if name not in given:
+            raise DslError(message, line)
+    if given["mode"] and "last-move walk" not in given:
         raise DslError("reactive feature needs a last-move walk (last={...})", line)
-    if not reactive and last_move is not None:
+    if not given["mode"] and "last-move walk" in given:
         raise DslError("proactive feature cannot carry a last-move walk", line)
 
     try:
         return Feature(
             elements=tuple(elements),
-            action=act_to,
-            weight=1.0 if weight is None else weight,
-            anchor=anchor,
-            rotations=None if rotations in ("unset", None) else tuple(rotations),
-            reflections=bool(reflections),
-            last_move=last_move,
+            action=given["act_to"],
+            weight=given.get("weight", 1.0),
+            anchor=given["scope"],
+            rotations=given.get("rotations"),
+            reflections=given.get("reflections flag", False),
+            last_move=given.get("last-move walk"),
         )
     except FeatureError as exc:
         raise DslError(str(exc), line) from None

@@ -201,8 +201,6 @@ def hill_climb_weights(
     return TuneResult(best=best, best_record=best_rec, history=history)
 
 
-def write_eval_log(records, path) -> None:
+def eval_log(records) -> str:
     """JSON-lines evaluation log, one record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+    return "".join(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)

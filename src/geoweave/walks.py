@@ -34,8 +34,7 @@ def normalize_turn(turn: Fraction) -> Fraction:
     -1/2 of a revolution round to opposite slot offsets in odd-sided cells.
     """
     turn = Fraction(turn)
-    whole = turn.numerator // turn.denominator if turn >= 0 else -((-turn.numerator) // turn.denominator)
-    return turn - whole
+    return turn - int(turn)  # int() truncates toward zero
 
 
 @functools.lru_cache(maxsize=None)

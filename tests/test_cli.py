@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from geoweave import cli
 from geoweave.cli import main
 from geoweave.games import IllegalMove
-from geoweave.dsl import load_feature_set
+from geoweave.dsl import feature_set_hash, load_feature_set
 from conftest import FIXTURES
 
 
@@ -262,3 +266,88 @@ def test_out_that_cannot_be_a_directory_is_refused_before_the_match(tmp_path, un
     assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
     assert blocker.read_text() == "not a directory\n"
     assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+# --- every command: manifest hashes what --out holds; one summary line -------
+
+
+def _summary_render(out):
+    return f"rendered 1 feature(s) to {out}"
+
+
+def _summary_json(name):
+    return lambda out: json.dumps(json.loads((out / name).read_text()), sort_keys=True)
+
+
+def _summary_generate(out):
+    n = len(load_feature_set(out / "candidates.fs"))
+    return f"generated {n} candidate feature(s) to {out / 'candidates.fs'}"
+
+
+def _summary_tune(out):
+    records = [json.loads(line) for line in (out / "tune_log.jsonl").read_text().splitlines()]
+    best = max(r["winRate"] for r in records)
+    return (f"tuned set {feature_set_hash(load_feature_set(out / 'tuned.fs'))} win rate "
+            f"{best:.3f} after {len(records)} evaluation(s)")
+
+
+LINE4 = str(FIXTURES / "line4.fs")
+SMALL_RUNS = {
+    "render": (["--game", "hex7", "--features", str(FIXTURES / "bridge.fs")], _summary_render),
+    "match": (["--game", "line4-4x4", "--a", LINE4, "--games", "2", "--playouts", "2"],
+              _summary_json("match.json")),
+    "generate": (["--game", "hex5", "--max-elements", "1"], _summary_generate),
+    "evaluate": (["--game", "line4-4x4", "--features", LINE4, "--games", "2", "--playouts", "2"],
+                 _summary_json("eval.json")),
+    "tune": (["--game", "line4-4x4", "--features", LINE4, "--budget", "2", "--games", "2",
+              "--playouts", "0"], _summary_tune),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_manifest_hashes_every_output_and_stdout_is_one_summary_line(tmp_path, command, capsys):
+    flags, summary = SMALL_RUNS[command]
+    out = tmp_path / "o"
+    assert main([command, *flags, "--seed", "4", "--out", str(out)]) == 0
+    manifest = manifest_of(out)
+    on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert {o["path"]: o["sha256"] for o in manifest["outputs"]} == on_disk
+    assert len(manifest["outputs"]) == len(on_disk)
+    assert capsys.readouterr().out == summary(out) + "\n"
+
+
+def test_render_refused_partway_leaves_no_output(tmp_path, capsys):
+    """The first feature renders and the second has no instance on hex5:
+    the run exits 2 and writes nothing, not even the first SVG."""
+    features = tmp_path / "f.fs"
+    features.write_text("rel proactive el={}:. act_to={}\n"
+                        "rel proactive el={0,0,0,0,0,0,0,0}:o act_to={}\n")
+    out = tmp_path / "o"
+    rc = main(["render", "--game", "hex5", "--features", str(features), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import geoweave
+from geoweave.cli import main
+out = sys.argv[1]
+assert main(["generate", "--game", "line4-4x4", "--max-elements", "1", "--out", out + "/gen"]) == 0
+assert main(["match", "--game", "line4-4x4", "--games", "2", "--playouts", "0",
+             "--out", out + "/match"]) == 0
+"""
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    """README: geoweave needs nothing beyond the standard library."""
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "gen" / "manifest.json").exists()
+    assert (tmp_path / "match" / "manifest.json").exists()

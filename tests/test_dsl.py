@@ -276,3 +276,25 @@ def test_fuzz_round_trip_small():
         again = parse_feature(text)
         assert again == f, text
         assert serialize_feature(again) == text
+
+
+@pytest.mark.parametrize("text", [
+    "abs@3 reactive w=2.5 last={0} rot={0,1/4} refl=yes el={0}:x el={1/6}:o el={-1/6}:o,!P2 "
+    "el={}:. act_to={1/6}",
+    "rel proactive w=-1.0 rot=all refl=no el={}:. el={0}:- el={0,1/4}:!x act_to={}",
+])
+def test_scope_mode_and_clauses_parse_in_any_order(text):
+    """docs/dsl.md: scope, mode and every clause may come in any order;
+    only the order of the el= tokens matters."""
+    tokens = text.split()
+    elements = [t for t in tokens if t.startswith("el=")]
+    expected = parse_feature(text)
+    rng = SplitMix64(11)
+    for _ in range(200):
+        shuffled = list(tokens)
+        for i in range(len(shuffled) - 1, 0, -1):  # Fisher-Yates
+            j = rng.next_u64() % (i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        in_order = iter(elements)
+        line = " ".join(next(in_order) if t.startswith("el=") else t for t in shuffled)
+        assert parse_feature(line) == expected, line

@@ -11,10 +11,10 @@ from geoweave.featuregen import (
     GenConfig,
     GenError,
     default_vocabulary,
+    eval_log,
     evaluate_feature_set,
     generate_candidates,
     hill_climb_weights,
-    write_eval_log,
 )
 from geoweave.features import ElementKind
 
@@ -94,11 +94,9 @@ def test_evaluate_is_reproducible(bridge_fs):
     assert (a.win_rate, a.ci_low, a.ci_high) == (b.win_rate, b.ci_low, b.ci_high)
 
 
-def test_eval_record_log_format(tmp_path, bridge_fs):
+def test_eval_record_log_format(bridge_fs):
     rec = EvalRecord(bridge_fs, 10, 0.6, 0.31, 0.83, 7, 100)
-    path = tmp_path / "log.jsonl"
-    write_eval_log([rec, rec], path)
-    lines = path.read_text().strip().split("\n")
+    lines = eval_log([rec, rec]).strip().split("\n")
     assert len(lines) == 2
     payload = json.loads(lines[0])
     assert payload["games"] == 10
