@@ -1,10 +1,10 @@
 """Long tier: the full-size runs that do not fit the tier-1 suite's time.
 
-Run with ``PYTHONPATH=src python -m pytest longtests -q -s`` (~18–22 min
-on a 2-CPU VM). Criterion 06 takes ~15.5–18.5 min of that, the weight
-hill-climb ~2.5 min, demo 03 ~25 s and demo 04 ~10 s. They run at their
-stated sizes with every assert kept; the tier-1 suite under ``tests/``
-covers the same code paths at small sizes.
+Run with ``PYTHONPATH=src python -m pytest longtests -q -s``. One run on a
+2-CPU VM (Intel Xeon, Python 3.11.7) took 602 s: criterion 06 511 s, the
+weight hill-climb 71 s, demo 03 12 s, the hex5 transfer match 5 s and
+demo 04 4 s. They run at their stated sizes with every assert kept; the
+tier-1 suite under ``tests/`` covers the same code paths at small sizes.
 """
 
 import os
@@ -47,6 +47,25 @@ def test_criterion_06_hex_bridge_strength():
     report(6, f"bridge biasing wins {result.wins_a}/200 "
               f"(rate {result.win_rate_a:.3f}, CI [{result.ci_low:.3f}, {result.ci_high:.3f}], "
               f"{elapsed:.0f}s)")
+
+
+def test_bridge_mcts_transfers_to_hex5():
+    """bridge.fs, written for hex7, still helps MCTS on 5x5 Hex: MCTS200
+    with it beats vanilla MCTS200 over 40 seeded games with the Wilson 95%
+    lower bound above 0.5.
+
+    200 playouts exceed hex5's 25 legal moves, so UCT's fixed-move case
+    (ROADMAP item 9) does not reach these roots. Item 9's fix may still
+    move this tally; it is then re-frozen through the benchmark's outcome
+    flag (ROADMAP item 1), with the reason in CHANGES.md."""
+    bridge_fs = gw.load_feature_set(FIXTURES / "bridge.fs")
+    rules = gw.hex_rules(5)
+    biased = AgentSpec(feature_set=bridge_fs, playouts=200)
+    vanilla = AgentSpec(playouts=200)
+    result = play_match(rules, biased, vanilla, games=40, seed=REGRESSION_SEED)
+    assert (result.wins_a, result.wins_b, result.draws) == (27, 13, 0)
+    assert (result.wins_a_as_first, result.wins_a_as_second) == (13, 14)
+    assert result.ci_low > 0.5, f"CI lower bound {result.ci_low:.3f} not above 0.5"
 
 
 def test_hill_climb_budget_and_monotonicity():

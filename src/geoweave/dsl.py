@@ -15,7 +15,6 @@ with ``!``, comma-joined into a conjunction.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import re
@@ -31,6 +30,7 @@ from .features import (
 from .walks import format_turn, format_walk, parse_walk
 
 _GLYPH_RE = re.compile(r"^(!?)(-|\.|o|x|P(\d+)|I(\d+))$")
+_TOKEN_RE = re.compile(r"[^ ]+")
 
 
 class DslError(ValueError):
@@ -97,13 +97,14 @@ def _clause(token: str) -> tuple[str, str]:
 def parse_feature(text: str, line: int | None = None) -> Feature:
     """Parse one feature line.  Scope, mode and clauses come in any order;
     ``el=`` repeats in pattern order and every other clause is given at
-    most once."""
-    text = text.strip()
-    if not text:
+    most once.  An error's column counts characters of ``text`` as given,
+    from 1, so leading whitespace (a tab is one) shifts it."""
+    start, end = len(text) - len(text.lstrip()), len(text.rstrip())
+    if start >= end:  # all blank
         raise DslError("empty feature", line)
     given: dict[str, object] = {}
     elements: list[PatternElement] = []
-    for match in re.finditer(r"[^ ]+", text):
+    for match in _TOKEN_RE.finditer(text, start, end):
         col, token = match.start() + 1, match.group()
         key, value = _clause(token)
         if key not in _CLAUSES:
@@ -184,14 +185,15 @@ def load_feature_set(source, name: str = "") -> FeatureSet:
     errors = []
     set_name = name
     for lineno, raw in enumerate(source, start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        text = raw.split("#", 1)[0]
+        stripped = text.strip()
         if not stripped:
             continue
         if stripped.startswith("name:"):
             set_name = stripped[5:].strip()
             continue
-        try:
-            features.append(parse_feature(stripped, lineno))
+        try:  # the unstripped text, so that columns count from the line as written
+            features.append(parse_feature(text, lineno))
         except DslError as exc:
             errors.append(str(exc))
     if errors:
@@ -220,5 +222,7 @@ def parse_feature_set(text: str, name: str = "") -> FeatureSet:
 
 def feature_set_hash(fs: FeatureSet) -> str:
     """Stable content hash of the canonical serialization."""
+    import hashlib  # on first use: OpenSSL would add ~3.5 MB of RSS to runs that never hash
+
     payload = "\n".join(serialize_feature(f) for f in fs.features)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

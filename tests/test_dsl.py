@@ -149,6 +149,31 @@ def test_malformed_feature_is_reported_at_its_token(text, column, message):
     assert (err.value.line, err.value.column) == (7, column)
 
 
+@pytest.mark.parametrize("body,column,message", [
+    ("rel proactive el={}:. act_to={} bogus", 33, "unrecognised token 'bogus'"),
+    ("rel proactive el={}:. act_to={} act_to={0}", 33, "duplicate act_to"),
+    ("rel proactive el={}:. act_to=0", 23, "walk must be brace-delimited: '0'"),
+])
+@pytest.mark.parametrize("indent,comment", [
+    ("", ""),
+    ("    ", ""),
+    ("\t", ""),
+    ("", "  # trailing comment"),
+    ("\t  ", "\t# trailing comment"),
+])
+def test_error_columns_count_from_the_line_as_written(body, column, message, indent, comment):
+    """Columns are 1-based characters of the line as written, a tab
+    counting as one: an indent shifts them and a trailing comment does not."""
+    expected = f"line 2, col {column + len(indent)}: {message}"
+    with pytest.raises(DslError) as err:
+        parse_feature_set(f"# header\n{indent}{body}{comment}\n")
+    assert str(err.value) == "feature set has errors:\n  " + expected
+    with pytest.raises(DslError) as err:
+        parse_feature(f"{indent}{body}\n", line=2)
+    assert str(err.value) == expected
+    assert err.value.column == column + len(indent)
+
+
 EMPTY_ANCHOR = PatternElement((), (Constraint(ElementKind.EMPTY),))
 
 
