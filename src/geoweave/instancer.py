@@ -25,32 +25,37 @@ its placements and features:
 - each distinct constraint tuple (by value) is compiled once per site,
   straight to ints (``_compile_element``): the mask and target of the one
   cell value it requires, if any, and its negative tests; its
-  ``(site, constraints)`` pair is shared by every template it enters.  A
+  ``(site, constraints)`` pair is shared by every instance it enters.  A
   pair merges its elements' masks and targets with int operations, and a
   duplicate instance is found from that mask and target, its negative
   tests, its action cell and its last-move cell, and only adds to its
   recipe.
 
-A compile yields one template per instance (every field but the recipe
-and the weight) and one recipe: the positions in ``fs.features`` of the
-features whose weights the instance sums, in placement order, duplicates
-kept.  The recipe is the instance's ``features``; the memo keeps one tuple
-of each distinct recipe, which every instance of it shares.  Weights are
-added from the recipe in that order, so every merged weight is the same
-float sum as compiling without memos; an instance's anchor, direction and
-element sites come from the placement that first produced it.
+A compile yields the instances, which hold no weight, and each one's
+recipe: the positions in ``fs.features`` of the features whose weights
+the instance sums, in placement order, duplicates kept.  The recipe is the
+instance's ``features``; one tuple of each distinct recipe is kept, which
+every instance of it shares.  An instance's anchor, direction and element
+sites come from the placement that first produced it.  Its weight is the
+entry at its ``number`` in its index's ``weights``, added up from its
+recipe in that order (``_recipe_weights``), so every merged weight is the
+same float sum as compiling without memos.
 
 The walk plan (each feature's walks with their tables, and its
 placements, in compile order) depends on the feature set's structure
 (every field of each feature but its weight, by value) and the graph (by
 value); the other memos above live for one compile.  The process keeps a
-compile's templates and recipes with its plan, keyed by the structure,
-the graph and the mover; the two movers' entries share one plan, and the
-last ``MEMO_ENTRIES`` entries are kept.  Calling ``instantiate`` again on
-a set of that structure, such as a hill climb's reweighted set or the
-second agent of a self-play match, only builds fresh instances and sums
-the new weights, plus the walk calls that the benchmark counts: the plan
-replays them, each a lookup in a kept table (see ``_replay_walk_calls``).
+compile's instances, with their proactive tuple, their reactive buckets
+and their recipes, and its plan, keyed by the structure, the graph and the
+mover; the two movers' entries share one plan, and the last
+``MEMO_ENTRIES`` entries are kept.  Calling ``instantiate`` again on a set
+of that structure, such as a hill climb's reweighted set or the second
+agent of a self-play match, hands back the kept instances and only sums
+the new weights, once per distinct recipe, plus the walk calls that the
+benchmark counts: the plan replays them, each a lookup in a kept table
+(see ``_replay_walk_calls``).  Instances are frozen, so every index of a
+structure can share them; an index owns its ``weights`` and its dict of
+reactive buckets.
 
 Friend/enemy constraints are resolved against a concrete mover when
 instantiating, so an engine holds one instance index per player.  The
@@ -75,7 +80,7 @@ class InstancerError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FeatureInstance:
     # The positions in the feature set of the features whose weights this
     # instance sums, in placement order, duplicates kept.
@@ -91,19 +96,26 @@ class FeatureInstance:
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
     last_move_cell: int | None
-    weight: float
+    # Its position in ``InstanceIndex.instances``, where its weight sits in
+    # ``InstanceIndex.weights``: the instance is shared by every index of
+    # its structure, board and mover, whatever their weights.
+    number: int
 
 
 @dataclass
 class InstanceIndex:
     graph: BoardGraph
     mover: int
-    instances: list[FeatureInstance] = field(default_factory=list)
-    proactive: list[FeatureInstance] = field(default_factory=list)
-    reactive_by_last_move: dict[int, list[FeatureInstance]] = field(default_factory=dict)
+    # Shared with every index of the same structure, board and mover.
+    instances: tuple[FeatureInstance, ...] = ()
+    proactive: tuple[FeatureInstance, ...] = ()
+    # This index's own dict; its buckets are shared tuples.
+    reactive_by_last_move: dict[int, tuple[FeatureInstance, ...]] = field(default_factory=dict)
+    # This index's own: the weight of ``instances[n]`` is ``weights[n]``.
+    weights: list[float] = field(default_factory=list)
 
-    def reactive_for(self, cell: int) -> list[FeatureInstance]:
-        return self.reactive_by_last_move.get(cell, [])
+    def reactive_for(self, cell: int) -> tuple[FeatureInstance, ...]:
+        return self.reactive_by_last_move.get(cell, ())
 
 
 def match_instance(inst: FeatureInstance, bits: int) -> bool:
@@ -225,10 +237,11 @@ MEMO_ENTRIES = 4
 # Every Feature field but the weight: the structure that decides the
 # compiled tests, and with them the memo key.
 _structure = attrgetter(*(f.name for f in fields(Feature) if f.name != "weight"))
-# (feature structures, graph, mover) -> (templates, recipes, walk plan);
-# see ``_compile`` and ``_walk_plan``.  A hit replays its walk calls from
-# the plan, each a lookup in the table that the plan keeps with its walk.
-# The two movers' entries of one structure and graph share one plan.
+# (feature structures, graph, mover) -> (instances, proactive, reactive,
+# recipes, recipe numbers, walk plan); see ``_compile`` and ``_walk_plan``.
+# A hit replays its walk calls from the plan, each a lookup in the table
+# that the plan keeps with its walk.  The two movers' entries of one
+# structure and graph share one plan.
 _memo: dict[tuple, tuple] = {}
 
 
@@ -309,23 +322,28 @@ def _replay_walk_calls(plan: tuple, graph: BoardGraph) -> None:
                 resolve(graph, anchor, start_dir, walk, table)
 
 
-def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tuple[tuple, tuple]:
-    """The templates and recipes of a feature set's instances, in order,
-    compiled along ``plan`` (``_walk_plan(fs, graph)``, whose entry at each
-    position is that feature's), whose tables it fills.
+def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tuple:
+    """A feature set's instances, compiled along ``plan``
+    (``_walk_plan(fs, graph)``, whose entry at each position is that
+    feature's), whose tables it fills: ``(instances, proactive, reactive,
+    recipes, recipe numbers)``.
 
-    A template holds every ``FeatureInstance`` field between
-    ``features`` and ``weight``, in field order.  A recipe is an
-    instance's ``features``: the positions in ``fs.features`` whose
-    weights the instance sums, duplicates kept, in the order the
-    placements produced them.
+    ``proactive`` holds the instances without a last-move cell and
+    ``reactive`` the others in one tuple per last-move cell, each in
+    instance order.  A recipe is an instance's ``features``: the positions
+    in ``fs.features`` whose weights the instance sums, duplicates kept,
+    in the order the placements produced them.  ``recipes`` holds each
+    distinct one once, and the recipe numbers give each instance's
+    position in it.
 
     Each element (constraint tuple by value, at a site) is compiled once,
     by ``_compile_element``, and kept with its ``(site, constraints)``
     pair; a new pair merges its elements' masks and targets with int
-    operations, and its template shares the elements' pairs.
+    operations, and its instance shares the elements' pairs.
     """
     full = (1 << CHUNK_BITS) - 1
+    # Every instance field from ``anchor`` to ``last_move_cell``, in field
+    # order, until the recipes are complete.
     templates: list[tuple] = []
     recipes: list[list[int]] = []
     # Instance number by its compiled tests and action cell.
@@ -417,32 +435,45 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
                     number = by_combo[combo] = compile_pair(elements, combo, anchor, start_dir, reflected)
                 if number is not None:
                     recipes[number].append(position)
+    # The memos of this compile go before the instances are built, which
+    # keeps them out of the compile's peak memory.
+    for memo in (dedup, compiled_by_constraints, instance_by_signature):
+        memo.clear()
 
     # Few recipes are distinct (58 of 5,296 on the hex7 candidates, as
-    # tools/compile.py reports), so the memo keeps one tuple of each.
-    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-    return tuple(templates), tuple(distinct.setdefault(r, r) for r in map(tuple, recipes))
-
-
-def _weighted_index(index: InstanceIndex, fs: FeatureSet, templates: tuple, recipes: tuple) -> InstanceIndex:
-    """``index`` filled with fresh instances from templates and recipes,
-    each naming its recipe as its ``features`` and summing their weights
-    left to right as the placements produced them (not with ``sum``, which
-    compensates float sums from Python 3.12), so that every weight is the
-    float a compile without memos adds up."""
-    weights = [f.weight for f in fs.features]
-    proactive, reactive = index.proactive, index.reactive_by_last_move
-    for template, recipe in zip(templates, recipes):
-        weight = weights[recipe[0]]
-        for position in recipe[1:]:
-            weight += weights[position]
-        inst = FeatureInstance(recipe, *template, weight)
-        index.instances.append(inst)
+    # tools/compile.py reports), so each is kept once.
+    distinct: dict[tuple[int, ...], int] = {}
+    numbers = tuple(distinct.setdefault(r, len(distinct)) for r in map(tuple, recipes))
+    shared = tuple(distinct)
+    instances = tuple(
+        FeatureInstance(shared[k], *template, number)
+        for number, (template, k) in enumerate(zip(templates, numbers))
+    )
+    proactive = []
+    reactive: dict[int, list[FeatureInstance]] = {}
+    for inst in instances:
         if inst.last_move_cell is None:
             proactive.append(inst)
         else:
             reactive.setdefault(inst.last_move_cell, []).append(inst)
-    return index
+    buckets = {cell: tuple(bucket) for cell, bucket in reactive.items()}
+    return instances, tuple(proactive), buckets, shared, numbers
+
+
+def _recipe_weights(fs: FeatureSet, recipes: tuple, numbers: tuple) -> list[float]:
+    """Each instance's weight, from the distinct ``recipes`` and each
+    instance's recipe number: every recipe's weights are summed once, left
+    to right as the placements produced them (not with ``sum``, which
+    compensates float sums from Python 3.12), so that every weight is the
+    float a compile without memos adds up."""
+    weights = [f.weight for f in fs.features]
+    sums = []
+    for recipe in recipes:
+        weight = weights[recipe[0]]
+        for position in recipe[1:]:
+            weight += weights[position]
+        sums.append(weight)
+    return [sums[k] for k in numbers]
 
 
 def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
@@ -452,7 +483,9 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     with their weights summed, which preserves the additive application
     semantics when symmetry expansion or ambiguity branches overlap.
     A structure compiled before in this process is not compiled again
-    (see the module docstring); every call returns new instances.
+    (see the module docstring): the call hands back the instances of the
+    first compile, which are frozen, with new ``weights`` and a new dict
+    of reactive buckets.
     """
     if not 1 <= mover <= 2:
         raise InstancerError(f"mover {mover} out of range 1..2")
@@ -463,12 +496,12 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
         # The walk plan and its tables do not depend on the mover, so a
         # kept entry of the other mover lends its own.
         other = _memo.get((structures, graph, 3 - mover))
-        plan = other[2] if other else _walk_plan(fs, graph)
+        plan = other[-1] if other else _walk_plan(fs, graph)
         entry = (*_compile(fs, graph, mover, plan), plan)
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = entry
     else:
-        _replay_walk_calls(entry[2], graph)
-    templates, recipes, _ = entry
-    return _weighted_index(InstanceIndex(graph, mover), fs, templates, recipes)
+        _replay_walk_calls(entry[-1], graph)
+    instances, proactive, reactive, recipes, numbers, _ = entry
+    return InstanceIndex(graph, mover, instances, proactive, dict(reactive), _recipe_weights(fs, recipes, numbers))

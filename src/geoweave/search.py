@@ -103,10 +103,11 @@ def biased_scores(
     # weights are added in test order, reactive first.
     scores = [BASE_SCORE] * len(legal)
     slot = {cell: i for i, cell in enumerate(legal)}
+    weights = idx.weights
     for inst in hits:
         i = slot.get(inst.action_to)
         if i is not None:
-            scores[i] += inst.weight
+            scores[i] += weights[inst.number]
     return [s if s > FLOOR else FLOOR for s in scores]
 
 

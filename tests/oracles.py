@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +25,7 @@ from geoweave.board import OFF_BOARD, BoardGraph
 from geoweave.chunkset import CHUNK_BITS
 from geoweave.features import Constraint, ElementKind, FeatureSet
 from geoweave.games import HexRules
-from geoweave.instancer import (
-    FeatureInstance,
-    InstanceIndex,
-    InstancerError,
-    _absolute_placements,
-    _orientations,
-)
+from geoweave.instancer import InstancerError, _absolute_placements, _orientations
 from geoweave.walks import mirror_walk, resolve_walk_branches
 
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
@@ -339,7 +334,43 @@ def element_tests(constraints, site: int, mover: int):
     return required, forbidden
 
 
-def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
+@dataclass
+class OracleInstance:
+    """An instance as the oracle compiles it: every ``FeatureInstance``
+    field, in a mutable record that also holds the instance's summed
+    weight."""
+
+    features: tuple[int, ...]
+    anchor: int
+    start_dir: int
+    reflected: bool
+    mask: int
+    target: int
+    negative_tests: tuple[tuple[int, int], ...]
+    negative_probes: tuple[tuple[int, int], ...]
+    element_sites: tuple
+    action_to: int
+    last_move_cell: int | None
+    number: int
+    weight: float
+
+
+@dataclass
+class OracleIndex:
+    """The oracle's instance index: its instances in compile order, the
+    proactive ones, and the reactive ones by last-move cell."""
+
+    graph: BoardGraph
+    mover: int
+    instances: list[OracleInstance] = field(default_factory=list)
+    proactive: list[OracleInstance] = field(default_factory=list)
+    reactive_by_last_move: dict[int, list[OracleInstance]] = field(default_factory=dict)
+
+    def reactive_for(self, cell: int) -> list[OracleInstance]:
+        return self.reactive_by_last_move.get(cell, [])
+
+
+def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> OracleIndex:
     """The instance compiler as it was before its per-call memos: every
     placement resolves its walks and compiles its constraints afresh, and
     every combination builds its full-board mask/target before deduplication.
@@ -353,8 +384,8 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
     """
     if not 1 <= mover <= 2:
         raise InstancerError(f"mover {mover} out of range 1..2")
-    index = InstanceIndex(graph, mover)
-    dedup: dict[tuple, FeatureInstance] = {}
+    index = OracleIndex(graph, mover)
+    dedup: dict[tuple, OracleInstance] = {}
     full = (1 << CHUNK_BITS) - 1
 
     def cell_int(cell: int, value: int) -> int:
@@ -436,7 +467,7 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                     existing.features += (position,)
                     existing.weight += feature.weight
                     continue
-                inst = FeatureInstance(
+                inst = OracleInstance(
                     features=(position,),
                     anchor=anchor,
                     start_dir=start_dir,
@@ -450,6 +481,7 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
                     ),
                     action_to=action_to,
                     last_move_cell=last_cell,
+                    number=len(index.instances),
                     weight=feature.weight,
                 )
                 dedup[key] = inst
@@ -465,9 +497,10 @@ def instantiate_oracle(fs: FeatureSet, graph: BoardGraph, mover: int) -> Instanc
 # --- scoring and sampling oracles -------------------------------------------
 
 
-def biased_scores_oracle(state, legal, idx) -> list[float]:
-    """Per-move scores from full-board tests: ``matches`` on every word of
-    each instance's mask/target, then ``violates`` for each negative test.
+def biased_scores_oracle(state, legal, idx: OracleIndex) -> list[float]:
+    """Per-move scores from full-board tests over the oracle's own index
+    (``instantiate_oracle``): ``matches`` on every word of each instance's
+    mask/target, then ``violates`` for each negative test.
     Matching weights are added to their move's base score, reactive
     instances first, each group in index order, and the sums are floored
     at 0.01.  The base score 1.0 and the floor are written out here, not

@@ -234,11 +234,11 @@ def test_criterion_08_reactive_fast_path(bridge_fs, hex7_rules, monkeypatch):
         while hex7_rules.status(state) is None:
             legal = hex7_rules.legal_moves(state)
             idx = indexes[state.mover]
-            assert idx.proactive == []
+            assert idx.proactive == ()
             tested.clear()
             counters = MatchCounters()
             scores = biased_scores(state, legal, idx, counters)
-            bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
+            bucket = idx.reactive_for(state.last_move) if state.last_move is not None else ()
             assert list(map(id, tested)) == list(map(id, bucket + idx.proactive))
             assert (counters.reactive_tests, counters.proactive_tests) == (len(bucket), 0)
             if state.last_move is not None:

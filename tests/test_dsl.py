@@ -7,9 +7,11 @@ import pytest
 from geoweave.dsl import (
     DslError,
     dump_feature_set,
+    feature_set_hash,
     load_feature_set,
     parse_feature,
     parse_feature_set,
+    save_feature_set,
     serialize_feature,
 )
 from geoweave.features import Constraint, ElementKind, Feature, FeatureError, PatternElement
@@ -241,6 +243,16 @@ def test_dump_round_trips_fixture(line4_fs):
     fs2 = parse_feature_set(dump_feature_set(line4_fs))
     assert fs2.features == line4_fs.features
     assert fs2.name == line4_fs.name
+
+
+def test_save_round_trips_fixtures(tmp_path, bridge_fs, line4_fs, group3_fs, thin_group_fs):
+    for i, fs in enumerate((bridge_fs, line4_fs, group3_fs, thin_group_fs)):
+        path = tmp_path / f"set{i}.fs"
+        save_feature_set(fs, path)
+        assert path.read_text(encoding="utf-8") == dump_feature_set(fs)
+        loaded = load_feature_set(path)
+        assert (loaded.name, loaded.features) == (fs.name, fs.features)
+        assert feature_set_hash(loaded) == feature_set_hash(fs)
 
 
 # --- seeded fuzz: parse . serialize . parse is the identity -----------------

@@ -25,10 +25,10 @@ from geoweave.dsl import parse_feature
 from geoweave.featuregen import GenConfig, generate_candidates
 from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
 from geoweave.rng import SplitMix64
-from geoweave.search import compile_feature_set
+from geoweave.search import biased_scores, compile_feature_set
 from geoweave.walks import make_walk, resolve_walk_branches
 import oracles
-from oracles import instantiate_oracle, interpret_instance, pack_values, word_count, words
+from oracles import biased_scores_oracle, instantiate_oracle, interpret_instance, pack_values, word_count, words
 
 KNIGHT = make_walk([0, 0, F(1, 4)])
 
@@ -86,20 +86,20 @@ def test_semi3464_knight_splits_into_two_instances(semi3):
     tri_dir = next(d for d, n in enumerate(semi3.neighbors[centre_sq]) if semi3.sides[n] == 3)
     hex_dir = next(d for d, n in enumerate(semi3.neighbors[centre_sq]) if semi3.sides[n] == 6)
 
-    def instances_for(start_dir):
+    def weighted_instances_for(start_dir):
         feature = knight_feature(reflections=False, rotations=(F(start_dir, 4),))
         idx = instantiate(FeatureSet((feature,)), semi3, 1)
-        return [i for i in idx.instances if i.anchor == centre_sq]
+        return [(i, idx.weights[i.number]) for i in idx.instances if i.anchor == centre_sq]
 
-    through_triangle = instances_for(tri_dir)
+    through_triangle = weighted_instances_for(tri_dir)
     assert len(through_triangle) == 2  # ambiguous quarter turn, two destinations
-    assert through_triangle[0].action_to != through_triangle[1].action_to
-    assert all(i.weight == 1.0 for i in through_triangle)
+    assert through_triangle[0][0].action_to != through_triangle[1][0].action_to
+    assert all(weight == 1.0 for _, weight in through_triangle)
 
-    through_hexagon = instances_for(hex_dir)
+    through_hexagon = weighted_instances_for(hex_dir)
     # Both branches land on the same cell: merged instance, summed weight.
     assert len(through_hexagon) == 1
-    assert through_hexagon[0].weight == 2.0
+    assert through_hexagon[0][1] == 2.0
 
 
 def test_off_board_element_forces_edge_anchors():
@@ -254,7 +254,7 @@ def instance_counts(idx):
             for cell in range(idx.graph.cell_count) if inst.mask >> cell * CHUNK_BITS & full
         )
         key = (required, frozenset(inst.negative_tests), inst.action_to, inst.last_move_cell)
-        counts[key] = counts.get(key, 0) + inst.weight
+        counts[key] = counts.get(key, 0) + idx.weights[inst.number]
     return counts
 
 
@@ -306,7 +306,7 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
     for x, y in zip(a.instances, b.instances):
         assert x.anchor == y.anchor
         assert x.action_to == y.action_to
-        assert x.weight == y.weight
+        assert a.weights[x.number] == b.weights[y.number]
         assert x.mask == y.mask
         assert x.target == y.target
         assert x.negative_tests == y.negative_tests
@@ -358,14 +358,15 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
 
 
 def assert_same_index(got, want):
-    """Same instances in the same order, field by field (the weight with ==
-    and bit for bit), and the same proactive/reactive split."""
+    """The engine's index ``got`` has the oracle's instances in the same
+    order, field by field, each with the oracle's weight bit for bit, and
+    the same proactive/reactive split."""
     assert (got.graph, got.mover) == (want.graph, want.mover)
-    assert len(got.instances) == len(want.instances)
+    assert len(got.instances) == len(want.instances) == len(got.weights)
     for a, b in zip(got.instances, want.instances):
         for f in dataclasses.fields(FeatureInstance):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
-        assert float(a.weight).hex() == float(b.weight).hex()
+        assert float(got.weights[a.number]).hex() == float(b.weight).hex()
 
     def positions(index):
         at = {id(inst): i for i, inst in enumerate(index.instances)}
@@ -526,7 +527,7 @@ def test_swapped_element_order_merges_into_one_instance(board, request):
     idx = instantiate(fs, graph, 1)
     assert len(idx.instances) == 2 * len(alone)
     assert [i.features for i in idx.instances] == [(0, 1, 3)] * len(alone) + [(2,)] * len(alone)
-    assert {i.weight for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
+    assert {idx.weights[i.number] for i in idx.instances} == {0.1 + 0.2 + 0.1, 0.4}
 
 
 @pytest.mark.parametrize("board", ["hex5", "semi3"])
@@ -549,7 +550,7 @@ def test_each_instance_names_every_feature_it_sums(board, request):
         alone = instantiate(FeatureSet((dataclasses.replace(feature, weight=1.0),)), graph, 1)
         for inst in alone.instances:
             key = (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell)
-            want.setdefault(key, []).extend([position] * int(inst.weight))
+            want.setdefault(key, []).extend([position] * int(alone.weights[inst.number]))
     got = {
         (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell): inst.features
         for inst in instantiate(fs, graph, 1).instances
@@ -753,8 +754,8 @@ def test_memo_hit_on_reweighted_candidates_equals_oracle(mover, monkeypatch):
     assert_hits_equal_oracle(fs, rules.graph, mover, SplitMix64(mover), monkeypatch, sets=1)
 
 
-# A cold compile of both movers' hex7 candidates peaks at 7.9 MB under
-# tracemalloc on Python 3.11-3.13 and 8.3 MB on 3.10.  A compile that
+# A cold compile of both movers' hex7 candidates peaks at 7.1 MB under
+# tracemalloc on Python 3.11-3.13 and 7.5 MB on 3.10.  A compile that
 # merges each pair's elements through a dict of cell values and
 # de-duplicates on its sorted items peaks at 10.8 MB (11.2 MB on 3.10).
 COLD_COMPILE_PEAK_MB = 9.5
@@ -779,24 +780,66 @@ def test_cold_compile_of_the_candidates_peaks_below_its_bound():
 
 @pytest.mark.parametrize("fixture_name,board", [("bridge_fs", "hex7"), ("line4_fs", "line4-7x7")])
 def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeypatch):
+    """Every hit hands back the first compile's instances, which refuse
+    assignment to any field; spoiling what an index owns, its weights and
+    its dict of reactive buckets, leaves the next hit equal to the oracle."""
     fs = request.getfixturevalue(fixture_name)
     graph = gw.game_from_name(board).graph
     want = instantiate_oracle(fs, graph, 1)
     instancer.clear_memo()
     indexes = [instantiate(fs, graph, 1)]
+    shared = indexes[0].instances
+    for inst in shared:
+        for f in dataclasses.fields(FeatureInstance):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, f.name, -1)
     monkeypatch.setattr(instancer, "_compile", no_compile)
     for _ in range(2):
-        # Spoil the index before: its instances, lists and buckets.
-        for inst in indexes[-1].instances:
-            inst.weight += 1.0
-            inst.anchor = -1
-        for bucket in indexes[-1].reactive_by_last_move.values():
-            bucket.clear()
-        indexes[-1].proactive.clear()
-        indexes[-1].instances.reverse()
+        # Spoil the index before: its weights, its buckets and its dict.
+        spoiled = indexes[-1]
+        spoiled.weights[:] = [w + 1.0 for w in reversed(spoiled.weights)]
+        buckets = spoiled.reactive_by_last_move
+        for cell in list(buckets)[::2]:
+            del buckets[cell]
+        for cell, bucket in buckets.items():
+            buckets[cell] = bucket[::-1] + bucket
+        buckets[-1] = spoiled.instances
+        spoiled.instances, spoiled.proactive = spoiled.proactive, spoiled.instances
         indexes.append(instantiate(fs, graph, 1))
         assert_same_index(indexes[-1], want)
-    assert len({id(inst) for idx in indexes for inst in idx.instances}) == 3 * len(want.instances)
+        assert indexes[-1].instances is shared
+    assert len({id(inst) for idx in indexes for inst in idx.instances}) == len(want.instances)
+    assert len({id(idx.weights) for idx in indexes}) == len({id(idx.reactive_by_last_move) for idx in indexes}) == 3
+
+
+@pytest.mark.parametrize("fixture_name,board", [("bridge_fs", "hex7"), ("line4_fs", "line4-7x7")])
+def test_reweighted_twins_share_instances_and_score_like_oracle(fixture_name, board, request):
+    """A set and its reweighted twin, compiled in one process, share their
+    instances, and at every ply of a seeded game each one's scores equal
+    the scoring oracle's over the oracle's compile of that set."""
+    fs = request.getfixturevalue(fixture_name)
+    rules = gw.game_from_name(board)
+    sets = (fs, reweighted(fs, SplitMix64(len(board))))
+    instancer.clear_memo()
+    indexes = [compile_feature_set(s, rules) for s in sets]
+    oracle = [{p: instantiate_oracle(s, rules.graph, p) for p in (1, 2)} for s in sets]
+    for p in (1, 2):
+        first, twin = indexes[0][p], indexes[1][p]
+        assert first.instances is twin.instances
+        assert first.weights != twin.weights
+    rng = SplitMix64(11)
+    state = rules.initial_state()
+    plies = scored = 0
+    while rules.status(state) is None:
+        legal = rules.legal_moves(state)
+        scores = []
+        for idx, want in zip(indexes, oracle):
+            scores.append(biased_scores(state, legal, idx[state.mover]))
+            assert scores[-1] == biased_scores_oracle(state, legal, want[state.mover])
+        scored += scores[0] != scores[1]
+        state = rules.apply(state, legal[rng.next_u64() % len(legal)])
+        plies += 1
+    assert plies > 10 and scored  # the twins' weights told apart somewhere
 
 
 def test_a_structure_that_fails_to_compile_fails_every_time():

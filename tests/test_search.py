@@ -25,7 +25,7 @@ from geoweave.search import (
 )
 from geoweave.walks import make_walk
 from conftest import FIXTURES
-from oracles import biased_scores_oracle, one_ply_winning_moves, random_oracle, sample_oracle
+from oracles import biased_scores_oracle, instantiate_oracle, one_ply_winning_moves, random_oracle, sample_oracle
 from test_instancer import NoWinRules, hex_bridge_position
 
 
@@ -246,11 +246,11 @@ def test_reactive_fast_path_counters(bridge_fs, hex7_rules, monkeypatch):
         if not legal or hex7_rules.status(state) is not None:
             break
         idx = indexes[state.mover]
-        assert idx.proactive == []
+        assert idx.proactive == ()
         tested.clear()
         before = counters.reactive_tests
         biased_scores(state, legal, idx, counters)
-        bucket = idx.reactive_for(state.last_move) if state.last_move is not None else []
+        bucket = idx.reactive_for(state.last_move) if state.last_move is not None else ()
         assert list(map(id, tested)) == list(map(id, bucket + idx.proactive))
         assert counters.reactive_tests - before == len(bucket)
         moves += bool(bucket)
@@ -392,8 +392,11 @@ def scoring_feature_set(fixture: str) -> FeatureSet:
 
 @lru_cache(maxsize=None)
 def compiled_fixture(fixture: str, game: str):
+    """The rules, the engine's index of each player and the oracle's."""
     rules = gw.game_from_name(game)
-    return rules, compile_feature_set(scoring_feature_set(fixture), rules)
+    fs = scoring_feature_set(fixture)
+    oracle = {p: instantiate_oracle(fs, rules.graph, p) for p in (1, 2)}
+    return rules, compile_feature_set(fs, rules), oracle
 
 
 @pytest.mark.parametrize("game", SCORING_GAMES)
@@ -403,12 +406,12 @@ def compiled_fixture(fixture: str, game: str):
 def test_biased_scores_equal_the_full_board_oracle(fixture, game, picks):
     """At every position of a random game (the i-th move is legal move
     ``picks[i] mod count``), the mover's scores equal the oracle's."""
-    rules, indexes = compiled_fixture(fixture, game)
+    rules, indexes, oracle = compiled_fixture(fixture, game)
     state = rules.initial_state()
     for pick in picks:
         if rules.status(state) is not None:
             break
         legal = rules.legal_moves(state)
-        idx = indexes[state.mover]
-        assert biased_scores(state, legal, idx) == biased_scores_oracle(state, legal, idx)
+        want = biased_scores_oracle(state, legal, oracle[state.mover])
+        assert biased_scores(state, legal, indexes[state.mover]) == want
         state = rules.apply(state, legal[pick % len(legal)])

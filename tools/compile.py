@@ -7,8 +7,9 @@ workload (its rules and generation bound at full size, taken from
 
     cold   the compile memo is cleared before each pass, so the call
            compiles the set in full
-    hit    the set's structure is in the memo, so the call builds fresh
-           instances from it and sums the weights
+    hit    the set's structure is in the memo, so the call hands back the
+           memo's instances, sums each distinct recipe's weights once and
+           gives every instance its recipe's sum
 
 Each mover's report also counts its instances, the walk calls of its
 cold compile and its distinct recipes (``distinct_recipes``): the distinct
