@@ -178,6 +178,46 @@ def test_mcts_hex2_picks_winning_opening():
     assert minimax_winner(rules, after) == 1
 
 
+def _line4_win_position():
+    """line4-5x5 with player 1 one stone short of a row: cell 3 wins."""
+    rules = gw.line4_rules(5, 5)
+    state = rules.initial_state()
+    for move in (0, 20, 1, 21, 2, 22):
+        state = rules.apply(state, move)
+    return rules, state, None
+
+
+def _hex2_opening():
+    rules = gw.hex_rules(2)
+    return rules, rules.initial_state(), None
+
+
+def _hex7_bridge_intrusion():
+    rules = gw.hex_rules(7)
+    state, _, _ = hex_bridge_position(rules)
+    return rules, state, compile_feature_set(gw.load_feature_set(FIXTURES / "bridge.fs"), rules)
+
+
+@pytest.mark.parametrize("position,playouts,seed,want", [
+    (_line4_win_position, 1000, 9,
+     [270, 42, 45, 46, 31, 47, 44, 44, 42, 50, 42, 18, 16, 17, 43, 50, 47, 87, 19]),
+    (_hex2_opening, 1000, 4, [20, 482, 481, 17]),
+    (_hex7_bridge_intrusion, 500, 11,
+     [10, 10, 11, 16, 10, 10, 7, 10, 10, 7, 10, 11, 10, 7, 11, 11, 10, 13, 11, 18, 11, 16, 11,
+      10, 10, 18, 12, 6, 10, 14, 11, 11, 7, 12, 9, 7, 5, 10, 6, 14, 10, 15, 16, 16, 10, 10]),
+])
+def test_search_tree_root_visits_are_frozen(position, playouts, seed, want):
+    """The root visit vector of a seeded UCT tree, as ``mcts_best_move``
+    seeds it, from positions whose trees reach terminal nodes (line4 and
+    hex2) or run biased playouts (hex7 with the bridge set): any change to
+    selection, expansion, backup or playouts that moves a visit shows."""
+    from geoweave.search import _search_tree
+
+    rules, state, indexes = position()
+    rng = SplitMix64(derive_seed(seed, 0))
+    assert _search_tree(state, rules, indexes, playouts, rng, None) == want
+
+
 def test_search_rejects_an_index_of_other_rules(bridge_fs, hex7_rules):
     """Search checks that its indexes were compiled for its rules' board:
     a hex7 index is refused on line4-7x7, which has hex7's 49 cells, and

@@ -19,6 +19,13 @@ def test_line4_fixture_matches_goldens(line4_fs, line4_7_rules):
         assert svg == (GOLDEN / f"line4_feature_{i}.svg").read_text(), f"feature {i}"
 
 
+def test_group3_fixture_matches_goldens(group3_fs, hex7_rules):
+    """The one golden set with negated-constraint labels."""
+    for i, feature in enumerate(group3_fs.features):
+        svg = render_feature(feature, hex7_rules.graph)
+        assert svg == (GOLDEN / f"group3_feature_{i}.svg").read_text(), f"feature {i}"
+
+
 def test_rendering_is_deterministic(bridge_fs, hex7_rules):
     a = render_feature(bridge_fs.features[0], hex7_rules.graph)
     b = render_feature(bridge_fs.features[0], hex7_rules.graph)
@@ -71,6 +78,7 @@ def test_player_and_item_disks_are_labelled():
     assert ">P2</text>" in svg
     assert ">I1</text>" in svg
     assert ">!I0</text>" in svg
+    assert svg == (GOLDEN / "player_item_square.svg").read_text()
 
 
 def test_unplaceable_feature_raises():
