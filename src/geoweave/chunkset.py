@@ -15,3 +15,5 @@ position, game and caller that holds it.
 """
 
 CHUNK_BITS = 2
+# One cell's chunk at bit 0: shifted to cell c, it selects that cell's value.
+CHUNK_MASK = (1 << CHUNK_BITS) - 1

@@ -40,7 +40,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
-from .chunkset import CHUNK_BITS
+from .chunkset import CHUNK_BITS, CHUNK_MASK
 
 
 class IllegalMove(ValueError):
@@ -78,7 +78,6 @@ class GameRules:
 
     def __init__(self, graph: BoardGraph):
         self.graph = graph
-        self._chunk_mask = (1 << CHUNK_BITS) - 1
         self._initial: GameState | None = None
 
     def position(self, values, mover: int, last_move: int | None = None) -> GameState:
@@ -241,15 +240,14 @@ class Line4Rules(GameRules):
     def _placed(self, bits, groups, player, cell):
         # A new line of four must run through the placed cell; three stones
         # on either side of it are as many as such a line can use.
-        mask = self._chunk_mask
         for forward, backward in self._rays[cell]:
             run = 1
             for s in forward:
-                if (bits >> s) & mask != player:
+                if (bits >> s) & CHUNK_MASK != player:
                     break
                 run += 1
             for s in backward:
-                if (bits >> s) & mask != player:
+                if (bits >> s) & CHUNK_MASK != player:
                     break
                 run += 1
             if run >= 4:
@@ -284,4 +282,4 @@ def game_from_name(name: str) -> GameRules:
         except ValueError:
             raise ValueError(f"bad line4 board name {name!r}; use e.g. line4-7x7") from None
         return line4_rules(width, height)
-    raise ValueError(f"unknown game {name!r}; known: hexN, line4-WxH")
+    raise ValueError(f"unknown game {name!r}; known: hexN, line4 (7x7), line4-WxH")

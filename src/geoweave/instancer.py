@@ -4,8 +4,9 @@ Every feature is expanded once at load time into all of its concrete
 placements: one candidate per anchor cell, rotation, reflection and
 ambiguity branch.  Each surviving candidate is compiled into a whole-board
 mask/target pair for the positive constraints plus a short list of
-per-cell forbidden-value tests for the negated ones, so the playout inner
-loop does no walk resolution at all.
+negative probes for the negated ones, each a (chunk mask, forbidden chunk)
+pair over one cell, so the playout inner loop does no walk resolution at
+all.
 
 A compile does each distinct piece of its work once and shares it across
 its placements and features:
@@ -24,11 +25,11 @@ its placements and features:
   gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site,
   straight to ints (``_compile_element``): the mask and target of the one
-  cell value it requires, if any, and its negative tests; its
-  ``(site, constraints)`` pair is shared by every instance it enters.  A
-  pair merges its elements' masks and targets with int operations, and a
+  cell value it requires, if any, and its negative probes; its probes and
+  its ``(site, constraints)`` pair are shared by every instance it enters.
+  A pair merges its elements' masks and targets with int operations, and a
   duplicate instance is found from that mask and target, its negative
-  tests, its action cell and its last-move cell, and only adds to its
+  probes, its action cell and its last-move cell, and only adds to its
   recipe.
 
 A compile yields the instances, which hold no weight, and each one's
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .board import OFF_BOARD, BoardGraph
-from .chunkset import CHUNK_BITS
+from .chunkset import CHUNK_BITS, CHUNK_MASK
 from .features import Constraint, ElementKind, Feature, FeatureSet
 from .walks import Walk, mirror_walk, resolve_walk_branches, round_turn
 
@@ -91,8 +92,8 @@ class FeatureInstance:
     # The tests over the board's int, as match_instance runs them:
     mask: int  # every required cell's chunk
     target: int  # every required cell's value
-    negative_tests: tuple[tuple[int, int], ...]  # (cell, forbidden chunk value)
-    negative_probes: tuple[tuple[int, int], ...]  # (chunk mask, forbidden chunk)
+    # (one cell's chunk mask, its forbidden chunk), sorted, so in cell order
+    negative_probes: tuple[tuple[int, int], ...]
     element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
     last_move_cell: int | None
@@ -125,8 +126,8 @@ def match_instance(inst: FeatureInstance, bits: int) -> bool:
     ``bits`` is a position's board, from the rules the instance's index
     was compiled for; the caller checks that.  Equal to a word-by-word
     test of the mask and target over the board's 64-bit words, followed
-    by a per-cell test of each of the ``negative_tests``, whatever the
-    board size.
+    by a test of the one cell each of the ``negative_probes`` covers,
+    whatever the board size.
     """
     if bits & inst.mask != inst.target:
         return False
@@ -174,14 +175,14 @@ def _compile_element(
     site: int,
     mover: int,
 ) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
-    """One element's tests at ``site``: ``(mask, target, negative tests)``.
+    """One element's tests at ``site``: ``(mask, target, negative probes)``.
 
     The mask and target cover the one cell value that the element's
     positive constraint requires (``PatternElement`` allows at most one),
-    and are 0 without one; each negative test is a (cell, forbidden value)
-    pair.  Returns None when the element can never hold at this site (walk
-    landed on/off board against the constraint's requirement), which
-    discards the whole candidate.
+    and are 0 without one; each negative probe is the site's chunk mask
+    and the forbidden value shifted to it.  Returns None when the element
+    can never hold at this site (walk landed on/off board against the
+    constraint's requirement), which discards the whole candidate.
     """
     if any(c.kind is ElementKind.OFF and not c.negated for c in constraints):
         return (0, 0, ()) if site == OFF_BOARD else None
@@ -190,6 +191,7 @@ def _compile_element(
 
     mask = target = 0
     negatives = []
+    shift = site * CHUNK_BITS
     for c in constraints:
         if c.kind is ElementKind.OFF:
             continue  # negated OFF just demands an on-board site, already true
@@ -208,10 +210,10 @@ def _compile_element(
                 raise InstancerError(f"item index {c.index} out of range 0..2")
             value = c.index
         if c.negated:
-            negatives.append((site, value))
+            negatives.append((CHUNK_MASK << shift, value << shift))
         else:
-            mask = ((1 << CHUNK_BITS) - 1) << site * CHUNK_BITS
-            target = value << site * CHUNK_BITS
+            mask = CHUNK_MASK << shift
+            target = value << shift
     return mask, target, tuple(negatives)
 
 
@@ -341,7 +343,6 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     pair; a new pair merges its elements' masks and targets with int
     operations, and its instance shares the elements' pairs.
     """
-    full = (1 << CHUNK_BITS) - 1
     # Every instance field from ``anchor`` to ``last_move_cell``, in field
     # order, until the recipes are complete.
     templates: list[tuple] = []
@@ -350,7 +351,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     dedup: dict[tuple, int] = {}
     # Memos of this compile; only its result is kept (see ``instantiate``).
     # Compiled elements by constraint tuple (by value), then by site:
-    # (mask, target, negative tests, (site, constraints)), or None where
+    # (mask, target, negative probes, (site, constraints)), or None where
     # the element can never hold.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
@@ -384,18 +385,19 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             negatives += neg
             sites.append(pair)
         kept = set()
-        for cell, value in negatives:
-            shift = cell * CHUNK_BITS
-            if not mask >> shift & full:
-                kept.add((cell, value))
-            elif target >> shift & full == value:
+        for probe in negatives:
+            m, forbidden = probe
+            if not mask & m:
+                kept.add(probe)
+            elif target & m == forbidden:
                 # A forbidden value equal to a required one can never
                 # match; any other is subsumed by the required value.
                 return None
-        neg_sorted = tuple(sorted(kept))
+        # In cell order, then value order: each probe masks one cell.
+        probes = tuple(sorted(kept))
 
         # One-to-one with the required and forbidden cell values.
-        key = (mask, target, neg_sorted, action_to, last_cell)
+        key = (mask, target, probes, action_to, last_cell)
         number = dedup.get(key)
         if number is not None:
             return number
@@ -406,8 +408,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             reflected,
             mask,
             target,
-            neg_sorted,
-            tuple((full << cell * CHUNK_BITS, value << cell * CHUNK_BITS) for cell, value in neg_sorted),
+            probes,
             tuple(sites),
             action_to,
             last_cell,

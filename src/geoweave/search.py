@@ -257,16 +257,12 @@ def _search_tree(
             node = best_child
             cur = rules.apply(cur, node.move)
             if node.legal is None:
-                # Never finds a result: expansion asked when it made this
-                # child and gave a terminal one ``legal = []``.  The call
-                # stays only because perfbench/expected.json freezes
-                # ``games.status.calls`` (ROADMAP item 12).
-                result = rules.status(cur)
-                if result is not None:
-                    node.terminal_result = result
-                    node.legal = []
-                else:
-                    node.legal = rules.legal_moves(cur)
+                # Expansion gave every terminal child ``legal = []``, so
+                # this child is not terminal and the status call decides
+                # nothing.  It stays only because perfbench/expected.json
+                # freezes ``games.status.calls`` (ROADMAP item 12).
+                rules.status(cur)
+                node.legal = rules.legal_moves(cur)
 
         if node.terminal_result is not None:
             _backup(node, node.terminal_result)

@@ -23,4 +23,8 @@ def wilson_interval(successes: float, n: int) -> tuple[float, float]:
     denom = 1.0 + z2 / n
     centre = (p + z2 / (2 * n)) / denom
     half = (Z_95 / denom) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
-    return (max(0.0, centre - half), min(1.0, centre + half))
+    # At p = 0 the lower bound is 0 and at p = 1 the upper bound is 1;
+    # the float subtraction and sum miss them by a rounding.
+    low = 0.0 if successes == 0 else max(0.0, centre - half)
+    high = 1.0 if successes == n else min(1.0, centre + half)
+    return (low, high)

@@ -116,49 +116,29 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
             {"points": poly_points(cell), "fill": fill, "stroke": EDGE, "stroke-width": "1"},
         )
 
-    for gx, gy in sorted(ghosts):
-        ET.SubElement(
-            svg,
-            "circle",
-            {
-                "cx": _fmt(tx(gx)),
-                "cy": _fmt(ty(gy)),
-                "r": _fmt(0.28 * SCALE),
-                "fill": "none",
-                "stroke": EDGE,
-                "stroke-width": "1",
-                "stroke-dasharray": "3,3",
-            },
-        )
-
-    def disk(cell: int, fill: str, dotted: bool) -> None:
-        x, y = graph.centers[cell]
+    def circle(x: float, y: float, r: float, fill: str, stroke: str, width: str,
+               dasharray: str | None = None) -> None:
+        """A circle of radius ``r`` board units centred on board point (x, y)."""
         attrs = {
             "cx": _fmt(tx(x)),
             "cy": _fmt(ty(y)),
-            "r": _fmt(0.30 * SCALE),
+            "r": _fmt(r * SCALE),
             "fill": fill,
-            "stroke": "#000000",
-            "stroke-width": "1.5",
+            "stroke": stroke,
+            "stroke-width": width,
         }
-        if dotted:
-            attrs["stroke-dasharray"] = "4,3"
+        if dasharray is not None:
+            attrs["stroke-dasharray"] = dasharray
         ET.SubElement(svg, "circle", attrs)
 
+    for gx, gy in sorted(ghosts):
+        circle(gx, gy, 0.28, "none", EDGE, "1", "3,3")
+
+    def disk(cell: int, fill: str, dotted: bool) -> None:
+        circle(*graph.centers[cell], 0.30, fill, "#000000", "1.5", "4,3" if dotted else None)
+
     def small_dot(cell: int) -> None:
-        x, y = graph.centers[cell]
-        ET.SubElement(
-            svg,
-            "circle",
-            {
-                "cx": _fmt(tx(x)),
-                "cy": _fmt(ty(y)),
-                "r": _fmt(0.07 * SCALE),
-                "fill": "#ffffff",
-                "stroke": "#000000",
-                "stroke-width": "1",
-            },
-        )
+        circle(*graph.centers[cell], 0.07, "#ffffff", "#000000", "1")
 
     def label(cell: int, text: str, dy: float = -0.45) -> None:
         x, y = graph.centers[cell]
@@ -202,22 +182,15 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
     color = GREEN if feature.weight >= 0 else RED
     arm = 0.22 * SCALE
     w = _fmt(0.09 * SCALE)
-    ET.SubElement(
-        svg,
-        "line",
-        {
-            "x1": _fmt(tx(ax) - arm), "y1": _fmt(ty(ay)),
-            "x2": _fmt(tx(ax) + arm), "y2": _fmt(ty(ay)),
-            "stroke": color, "stroke-width": w, "stroke-linecap": "round",
-        },
-    )
-    if feature.weight >= 0:
+    # Half-extents (dx, dy) of the horizontal stroke, then of a plus's vertical one.
+    strokes = [(arm, 0.0), (0.0, arm)] if feature.weight >= 0 else [(arm, 0.0)]
+    for dx, dy in strokes:
         ET.SubElement(
             svg,
             "line",
             {
-                "x1": _fmt(tx(ax)), "y1": _fmt(ty(ay) - arm),
-                "x2": _fmt(tx(ax)), "y2": _fmt(ty(ay) + arm),
+                "x1": _fmt(tx(ax) - dx), "y1": _fmt(ty(ay) - dy),
+                "x2": _fmt(tx(ax) + dx), "y2": _fmt(ty(ay) + dy),
                 "stroke": color, "stroke-width": w, "stroke-linecap": "round",
             },
         )

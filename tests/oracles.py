@@ -85,6 +85,15 @@ def violates(bits: int, chunk_bits: int, cell: int, forbidden: int) -> bool:
     return (bits >> cell * chunk_bits) & ((1 << chunk_bits) - 1) == forbidden
 
 
+def probe_cell_value(probe: tuple[int, int]) -> tuple[int, int]:
+    """The (cell, forbidden value) that a compiled instance's negative
+    probe, a (chunk mask, forbidden chunk) pair, tests: the cell whose
+    chunk holds the mask's highest bit."""
+    mask, forbidden = probe
+    shift = mask.bit_length() - CHUNK_BITS
+    return shift // CHUNK_BITS, forbidden >> shift
+
+
 def board_values(rules, state) -> list[int]:
     """The values of a position's cells, in cell order."""
     return unpack_values(state.board, CHUNK_BITS, rules.graph.cell_count)
@@ -338,7 +347,8 @@ def element_tests(constraints, site: int, mover: int):
 class OracleInstance:
     """An instance as the oracle compiles it: every ``FeatureInstance``
     field, in a mutable record that also holds the instance's summed
-    weight."""
+    weight and its per-cell negative tests, (cell, forbidden value) pairs
+    in the order of its ``negative_probes``."""
 
     features: tuple[int, ...]
     anchor: int

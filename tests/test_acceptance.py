@@ -31,7 +31,7 @@ from geoweave.search import (
 from geoweave.svg import render_feature
 from geoweave.walks import make_walk, resolve_walk_branches, round_turn
 from conftest import FIXTURES, GOLDEN
-from oracles import interpret_instances_batch, round_half_away, square_walk_oracle, word_count, words
+from oracles import interpret_instances_batch, probe_cell_value, round_half_away, square_walk_oracle, word_count, words
 from test_dsl import random_feature
 from test_search import record_tests
 
@@ -84,7 +84,7 @@ def test_criterion_01_matcher_oracle_equivalence(
                 mask = np.array(words(inst.mask, *shape), dtype=np.uint64)
                 target = np.array(words(inst.target, *shape), dtype=np.uint64)
                 ok = np.all((state_words & mask) == target, axis=1)
-                for cell, forbidden in inst.negative_tests:
+                for cell, forbidden in map(probe_cell_value, inst.negative_probes):
                     ok &= values[:, cell] != forbidden
                 got[:, j] = ok
             assert (got == want).all(), f"{fs.name} mover {mover}: compiled != interpreter"

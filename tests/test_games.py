@@ -545,7 +545,7 @@ def test_registry_names():
     ("line4-9", "bad line4 board name 'line4-9'; use e.g. line4-7x7"),
     ("line4-5x5x5", "bad line4 board name 'line4-5x5x5'; use e.g. line4-7x7"),
     ("line4-ax5", "bad line4 board name 'line4-ax5'; use e.g. line4-7x7"),
-    ("chess", "unknown game 'chess'; known: hexN, line4-WxH"),
+    ("chess", "unknown game 'chess'; known: hexN, line4 (7x7), line4-WxH"),
 ])
 def test_registry_names_the_reason_a_name_is_refused(name, message):
     """A size the rules refuse reports the rules' bound, not a bad name."""

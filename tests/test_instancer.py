@@ -28,7 +28,9 @@ from geoweave.rng import SplitMix64
 from geoweave.search import biased_scores, compile_feature_set
 from geoweave.walks import make_walk, resolve_walk_branches
 import oracles
-from oracles import biased_scores_oracle, instantiate_oracle, interpret_instance, pack_values, word_count, words
+from oracles import (
+    biased_scores_oracle, instantiate_oracle, interpret_instance, pack_values, probe_cell_value, word_count, words,
+)
 
 KNIGHT = make_walk([0, 0, F(1, 4)])
 
@@ -164,7 +166,7 @@ def test_enemy_two_player_compiles_positively(bridge_fs):
     rules = gw.hex_rules(5)
     idx = instantiate(bridge_fs, rules.graph, mover=2)
     inst = idx.instances[0]
-    assert inst.negative_tests == ()  # pure mask/target fast path
+    assert inst.negative_probes == ()  # pure mask/target fast path
 
 
 def test_player_index_out_of_range():
@@ -253,7 +255,8 @@ def instance_counts(idx):
             (cell, inst.target >> cell * CHUNK_BITS & full)
             for cell in range(idx.graph.cell_count) if inst.mask >> cell * CHUNK_BITS & full
         )
-        key = (required, frozenset(inst.negative_tests), inst.action_to, inst.last_move_cell)
+        forbidden = frozenset(map(probe_cell_value, inst.negative_probes))
+        key = (required, forbidden, inst.action_to, inst.last_move_cell)
         counts[key] = counts.get(key, 0) + idx.weights[inst.number]
     return counts
 
@@ -309,7 +312,7 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
         assert a.weights[x.number] == b.weights[y.number]
         assert x.mask == y.mask
         assert x.target == y.target
-        assert x.negative_tests == y.negative_tests
+        assert x.negative_probes == y.negative_probes
 
 
 def random_values(rng, cells, values_range):
@@ -333,13 +336,14 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
         for mover in (1, 2):
             idx = instantiate(fs, rules.graph, mover)
             assert idx.instances
-            # Each negative probe sits at its cell's chunk ...
+            # Each negative probe masks one whole chunk, at a cell the
+            # instance's mask does not require ...
             full = (1 << gw.CHUNK_BITS) - 1
             for inst in idx.instances:
-                assert inst.negative_probes == tuple(
-                    (full << cell * gw.CHUNK_BITS, v << cell * gw.CHUNK_BITS)
-                    for cell, v in inst.negative_tests
-                )
+                for probe in inst.negative_probes:
+                    cell, v = probe_cell_value(probe)
+                    assert probe == (full << cell * gw.CHUNK_BITS, v << cell * gw.CHUNK_BITS)
+                    assert v <= full and not inst.mask & probe[0]
             # ... and on boards of several words some instance's mask spans
             # two words of the 64-bit view.
             if word_count(*shape) > 1:
@@ -549,10 +553,10 @@ def test_each_instance_names_every_feature_it_sums(board, request):
         # With weight 1, an instance's weight counts the placements that gave it.
         alone = instantiate(FeatureSet((dataclasses.replace(feature, weight=1.0),)), graph, 1)
         for inst in alone.instances:
-            key = (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell)
+            key = (inst.mask, inst.target, inst.negative_probes, inst.action_to, inst.last_move_cell)
             want.setdefault(key, []).extend([position] * int(alone.weights[inst.number]))
     got = {
-        (inst.mask, inst.target, inst.negative_tests, inst.action_to, inst.last_move_cell): inst.features
+        (inst.mask, inst.target, inst.negative_probes, inst.action_to, inst.last_move_cell): inst.features
         for inst in instantiate(fs, graph, 1).instances
     }
     assert got == {key: tuple(positions) for key, positions in want.items()}
