@@ -21,7 +21,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .dsl import DslError, dump_feature_set, feature_set_hash, load_feature_set
+from .dsl import DslError, dump_feature_set, feature_set_hash, load_feature_set, sha256
 from .featuregen import (
     GenConfig,
     GenError,
@@ -116,7 +115,7 @@ class Run:
             "versions": {"geoweave": __version__, "python": sys.version.split()[0]},
             "wall_time_s": round(time.monotonic() - self.started, 3),
             "outputs": [
-                {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
+                {"path": name, "sha256": sha256(data).hexdigest()}
                 for name, data in self.outputs.items()
             ],
         }

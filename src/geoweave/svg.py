@@ -21,6 +21,7 @@ ANCHOR_FILL = "#fff3c4"
 CELL_FILL = "#ffffff"
 CONTEXT_FILL = "#f2f2f2"
 EDGE = "#666666"
+LABEL_FILL = "#333333"
 # Drawing units per board unit.
 SCALE = 40.0
 
@@ -140,7 +141,7 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
     def small_dot(cell: int) -> None:
         circle(*graph.centers[cell], 0.07, "#ffffff", "#000000", "1")
 
-    def label(cell: int, text: str, dy: float = -0.45) -> None:
+    def label(cell: int, text: str, dy: float = -0.45, fill: str = LABEL_FILL) -> None:
         x, y = graph.centers[cell]
         el = ET.SubElement(
             svg,
@@ -151,7 +152,7 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
                 "font-size": _fmt(0.28 * SCALE),
                 "font-family": "sans-serif",
                 "text-anchor": "middle",
-                "fill": "#333333",
+                "fill": fill,
             },
         )
         el.text = text
@@ -169,8 +170,10 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
             elif c.kind is ElementKind.ENEMY:
                 disk(cell, "#000000", dotted)
             elif c.kind is ElementKind.PLAYER:
-                disk(cell, "#ffffff" if c.index == 1 else "#000000", dotted)
-                label(cell, f"P{c.index}", dy=0.0)
+                # A dark label on the black disk would be unreadable.
+                first = c.index == 1
+                disk(cell, "#ffffff" if first else "#000000", dotted)
+                label(cell, f"P{c.index}", dy=0.0, fill=LABEL_FILL if first else "#ffffff")
             elif c.kind is ElementKind.ITEM:
                 disk(cell, "#bbbbbb", dotted)
                 label(cell, f"I{c.index}", dy=0.0)

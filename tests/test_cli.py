@@ -353,24 +353,30 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
     assert (tmp_path / "match" / "manifest.json").exists()
 
 
-NO_HASHLIB = """
+NO_OPENSSL = """
 import sys
 import geoweave as gw
-fixtures = sys.argv[1]
+from geoweave.cli import main
+fixtures, out = sys.argv[1:]
 line4 = gw.load_feature_set(fixtures + "/line4.fs")
 bridge = gw.load_feature_set(fixtures + "/bridge.fs")
 gw.play_match(gw.line4_rules(4, 4), gw.AgentSpec(line4), gw.AgentSpec(), 2, 5)
 gw.play_match(gw.hex_rules(5), gw.AgentSpec(bridge, 4), gw.AgentSpec(playouts=4), 2, 5)
-assert "hashlib" not in sys.modules and "_hashlib" not in sys.modules, "a match loaded hashlib"
 assert gw.feature_set_hash(line4) == "842c0182eebc2a5b"
+assert main(["match", "--game", "line4-4x4", "--games", "2", "--playouts", "0",
+             "--out", out + "/match"]) == 0
+assert main(["tune", "--game", "line4-4x4", "--features", fixtures + "/line4.fs", "--budget", "1",
+             "--games", "2", "--playouts", "0", "--out", out + "/tune"]) == 0
+assert "hashlib" not in sys.modules and "_hashlib" not in sys.modules, "a run loaded hashlib"
 """
 
 
-def test_matches_never_load_hashlib():
-    """Only feature_set_hash uses hashlib, and loading it maps OpenSSL
-    (~3.5 MB of RSS): a library run that never hashes must not load it.
+def test_no_run_loads_openssl(tmp_path):
+    """geoweave hashes with CPython's built-in sha256, never through
+    hashlib, whose import maps OpenSSL (~3.5 MB of RSS): neither a match,
+    a feature-set hash nor a CLI run that writes a manifest loads it.
     ``-S`` keeps site hooks from loading it first."""
     src = Path(__file__).parent.parent / "src"
-    done = subprocess.run([sys.executable, "-S", "-c", NO_HASHLIB, str(FIXTURES)],
+    done = subprocess.run([sys.executable, "-S", "-c", NO_OPENSSL, str(FIXTURES), str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import io
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoweave.dsl import (
     DslError,
@@ -13,6 +16,7 @@ from geoweave.dsl import (
     parse_feature_set,
     save_feature_set,
     serialize_feature,
+    sha256,
 )
 from geoweave.features import Constraint, ElementKind, Feature, FeatureError, PatternElement
 from geoweave.rng import SplitMix64
@@ -253,6 +257,14 @@ def test_save_round_trips_fixtures(tmp_path, bridge_fs, line4_fs, group3_fs, thi
         loaded = load_feature_set(path)
         assert (loaded.name, loaded.features) == (fs.name, fs.features)
         assert feature_set_hash(loaded) == feature_set_hash(fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_sha256_is_hashlibs(data):
+    """The built-in sha256 that feature-set hashes and manifests use
+    gives hashlib's digest."""
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 # --- seeded fuzz: parse . serialize . parse is the identity -----------------

@@ -75,7 +75,7 @@ def test_player_and_item_disks_are_labelled():
     g = gw.build_board(gw.Square(5, 5))
     feature = parse_feature("rel proactive rot={0} el={}:. el={0}:P2 el={1/4}:I1,!I0 act_to={}")
     svg = render_feature(feature, g)
-    assert ">P2</text>" in svg
+    assert 'fill="#ffffff">P2</text>' in svg  # light on the black disk
     assert ">I1</text>" in svg
     assert ">!I0</text>" in svg
     assert svg == (GOLDEN / "player_item_square.svg").read_text()
