@@ -24,9 +24,11 @@ white = gw.instantiate(bridge, board, mover=2)
 print(f"\ninstances for White on 7x7 hex: {len(white.instances)}")
 print(f"reactive buckets (indexed by the opponent's last move): {len(white.reactive_by_last_move)}")
 
-inst = white.instances[0]
+# An instance keeps only its tests, action and last-move cells; where it
+# was placed is compiled again on demand.
+inst, anchor, *_ = gw.instance_placements(bridge, board, mover=2)[0]
 print("\none compiled instance:")
-print(f"  anchor {inst.anchor}, action -> {inst.action_to}, last move key {inst.last_move_cell}")
+print(f"  anchor {anchor}, action -> {inst.action_to}, last move key {inst.last_move_cell}")
 print(f"  mask:   {inst.mask:#x}")
 print(f"  target: {inst.target:#x}")
 print("  matching is one AND+compare on the whole board, whatever the pattern's size")

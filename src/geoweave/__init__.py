@@ -52,6 +52,7 @@ from .instancer import (
     FeatureInstance,
     InstanceIndex,
     InstancerError,
+    instance_placements,
     instantiate,
     match_instance,
 )

@@ -25,22 +25,27 @@ its placements and features:
   gave, or finds that the pair was rejected;
 - each distinct constraint tuple (by value) is compiled once per site,
   straight to ints (``_compile_element``): the mask and target of the one
-  cell value it requires, if any, and its negative probes; its probes and
-  its ``(site, constraints)`` pair are shared by every instance it enters.
-  A pair merges its elements' masks and targets with int operations, and a
-  duplicate instance is found from that mask and target, its negative
-  probes, its action cell and its last-move cell, and only adds to its
-  recipe.
+  cell value it requires, if any, and its negative probes; its probes are
+  shared by every instance it enters.  A pair merges its elements' masks
+  and targets with int operations, and a duplicate instance is found from
+  that mask and target, its negative probes, its action cell and its
+  last-move cell, and only adds to its recipe.
 
 A compile yields the instances, which hold no weight, and each one's
 recipe: the positions in ``fs.features`` of the features whose weights
 the instance sums, in placement order, duplicates kept.  The recipe is the
 instance's ``features``; one tuple of each distinct recipe is kept, which
-every instance of it shares.  An instance's anchor, direction and element
-sites come from the placement that first produced it.  Its weight is the
-entry at its ``number`` in its index's ``weights``, added up from its
-recipe in that order (``_recipe_weights``), so every merged weight is the
-same float sum as compiling without memos.
+every instance of it shares.  Its weight is the entry at its ``number``
+in its index's ``weights``, added up from its recipe in that order
+(``_recipe_weights``), so every merged weight is the same float sum as
+compiling without memos.
+
+An instance holds only what matching, bucketing and scoring read.  Where
+it was placed (the anchor, start direction and reflection of the
+placement that first produced it, and its elements' sites there) is kept
+by no instance and no memo entry: ``instance_placements`` compiles it
+afresh for the renderer and the tests, from the placement and the walk
+branch combination that the compile hands back for each instance.
 
 The walk plan (each feature's walks with their tables, and its
 placements, in compile order) depends on the feature set's structure
@@ -86,15 +91,11 @@ class FeatureInstance:
     # The positions in the feature set of the features whose weights this
     # instance sums, in placement order, duplicates kept.
     features: tuple[int, ...]
-    anchor: int
-    start_dir: int
-    reflected: bool
     # The tests over the board's int, as match_instance runs them:
     mask: int  # every required cell's chunk
     target: int  # every required cell's value
     # (one cell's chunk mask, its forbidden chunk), sorted, so in cell order
     negative_probes: tuple[tuple[int, int], ...]
-    element_sites: tuple[tuple[int, tuple[Constraint, ...]], ...]
     action_to: int
     last_move_cell: int | None
     # Its position in ``InstanceIndex.instances``, where its weight sits in
@@ -328,7 +329,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     """A feature set's instances, compiled along ``plan``
     (``_walk_plan(fs, graph)``, whose entry at each position is that
     feature's), whose tables it fills: ``(instances, proactive, reactive,
-    recipes, recipe numbers)``.
+    recipes, recipe numbers, placements, combos)``.
 
     ``proactive`` holds the instances without a last-move cell and
     ``reactive`` the others in one tuple per last-move cell, each in
@@ -336,29 +337,36 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
     in ``fs.features`` whose weights the instance sums, duplicates kept,
     in the order the placements produced them.  ``recipes`` holds each
     distinct one once, and the recipe numbers give each instance's
-    position in it.
+    position in it.  The placements and combos give, for each instance,
+    the placement tuple of the plan and the walk branch combination (the
+    element sites, then the action and last-move cells) that first
+    produced it: the objects the compile made anyway, which only
+    ``instance_placements`` reads.
 
     Each element (constraint tuple by value, at a site) is compiled once,
-    by ``_compile_element``, and kept with its ``(site, constraints)``
-    pair; a new pair merges its elements' masks and targets with int
-    operations, and its instance shares the elements' pairs.
+    by ``_compile_element``; a new pair merges its elements' masks and
+    targets with int operations.
     """
-    # Every instance field from ``anchor`` to ``last_move_cell``, in field
+    if not 1 <= mover <= 2:
+        raise InstancerError(f"mover {mover} out of range 1..2")
+    # Every instance field from ``mask`` to ``last_move_cell``, in field
     # order, until the recipes are complete.
     templates: list[tuple] = []
     recipes: list[list[int]] = []
+    placed: list[tuple[int, int, bool]] = []
+    combos: list[tuple] = []
     # Instance number by its compiled tests and action cell.
     dedup: dict[tuple, int] = {}
     # Memos of this compile; only its result is kept (see ``instantiate``).
     # Compiled elements by constraint tuple (by value), then by site:
-    # (mask, target, negative probes, (site, constraints)), or None where
-    # the element can never hold.
+    # (mask, target, negative probes), or None where the element can
+    # never hold.
     compiled_by_constraints: dict[tuple[Constraint, ...], dict] = {}
     # The instance number each (element constraint signature, combo) pair
     # gave, or None for a rejected pair: by signature (by value), then by combo.
     instance_by_signature: dict[tuple, dict] = {}
 
-    def compile_pair(elements, combo, anchor, start_dir, reflected):
+    def compile_pair(elements, combo, placement):
         """The instance number of one pair not seen before in this compile,
         or None when the pair can never match."""
         action_to, last_cell = combo[-2:]
@@ -366,24 +374,19 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             return None
         mask = target = 0
         negatives: list[tuple[int, int]] = []
-        sites = []
         for (constraints, by_site), site in zip(elements, combo):
             compiled = by_site.get(site, _MISSING)
             if compiled is _MISSING:
-                compiled = _compile_element(constraints, site, mover)
-                if compiled is not None:
-                    compiled += ((site, constraints),)
-                by_site[site] = compiled
+                compiled = by_site[site] = _compile_element(constraints, site, mover)
             if compiled is None:
                 return None
-            m, t, neg, pair = compiled
+            m, t, neg = compiled
             # Two elements conflict on a cell both require with different values.
             if (target ^ t) & mask & m:
                 return None
             mask |= m
             target |= t
             negatives += neg
-            sites.append(pair)
         kept = set()
         for probe in negatives:
             m, forbidden = probe
@@ -402,18 +405,10 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
         if number is not None:
             return number
         number = dedup[key] = len(templates)
-        templates.append((
-            anchor,
-            start_dir,
-            reflected,
-            mask,
-            target,
-            probes,
-            tuple(sites),
-            action_to,
-            last_cell,
-        ))
+        templates.append(key)
         recipes.append([])
+        placed.append(placement)
+        combos.append(combo)
         return number
 
     for position, (feature, (plain, mirrored, placements)) in enumerate(zip(fs.features, plan)):
@@ -423,7 +418,8 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
         ]
         by_combo = instance_by_signature.setdefault(tuple(c for c, _ in elements), {})
         absent = feature.last_move is None
-        for anchor, start_dir, reflected in placements:
+        for placement in placements:
+            anchor, start_dir, reflected = placement
             branches = [
                 resolve_walk_branches(graph, anchor, start_dir, walk, table)
                 for walk, table in (mirrored if reflected else plain)
@@ -433,7 +429,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
             for combo in itertools.product(*branches):
                 number = by_combo.get(combo, _MISSING)
                 if number is _MISSING:
-                    number = by_combo[combo] = compile_pair(elements, combo, anchor, start_dir, reflected)
+                    number = by_combo[combo] = compile_pair(elements, combo, placement)
                 if number is not None:
                     recipes[number].append(position)
     # The memos of this compile go before the instances are built, which
@@ -458,7 +454,7 @@ def _compile(fs: FeatureSet, graph: BoardGraph, mover: int, plan: tuple) -> tupl
         else:
             reactive.setdefault(inst.last_move_cell, []).append(inst)
     buckets = {cell: tuple(bucket) for cell, bucket in reactive.items()}
-    return instances, tuple(proactive), buckets, shared, numbers
+    return instances, tuple(proactive), buckets, shared, numbers, placed, combos
 
 
 def _recipe_weights(fs: FeatureSet, recipes: tuple, numbers: tuple) -> list[float]:
@@ -488,8 +484,6 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
     first compile, which are frozen, with new ``weights`` and a new dict
     of reactive buckets.
     """
-    if not 1 <= mover <= 2:
-        raise InstancerError(f"mover {mover} out of range 1..2")
     structures = tuple(map(_structure, fs.features))
     key = (structures, graph, mover)
     entry = _memo.get(key)
@@ -498,7 +492,9 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
         # kept entry of the other mover lends its own.
         other = _memo.get((structures, graph, 3 - mover))
         plan = other[-1] if other else _walk_plan(fs, graph)
-        entry = (*_compile(fs, graph, mover, plan), plan)
+        # The placements and combos are dropped: no instance keeps them.
+        instances, proactive, reactive, recipes, numbers, _, _ = _compile(fs, graph, mover, plan)
+        entry = (instances, proactive, reactive, recipes, numbers, plan)
         if len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = entry
@@ -506,3 +502,25 @@ def instantiate(fs: FeatureSet, graph: BoardGraph, mover: int) -> InstanceIndex:
         _replay_walk_calls(entry[-1], graph)
     instances, proactive, reactive, recipes, numbers, _ = entry
     return InstanceIndex(graph, mover, instances, proactive, dict(reactive), _recipe_weights(fs, recipes, numbers))
+
+
+def instance_placements(
+    fs: FeatureSet, graph: BoardGraph, mover: int
+) -> list[tuple[FeatureInstance, int, int, bool, tuple[tuple[int, tuple[Constraint, ...]], ...]]]:
+    """Each instance of ``instantiate(fs, graph, mover)``, in index order,
+    as ``(instance, anchor, start direction, reflected, element sites)``:
+    the placement that first produced the instance, and the ``(site,
+    constraints)`` of each element of that placement's feature, which is
+    ``fs.features[instance.features[0]]``, in the feature's order.
+
+    Instances keep no placement, as matching reads none, so this compiles
+    ``fs`` afresh, without the compile memo, whose entries it neither
+    reads nor adds to.  The renderer draws from it.
+    """
+    instances, *_, placed, combos = _compile(fs, graph, mover, _walk_plan(fs, graph))
+    out = []
+    for inst, (anchor, start_dir, reflected), combo in zip(instances, placed, combos):
+        elements = fs.features[inst.features[0]].elements
+        sites = tuple((site, el.constraints) for el, site in zip(elements, combo))
+        out.append((inst, anchor, start_dir, reflected, sites))
+    return out

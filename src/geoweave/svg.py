@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 from .board import OFF_BOARD, BoardGraph, edge_midpoints
 from .features import Constraint, ElementKind, Feature, FeatureSet
-from .instancer import FeatureInstance, InstancerError, instantiate
+from .instancer import InstancerError, instance_placements
 from .walks import mirror_walk, resolve_walk_exits
 
 GREEN = "#1a9641"
@@ -31,37 +31,39 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _central_instance(feature: Feature, graph: BoardGraph) -> FeatureInstance:
-    index = instantiate(FeatureSet((feature,), "render"), graph, mover=1)
-    if not index.instances:
+def _central_instance(feature: Feature, graph: BoardGraph) -> tuple:
+    """The first of the feature's instances whose anchor lies nearest the
+    board's centroid, as ``instancer.instance_placements`` gives it."""
+    placed = instance_placements(FeatureSet((feature,), "render"), graph, mover=1)
+    if not placed:
         raise InstancerError("feature has no valid instance on this board")
     cx, cy = graph.centroid
 
-    def centrality(inst: FeatureInstance) -> float:
-        x, y = graph.centers[inst.anchor]
+    def centrality(placement: tuple) -> float:
+        x, y = graph.centers[placement[1]]  # its anchor
         return (x - cx) ** 2 + (y - cy) ** 2
 
-    best = index.instances[0]
+    best = placed[0]
     best_d = centrality(best)
-    for inst in index.instances[1:]:
-        d = centrality(inst)
+    for placement in placed[1:]:
+        d = centrality(placement)
         if d < best_d - 1e-9:
-            best, best_d = inst, d
+            best, best_d = placement, d
     return best
 
 
 def render_feature(feature: Feature, graph: BoardGraph) -> str:
     """One feature as a standalone SVG 1.1 document (deterministic bytes)."""
-    inst = _central_instance(feature, graph)
-    walk_of = mirror_walk if inst.reflected else (lambda w: w)
+    inst, anchor, start_dir, reflected, element_sites = _central_instance(feature, graph)
+    walk_of = mirror_walk if reflected else (lambda w: w)
 
     # Cells to draw: pattern sites, action, last move, plus a one-ring halo.
     pattern_cells: dict[int, tuple[Constraint, ...]] = {}
     ghosts: list[tuple[float, float]] = []
-    for (site, constraints), el in zip(inst.element_sites, feature.elements):
+    for (site, constraints), el in zip(element_sites, feature.elements):
         if site == OFF_BOARD:
             for loc, last_cell, exit_slot in resolve_walk_exits(
-                graph, inst.anchor, inst.start_dir, walk_of(el.walk)
+                graph, anchor, start_dir, walk_of(el.walk)
             ):
                 if loc == OFF_BOARD:
                     cx, cy = graph.centers[last_cell]
@@ -70,7 +72,7 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
         else:
             pattern_cells[site] = constraints
 
-    core = set(pattern_cells) | {inst.anchor, inst.action_to}
+    core = set(pattern_cells) | {anchor, inst.action_to}
     if inst.last_move_cell is not None:
         core.add(inst.last_move_cell)
     halo = set(core)
@@ -110,7 +112,7 @@ def render_feature(feature: Feature, graph: BoardGraph) -> str:
     for cell in sorted(halo):
         fill = CONTEXT_FILL
         if cell in core:
-            fill = ANCHOR_FILL if cell == inst.anchor else CELL_FILL
+            fill = ANCHOR_FILL if cell == anchor else CELL_FILL
         ET.SubElement(
             svg,
             "polygon",

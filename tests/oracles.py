@@ -148,10 +148,12 @@ def constraint_holds(constraint: Constraint, value: int | None, mover: int) -> b
     return not holds if constraint.negated else holds
 
 
-def interpret_instance(inst, values, mover: int) -> bool:
-    """Naive matcher: walk the instance's element sites one by one and test
-    the decoded per-cell values against each constraint."""
-    for site, constraints in inst.element_sites:
+def interpret_instance(element_sites, values, mover: int) -> bool:
+    """Naive matcher: walk an instance's element sites, its ``(site,
+    constraints)`` pairs as ``instancer.instance_placements`` gives them,
+    one by one and test the decoded per-cell values against each
+    constraint."""
+    for site, constraints in element_sites:
         value = None if site == OFF_BOARD else values[site]
         for c in constraints:
             if not constraint_holds(c, value, mover):
@@ -159,19 +161,20 @@ def interpret_instance(inst, values, mover: int) -> bool:
     return True
 
 
-def interpret_instances_batch(instances, value_matrix: np.ndarray, mover: int) -> np.ndarray:
+def interpret_instances_batch(sites_per_instance, value_matrix: np.ndarray, mover: int) -> np.ndarray:
     """Vectorised-over-states version of :func:`interpret_instance`.
 
+    ``sites_per_instance`` holds each instance's element sites;
     ``value_matrix`` is (n_states, n_cells) of decoded chunk values; the
     result is (n_states, n_instances) of booleans.  Still a per-element
     interpreter: element semantics are applied one constraint at a time on
     decoded values, never on packed words.
     """
     n_states = value_matrix.shape[0]
-    out = np.empty((n_states, len(instances)), dtype=bool)
-    for j, inst in enumerate(instances):
+    out = np.empty((n_states, len(sites_per_instance)), dtype=bool)
+    for j, element_sites in enumerate(sites_per_instance):
         acc = np.ones(n_states, dtype=bool)
-        for site, constraints in inst.element_sites:
+        for site, constraints in element_sites:
             for c in constraints:
                 if site == OFF_BOARD:
                     holds = np.full(n_states, c.kind is ElementKind.OFF, dtype=bool)
@@ -347,8 +350,10 @@ def element_tests(constraints, site: int, mover: int):
 class OracleInstance:
     """An instance as the oracle compiles it: every ``FeatureInstance``
     field, in a mutable record that also holds the instance's summed
-    weight and its per-cell negative tests, (cell, forbidden value) pairs
-    in the order of its ``negative_probes``."""
+    weight, its per-cell negative tests, (cell, forbidden value) pairs in
+    the order of its ``negative_probes``, and the placement and element
+    sites that first produced it, as ``instancer.instance_placements``
+    gives them."""
 
     features: tuple[int, ...]
     anchor: int

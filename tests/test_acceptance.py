@@ -18,7 +18,7 @@ import pytest
 import geoweave as gw
 from geoweave.cli import main as cli_main
 from geoweave.dsl import parse_feature, serialize_feature
-from geoweave.instancer import instantiate, match_instance
+from geoweave.instancer import instance_placements, instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.search import (
     AgentSpec,
@@ -78,7 +78,11 @@ def test_criterion_01_matcher_oracle_equivalence(
             idx = instantiate(fs, rules.graph, mover)
             assert idx.instances
             total_instances += len(idx.instances)
-            want = interpret_instances_batch(idx.instances, values, mover)
+            # The naive matcher reads each instance's element sites, which
+            # only a compile for its placements gives.
+            placed = instance_placements(fs, rules.graph, mover)
+            assert [inst for inst, *_ in placed] == list(idx.instances)
+            want = interpret_instances_batch([sites for *_, sites in placed], values, mover)
             got = np.empty_like(want)
             for j, inst in enumerate(idx.instances):
                 mask = np.array(words(inst.mask, *shape), dtype=np.uint64)

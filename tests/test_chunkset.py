@@ -146,10 +146,9 @@ def packed_instance(chunk_bits, mask, target, negative_tests):
     as ``instantiate`` packs them but with ``chunk_bits``-bit chunks."""
     full = (1 << chunk_bits) - 1
     return FeatureInstance(
-        features=(), anchor=0, start_dir=0, reflected=False,
-        mask=mask, target=target,
+        features=(), mask=mask, target=target,
         negative_probes=tuple((full << c * chunk_bits, v << c * chunk_bits) for c, v in negative_tests),
-        element_sites=(), action_to=0, last_move_cell=None, number=0,
+        action_to=0, last_move_cell=None, number=0,
     )
 
 

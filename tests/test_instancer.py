@@ -23,7 +23,7 @@ from geoweave.features import (
 from geoweave.chunkset import CHUNK_BITS
 from geoweave.dsl import parse_feature
 from geoweave.featuregen import GenConfig, generate_candidates
-from geoweave.instancer import FeatureInstance, InstancerError, instantiate, match_instance
+from geoweave.instancer import FeatureInstance, InstancerError, instance_placements, instantiate, match_instance
 from geoweave.rng import SplitMix64
 from geoweave.search import biased_scores, compile_feature_set
 from geoweave.walks import make_walk, resolve_walk_branches
@@ -53,11 +53,16 @@ def knight_star(x, y):
     }
 
 
+def anchors(feature, graph):
+    """The anchor of every instance of ``feature`` for mover 1."""
+    return {anchor for _, anchor, *_ in instance_placements(FeatureSet((feature,)), graph, 1)}
+
+
 def test_knight_instances_form_the_star():
     g = gw.build_board(gw.Square(8, 8))
-    idx = instantiate(FeatureSet((knight_feature(),)), g, 1)
+    placed = instance_placements(FeatureSet((knight_feature(),)), g, 1)
     anchor = gw.square_cell(g, 4, 4)
-    mine = [i for i in idx.instances if i.anchor == anchor]
+    mine = [inst for inst, at, *_ in placed if at == anchor]
     assert len(mine) == 8  # 4 rotations x 2 reflections, all distinct
     got = {i.action_to for i in mine}
     want = {gw.square_cell(g, x, y) for x, y in knight_star(4, 4)}
@@ -89,9 +94,9 @@ def test_semi3464_knight_splits_into_two_instances(semi3):
     hex_dir = next(d for d, n in enumerate(semi3.neighbors[centre_sq]) if semi3.sides[n] == 6)
 
     def weighted_instances_for(start_dir):
-        feature = knight_feature(reflections=False, rotations=(F(start_dir, 4),))
-        idx = instantiate(FeatureSet((feature,)), semi3, 1)
-        return [(i, idx.weights[i.number]) for i in idx.instances if i.anchor == centre_sq]
+        fs = FeatureSet((knight_feature(reflections=False, rotations=(F(start_dir, 4),)),))
+        idx = instantiate(fs, semi3, 1)
+        return [(i, idx.weights[i.number]) for i, at, *_ in instance_placements(fs, semi3, 1) if at == centre_sq]
 
     through_triangle = weighted_instances_for(tri_dir)
     assert len(through_triangle) == 2  # ambiguous quarter turn, two destinations
@@ -111,10 +116,8 @@ def test_off_board_element_forces_edge_anchors():
         action=(),
         rotations=(F(0),),  # keep facing north only
     )
-    idx = instantiate(FeatureSet((feature,)), g, 1)
-    anchors = {i.anchor for i in idx.instances}
     top_row = {gw.square_cell(g, x, 5) for x in range(6)}
-    assert anchors == top_row
+    assert anchors(feature, g) == top_row
 
 
 def test_negated_off_requires_on_board():
@@ -124,9 +127,7 @@ def test_negated_off_requires_on_board():
         action=(),
         rotations=(F(0),),
     )
-    idx = instantiate(FeatureSet((feature,)), g, 1)
-    anchors = {i.anchor for i in idx.instances}
-    assert anchors == {gw.square_cell(g, x, y) for x in range(4) for y in range(3)}
+    assert anchors(feature, g) == {gw.square_cell(g, x, y) for x in range(4) for y in range(3)}
 
 
 def hex_bridge_position(rules):
@@ -194,15 +195,13 @@ def test_absolute_feature_symmetry_expansion():
         anchor=corner,
         reflections=True,
     )
-    idx = instantiate(FeatureSet((feature,)), g, 1)
-    anchors = {i.anchor for i in idx.instances}
-    assert anchors == {gw.square_cell(g, x, y) for x in (0, 4) for y in (0, 4)}
+    corners = {gw.square_cell(g, x, y) for x in (0, 4) for y in (0, 4)}
+    assert anchors(feature, g) == corners
     # Rotations only (no reflections) still visits every corner.
     feature_rot = Feature(
         elements=feature.elements, action=feature.action, anchor=corner, reflections=False
     )
-    idx_rot = instantiate(FeatureSet((feature_rot,)), g, 1)
-    assert {i.anchor for i in idx_rot.instances} == anchors
+    assert anchors(feature_rot, g) == corners
 
 
 def test_absolute_explicit_rotations_stay_at_anchor():
@@ -214,9 +213,8 @@ def test_absolute_explicit_rotations_stay_at_anchor():
         anchor=centre,
         rotations=make_walk([0, F(1, 2)]),
     )
-    idx = instantiate(FeatureSet((feature,)), g, 1)
-    assert {i.anchor for i in idx.instances} == {centre}
-    assert len(idx.instances) == 2
+    assert anchors(feature, g) == {centre}
+    assert len(instantiate(FeatureSet((feature,)), g, 1).instances) == 2
 
 
 def test_symmetry_maps_are_built_on_first_use(line4_fs):
@@ -307,12 +305,9 @@ def test_instantiation_is_deterministic(line4_fs, line4_7_rules):
     b = instantiate(line4_fs, g, 1)
     assert len(a.instances) == len(b.instances)
     for x, y in zip(a.instances, b.instances):
-        assert x.anchor == y.anchor
-        assert x.action_to == y.action_to
+        assert x == y
         assert a.weights[x.number] == b.weights[y.number]
-        assert x.mask == y.mask
-        assert x.target == y.target
-        assert x.negative_probes == y.negative_probes
+    assert instance_placements(line4_fs, g, 1) == instance_placements(line4_fs, g, 1)
 
 
 def random_values(rng, cells, values_range):
@@ -336,6 +331,8 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
         for mover in (1, 2):
             idx = instantiate(fs, rules.graph, mover)
             assert idx.instances
+            placed = instance_placements(fs, rules.graph, mover)
+            assert [inst for inst, *_ in placed] == list(idx.instances)
             # Each negative probe masks one whole chunk, at a cell the
             # instance's mask does not require ...
             full = (1 << gw.CHUNK_BITS) - 1
@@ -351,9 +348,9 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
             for _ in range(60):
                 values = random_values(rng, rules.graph.cell_count, 3)
                 board = pack_values(values, gw.CHUNK_BITS)
-                for inst in idx.instances:
+                for inst, *_, sites in placed:
                     got = match_instance(inst, board)
-                    assert got == interpret_instance(inst, values, mover), name
+                    assert got == interpret_instance(sites, values, mover), name
                     outcomes.add(got)
         assert outcomes == {True, False}, name
 
@@ -361,10 +358,22 @@ def test_compiled_matching_agrees_with_interpreter(fixture_name, game, request):
 # --- the compiler against its memo-free oracle ------------------------------
 
 
-def assert_same_index(got, want):
-    """The engine's index ``got`` has the oracle's instances in the same
-    order, field by field, each with the oracle's weight bit for bit, and
-    the same proactive/reactive split."""
+def assert_same_placements(fs, graph, mover, want):
+    """``instance_placements`` gives the oracle's instances in its order,
+    field by field, each with the oracle's placement and element sites."""
+    placed = instance_placements(fs, graph, mover)
+    assert len(placed) == len(want.instances)
+    for (inst, *placement), b in zip(placed, want.instances):
+        for f in dataclasses.fields(FeatureInstance):
+            assert getattr(inst, f.name) == getattr(b, f.name), f.name
+        assert placement == [b.anchor, b.start_dir, b.reflected, b.element_sites]
+
+
+def assert_same_index(got, want, fs):
+    """The engine's index ``got`` of ``fs`` has the oracle's instances in
+    the same order, field by field, each with the oracle's weight bit for
+    bit, placement and element sites, and the same proactive/reactive
+    split."""
     assert (got.graph, got.mover) == (want.graph, want.mover)
     assert len(got.instances) == len(want.instances) == len(got.weights)
     for a, b in zip(got.instances, want.instances):
@@ -381,6 +390,7 @@ def assert_same_index(got, want):
         )
 
     assert positions(got) == positions(want)
+    assert_same_placements(fs, got.graph, got.mover, want)
 
 
 def assert_compiles_like_oracle(fs, graph, movers=(1, 2)):
@@ -396,7 +406,7 @@ def assert_compiles_like_oracle(fs, graph, movers=(1, 2)):
                     instantiate(fs, graph, mover)
             continue
         for _ in range(2):
-            assert_same_index(instantiate(fs, graph, mover), want)
+            assert_same_index(instantiate(fs, graph, mover), want, fs)
 
 
 @pytest.mark.parametrize("board", ["hex5", "hex7", "hex9", "line4-5x5", "line4-7x7"])
@@ -414,6 +424,40 @@ def test_generated_candidates_compile_like_oracle(game, mover):
     fs = FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
     assert any(f.reactive for f in fs)
     assert_compiles_like_oracle(fs, rules.graph, movers=(mover,))
+
+
+def tune_candidates():
+    """The hex7 rules and the 265 candidates of hex7-tune-candidates."""
+    rules = gw.hex_rules(7)
+    cfg = GenConfig(max_elements=3, max_walk_length=1)
+    return rules, FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
+
+
+@pytest.mark.parametrize("board", ["hex5", "hex7", "line4-7x7", "candidates"])
+def test_instance_placements_equal_oracle_and_leave_the_memo_alone(
+        board, bridge_fs, group3_fs, thin_group_fs, line4_fs):
+    """Each instance's placement and element sites, which no instance
+    keeps, are the oracle's; compiling them neither reads nor changes the
+    compile memo."""
+    if board == "candidates":
+        rules, fs = tune_candidates()
+        sets, graph = [(fs, 1)], rules.graph
+    else:
+        graph = gw.game_from_name(board).graph
+        sets = [(fs, mover) for fs in (bridge_fs, group3_fs, thin_group_fs, line4_fs) for mover in (1, 2)]
+    instancer.clear_memo()
+    for fs, mover in sets:
+        instantiate(fs, graph, mover)
+    kept = [(key, id(entry)) for key, entry in instancer._memo.items()]
+    for fs, mover in sets:
+        assert_same_placements(fs, graph, mover, instantiate_oracle(fs, graph, mover))
+    assert [(key, id(entry)) for key, entry in instancer._memo.items()] == kept
+
+
+def test_instances_hold_only_what_matching_reads():
+    assert [f.name for f in dataclasses.fields(FeatureInstance)] == [
+        "features", "mask", "target", "negative_probes", "action_to", "last_move_cell", "number",
+    ]
 
 
 class NoWinRules(gw.GameRules):
@@ -610,9 +654,8 @@ def test_walk_calls_match_oracle(name, request, monkeypatch):
     the compile memo alike.  A hit, also on a reweighted set of new walk
     objects, resolves no walk anew."""
     if name == "candidates":
-        rules = gw.hex_rules(7)
-        cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
-        sets = [(FeatureSet(tuple(generate_candidates(rules, cfg))), rules.graph)]
+        rules, fs = tune_candidates()
+        sets = [(fs, rules.graph)]
     else:
         fs = request.getfixturevalue(name)
         sets = [(fs, gw.game_from_name(board).graph) for board in ("hex7", "line4-7x7")]
@@ -665,9 +708,7 @@ def test_second_mover_compile_borrows_the_walk_tables(name, request, monkeypatch
     its tables: it makes the oracle's walk calls and resolves no walk
     anew."""
     if name == "candidates":
-        rules = gw.hex_rules(7)
-        cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
-        fs = FeatureSet(tuple(generate_candidates(rules, cfg)))
+        _, fs = tune_candidates()
     else:
         fs = request.getfixturevalue(name)
     graph = gw.hex_rules(7).graph
@@ -729,14 +770,15 @@ def assert_hits_equal_oracle(fs, graph, mover, rng, monkeypatch, sets=2):
         instantiate(fs, graph, mover)
     except InstancerError:
         return
-    monkeypatch.setattr(instancer, "_compile", no_compile)
     for _ in range(sets):
         new = reweighted(fs, rng)
+        monkeypatch.setattr(instancer, "_compile", no_compile)
         got = instantiate(new, graph, mover)
-        assert_same_index(got, instantiate_oracle(new, graph, mover))
+        # The placements that assert_same_index checks are compiled afresh.
+        monkeypatch.undo()
+        assert_same_index(got, instantiate_oracle(new, graph, mover), new)
         # The hit's instances share the memo's one tuple of each recipe.
         assert len({id(i.features) for i in got.instances}) == len({i.features for i in got.instances})
-    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("board", ["hex5", "hex7", "line4-7x7"])
@@ -751,24 +793,21 @@ def test_memo_hit_after_reweighting_equals_oracle(board, mover, monkeypatch,
 
 @pytest.mark.parametrize("mover", [1, 2])
 def test_memo_hit_on_reweighted_candidates_equals_oracle(mover, monkeypatch):
-    rules = gw.hex_rules(7)
-    cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
-    fs = FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
+    rules, fs = tune_candidates()
     assert len(fs) == 265
     assert_hits_equal_oracle(fs, rules.graph, mover, SplitMix64(mover), monkeypatch, sets=1)
 
 
-# A cold compile of both movers' hex7 candidates peaks at 7.1 MB under
-# tracemalloc on Python 3.11-3.13 and 7.5 MB on 3.10.  A compile that
+# A cold compile of both movers' hex7 candidates peaks at 5.7 MB under
+# tracemalloc on Python 3.11; with instances that held their placement it
+# peaked at 7.1 MB on 3.11-3.13 and 7.5 MB on 3.10.  A compile that
 # merges each pair's elements through a dict of cell values and
 # de-duplicates on its sorted items peaks at 10.8 MB (11.2 MB on 3.10).
 COLD_COMPILE_PEAK_MB = 9.5
 
 
 def test_cold_compile_of_the_candidates_peaks_below_its_bound():
-    rules = gw.hex_rules(7)
-    cfg = GenConfig(max_elements=3, max_walk_length=1)  # hex7-tune-candidates
-    fs = FeatureSet(tuple(generate_candidates(rules, cfg)), "candidates")
+    rules, fs = tune_candidates()
     assert len(fs) == 265
     instancer.clear_memo()
     gc.collect()
@@ -797,7 +836,6 @@ def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeyp
         for f in dataclasses.fields(FeatureInstance):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(inst, f.name, -1)
-    monkeypatch.setattr(instancer, "_compile", no_compile)
     for _ in range(2):
         # Spoil the index before: its weights, its buckets and its dict.
         spoiled = indexes[-1]
@@ -809,8 +847,10 @@ def test_memo_hits_share_no_mutable_object(fixture_name, board, request, monkeyp
             buckets[cell] = bucket[::-1] + bucket
         buckets[-1] = spoiled.instances
         spoiled.instances, spoiled.proactive = spoiled.proactive, spoiled.instances
+        monkeypatch.setattr(instancer, "_compile", no_compile)
         indexes.append(instantiate(fs, graph, 1))
-        assert_same_index(indexes[-1], want)
+        monkeypatch.undo()
+        assert_same_index(indexes[-1], want, fs)
         assert indexes[-1].instances is shared
     assert len({id(inst) for idx in indexes for inst in idx.instances}) == len(want.instances)
     assert len({id(idx.weights) for idx in indexes}) == len({id(idx.reactive_by_last_move) for idx in indexes}) == 3
@@ -844,6 +884,50 @@ def test_reweighted_twins_share_instances_and_score_like_oracle(fixture_name, bo
         state = rules.apply(state, legal[rng.next_u64() % len(legal)])
         plies += 1
     assert plies > 10 and scored  # the twins' weights told apart somewhere
+
+
+def reachable(roots):
+    """Every object reachable from ``roots`` through the containers a memo
+    entry is built of (tuples, lists, dicts and instances), by id; other
+    objects are reached but not followed."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if isinstance(obj, (tuple, list, dict, FeatureInstance)):
+                stack.extend(gc.get_referents(obj))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["bridge_fs", "line4_fs", "candidates"])
+def test_memo_keeps_no_placement(name, request, monkeypatch):
+    """A compile hands back, for each instance, the plan's placement and
+    the walk branch combination that first produced it; no memo entry
+    keeps the lists of them, a combination or an element's constraints."""
+    if name == "candidates":
+        rules, fs = tune_candidates()
+    else:
+        fs, rules = request.getfixturevalue(name), gw.game_from_name("hex7" if name == "bridge_fs" else "line4-7x7")
+    results = []
+    compile_ = instancer._compile
+
+    def keeping(*args):
+        results.append(compile_(*args))
+        return results[-1]
+
+    monkeypatch.setattr(instancer, "_compile", keeping)
+    instancer.clear_memo()
+    compile_feature_set(fs, rules)
+    monkeypatch.undo()
+    assert len(results) == len(instancer._memo) == 2
+    kept = reachable(instancer._memo.values())
+    for instances, *_, placed, combos in results:
+        assert len(placed) == len(combos) == len(instances)
+        assert id(placed) not in kept and id(combos) not in kept
+        assert not any(id(combo) in kept for combo in combos)
+    assert not any(isinstance(obj, (Constraint, PatternElement, Feature)) for obj in kept.values())
 
 
 def test_a_structure_that_fails_to_compile_fails_every_time():

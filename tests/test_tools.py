@@ -51,7 +51,7 @@ TOOL_REPORTS = {
         "us_per_call": leaves("legal_moves", "biased_scores", "_sample", "apply", "win_check", "playout_ply"),
     },
     "compile": {
-        **leaves("candidates", "repeat", "cold_pair_s", "cold_pair_peak_mb"),
+        **leaves("candidates", "repeat", "cold_pair_s", "cold_pair_peak_mb", "cold_pair_kept_mb"),
         "movers": {"1": COMPILE_MOVER, "2": COMPILE_MOVER},
     },
     "scores": {

@@ -22,7 +22,9 @@ first one's walk plan and its tables.  That is what a one-off ``match`` or
 ``evaluate`` pays, and no end-to-end metric of the benchmark shows it,
 since every workload compiles during its set-up.  One more pass, untimed,
 gives the cold pair's peak memory under ``tracemalloc`` in MB
-(``cold_pair_peak_mb``); the timed passes run untraced.
+(``cold_pair_peak_mb``) and what it keeps (``cold_pair_kept_mb``): the
+traced memory still held after the pass, which is the two movers' memo
+entries with their shared walk plan; the timed passes run untraced.
 
 Inside each hit it also times the walk calls that the hit replays
 (``instancer._replay_walk_calls``, rebound to a timing wrapper for the
@@ -102,13 +104,16 @@ def timed_hit(fs, graph, mover: int, probe: SpeedProbe) -> tuple[float, float]:
     return wall, replayed
 
 
-def peak_mb(fn) -> float:
-    """The ``tracemalloc`` peak of one ``fn()`` call, in MB."""
+def traced_mb(fn) -> tuple[float, float]:
+    """The ``tracemalloc`` peak of one ``fn()`` call and what is still
+    traced after it, its result dropped and garbage collected, in MB."""
     gc.collect()
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak / 1e6, kept / 1e6
     finally:
         tracemalloc.stop()
 
@@ -150,8 +155,9 @@ def main(argv=None) -> int:
 
     cold_pair_s = best_s(cold_pair, args.repeat, setup=instancer.clear_memo)
     instancer.clear_memo()
+    peak, kept = traced_mb(cold_pair)
     report = {"candidates": len(fs), "repeat": args.repeat, "cold_pair_s": round(cold_pair_s, 4),
-              "cold_pair_peak_mb": round(peak_mb(cold_pair), 3), "movers": movers}
+              "cold_pair_peak_mb": round(peak, 3), "cold_pair_kept_mb": round(kept, 3), "movers": movers}
     if args.json:
         print(json.dumps(report))
         return 0
@@ -163,7 +169,8 @@ def main(argv=None) -> int:
               f"cold {m['cold_s']:.4f} s, hit {m['hit_s']:.4f} s "
               f"(walk replay {m['hit_walk_replay_s']:.4f} s, {m['hit_walk_replay_share']:.0%})")
     print(f"  cold pair (mover 1, then mover 2): {report['cold_pair_s']:.4f} s, "
-          f"peak {report['cold_pair_peak_mb']:.3f} MB (tracemalloc, untimed pass)")
+          f"peak {report['cold_pair_peak_mb']:.3f} MB, kept {report['cold_pair_kept_mb']:.3f} MB "
+          "(tracemalloc, untimed pass)")
     return 0
 
 
