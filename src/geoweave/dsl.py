@@ -38,7 +38,7 @@ from .features import (
     FeatureSet,
     PatternElement,
 )
-from .walks import format_turn, format_walk, parse_walk
+from .walks import format_walk, parse_walk
 
 _GLYPH_RE = re.compile(r"^(!?)(-|\.|o|x|P(\d+)|I(\d+))$")
 _TOKEN_RE = re.compile(r"[^ ]+")
@@ -171,7 +171,7 @@ def serialize_feature(f: Feature) -> str:
     if f.rotations is None:
         parts.append("rot=all")
     else:
-        parts.append("rot={" + ",".join(format_turn(t) for t in f.rotations) + "}")
+        parts.append("rot=" + format_walk(f.rotations))
     parts.append("refl=" + ("yes" if f.reflections else "no"))
     for el in f.elements:
         parts.append("el=" + format_walk(el.walk) + ":" + ",".join(c.glyph() for c in el.constraints))

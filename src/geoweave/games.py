@@ -5,13 +5,13 @@ reactive and proactive features, rotations and off-board elements against
 these rules.  A move is the cell it places on, an int.
 
 ``apply`` decides the result once, from the stone it places (its Hex
-group or its Line4 runs): it refuses every move after the game ends, so
-a new win must pass through that stone.  Each move fills one empty cell,
-and the base ``apply`` calls a full board without a win a draw, so every
-game, built-in or subclassed, ends within cell-count plies and every
-position in play has a legal move.  ``status`` reads the recorded result
-back: None while the game is ongoing, 0 for a draw and the winning
-player id otherwise.
+group, or the Line4 lines of four through it): it refuses every move
+after the game ends, so a new win must pass through that stone.  Each
+move fills one empty cell, and the base ``apply`` calls a full board
+without a win a draw, so every game, built-in or subclassed, ends within
+cell-count plies and every position in play has a legal move.
+``status`` reads the recorded result back: None while the game is
+ongoing, 0 for a draw and the winning player id otherwise.
 
 The position also carries its empty cells in cell order, the one record
 of which cells are free: ``apply`` finds the placed cell in them by
@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .board import BoardGraph, HexRhombus, Square, build_board, hex_cell
+from .board import BoardGraph, HexRhombus, Square, build_board
 from .chunkset import CHUNK_BITS, CHUNK_MASK
 
 
@@ -170,21 +170,16 @@ class HexRules(GameRules):
         super().__init__(build_board(HexRhombus(size)))
         self.size = size
         self.name = f"hex{size}"
-        n = size
-        cells = self.graph.cell_count
-
-        def mask(qr_pairs) -> int:
-            return sum(1 << hex_cell(self.graph, q, r) for q, r in qr_pairs)
-
-        # Per player (index p - 1): the bitmasks of its two edges.
-        self._edges = (
-            (mask((q, 0) for q in range(n)), mask((q, n - 1) for q in range(n))),
-            (mask((0, r) for r in range(n)), mask((n - 1, r) for r in range(n))),
-        )
+        rings = self.graph.neighbors
         # Per cell: the bitmask of its on-board neighbours.
-        self._adjacent = [
-            sum(1 << c2 for c2 in self.graph.neighbors[c] if c2 >= 0) for c in range(cells)
-        ]
+        self._adjacent = [sum(1 << c for c in ring if c >= 0) for ring in rings]
+        # Per player (index p - 1): the bitmasks of its two edges, each the
+        # cells with no neighbour through one slot of the ring [NE, E, SE,
+        # SW, W, NW]: SW (r = 0) and NE (r = n-1) for player 1, W (q = 0)
+        # and E (q = n-1) for player 2.
+        sw, ne, w, e = (sum(1 << c for c, ring in enumerate(rings) if ring[slot] < 0)
+                        for slot in (3, 0, 4, 1))
+        self._edges = ((sw, ne), (w, e))
 
     def _placed(self, bits, groups, mover, cell):
         adjacent = self._adjacent[cell]
@@ -209,7 +204,9 @@ _LINE4_DIRS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
 class Line4Rules(GameRules):
     """Place-to-make-4-in-a-row on a square board; a full board without a
-    line of four is a draw, which the base ``apply`` decides."""
+    line of four is a draw, which the base ``apply`` decides.  A win is a
+    mask test, as a feature instance's match is: the board's chunks under
+    some line of four through the placed stone all hold the mover's."""
 
     def __init__(self, width: int, height: int):
         if width < 4 or height < 4:
@@ -219,38 +216,29 @@ class Line4Rules(GameRules):
         self.height = height
         self.name = f"line4-{width}x{height}"
 
-        # Per cell, in cell order: for each line direction, the chunk shifts
-        # of the up to three on-board cells forward and backward from it.
-        self._rays = []
-        for y in range(height):
-            for x in range(width):
-                pairs = []
-                for dx, dy in _LINE4_DIRS:
-                    pair = []
-                    for sx, sy in ((dx, dy), (-dx, -dy)):
-                        shifts = []
-                        x2, y2 = x + sx, y + sy
-                        while len(shifts) < 3 and 0 <= x2 < width and 0 <= y2 < height:
-                            shifts.append((y2 * width + x2) * CHUNK_BITS)
-                            x2, y2 = x2 + sx, y2 + sy
-                        pair.append(tuple(shifts))
-                    pairs.append(tuple(pair))
-                self._rays.append(tuple(pairs))
+        # Each line of four as the range of its cells from the lowest: one
+        # per cell and direction where the line fits on the board.
+        lines = [range(y * width + x, (y + 4 * dy) * width + x + 4 * dx, dy * width + dx)
+                 for y in range(height) for x in range(width) for dx, dy in _LINE4_DIRS
+                 if 0 <= x + 3 * dx < width and y + 3 * dy < height]
+        # Per player (index p - 1), per cell: one (shift, mask, filled) test
+        # for each line through the cell.  ``shift`` is the chunk shift of
+        # the line's lowest cell, ``mask`` covers the line's chunks from
+        # there and ``filled`` is that mask full of the player's stones.
+        self._windows = ([[] for _ in range(width * height)], [[] for _ in range(width * height)])
+        for line in lines:
+            shift = line[0] * CHUNK_BITS
+            mask = sum(CHUNK_MASK << c * CHUNK_BITS - shift for c in line)
+            for player, tests in enumerate(self._windows, 1):
+                test = (shift, mask, mask // CHUNK_MASK * player)
+                for c in line:
+                    tests[c].append(test)
 
     def _placed(self, bits, groups, player, cell):
-        # A new line of four must run through the placed cell; three stones
-        # on either side of it are as many as such a line can use.
-        for forward, backward in self._rays[cell]:
-            run = 1
-            for s in forward:
-                if (bits >> s) & CHUNK_MASK != player:
-                    break
-                run += 1
-            for s in backward:
-                if (bits >> s) & CHUNK_MASK != player:
-                    break
-                run += 1
-            if run >= 4:
+        # A new line of four must run through the placed cell, and a longer
+        # run holds such a line.
+        for shift, mask, filled in self._windows[player - 1][cell]:
+            if bits >> shift & mask == filled:
                 return player, None
         return None, None
 

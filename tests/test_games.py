@@ -189,6 +189,27 @@ def test_status_matches_whole_board_oracle_after_every_apply(name, picks):
     assert rules.status(state) is not None
 
 
+@pytest.mark.parametrize("name, games", [
+    ("line4-4x9", 10), ("line4-9x4", 10), ("line4-9x9", 10), ("line4-15x15", 10),
+    ("hex13", 3), ("hex19", 3),
+])
+def test_status_matches_the_oracle_on_the_larger_boards(name, games):
+    """Seeded random full games on boards that ``PROPERTY_GAMES`` does not
+    reach, those of acceptance criterion 11 and ROADMAP item 6: after every
+    ``apply``, ``status`` equals the whole-board oracle."""
+    rules = gw.game_from_name(name)
+    rng = SplitMix64(11)
+    wins = 0
+    for _ in range(games):
+        state = rules.initial_state()
+        while rules.status(state) is None:
+            legal = rules.legal_moves(state)
+            state = rules.apply(state, legal[rng.next_u64() % len(legal)])
+            assert rules.status(state) == status_oracle(rules, state)
+        wins += rules.status(state) != 0
+    assert wins
+
+
 def decided_position(rules, values, mover):
     """``position`` checked against the whole-board oracles: None when it
     refuses ``values`` because ``mover`` already holds a win; otherwise the

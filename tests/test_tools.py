@@ -56,7 +56,8 @@ TOOL_REPORTS = {
     },
     "scores": {
         **leaves("case", "seed", "positions", "tests_per_position", "repeat",
-                 "biased_scores_us_per_call", "match_instance_ns_per_test"),
+                 "biased_scores_us_per_call", "match_instance_ns_per_test",
+                 "win_check_us_per_call"),
         "hex19_group3": leaves("boards", "instances", "match_instance_ns_per_test"),
     },
 }

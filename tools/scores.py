@@ -11,6 +11,9 @@ compare:
     match_instance  instancer.match_instance(inst, state.board) for each
                     instance that biased_scores tests there: the bare test
                     on the board's int, ns/test
+    win_check       rules._placed(state.board, None, 3 - state.mover,
+                    state.last_move) on each position with a last move:
+                    the Line4 win test of the apply that made it, us/call
 
 and, as a guard for large boards, ``match_instance`` of every group3.fs
 instance on ``--boards`` random hex19 boards (ns/test).
@@ -39,9 +42,9 @@ from timing import best_s, per_call_us, rebinding  # noqa: E402
 POLICY = WORKLOADS["line4-policy"]
 
 
-def record_positions(seed: int) -> list:
-    """The arguments of every biased-agent ``biased_scores`` call of one
-    full-size match, in play order."""
+def record_positions(seed: int) -> tuple:
+    """The rules, and the arguments of every biased-agent ``biased_scores``
+    call of one full-size match, in play order."""
     size = POLICY.sizes["full"]
     rules, fs = POLICY.setup(size)
     calls = []
@@ -54,7 +57,7 @@ def record_positions(seed: int) -> list:
 
     with rebinding(search, biased_scores=recording):
         gw.play_match(rules, gw.AgentSpec(feature_set=fs), gw.AgentSpec(), size.games, seed)
-    return calls
+    return rules, calls
 
 
 def tested(state, idx) -> list:
@@ -96,10 +99,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     seed = REGRESSION_SEED + args.case
-    calls = record_positions(seed)
+    rules, calls = record_positions(seed)
     pairs = [(state.board, tested(state, idx)) for state, _, idx in calls]
     tests = sum(len(i) for _, i in pairs)
     scores_us = per_call_us(search.biased_scores, calls, args.repeat)
+    placed = [(state.board, None, 3 - state.mover, state.last_move)
+              for state, _, _ in calls if state.last_move is not None]
+    win_us = per_call_us(rules._placed, placed, args.repeat)
     large = hex19_pairs(args.boards, seed)
     report = {
         "case": args.case,
@@ -109,6 +115,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "biased_scores_us_per_call": round(scores_us, 3),
         "match_instance_ns_per_test": round(per_test_ns(pairs, args.repeat), 1),
+        "win_check_us_per_call": round(win_us, 3),
         "hex19_group3": {
             "boards": args.boards,
             "instances": len(large[0][1]),
@@ -123,6 +130,8 @@ def main(argv=None) -> int:
           f"best of {args.repeat}, GC off, untraced, reference time")
     print(f"  biased_scores   {report['biased_scores_us_per_call']:9.3f} us/call")
     print(f"  match_instance  {report['match_instance_ns_per_test']:9.1f} ns/test")
+    print(f"  win_check       {report['win_check_us_per_call']:9.3f} us/call "
+          f"({len(placed)} positions with a last move)")
     h = report["hex19_group3"]
     print(f"hex19, group3.fs, {h['boards']} random boards x {h['instances']} instances:")
     print(f"  match_instance  {h['match_instance_ns_per_test']:9.1f} ns/test")
