@@ -16,6 +16,7 @@ no floating point is involved in resolution.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,11 @@ from .board import OFF_BOARD, BoardGraph
 
 class WalkError(ValueError):
     pass
+
+
+# One turn as docs/dsl.md's grammar writes it: a signed integer or fraction.
+# Fraction alone would also take decimals, exponents and digit underscores.
+_TURN_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def normalize_turn(turn: Fraction) -> Fraction:
@@ -159,9 +165,11 @@ def parse_walk(text: str) -> Walk:
         part = part.strip()
         if not part:
             raise WalkError(f"empty turn in walk {text!r}")
+        if not _TURN_RE.fullmatch(part):
+            raise WalkError(f"bad turn {part!r} in walk {text!r}: not an integer or fraction")
         try:
             turns.append(Fraction(part))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise WalkError(f"bad turn {part!r} in walk {text!r}: {exc}") from None
     return make_walk(turns)
 

@@ -146,6 +146,8 @@ def test_act_from_is_an_unrecognised_token():
     ("rel refl=maybe el={}:. act_to={}", 5, "refl= takes yes or no, got 'maybe'"),
     ("rel proactive el={} act_to={}", 15, "element needs walk:constraints"),
     ("rel proactive el={}:. act_to={} act_to={0}", 33, "duplicate act_to"),
+    ("rel proactive el={}:. act_to={1e-1}", 23,
+     "bad turn '1e-1' in walk '{1e-1}': not an integer or fraction"),
 ])
 def test_malformed_feature_is_reported_at_its_token(text, column, message):
     with pytest.raises(DslError) as err:

@@ -206,3 +206,24 @@ def test_walk_text_round_trip():
         parse_walk("{1/0}")
     with pytest.raises(WalkError):
         parse_walk("{1,,2}")
+
+
+@pytest.mark.parametrize("text,walk", [
+    ("{0.25}", None),
+    ("{1e-1}", None),
+    ("{1_0/3}", None),
+    ("{+1/4}", (F(1, 4),)),
+    ("{-1/6}", (F(-1, 6),)),
+    ("{5/4}", (F(1, 4),)),
+    ("{}", ()),
+    ("{ 1/4 , 0 }", (F(1, 4), F(0))),
+])
+def test_walk_turns_take_only_the_documented_grammar(text, walk):
+    """A turn is ``[+-]integer[/integer]`` (docs/dsl.md): no decimal,
+    exponent or digit underscore, though ``Fraction`` would take them."""
+    if walk is None:
+        part = text[1:-1]
+        with pytest.raises(WalkError, match=f"bad turn '{part}'"):
+            parse_walk(text)
+    else:
+        assert parse_walk(text) == walk

@@ -6,22 +6,22 @@ under two package names, binds a copy of this checkout's
 ``perfbench/workloads.py`` to each, sets the workload up once per tree and
 then times its call, the two trees in turn, for ``--rounds`` rounds.  The
 tree that goes first alternates from round to round, and every call plays
-benchmark case ``CASE`` (the case of ``perfbench/run.py --seed 5``), so
-each round is a pair of calls doing the same work.  Each round also times
-one more set-up per tree, just before that tree's call (the benchmark's
-``setup_s``); the calls keep using the first set-up.
+benchmark case ``CASE`` (``tools/timing.py``), so each round is a pair of
+calls doing the same work.  Each round also times one more set-up per
+tree, just before that tree's call (the benchmark's ``setup_s``); the
+calls keep using the first set-up.
 
 Times are in reference seconds (``perfbench/speed.py``), as the
 benchmark's ``games_per_s`` is.  Every call's outcome must equal the other
 tree's; the tool stops with exit status 1 at the first that differs.  It
-prints both trees' best and median seconds per call and per set-up, the
-paired ratios of the calls (base time over change time, so above 1 means
-the change is faster), and in how many rounds the change was faster.
-One untimed call per tree comes first, so one-off imports stay out of
-the rounds.  It writes no file (no bytecode either) into either tree.
+prints one JSON object: both trees' best and median seconds per call and
+per set-up, the paired ratios of the calls (base time over change time, so
+above 1 means the change is faster), and in how many rounds the change was
+faster.  One untimed call per tree comes first, so one-off imports stay
+out of the rounds.  It writes no file (no bytecode either) into either
+tree.
 
-Usage: python3 tools/ab.py --base DIR --workload W [--rounds 10]
-           [--size full] [--json]
+Usage: python3 tools/ab.py --base DIR --workload W [--rounds 10] [--size full]
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+sys.path.insert(0, str(ROOT))
 
-from speed import SpeedProbe  # noqa: E402
-
-# The benchmark case every call plays: case k plays seed REGRESSION_SEED + k.
-CASE = 5
+from perfbench.speed import SpeedProbe  # noqa: E402
+from timing import CASE  # noqa: E402
 
 
 def load_package(name: str, tree: Path):
@@ -92,7 +90,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--size", default="full")
-    ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
@@ -142,19 +139,7 @@ def main(argv=None) -> int:
         "ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4, method="inclusive")[::2]],
         "change_wins": sum(r > 1 for r in ratios),
     }
-    if args.json:
-        print(json.dumps(report))
-        return 0
-    print(f"{args.workload} ({args.size}, case {CASE}), {args.rounds} rounds, "
-          f"reference seconds per call, outcomes equal")
-    for side, s in report["seconds"].items():
-        setup = report["setup_seconds"][side]
-        print(f"  {side:6}  min {s['min']:.4f}  median {s['median']:.4f}"
-              f"  (set-up min {setup['min']:.4f}  median {setup['median']:.4f})")
-    q1, q3 = report["ratio_quartiles"]
-    print(f"  base/change ratio: median {report['ratio_median']:.3f} (IQR {q1:.3f}-{q3:.3f}); "
-          f"change faster in {report['change_wins']}/{args.rounds}")
-    print("  ratios: " + " ".join(f"{r:.3f}" for r in report["ratios"]))
+    print(json.dumps(report, indent=1))
     return 0
 
 

@@ -30,14 +30,14 @@ Inside each hit it also times the walk calls that the hit replays
 (``instancer._replay_walk_calls``, rebound to a timing wrapper for the
 call), and gives their share of that same call in wall time: the part of
 a hit that only keeps the benchmark's frozen count of walk calls.  The
-share printed is the median over ``--repeat`` hits; the times printed are
-the best of ``--repeat`` calls, in reference seconds per call
-(``tools/timing.py``).
+share reported is the median over ``--repeat`` hits; the times reported
+are the best of ``--repeat`` calls, in reference seconds per call
+(``tools/timing.py``).  It prints one JSON object.
 
 The traced ``instancer.instantiate.self_s`` is no use here: the tracer
 opens a span for each of the ~300,000 walk calls of one compile.
 
-Usage: python3 tools/compile.py [--repeat 5] [--json]
+Usage: python3 tools/compile.py [--repeat 5]
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ def traced_mb(fn) -> tuple[float, float]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
 
     rules, fs = TUNE.setup(TUNE.sizes["full"])
@@ -158,19 +157,7 @@ def main(argv=None) -> int:
     peak, kept = traced_mb(cold_pair)
     report = {"candidates": len(fs), "repeat": args.repeat, "cold_pair_s": round(cold_pair_s, 4),
               "cold_pair_peak_mb": round(peak, 3), "cold_pair_kept_mb": round(kept, 3), "movers": movers}
-    if args.json:
-        print(json.dumps(report))
-        return 0
-    print(f"hex7-tune-candidates: {len(fs)} candidates; best of {args.repeat}, GC off, untraced, "
-          "reference seconds")
-    for mover, m in movers.items():
-        print(f"  mover {mover}: {m['instances']} instances ({m['distinct_recipes']} distinct recipes), "
-              f"{m['walk_calls']} walk calls; "
-              f"cold {m['cold_s']:.4f} s, hit {m['hit_s']:.4f} s "
-              f"(walk replay {m['hit_walk_replay_s']:.4f} s, {m['hit_walk_replay_share']:.0%})")
-    print(f"  cold pair (mover 1, then mover 2): {report['cold_pair_s']:.4f} s, "
-          f"peak {report['cold_pair_peak_mb']:.3f} MB, kept {report['cold_pair_kept_mb']:.3f} MB "
-          "(tracemalloc, untimed pass)")
+    print(json.dumps(report, indent=1))
     return 0
 
 

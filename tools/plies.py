@@ -1,27 +1,42 @@
-"""Per-ply cost of the playout layers, untraced, on recorded plies.
+"""Per-call cost of the play loop's layers, untraced, on recorded plies.
 
-Plays case ``--case`` of the benchmark's hex7-mcts-bridge workload (its
-rules, feature set, match size and seed, taken from
-``perfbench/workloads.py``) and records every playout ply of the bridge
-agent: the position, its legal moves, the scores and the move that was
-sampled; and every bridge playout: its start position, its RNG state and
-its winner.  Then it times each layer on exactly those
-plies, with the garbage collector off, and prints the best of ``--repeat``
-passes in reference microseconds per call (``tools/timing.py``), so two
-runs compare:
+Plays case ``CASE`` (``tools/timing.py``) of the benchmark's line4-policy
+and hex7-mcts-bridge workloads at full size, each through its own set-up
+and call in ``perfbench/workloads.py``, and records every ply that the
+biased agent samples: the position, its legal moves, the scores and the
+move that was sampled; and every biased playout: its start position, its
+RNG state and its winner.  The policy agent's plies are its moves, the
+bridge agent's the plies of its playouts.  Then it times each layer on
+exactly those plies, with the garbage collector off, and reports the best
+of ``--repeat`` passes in reference time (``tools/timing.py``), so two
+runs compare.  Per workload:
 
-    legal_moves     GameRules.legal_moves(state)
-    biased_scores   search.biased_scores(state, legal, idx)
-    _sample         search._sample(scores, rng)
-    apply           GameRules.apply(state, move)
-    win_check       the per-game placement hook that ``apply`` calls
-    playout_ply     whole search.run_playout calls replayed from each
-                    recorded start and RNG state: their time over the plies
+    plies, playouts     what was recorded
+    unit_score_share    share of the plies whose every score is 1.0
+    tests_per_ply       instances that biased_scores tests per ply
+    us_per_call
+      legal_moves       GameRules.legal_moves(state)
+      biased_scores     search.biased_scores(state, legal, idx)
+      _sample           search._sample(scores, rng)
+      apply             GameRules.apply(state, move)
+      win_check         rules._placed(child.board, state.groups,
+                        state.mover, move): the win check that
+                        apply(state, move) makes
+      playout_ply       whole search.run_playout calls replayed from each
+                        recorded start and RNG state, their time over the
+                        plies; only for a workload that ran playouts
+    match_instance_ns_per_test
+                        instancer.match_instance(inst, state.board) for
+                        each instance that biased_scores tests on each
+                        ply: the reactive bucket, then the proactive list
+
+and, as a guard for large boards, ``hex19_group3``: ``match_instance`` of
+every group3.fs instance on ``BOARDS`` random hex19 boards, in ns/test.
 
 Every replayed playout must return its recorded winner, or the tool stops
-with an error.
+with an error.  It prints one JSON object.
 
-Usage: python3 tools/plies.py [--case 5] [--repeat 5] [--json]
+Usage: python3 tools/plies.py [--repeat 5]
 """
 
 from __future__ import annotations
@@ -37,18 +52,22 @@ sys.path.insert(0, str(ROOT))
 
 import geoweave as gw  # noqa: E402
 from geoweave import search  # noqa: E402
+from geoweave.instancer import instantiate, match_instance  # noqa: E402
 from geoweave.rng import SplitMix64  # noqa: E402
-from perfbench.workloads import REGRESSION_SEED, WORKLOADS  # noqa: E402
-from timing import best_s, per_call_us, rebinding  # noqa: E402
+from perfbench.workloads import FIXTURES, REGRESSION_SEED, WORKLOADS  # noqa: E402
+from timing import CASE, best_s, per_call_us, rebinding  # noqa: E402
 
-BRIDGE = WORKLOADS["hex7-mcts-bridge"]
+SEED = REGRESSION_SEED + CASE
+PLAYED = ("line4-policy", "hex7-mcts-bridge")
+BOARDS = 20  # random hex19 boards of the large-board guard
 
 
-def record_plies(seed: int):
-    """Every bridge-agent playout ply of one full-size match, in play order,
-    and every bridge-agent playout as (start, indexes, RNG state, winner)."""
-    size = BRIDGE.sizes["full"]
-    rules, fs = BRIDGE.setup(size)
+def record_plies(workload):
+    """The rules, every biased-agent ply of one full-size match of
+    ``workload`` in play order, and every biased playout as (start,
+    indexes, RNG state, winner)."""
+    size = workload.sizes["full"]
+    prepared = workload.setup(size)
     plies = []
     playouts = []
     last = None
@@ -75,9 +94,8 @@ def record_plies(seed: int):
 
     with rebinding(search, biased_scores=recording_scores, _sample=recording_sample,
                    run_playout=recording_playout):
-        gw.play_match(rules, gw.AgentSpec(feature_set=fs, playouts=size.playouts),
-                      gw.AgentSpec(playouts=size.playouts), size.games, seed)
-    return rules, plies, playouts
+        workload.call(prepared, size, SEED)
+    return prepared[0], plies, playouts
 
 
 def replay_playouts(rules, playouts) -> None:
@@ -88,50 +106,71 @@ def replay_playouts(rules, playouts) -> None:
             raise SystemExit("plies: a replayed playout did not return its recorded winner")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--case", type=int, default=5,
-                    help=f"benchmark case k, which plays seed {REGRESSION_SEED} + k")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--json", action="store_true", help="print one JSON object")
-    args = ap.parse_args(argv)
+def per_test_ns(pairs: list, repeat: int) -> float:
+    """Best pass of ``match_instance`` over ``pairs`` of (board's int,
+    instances), in nanoseconds per test."""
 
-    seed = REGRESSION_SEED + args.case
-    rules, plies, playouts = record_plies(seed)
-    states = [(p[0],) for p in plies]
-    children = [rules.apply(p[0], p[4]) for p in plies]
-    rng = SplitMix64(seed)
-    timings = {
-        "legal_moves": per_call_us(rules.legal_moves, states, args.repeat),
-        "biased_scores": per_call_us(search.biased_scores, [p[:3] for p in plies], args.repeat),
-        "_sample": per_call_us(search._sample, [(p[3], rng) for p in plies], args.repeat),
-        "apply": per_call_us(rules.apply, [(p[0], p[4]) for p in plies], args.repeat),
+    def run():
+        for bits, instances in pairs:
+            for inst in instances:
+                match_instance(inst, bits)
+
+    return best_s(run, repeat) / sum(len(i) for _, i in pairs) * 1e9
+
+
+def workload_report(name: str, repeat: int) -> dict:
+    rules, plies, playouts = record_plies(WORKLOADS[name])
+    rng = SplitMix64(SEED)
+    us = {
+        "legal_moves": per_call_us(rules.legal_moves, [(p[0],) for p in plies], repeat),
+        "biased_scores": per_call_us(search.biased_scores, [p[:3] for p in plies], repeat),
+        "_sample": per_call_us(search._sample, [(p[3], rng) for p in plies], repeat),
+        "apply": per_call_us(rules.apply, [(p[0], p[4]) for p in plies], repeat),
         "win_check": per_call_us(
             rules._placed,
-            [(c.board, p[0].groups, p[0].mover, p[4])
-             for p, c in zip(plies, children)],
-            args.repeat),
-        "playout_ply": best_s(lambda: replay_playouts(rules, playouts), args.repeat) / len(plies) * 1e6,
+            [(rules.apply(p[0], p[4]).board, p[0].groups, p[0].mover, p[4]) for p in plies],
+            repeat),
     }
-    unit = sum(all(s == 1.0 for s in p[3]) for p in plies)
-    report = {
-        "case": args.case,
-        "seed": seed,
+    if playouts:
+        us["playout_ply"] = best_s(lambda: replay_playouts(rules, playouts), repeat) / len(plies) * 1e6
+    pairs = [(state.board, [*idx.reactive_for(state.last_move), *idx.proactive])
+             for state, _, idx, _, _ in plies]
+    return {
         "plies": len(plies),
         "playouts": len(playouts),
-        "unit_score_share": round(unit / len(plies), 4),
-        "repeat": args.repeat,
-        "us_per_call": {k: round(v, 3) for k, v in timings.items()},
+        "unit_score_share": round(sum(all(s == 1.0 for s in p[3]) for p in plies) / len(plies), 4),
+        "tests_per_ply": round(sum(len(i) for _, i in pairs) / len(plies), 2),
+        "us_per_call": {k: round(v, 3) for k, v in us.items()},
+        "match_instance_ns_per_test": round(per_test_ns(pairs, repeat), 1),
     }
-    if args.json:
-        print(json.dumps(report))
-        return 0
-    print(f"hex7-mcts-bridge case {args.case} (seed {seed}): "
-          f"{len(plies)} plies in {len(playouts)} bridge playouts, "
-          f"{report['unit_score_share']:.1%} with every score 1.0; "
-          f"best of {args.repeat}, GC off, untraced, reference microseconds")
-    for name, us in timings.items():
-        print(f"  {name:<14} {us:7.3f} us/call")
+
+
+def hex19_pairs() -> list:
+    """``BOARDS`` random hex19 boards, as their ints, each with every
+    group3.fs instance of player 1.  A random board may hold a win, which
+    ``position`` would refuse or finish, so the boards are packed here."""
+    graph = gw.hex_rules(19).graph
+    instances = instantiate(gw.load_feature_set(FIXTURES / "group3.fs"), graph, 1).instances
+    rng = SplitMix64(SEED)
+    return [(sum(rng.next_u64() % 3 << c * gw.CHUNK_BITS for c in range(graph.cell_count)), instances)
+            for _ in range(BOARDS)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args(argv)
+
+    report = {"case": CASE, "seed": SEED, "repeat": args.repeat}
+    for name in PLAYED:
+        report[name] = workload_report(name, args.repeat)
+    large = hex19_pairs()
+    report["hex19_group3"] = {
+        "boards": BOARDS,
+        "instances": len(large[0][1]),
+        "match_instance_ns_per_test": round(per_test_ns(large, args.repeat), 1),
+    }
+    print(json.dumps(report, indent=1))
     return 0
 
 

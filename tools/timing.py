@@ -10,6 +10,7 @@ benchmark scales by the median sample instead, so on a quiet machine
 these figures read a few percent above its reference seconds.
 ``rebinding`` swaps module attributes for the length of a block, which is
 how the tools record the arguments of the calls a library function makes.
+``CASE`` is the benchmark case the tools play.
 
 The tools put the checkout's root on ``sys.path`` before importing this
 module.
@@ -21,6 +22,10 @@ import gc
 from contextlib import contextmanager
 
 from perfbench.speed import REF_SECONDS, SpeedProbe
+
+# The case of ``perfbench/run.py --seed 5``: case k plays seed
+# REGRESSION_SEED + k (``perfbench/workloads.py``).
+CASE = 5
 
 
 def reference_s(wall: float, samples: list[float]) -> float:
